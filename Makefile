@@ -13,7 +13,7 @@ test: check
 bench:
 	dune exec bench/main.exe
 
-# codec + sharded-profiling scaling numbers -> BENCH_stream.json,
+# codec numbers + out-of-core replay parity -> BENCH_stream.json,
 # autotuning search results -> BENCH_autotune.json
 bench-json:
 	dune exec bench/main.exe -- stream autotune --json
@@ -24,9 +24,9 @@ bench-record:
 	dune exec bench/main.exe -- --json --record
 
 # quick end-to-end check of the out-of-core path: record, decode,
-# profile with 2 domains
+# profile by replaying the file
 stream-smoke:
-	dune exec bin/polyprof_cli.exe -- trace stats backprop --domains 2
+	dune exec bin/polyprof_cli.exe -- trace stats backprop
 
 # static dependence engine over the whole suite, validating every
 # pruned profile against its unpruned twin (exits nonzero on any

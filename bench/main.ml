@@ -508,7 +508,7 @@ let ablation () =
     benches
 
 (* ------------------------------------------------------------------ *)
-(* lib/stream: trace codec + domain-sharded profiling                   *)
+(* lib/stream: trace codec + out-of-core replay parity                  *)
 (* ------------------------------------------------------------------ *)
 
 let json_out = ref false
@@ -534,19 +534,11 @@ type stream_row = {
   sr_enc_s : float;
   sr_dec_s : float;
   sr_seq_s : float;
-  sr_par_s : float;
-  sr_replay_s : float;
-  sr_merge_s : float;
-  sr_peak_shadow : int array;
-  sr_domain_events : int array;
   sr_identical : bool;
 }
 
 let stream_bench () =
-  let domains = 4 in
-  section
-    (Printf.sprintf
-       "lib/stream: binary trace codec + %d-domain sharded profiling" domains);
+  section "lib/stream: binary trace codec + out-of-core replay parity";
   let now = Obs.Clock.monotonic in
   let ws =
     Workloads.Rodinia.all
@@ -575,25 +567,18 @@ let stream_bench () =
             Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
         let structure = Cfg.Cfg_builder.finalize builder in
         let t0 = now () in
-        let seq =
-          Ddg.Depprof.profile_replay
-            ~feed:(fun cb ->
-              Stream.Source.with_file path (fun src ->
-                  Stream.Source.replay src cb))
-            ~run_stats:stats prog ~structure
+        let { Stream.Par_profile.result = ooc } =
+          Stream.Par_profile.profile_file path prog ~structure
         in
         let t_seq = now () -. t0 in
-        let t0 = now () in
-        let par =
-          Stream.Par_profile.profile_file ~domains path prog ~structure
+        let live =
+          Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog)
         in
-        let t_par = now () -. t0 in
-        let p = par.Stream.Par_profile.result in
         let identical =
-          (seq.Ddg.Depprof.stmts, seq.deps, seq.pruned_dep_edges,
-           seq.total_dep_edges, seq.run_stats)
-          = (p.Ddg.Depprof.stmts, p.deps, p.pruned_dep_edges,
-             p.total_dep_edges, p.run_stats)
+          (live.Ddg.Depprof.stmts, live.deps, live.pruned_dep_edges,
+           live.total_dep_edges, live.run_stats)
+          = (ooc.Ddg.Depprof.stmts, ooc.deps, ooc.pruned_dep_edges,
+             ooc.total_dep_edges, ooc.run_stats)
         in
         { sr_name = w.w_name;
           sr_events = Vm.Trace.n_events trace;
@@ -602,19 +587,13 @@ let stream_bench () =
           sr_enc_s = t_enc;
           sr_dec_s = t_dec;
           sr_seq_s = t_seq;
-          sr_par_s = t_par;
-          sr_replay_s = par.par_stats.Stream.Par_profile.replay_seconds;
-          sr_merge_s = par.par_stats.Stream.Par_profile.merge_seconds;
-          sr_peak_shadow = par.par_stats.Stream.Par_profile.per_domain_peak_shadow;
-          sr_domain_events = par.par_stats.Stream.Par_profile.per_domain_events;
           sr_identical = identical })
       ws
   in
   let mbs bytes s = float_of_int bytes /. (s +. 1e-9) /. (1024. *. 1024.) in
   let header =
     [ "benchmark"; "events"; "disk KB"; "marshal KB"; "ratio"; "enc MB/s";
-      "dec MB/s"; "seq s"; Printf.sprintf "par(%d) s" domains; "speedup";
-      "same" ]
+      "dec MB/s"; "replay s"; "same" ]
   in
   let table =
     List.map
@@ -629,39 +608,26 @@ let stream_bench () =
           Printf.sprintf "%.1f" (mbs r.sr_disk_bytes r.sr_enc_s);
           Printf.sprintf "%.1f" (mbs r.sr_disk_bytes r.sr_dec_s);
           Printf.sprintf "%.3f" r.sr_seq_s;
-          Printf.sprintf "%.3f" r.sr_par_s;
-          Printf.sprintf "%.2fx" (r.sr_seq_s /. (r.sr_par_s +. 1e-9));
           (if r.sr_identical then "Y" else "N!") ])
       rows
   in
   print_string (Report.Texttable.render ~header table);
   let totals f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let cores = Domain.recommended_domain_count () in
   Format.printf
-    "@.suite: %d events, %d KB on disk vs %d KB marshalled (%.1fx), all \
-     results identical: %b@."
+    "@.suite: %d events, %d KB on disk vs %d KB marshalled (%.1fx), \
+     out-of-core replay identical to in-process on all: %b@."
     (totals (fun r -> r.sr_events))
     (totals (fun r -> r.sr_disk_bytes) / 1024)
     (totals (fun r -> r.sr_marshal_bytes) / 1024)
     (float_of_int (totals (fun r -> r.sr_marshal_bytes))
     /. float_of_int (max 1 (totals (fun r -> r.sr_disk_bytes))))
     (List.for_all (fun r -> r.sr_identical) rows);
-  if cores < domains then
-    Format.printf
-      "note: host has %d hardware thread(s) < %d domains -- the parallel \
-       runs are time-sliced, so wall-clock speedup is not meaningful on \
-       this machine (each domain decodes the full stream; expect ~1/%d \
-       \"speedup\" here and real gains only with >= %d cores).@."
-      cores domains domains domains;
   if !json_out then begin
     let open Obs.Json_emit in
-    let ints a = List (Array.to_list (Array.map (fun i -> Int i) a)) in
     let doc =
       Obj
         (schema_header ~schema_version:Obs.Schemas.stream
-        @ [ ("domains", Int domains);
-            ("time_sliced", Bool (cores < domains));
-            ("chunk_bytes", Int Stream.Sink.default_chunk_bytes);
+        @ [ ("chunk_bytes", Int Stream.Sink.default_chunk_bytes);
             ( "workloads",
               List
                 (List.map
@@ -678,12 +644,6 @@ let stream_bench () =
                          ("encode_mb_s", Float (mbs r.sr_disk_bytes r.sr_enc_s));
                          ("decode_mb_s", Float (mbs r.sr_disk_bytes r.sr_dec_s));
                          ("seq_seconds", Float r.sr_seq_s);
-                         ("par_seconds", Float r.sr_par_s);
-                         ("speedup", Float (r.sr_seq_s /. (r.sr_par_s +. 1e-9)));
-                         ("replay_seconds", Float r.sr_replay_s);
-                         ("merge_seconds", Float r.sr_merge_s);
-                         ("domain_events", ints r.sr_domain_events);
-                         ("peak_shadow", ints r.sr_peak_shadow);
                          ("identical", Bool r.sr_identical) ])
                    rows) ) ])
     in

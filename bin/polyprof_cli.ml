@@ -7,7 +7,7 @@
      polyprof table5 --paper
      polyprof polly lud
      polyprof trace show backprop --limit 40
-     polyprof trace stats backprop --domains 4 *)
+     polyprof trace stats backprop *)
 
 open Cmdliner
 
@@ -259,14 +259,7 @@ let trace_record_cmd =
     Term.(const run $ bench_arg $ out $ chunk $ telemetry_flag)
 
 let trace_stats_cmd =
-  let domains =
-    Arg.(
-      value
-      & opt int (Stream.Par_profile.default_domains ())
-      & info [ "domains"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for the sharded profiler.")
-  in
-  let run name domains telemetry =
+  let run name telemetry =
     with_telemetry telemetry @@ fun () ->
     match find_workload name with
     | Error e ->
@@ -296,15 +289,13 @@ let trace_stats_cmd =
         Stream.Source.with_file path (fun src ->
             Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
         let structure = Cfg.Cfg_builder.finalize builder in
-        let { Stream.Par_profile.result; par_stats } =
-          Stream.Par_profile.profile_file ~domains path prog ~structure
+        let t0 = now () in
+        let { Stream.Par_profile.result } =
+          Stream.Par_profile.profile_file path prog ~structure
         in
+        let t_replay = now () -. t0 in
         let mevs n s = float_of_int n /. (s +. 1e-9) /. 1e6 in
         let mbs n s = float_of_int n /. (s +. 1e-9) /. (1024. *. 1024.) in
-        let ints a =
-          String.concat " "
-            (Array.to_list (Array.map string_of_int a))
-        in
         Format.printf "== trace stats: %s ==@." name;
         Format.printf "events          %d (%d control, %d exec)@."
           (Vm.Trace.n_events trace) (Vm.Trace.n_control trace)
@@ -317,19 +308,9 @@ let trace_stats_cmd =
           (mbs disk_bytes t_enc);
         Format.printf "decode          %.2f Mev/s, %.1f MB/s (%d events)@."
           (mevs decoded t_dec) (mbs disk_bytes t_dec) decoded;
-        Format.printf "== sharded profile (%d domains) ==@."
-          par_stats.Stream.Par_profile.domains;
-        Format.printf "domain events   [%s]@."
-          (ints par_stats.Stream.Par_profile.per_domain_events);
-        Format.printf "domain edges    [%s]@."
-          (ints par_stats.Stream.Par_profile.per_domain_dep_edges);
-        Format.printf "peak shadow     [%s]@."
-          (ints par_stats.Stream.Par_profile.per_domain_peak_shadow);
-        Format.printf "replay          %.3f s, merge %.3f s@."
-          par_stats.Stream.Par_profile.replay_seconds
-          par_stats.Stream.Par_profile.merge_seconds;
-        Format.printf "profile         %d statements, %d dependence \
+        Format.printf "replay          %.3f s: %d statements, %d dependence \
                        relations, %d dynamic edges@."
+          t_replay
           (List.length result.Ddg.Depprof.stmts)
           (List.length result.Ddg.Depprof.deps)
           result.Ddg.Depprof.total_dep_edges;
@@ -338,9 +319,9 @@ let trace_stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Record a benchmark's trace to disk, decode it back and \
-             profile it with the domain-sharded profiler, printing codec \
-             and scaling counters")
-    Term.(const run $ bench_arg $ domains $ telemetry_flag)
+             profile it by replaying the file, printing codec counters \
+             and the replay's time and profile size")
+    Term.(const run $ bench_arg $ telemetry_flag)
 
 (* daemon endpoint args, shared by the serve-client commands and
    [trace fetch] *)
@@ -1093,26 +1074,19 @@ let telemetry_cmd =
     Term.(const run $ bench_arg $ trace_json $ prom $ svg)
 
 let overhead_cmd =
-  let domains =
-    Arg.(
-      value
-      & opt int (Stream.Par_profile.default_domains ())
-      & info [ "domains"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for the out-of-core configuration.")
-  in
   let repeat =
     Arg.(
       value & opt int 3
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Repetitions per configuration (best wall time wins).")
   in
-  let run name json domains repeat =
+  let run name json repeat =
     match find_workload name with
     | Error e ->
         prerr_endline e;
         1
     | Ok w ->
-        let o = Workloads.Overhead.measure ~domains ~repeat w in
+        let o = Workloads.Overhead.measure ~repeat w in
         if json then
           print_endline
             (Obs.Json_emit.to_string ~pretty:true (Workloads.Overhead.json o))
@@ -1125,7 +1099,7 @@ let overhead_cmd =
          "Measure the profiling overhead of a benchmark (paper \u{00a7}8): \
           native vs in-process instrumented vs out-of-core vs \
           statically-pruned wall time, plus trace bytes per memory access")
-    Term.(const run $ bench_arg $ json_flag $ domains $ repeat)
+    Term.(const run $ bench_arg $ json_flag $ repeat)
 
 let autotune_cmd =
   let beam =

@@ -39,8 +39,8 @@ let run_hir ?config ?max_steps ?args hir =
   run_internal ?config ?max_steps ?args ~hir:(Some hir) prog
 
 (* Out-of-core pipeline: both instrumentation stages replayed from a
-   binary trace file, Instrumentation II sharded across domains. *)
-let run_trace_file ?config ?domains ~path prog =
+   binary trace file. *)
+let run_trace_file ?config ~path prog =
   Obs.Span.with_ ~cat:"pipeline" "pipeline.run_trace_file" @@ fun () ->
   let structure =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.cfg" @@ fun () ->
@@ -49,9 +49,9 @@ let run_trace_file ?config ?domains ~path prog =
         Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
     Cfg.Cfg_builder.finalize builder
   in
-  let { Stream.Par_profile.result = profile; par_stats } =
+  let { Stream.Par_profile.result = profile } =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.profile" @@ fun () ->
-    Stream.Par_profile.profile_file ?config ?domains path prog ~structure
+    Stream.Par_profile.profile_file ?config path prog ~structure
   in
   let analysis =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.depanalysis" @@ fun () ->
@@ -61,7 +61,7 @@ let run_trace_file ?config ?domains ~path prog =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.feedback" @@ fun () ->
     Sched.Feedback.make prog profile analysis
   in
-  ({ prog; hir = None; structure; profile; analysis; feedback }, par_stats)
+  { prog; hir = None; structure; profile; analysis; feedback }
 
 let metrics ?ld_src ?fusion_strategy ~name t =
   let ld_src =

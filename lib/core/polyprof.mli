@@ -55,14 +55,13 @@ val run_hir :
 
 val run_trace_file :
   ?config:Ddg.Depprof.config ->
-  ?domains:int ->
   path:string ->
   Vm.Prog.t ->
-  t * Stream.Par_profile.stats
+  t
 (** Out-of-core pipeline over a recorded binary trace (written by
     {!Stream.Trace_file.record_to_file}): Instrumentation I streams the
-    file once; Instrumentation II is sharded across [domains] workers
-    ({!Stream.Par_profile.profile_file}) and produces the same profile
+    file once, Instrumentation II streams it again
+    ({!Stream.Par_profile.profile_file}), and the profile is the same
     as {!run} of the same execution.  The trace must carry a stats
     trailer.
     @raise Stream.Error on a corrupt or truncated trace. *)

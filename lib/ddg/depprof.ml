@@ -136,21 +136,6 @@ type dep_rec = {
   dr_dst_depth : int;
 }
 
-(* A buffered dynamic dependence edge (address-sharded profiling):
-   enough to replay the exact [Fold.Collector.add] the sequential
-   profiler would perform, in the exact order — [p_seq] is the global
-   exec-event number, [p_slot] the position of this edge among the
-   event's shadow consultations (reads, then the memory read, then the
-   write-after-write check). *)
-type dep_point = {
-  p_seq : int;
-  p_slot : int;
-  p_coords : int array;  (* consumer iteration vector *)
-  p_lab : int array;  (* producer iteration vector *)
-}
-
-type rec_buf = { mutable pts : dep_point list (* reversed *); mutable rn : int }
-
 type witness_state = {
   ws_w : witness;
   mutable ws_hits : int;
@@ -171,38 +156,21 @@ let label_kind_of prog sid =
 (* The profiling engine                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One Instrumentation-II state machine.  [nshards = 1] is the exact
-   sequential profiler: every statement and dependence is owned and
-   dependence points stream straight into the folding collectors.  With
-   [nshards > 1] the engine becomes one worker of an address-sharded
-   parallel profiler: it still replays the full event stream (iteration
-   vectors are a global property of the trace) but
-
-   - maintains shadow memory only for addresses of its shard,
-   - maintains shadow registers only for registers of its shard,
-   - folds statement domains only for statement keys of its shard,
-   - buffers its dependence edges as [dep_point]s for a deterministic
-     merge instead of folding them on-line (one folded dependence can
-     draw edges from addresses of several shards),
-   - builds the schedule tree and CCT only on the lead shard (0), while
-     still performing the same [Iiv.context_id] calls so every shard
-     interns identical context ids in its domain-local table. *)
+(* One Instrumentation-II state machine, driven by the events of one
+   execution: live from the interpreter ([profile]) or replayed from an
+   in-memory or on-disk trace ([profile_replay]).  Dependence points
+   stream straight into the folding collectors. *)
 type engine = {
   e_config : config;
   e_prog : Vm.Prog.t;
   e_structure : Cfg.Cfg_builder.structure;
-  shard : int;
-  nshards : int;
   iiv : Iiv.t;
   levents : Loop_events.state;
   e_stree : Sched_tree.t;
   e_cct : Cct.t;
-  lead : bool;
-  buffer_deps : bool;  (* buffer edges for a later merge (Sharded) *)
   shadow : Shadow.t;
   stmts : (stmt_key, stmt_rec) Hashtbl.t;
-  deps : (dep_key, dep_rec) Hashtbl.t;  (* direct folding *)
-  recs : (dep_key, rec_buf) Hashtbl.t;  (* buffered edges *)
+  deps : (dep_key, dep_rec) Hashtbl.t;
   e_prune : static_plan option;
   e_witness : (int * int, witness_state list) Hashtbl.t;
       (* (fid, guard block) -> probes on that guard's branch *)
@@ -211,28 +179,8 @@ type engine = {
   mutable peak_shadow : int;
 }
 
-(* Address blocks of 2^6 = 64 words distribute round-robin over shards,
-   so a shard owns periodic address ranges; statements hash over
-   (context, sid); registers distribute round-robin.  All three are
-   deterministic functions, identical in every domain. *)
-let addr_block_shift = 6
-
-let owns_addr e addr =
-  e.nshards = 1
-  || ((addr asr addr_block_shift) land max_int) mod e.nshards = e.shard
-
-let owns_reg e reg = e.nshards = 1 || (reg land max_int) mod e.nshards = e.shard
-
-let owns_stmt e ~ctx ~sid =
-  e.nshards = 1 || (((ctx * 31) + sid) land max_int) mod e.nshards = e.shard
-
-let make_engine ?(config = default_config) ?(buffer_deps = false)
-    ?static_prune ~shard ~nshards prog ~structure =
+let make_engine ?(config = default_config) ?static_prune prog ~structure =
   Iiv.reset_intern_table ();
-  (match static_prune with
-  | Some _ when nshards > 1 ->
-      invalid_arg "Depprof: static pruning is sequential-only"
-  | _ -> ());
   let e_witness = Hashtbl.create 8 in
   (match static_prune with
   | Some p ->
@@ -247,18 +195,13 @@ let make_engine ?(config = default_config) ?(buffer_deps = false)
   { e_config = config;
     e_prog = prog;
     e_structure = structure;
-    shard;
-    nshards;
     iiv = Iiv.create ();
     levents = Loop_events.create structure ~main:prog.Vm.Prog.main;
     e_stree = Sched_tree.create ();
     e_cct = Cct.create ~main:prog.Vm.Prog.main;
-    lead = shard = 0;
-    buffer_deps;
     shadow = Shadow.create ();
     stmts = Hashtbl.create 512;
     deps = Hashtbl.create 512;
-    recs = Hashtbl.create 512;
     e_prune = static_prune;
     e_witness;
     n_pruned = 0;
@@ -269,17 +212,14 @@ let apply_levent e ev =
   Iiv.update e.iiv ev;
   match ev with
   | Loop_events.Iterate _ ->
-      (* every shard interns the context (identical id sequences across
-         domains); only the lead shard materialises the tree *)
       let ctx_key = Iiv.context_id e.iiv in
-      if e.lead then
-        Sched_tree.record_iteration e.e_stree ~ctx_key (Iiv.context e.iiv)
+      Sched_tree.record_iteration e.e_stree ~ctx_key (Iiv.context e.iiv)
   | Loop_events.Enter _ | Loop_events.Exit _ | Loop_events.Block _
   | Loop_events.Call_push _ | Loop_events.Ret_pop _ ->
       ()
 
 let on_control e ev =
-  if e.lead then Cct.on_control e.e_cct ev;
+  Cct.on_control e.e_cct ev;
   (match ev with
   | Vm.Event.Call _ -> Shadow.push_frame e.shadow
   | Vm.Event.Return _ -> Shadow.pop_frame e.shadow
@@ -356,8 +296,7 @@ let dep_rec_of e key ~src_depth ~dst_depth =
 
 let on_exec e (ex : Vm.Event.exec) =
   let config = e.e_config in
-  let seq = e.seq in
-  e.seq <- seq + 1;
+  e.seq <- e.seq + 1;
   let ctx = Iiv.context_id e.iiv in
   let coords = Iiv.coords e.iiv in
   let depth = Array.length coords in
@@ -370,106 +309,83 @@ let on_exec e (ex : Vm.Event.exec) =
   in
   let pruned = Option.is_some pruned_acc in
   if pruned then e.n_pruned <- e.n_pruned + 1;
-  if e.lead then begin
-    Cct.add_weight e.e_cct 1;
-    Sched_tree.record e.e_stree ~ctx_key:ctx (Iiv.context e.iiv) ~weight:1
-  end;
+  Cct.add_weight e.e_cct 1;
+  Sched_tree.record e.e_stree ~ctx_key:ctx (Iiv.context e.iiv) ~weight:1;
   (* statement domain + label *)
-  if owns_stmt e ~ctx ~sid:ex.sid then begin
-    let _, r = stmt_rec_of e ctx ex.sid depth ex.value in
-    r.count <- r.count + 1;
-    if Fold.Collector.dim r.collector = depth then begin
-      let label =
-        match r.r_label with
-        | Lnone -> [||]
-        | Lvalue -> (
-            match ex.value with
-            | Some (Vm.Event.I v) -> [| v |]
-            | Some (Vm.Event.F _) | None ->
-                r.poisoned <- true;
-                [| 0 |])
-        | Laddr -> (
-            match (ex.addr_read, ex.addr_written) with
-            | Some a, _ | None, Some a -> [| a |]
-            | None, None -> (
-                (* an elided trace drops the addresses of pruned
-                   accesses; the static plan reconstructs them *)
-                match pruned_acc with
-                | Some sa when Array.length sa.sa_coefs = depth ->
-                    let a = ref sa.sa_base in
-                    Array.iteri
-                      (fun i c -> a := !a + (c * coords.(i)))
-                      sa.sa_coefs;
-                    [| !a |]
-                | _ ->
-                    r.poisoned <- true;
-                    [| 0 |]))
-      in
-      Fold.Collector.add r.collector coords label
-    end
-    else r.poisoned <- true
-  end;
+  let _, r = stmt_rec_of e ctx ex.sid depth ex.value in
+  r.count <- r.count + 1;
+  if Fold.Collector.dim r.collector = depth then begin
+    let label =
+      match r.r_label with
+      | Lnone -> [||]
+      | Lvalue -> (
+          match ex.value with
+          | Some (Vm.Event.I v) -> [| v |]
+          | Some (Vm.Event.F _) | None ->
+              r.poisoned <- true;
+              [| 0 |])
+      | Laddr -> (
+          match (ex.addr_read, ex.addr_written) with
+          | Some a, _ | None, Some a -> [| a |]
+          | None, None -> (
+              (* an elided trace drops the addresses of pruned
+                 accesses; the static plan reconstructs them *)
+              match pruned_acc with
+              | Some sa when Array.length sa.sa_coefs = depth ->
+                  let a = ref sa.sa_base in
+                  Array.iteri
+                    (fun i c -> a := !a + (c * coords.(i)))
+                    sa.sa_coefs;
+                  [| !a |]
+              | _ ->
+                  r.poisoned <- true;
+                  [| 0 |]))
+    in
+    Fold.Collector.add r.collector coords label
+  end
+  else r.poisoned <- true;
   (* dependences: consult shadows before recording this instruction's
-     own writes.  [slot] numbers the potential shadow consultations of
-     this event so the sharded merge can restore the sequential order. *)
-  let record_dep ~slot kind (o : Shadow.origin) =
+     own writes *)
+  let record_dep kind (o : Shadow.origin) =
     let key =
       { src_sid = o.o_sid; src_ctx = o.o_ctx; dst_sid = ex.sid; dst_ctx = ctx;
         kind }
     in
-    if not e.buffer_deps then begin
-      let dr =
-        dep_rec_of e key ~src_depth:(Array.length o.o_coords) ~dst_depth:depth
-      in
-      dr.d_n <- dr.d_n + 1;
-      if
-        Fold.Collector.dim dr.d_collector = depth
-        && Array.length o.o_coords = dr.dr_src_depth
-      then Fold.Collector.add dr.d_collector coords o.o_coords
-    end
-    else begin
-      let rb =
-        match Hashtbl.find_opt e.recs key with
-        | Some rb -> rb
-        | None ->
-            let rb = { pts = []; rn = 0 } in
-            Hashtbl.add e.recs key rb;
-            rb
-      in
-      rb.pts <-
-        { p_seq = seq; p_slot = slot; p_coords = coords; p_lab = o.o_coords }
-        :: rb.pts;
-      rb.rn <- rb.rn + 1
-    end
+    let dr =
+      dep_rec_of e key ~src_depth:(Array.length o.o_coords) ~dst_depth:depth
+    in
+    dr.d_n <- dr.d_n + 1;
+    if
+      Fold.Collector.dim dr.d_collector = depth
+      && Array.length o.o_coords = dr.dr_src_depth
+    then Fold.Collector.add dr.d_collector coords o.o_coords
   in
-  let nreads = List.length ex.reads in
   if config.track_reg_deps then
-    List.iteri
-      (fun slot reg ->
-        if owns_reg e reg then
-          match Shadow.last_reg_writer e.shadow ~reg with
-          | Some o -> record_dep ~slot Reg_dep o
-          | None -> ())
+    List.iter
+      (fun reg ->
+        match Shadow.last_reg_writer e.shadow ~reg with
+        | Some o -> record_dep Reg_dep o
+        | None -> ())
       ex.reads;
   (match ex.addr_read with
-  | Some addr when (not pruned) && owns_addr e addr -> (
+  | Some addr when not pruned -> (
       match Shadow.last_mem_writer e.shadow ~addr with
-      | Some o -> record_dep ~slot:nreads Mem_dep o
+      | Some o -> record_dep Mem_dep o
       | None -> ())
   | Some _ | None -> ());
   (match ex.addr_written with
-  | Some addr when (not pruned) && owns_addr e addr ->
+  | Some addr when not pruned ->
       (if config.track_waw then
          match Shadow.last_mem_writer e.shadow ~addr with
-         | Some o -> record_dep ~slot:(nreads + 1) Out_dep o
+         | Some o -> record_dep Out_dep o
          | None -> ());
       Shadow.write_mem e.shadow ~addr
         { o_sid = ex.sid; o_ctx = ctx; o_coords = coords }
   | Some _ | None -> ());
   (match ex.writes with
-  | Some reg when owns_reg e reg ->
+  | Some reg ->
       Shadow.write_reg e.shadow ~reg { o_sid = ex.sid; o_ctx = ctx; o_coords = coords }
-  | Some _ | None -> ());
+  | None -> ());
   let words = Shadow.n_shadowed_words e.shadow in
   if words > e.peak_shadow then e.peak_shadow <- words
 
@@ -529,7 +445,7 @@ let scev_set_of stmt_infos =
    static plan: enumerate the resolved accesses in exact execution order
    (the plan is the program's once-executed chain) with a dense
    last-writer table over the address space, feeding every rediscovered
-   edge into a fresh collector exactly as the sequential engine would
+   edge into a fresh collector exactly as the unpruned engine would
    have.  Contexts are recovered from the pruned run's own statement
    table — each pruned statement executes under a unique dynamic
    context by construction of the plan (single static call chain). *)
@@ -719,29 +635,25 @@ let finalize e ~run_stats =
     run_stats;
     structure = e.e_structure }
 
-let profile ?config ?max_steps ?args ?static_prune prog ~structure =
-  Obs.Span.with_ ~cat:"ddg" "ddg.profile" @@ fun () ->
-  let e =
-    make_engine ?config ?static_prune ~shard:0 ~nshards:1 prog ~structure
-  in
+(* The one Instrumentation-II driver: [feed] delivers one execution's
+   events and returns its interpreter stats, which a trace file only
+   knows once its trailer has been read. *)
+let drive ?config ?static_prune ~feed prog ~structure =
+  let e = make_engine ?config ?static_prune prog ~structure in
   start e;
-  let run_stats =
-    Vm.Interp.run ?max_steps ?args ~callbacks:(callbacks e) prog
-  in
+  let run_stats = feed (callbacks e) in
   finish e;
   check_witnesses e;
   finalize e ~run_stats
 
-let profile_replay ?config ?static_prune ~feed ~run_stats prog ~structure =
+let profile ?config ?max_steps ?args ?static_prune prog ~structure =
+  Obs.Span.with_ ~cat:"ddg" "ddg.profile" @@ fun () ->
+  drive ?config ?static_prune prog ~structure ~feed:(fun callbacks ->
+      Vm.Interp.run ?max_steps ?args ~callbacks prog)
+
+let profile_replay ?config ?static_prune ~feed prog ~structure =
   Obs.Span.with_ ~cat:"ddg" "ddg.profile_replay" @@ fun () ->
-  let e =
-    make_engine ?config ?static_prune ~shard:0 ~nshards:1 prog ~structure
-  in
-  start e;
-  feed (callbacks e);
-  finish e;
-  check_witnesses e;
-  finalize e ~run_stats
+  drive ?config ?static_prune ~feed prog ~structure
 
 (* The invariant behind [~static_prune]: modulo the schedule tree and
    CCT (shared mutable structures, compared by their own consumers), a
@@ -750,148 +662,6 @@ let equal_result (a : result) (b : result) =
   a.stmts = b.stmts && a.deps = b.deps
   && a.pruned_dep_edges = b.pruned_dep_edges
   && a.total_dep_edges = b.total_dep_edges
-
-(* ------------------------------------------------------------------ *)
-(* Sharded profiling: workers + deterministic merge                     *)
-(* ------------------------------------------------------------------ *)
-
-module Sharded = struct
-  type partial = {
-    pt_shard : int;
-    pt_nshards : int;
-    pt_stmts : stmt_info list;
-    pt_recs : (dep_key * dep_point array) list;
-    pt_stree : Sched_tree.t;
-    pt_cct : Cct.t;
-    pt_intern : Iiv.context array option;  (** lead shard only *)
-    pt_events : int;  (** exec events replayed *)
-    pt_dep_edges : int;  (** dependence edges this shard discovered *)
-    pt_peak_shadow : int;
-  }
-
-  let worker ?config ~shard ~nshards ~feed prog ~structure =
-    if shard < 0 || shard >= nshards then
-      invalid_arg "Depprof.Sharded.worker: shard out of range";
-    let e =
-      make_engine ?config ~buffer_deps:true ~shard ~nshards prog ~structure
-    in
-    start e;
-    feed (callbacks e);
-    finish e;
-    let pt_recs =
-      Hashtbl.fold
-        (fun k rb acc -> (k, Array.of_list (List.rev rb.pts)) :: acc)
-        e.recs []
-    in
-    { pt_shard = shard;
-      pt_nshards = nshards;
-      pt_stmts = stmt_infos_of e;
-      pt_recs;
-      pt_stree = e.e_stree;
-      pt_cct = e.e_cct;
-      pt_intern = (if e.lead then Some (Iiv.snapshot_intern_table ()) else None);
-      pt_events = e.seq;
-      pt_dep_edges =
-        Hashtbl.fold (fun _ rb acc -> acc + rb.rn) e.recs 0;
-      pt_peak_shadow = e.peak_shadow }
-
-  (* Fold one merged dependence: replay the collector exactly as the
-     sequential engine would have — creation dimensioned by the first
-     dynamic edge, every edge counted, points added under the same
-     depth guards, in global (event, slot) order. *)
-  let fold_dep ?(config = default_config) dk (pts : dep_point array) =
-    let first = pts.(0) in
-    let dst_depth = Array.length first.p_coords in
-    let src_depth = Array.length first.p_lab in
-    let collector =
-      Fold.Collector.create ~cap:config.dep_cap ~max_pieces:config.max_pieces
-        ~boundary_splits:config.boundary_splits
-        ~per_component:config.per_component_labels ~dim:dst_depth
-        ~label_dim:src_depth ()
-    in
-    Array.iter
-      (fun p ->
-        if
-          Array.length p.p_coords = dst_depth
-          && Array.length p.p_lab = src_depth
-        then Fold.Collector.add collector p.p_coords p.p_lab)
-      pts;
-    { dk;
-      d_count = Array.length pts;
-      d_pieces = Fold.Collector.result collector;
-      src_depth;
-      dst_depth }
-
-  let default_pmap thunks = List.map (fun f -> f ()) thunks
-
-  let merge ?(config = default_config) ?(pmap = default_pmap) ~partials
-      ~run_stats ~structure () =
-    (match partials with
-    | [] -> invalid_arg "Depprof.Sharded.merge: no partials"
-    | _ -> ());
-    let lead =
-      match List.find_opt (fun p -> p.pt_shard = 0) partials with
-      | Some p -> p
-      | None -> invalid_arg "Depprof.Sharded.merge: missing lead shard 0"
-    in
-    (* make the workers' interned context ids resolvable in this domain
-       (all workers intern identically; the lead's snapshot stands for
-       all) *)
-    (match lead.pt_intern with
-    | Some snap -> Iiv.restore_intern_table snap
-    | None -> ());
-    (* statements: shard-disjoint by construction *)
-    let stmt_infos = List.concat_map (fun p -> p.pt_stmts) partials in
-    let scev_set = scev_set_of stmt_infos in
-    (* dependences: gather per-key edge buffers from every shard *)
-    let by_key : (dep_key, dep_point array list) Hashtbl.t =
-      Hashtbl.create 512
-    in
-    List.iter
-      (fun p ->
-        List.iter
-          (fun (k, pts) ->
-            if Array.length pts > 0 then
-              Hashtbl.replace by_key k
-                (pts :: Option.value ~default:[] (Hashtbl.find_opt by_key k)))
-          p.pt_recs)
-      partials;
-    let total_dep_edges = ref 0 in
-    let pruned = ref 0 in
-    let thunks = ref [] in
-    Hashtbl.iter
-      (fun dk parts ->
-        let n = List.fold_left (fun acc a -> acc + Array.length a) 0 parts in
-        total_dep_edges := !total_dep_edges + n;
-        if
-          config.scev_prune
-          && (Hashtbl.mem scev_set (dk.src_ctx, dk.src_sid)
-             || Hashtbl.mem scev_set (dk.dst_ctx, dk.dst_sid))
-        then pruned := !pruned + n
-        else begin
-          let pts = Array.concat parts in
-          (* restore the sequential insertion order: one edge per
-             (event, slot), unique within a key *)
-          Array.sort
-            (fun a b ->
-              if a.p_seq <> b.p_seq then compare a.p_seq b.p_seq
-              else compare a.p_slot b.p_slot)
-            pts;
-          thunks := (fun () -> fold_dep ~config dk pts) :: !thunks
-        end)
-      by_key;
-    let dep_infos = pmap !thunks in
-    { stmts = List.sort (fun a b -> compare a.sk b.sk) stmt_infos;
-      deps = List.sort (fun a b -> compare a.dk b.dk) dep_infos;
-      pruned_dep_edges = !pruned;
-      total_dep_edges = !total_dep_edges;
-      statically_pruned = 0;
-      witnesses = [];
-      stree = lead.pt_stree;
-      cct = lead.pt_cct;
-      run_stats;
-      structure }
-end
 
 let stmt_domain (s : stmt_info) =
   Minisl.Pset.of_polyhedra s.depth

@@ -113,7 +113,7 @@ type result = {
     skips shadow-memory tracking for these accesses and re-derives the
     skipped dependences at finalisation by simulating the chain with a
     last-writer table, feeding edges to collectors in the exact order
-    the sequential engine would have: the result is asserted (and
+    the unpruned engine would have: the result is asserted (and
     tested) bit-identical to an unpruned profile. *)
 
 type static_access = {
@@ -163,16 +163,17 @@ val profile :
 val profile_replay :
   ?config:config ->
   ?static_prune:static_plan ->
-  feed:(Vm.Interp.callbacks -> unit) ->
-  run_stats:Vm.Interp.stats ->
+  feed:(Vm.Interp.callbacks -> Vm.Interp.stats) ->
   Vm.Prog.t ->
   structure:Cfg.Cfg_builder.structure ->
   result
 (** Instrumentation II over a pre-recorded event stream instead of a
-    live run: [feed] must deliver the events of one execution (e.g.
-    [Vm.Trace.replay trace] or a streaming [Stream.Source.replay]) and
-    produces a result identical to {!profile} of the same execution;
-    [run_stats] are the recorded run's interpreter stats.  Under
+    live run: [feed] must deliver the events of one execution to the
+    callbacks (e.g. with [Vm.Trace.replay] or a streaming
+    [Stream.Source.replay]) and then return the recorded run's
+    interpreter stats (a trace file's stats trailer is read only after
+    its events).  The result is identical to {!profile} of the same
+    execution, which is this driver fed by the interpreter.  Under
     [static_prune] the trace may have been recorded with the addresses
     of pruned accesses elided ({!Stream.Trace_file} [~elide]): the plan
     reconstructs the statement address labels. *)
@@ -181,61 +182,6 @@ val equal_result : result -> result -> bool
 (** Structural equality of the folded profile (statements, dependences,
     edge counters) — the pruning-equivalence invariant.  The schedule
     tree and CCT are not compared. *)
-
-type dep_point = {
-  p_seq : int;  (** global exec-event number of the consumer *)
-  p_slot : int;  (** consultation slot within the event *)
-  p_coords : int array;  (** consumer iteration vector *)
-  p_lab : int array;  (** producer iteration vector *)
-}
-(** One buffered dynamic dependence edge (sharded profiling). *)
-
-(** Address-sharded parallel profiling: [nshards] workers each replay
-    the full event stream but own a deterministic slice of the shadow
-    state (memory by 64-word address blocks, registers round-robin,
-    statement keys by hash) and buffer the dynamic dependence edges they
-    discover; {!Sharded.merge} restores the global edge order per folded
-    dependence and reproduces the exact sequential {!profile} result.
-    Workers are independent — run them in separate domains (see
-    [Stream.Par_profile]) or sequentially (deterministic either way). *)
-module Sharded : sig
-  type partial = {
-    pt_shard : int;
-    pt_nshards : int;
-    pt_stmts : stmt_info list;  (** finalised, this shard's keys only *)
-    pt_recs : (dep_key * dep_point array) list;
-    pt_stree : Sched_tree.t;  (** populated on the lead shard only *)
-    pt_cct : Cct.t;  (** populated on the lead shard only *)
-    pt_intern : Iiv.context array option;  (** lead shard only *)
-    pt_events : int;
-    pt_dep_edges : int;
-    pt_peak_shadow : int;
-  }
-
-  val worker :
-    ?config:config ->
-    shard:int ->
-    nshards:int ->
-    feed:(Vm.Interp.callbacks -> unit) ->
-    Vm.Prog.t ->
-    structure:Cfg.Cfg_builder.structure ->
-    partial
-  (** Replay one full event stream as shard [shard] of [nshards].  Must
-      observe the same event stream in every shard. *)
-
-  val merge :
-    ?config:config ->
-    ?pmap:((unit -> dep_info) list -> dep_info list) ->
-    partials:partial list ->
-    run_stats:Vm.Interp.stats ->
-    structure:Cfg.Cfg_builder.structure ->
-    unit ->
-    result
-  (** Deterministically combine one partial per shard.  [pmap] runs the
-      per-dependence folding thunks (default: sequentially; pass a
-      domain-pool map to fold in parallel — each thunk is independent
-      and pure).  [config] must match the workers'. *)
-end
 
 val stmt_domain : stmt_info -> Minisl.Pset.t
 val dep_map : dep_info -> Minisl.Pmap.t option

@@ -83,12 +83,9 @@ let context t : context =
   let dims = List.rev_map (fun d -> List.rev d.dctx) t.outer in
   dims @ [ List.rev t.last ]
 
-(* Intern table: domain-local, so parallel profiling domains replaying
-   the same event stream each intern contexts independently — and, since
-   they intern in identical stream order, assign identical ids.  The
-   worker that owns the schedule tree snapshots its table and the main
-   domain restores it, keeping [context_of_id] valid for the later
-   (main-domain) scheduling stages. *)
+(* Intern table: domain-local, because each serve worker domain runs
+   whole profiles of its own; a profile and the scheduling stages that
+   read its ids run in the same domain. *)
 type intern_state = {
   tbl : (context, int) Hashtbl.t;
   rev : (int, context) Hashtbl.t;
@@ -125,22 +122,6 @@ let context_id t =
   end
 
 let context_of_id id = Hashtbl.find (Domain.DLS.get intern_key).rev id
-
-let snapshot_intern_table () =
-  let s = Domain.DLS.get intern_key in
-  let a = Array.make s.next [] in
-  Hashtbl.iter (fun id c -> a.(id) <- c) s.rev;
-  a
-
-let restore_intern_table a =
-  reset_intern_table ();
-  let s = Domain.DLS.get intern_key in
-  Array.iteri
-    (fun id c ->
-      Hashtbl.replace s.tbl c id;
-      Hashtbl.replace s.rev id c)
-    a;
-  s.next <- Array.length a
 
 let default_name c = Format.asprintf "%a" pp_ctx_id c
 

@@ -39,25 +39,16 @@ val coords : t -> int array
 val context : t -> context
 val context_id : t -> int
 (** Interned id of the current context.  The intern table is
-    domain-local: domains that perform the same sequence of
-    {!context_id} calls (e.g. parallel profilers replaying one event
-    stream) assign the same ids independently. *)
+    domain-local, so domains profiling concurrently (serve workers)
+    do not share ids. *)
 
 val context_of_id : int -> context
 (** @raise Not_found for ids not produced by {!context_id} in the
-    calling domain (or restored into it). *)
+    calling domain. *)
 
 val reset_intern_table : unit -> unit
 (** Clear the calling domain's intern table (between independent
     analyses). *)
-
-val snapshot_intern_table : unit -> context array
-(** The calling domain's interned contexts, indexed by id. *)
-
-val restore_intern_table : context array -> unit
-(** Replace the calling domain's intern table with a snapshot taken (in
-    another domain) by {!snapshot_intern_table}, so ids minted there
-    resolve here. *)
 
 val pp : ?name:(ctx_id -> string) -> Format.formatter -> t -> unit
 (** Renders like the paper: [(M0/L1, 0, A1/L2, 1, B1)]. *)

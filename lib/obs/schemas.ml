@@ -1,10 +1,10 @@
 type t = { s_name : string; s_file : string; s_version : int }
 
-let stream = 1
+let stream = 2
 let staticdep = 1
 let obs = 1
 let autotune = 1
-let overhead = 1
+let overhead = 2
 let parcheck = 1
 let serve = 1
 let perfhist = 1

@@ -3,7 +3,7 @@
     A span measures one phase of the pipeline: monotonic wall time
     ({!Clock}), GC minor/major words allocated during the phase and the
     peak-heap watermark at its end.  Spans nest per domain (each domain
-    has its own stack, so [Stream.Par_profile] workers record their own
+    has its own stack, so serve worker domains record their own
     subtrees tagged with their domain id); finished top-level spans land
     in a process-global list read by the exporters.
 

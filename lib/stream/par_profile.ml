@@ -1,153 +1,22 @@
-(* Domain-parallel sharded dependence profiling.
+(* Out-of-core dependence profiling: Instrumentation II replayed
+   sequentially from a trace file streamed one chunk at a time. *)
 
-   Each of [domains] workers replays the complete event stream (its own
-   [Source] on the trace file, or a shared in-memory trace) as one
-   address shard of [Ddg.Depprof.Sharded]; the partials are then merged
-   — with the per-dependence folds themselves spread over a small domain
-   pool — into a result bit-identical to the sequential profiler. *)
+type outcome = { result : Ddg.Depprof.result }
 
-type stats = {
-  domains : int;
-  per_domain_events : int array;
-  per_domain_dep_edges : int array;
-  per_domain_peak_shadow : int array;
-  replay_seconds : float;
-  merge_seconds : float;
-}
-
-type outcome = { result : Ddg.Depprof.result; par_stats : stats }
-
-let default_domains () =
-  let n = Domain.recommended_domain_count () in
-  max 1 (min 4 n)
-
-let obs_steals = Obs.Metrics.counter ~help:"merge tasks drained from the work-stealing pool" "stream.par.steal_tasks"
-let obs_workers = Obs.Metrics.counter ~help:"shard replay workers spawned" "stream.par.workers"
-let obs_shard_events = Obs.Metrics.histogram ~help:"events replayed per shard worker" "stream.par.shard_events"
-let obs_shard_edges = Obs.Metrics.histogram ~help:"dependence edges found per shard worker" "stream.par.shard_dep_edges"
-let obs_peak_shadow = Obs.Metrics.gauge ~help:"peak shadow-table entries over all shard workers" "stream.par.peak_shadow"
-
-(* Exception-safe fan-in: run [main] on the caller, then join EVERY
-   spawned domain before letting any exception escape — a failure on the
-   lead path must not leak running domains, and a failing worker must
-   not stop the remaining joins.  The first failure (lead first, then
-   spawn order) is re-raised with its backtrace once all domains are
-   joined. *)
-let join_all ~main spawned =
-  let wrap f =
-    try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  let lead = wrap main in
-  let joined = List.map (fun d -> wrap (fun () -> Domain.join d)) spawned in
-  List.map
-    (function
-      | Ok r -> r
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    (lead :: joined)
-
-(* Work-stealing map over independent pure thunks: an atomic cursor
-   hands out indices, [domains - 1] helper domains plus the caller drain
-   it.  Results land in distinct array slots; Domain.join publishes
-   them. *)
-let pool_map ~domains thunks =
-  let arr = Array.of_list thunks in
-  let n = Array.length arr in
-  if domains <= 1 || n <= 1 then List.map (fun f -> f ()) thunks
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let rec drain () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        Obs.Metrics.add obs_steals 1;
-        results.(i) <- Some (arr.(i) ());
-        drain ()
-      end
-    in
-    let helpers =
-      List.init (min domains n - 1) (fun _ ->
-          Domain.spawn (fun () ->
-              drain ();
-              Obs.Metrics.flush_domain ()))
-    in
-    ignore (join_all ~main:drain helpers : unit list);
-    Array.to_list results
-    |> List.map (function Some r -> r | None -> assert false)
-  end
-
-let finish ?config ~t0 ~t1 ~partials ~run_stats ~structure ~domains () =
-  let pmap = pool_map ~domains in
+let profile_file ?config ?(domains = 1) ?static_prune path prog ~structure =
+  if domains <> 1 then
+    invalid_arg "Par_profile.profile_file: replay is sequential (~domains:1)";
   let result =
-    Obs.Span.with_ ~cat:"stream" "par.merge" @@ fun () ->
-    Ddg.Depprof.Sharded.merge ?config ~pmap ~partials ~run_stats ~structure ()
+    Source.with_file path @@ fun src ->
+    Ddg.Depprof.profile_replay ?config ?static_prune prog ~structure
+      ~feed:(fun callbacks ->
+        Source.replay src callbacks;
+        match Source.stats src with
+        | Some stats -> stats
+        | None ->
+            Error.fail
+              "%s: trace has no stats trailer; cannot profile (re-record \
+               with Trace_file.record_to_file or Sink.close ~stats)"
+              path)
   in
-  let t2 = Obs.Clock.monotonic () in
-  if Obs.Registry.enabled () then
-    List.iter
-      (fun p ->
-        Obs.Metrics.observe obs_shard_events p.Ddg.Depprof.Sharded.pt_events;
-        Obs.Metrics.observe obs_shard_edges p.Ddg.Depprof.Sharded.pt_dep_edges;
-        Obs.Metrics.set_max obs_peak_shadow p.Ddg.Depprof.Sharded.pt_peak_shadow)
-      partials;
-  let per f = Array.of_list (List.map f partials) in
-  { result;
-    par_stats =
-      { domains;
-        per_domain_events = per (fun p -> p.Ddg.Depprof.Sharded.pt_events);
-        per_domain_dep_edges = per (fun p -> p.Ddg.Depprof.Sharded.pt_dep_edges);
-        per_domain_peak_shadow =
-          per (fun p -> p.Ddg.Depprof.Sharded.pt_peak_shadow);
-        replay_seconds = t1 -. t0;
-        merge_seconds = t2 -. t1 } }
-
-let run_workers ?config ~domains ~feed prog ~structure =
-  let t0 = Obs.Clock.monotonic () in
-  let shard_worker ~shard ~nshards =
-    Obs.Metrics.add obs_workers 1;
-    Obs.Span.with_ ~cat:"stream" (Printf.sprintf "par.shard%d" shard)
-    @@ fun () ->
-    Ddg.Depprof.Sharded.worker ?config ~shard ~nshards ~feed:(feed shard) prog
-      ~structure
-  in
-  let partials =
-    if domains = 1 then [ shard_worker ~shard:0 ~nshards:1 ]
-    else begin
-      let spawned =
-        List.init (domains - 1) (fun i ->
-            let shard = i + 1 in
-            Domain.spawn (fun () ->
-                let p = shard_worker ~shard ~nshards:domains in
-                Obs.Metrics.flush_domain ();
-                p))
-      in
-      join_all ~main:(fun () -> shard_worker ~shard:0 ~nshards:domains) spawned
-    end
-  in
-  (t0, Obs.Clock.monotonic (), partials)
-
-let profile_trace ?config ?domains trace ~run_stats prog ~structure =
-  let domains = match domains with Some d -> max 1 d | None -> default_domains () in
-  let feed _shard cb = Vm.Trace.replay trace cb in
-  let t0, t1, partials = run_workers ?config ~domains ~feed prog ~structure in
-  finish ?config ~t0 ~t1 ~partials ~run_stats ~structure ~domains ()
-
-let profile_file ?config ?domains path prog ~structure =
-  let domains = match domains with Some d -> max 1 d | None -> default_domains () in
-  (* each worker streams its own Source: peak memory stays one chunk per
-     domain plus the live shadow/fold state *)
-  let stats = Array.make domains None in
-  let feed shard cb =
-    Source.with_file path (fun src ->
-        Source.replay src cb;
-        stats.(shard) <- Source.stats src)
-  in
-  let t0, t1, partials = run_workers ?config ~domains ~feed prog ~structure in
-  let run_stats =
-    match stats.(0) with
-    | Some s -> s
-    | None ->
-        Error.fail "%s: trace has no stats trailer; cannot profile (re-record \
-                    with Trace_file.record_to_file or Sink.close ~stats)"
-          path
-  in
-  finish ?config ~t0 ~t1 ~partials ~run_stats ~structure ~domains ()
+  { result }

@@ -1,49 +1,23 @@
-(** Domain-parallel dependence profiling over a recorded trace.
+(** Out-of-core dependence profiling over a recorded trace file. *)
 
-    [domains] workers each replay the full event stream as one shard of
-    {!Ddg.Depprof.Sharded} (shadow state split by address range), then
-    the buffered dependence edges are merged — folding in parallel on a
-    small domain pool — into a result {e bit-identical} to the
-    sequential {!Ddg.Depprof.profile} of the same execution.
-
-    Teardown is exception-safe: if any shard worker or merge task raises
-    (including on the caller's own shard), every spawned domain is still
-    joined before the first failure is re-raised — no worker domain is
-    ever leaked, which matters to long-running hosts of this code such
-    as the [polyprof serve] daemon. *)
-
-type stats = {
-  domains : int;
-  per_domain_events : int array;  (** events replayed by each worker *)
-  per_domain_dep_edges : int array;  (** dynamic edges each shard owned *)
-  per_domain_peak_shadow : int array;  (** peak live shadow entries *)
-  replay_seconds : float;  (** parallel replay wall time *)
-  merge_seconds : float;  (** deterministic merge + fold wall time *)
-}
-
-type outcome = { result : Ddg.Depprof.result; par_stats : stats }
-
-val default_domains : unit -> int
-(** [min 4 (Domain.recommended_domain_count ())], at least 1. *)
+type outcome = { result : Ddg.Depprof.result }
 
 val profile_file :
   ?config:Ddg.Depprof.config ->
   ?domains:int ->
+  ?static_prune:Ddg.Depprof.static_plan ->
   string ->
   Vm.Prog.t ->
   structure:Cfg.Cfg_builder.structure ->
   outcome
-(** Profile a binary trace file out-of-core: every domain streams its
-    own {!Source} on the file, so peak memory is bounded by shadow/fold
-    state, not trace length.  The file must carry a stats trailer.
-    @raise Error.Error on a corrupt trace or missing trailer. *)
-
-val profile_trace :
-  ?config:Ddg.Depprof.config ->
-  ?domains:int ->
-  Vm.Trace.t ->
-  run_stats:Vm.Interp.stats ->
-  Vm.Prog.t ->
-  structure:Cfg.Cfg_builder.structure ->
-  outcome
-(** Same over an in-memory trace (shared read-only across domains). *)
+(** Profile a binary trace file out-of-core: one sequential
+    {!Ddg.Depprof.profile_replay} streams a {!Source} on the file, so
+    peak memory is bounded by shadow/fold state, not trace length.  The
+    result is identical to {!Ddg.Depprof.profile} of the recorded
+    execution.  The file must carry a stats trailer.  Under
+    [static_prune] the trace may have been recorded with the plan's
+    addresses elided ({!Trace_file.record_to_file} [~elide]).
+    @raise Invalid_argument when [domains] is given and is not 1.
+    @raise Error.Error on a corrupt trace or missing trailer.
+    @raise Ddg.Depprof.Witness_failure when the run refutes a witness
+    of [static_prune]. *)

@@ -1,4 +1,4 @@
-(** Out-of-core binary trace codec and parallel sharded dependence
+(** Out-of-core binary trace codec and trace-file dependence
     profiling.
 
     Wire format (version 1): a [PLYPROF1] magic + version byte header
@@ -7,8 +7,8 @@
     counters and addresses with zigzag varints; a trailer chunk carries
     the run's interpreter stats.  {!Sink}/{!Source} write and read
     traces chunk-at-a-time in bounded memory; {!Trace_file} is the
-    whole-trace convenience layer; {!Par_profile} shards the dependence
-    profiler across OCaml domains with a deterministic merge. *)
+    whole-trace convenience layer; {!Par_profile} replays the
+    dependence profiler sequentially from a trace file. *)
 
 exception Error = Error.Error
 (** Raised on malformed input: bad magic/version, truncation, CRC

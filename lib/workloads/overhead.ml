@@ -12,7 +12,6 @@ type row = {
 
 type t = {
   o_name : string;
-  o_domains : int;
   o_events : int;  (** events in the recorded trace *)
   o_accesses : int;  (** dynamic memory accesses *)
   o_dyn_instrs : int;
@@ -34,12 +33,7 @@ let time ~repeat f =
   done;
   (Option.get !last, !best)
 
-let measure ?domains ?(repeat = 3) (w : Workload.t) =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Stream.Par_profile.default_domains ()
-  in
+let measure ?(repeat = 3) (w : Workload.t) =
   let prog = Vm.Hir.lower w.Workload.hir in
   let stats, t_native = time ~repeat (fun () -> Vm.Interp.run prog) in
   let profile, t_inst =
@@ -48,7 +42,7 @@ let measure ?domains ?(repeat = 3) (w : Workload.t) =
         Ddg.Depprof.profile prog ~structure)
   in
   (* out-of-core: record the binary trace, then replay both
-     instrumentation stages from the file (Instrumentation II sharded) *)
+     instrumentation stages from the file *)
   let path = Filename.temp_file "polyprof_overhead" ".trace" in
   let (wi, _), t_ooc =
     Fun.protect
@@ -60,7 +54,7 @@ let measure ?domains ?(repeat = 3) (w : Workload.t) =
         Stream.Source.with_file path (fun src ->
             Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
         let structure = Cfg.Cfg_builder.finalize builder in
-        let o = Stream.Par_profile.profile_file ~domains path prog ~structure in
+        let o = Stream.Par_profile.profile_file path prog ~structure in
         (wi, o.Stream.Par_profile.result))
   in
   (* static pruning: the plan is compile-time work, computed outside the
@@ -81,7 +75,6 @@ let measure ?domains ?(repeat = 3) (w : Workload.t) =
   in
   ignore profile;
   { o_name = w.Workload.w_name;
-    o_domains = domains;
     o_events = wi.Stream.Trace_file.wi_events;
     o_accesses = stats.Vm.Interp.dyn_mem_ops;
     o_dyn_instrs = stats.Vm.Interp.dyn_instrs;
@@ -108,8 +101,8 @@ let table (o : t) =
           | _ -> "-") ])
       o.o_rows
   in
-  Printf.sprintf "%s: %d events, %d memory accesses, %d instrs (%d domains)\n%s"
-    o.o_name o.o_events o.o_accesses o.o_dyn_instrs o.o_domains
+  Printf.sprintf "%s: %d events, %d memory accesses, %d instrs\n%s"
+    o.o_name o.o_events o.o_accesses o.o_dyn_instrs
     (Report.Texttable.render
        ~header:[ "Mode"; "Seconds"; "Slowdown"; "TraceBytes"; "B/access" ]
        rows)
@@ -119,7 +112,6 @@ let json (o : t) =
   Obj
     (schema_header ~schema_version:Obs.Schemas.overhead
     @ [ ("benchmark", Str o.o_name);
-        ("domains", Int o.o_domains);
         ("events", Int o.o_events);
         ("accesses", Int o.o_accesses);
         ("dyn_instrs", Int o.o_dyn_instrs);

@@ -1,5 +1,5 @@
 (** Paper §8-style overhead accounting: run a workload natively, under
-    in-process profiling, out-of-core (trace to disk, sharded replay)
+    in-process profiling, out-of-core (trace to disk, replay from it)
     and with static instrumentation pruning; report the slowdown of
     each configuration and the trace bytes per memory access. *)
 
@@ -12,7 +12,6 @@ type row = {
 
 type t = {
   o_name : string;
-  o_domains : int;
   o_events : int;
   o_accesses : int;
   o_dyn_instrs : int;
@@ -20,7 +19,7 @@ type t = {
   o_bytes_per_access : float option;
 }
 
-val measure : ?domains:int -> ?repeat:int -> Workload.t -> t
+val measure : ?repeat:int -> Workload.t -> t
 (** Best-of-[repeat] (default 3) wall time per configuration. *)
 
 val table : t -> string

@@ -14,28 +14,30 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
     ?out_of_core ?(static_prune = false) (w : Workload.t) =
   Obs.Span.with_ ~cat:"workload" ("workload." ^ w.Workload.w_name) @@ fun () ->
   let prog = Vm.Hir.lower w.Workload.hir in
+  (* [profile] runs Instrumentation II, under a static plan or not *)
+  let profile_with profile =
+    if static_prune then
+      (* hybrid driver: speculate on weakly-dynamic guards, with
+         witness-failure fallback to full shadow tracking *)
+      let _sd, result, _reruns =
+        Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
+            profile (Some plan))
+      in
+      result
+    else profile None
+  in
   let structure, profile =
     match out_of_core with
     | None ->
         let structure = Cfg.Cfg_builder.run prog in
-        let result =
-          if static_prune then
-            (* hybrid driver: speculate on weakly-dynamic guards, with
-               witness-failure fallback to full shadow tracking *)
-            let _sd, result, _reruns =
-              Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
-                  Ddg.Depprof.profile ~static_prune:plan prog ~structure)
-            in
-            result
-          else Ddg.Depprof.profile prog ~structure
-        in
-        (structure, result)
+        ( structure,
+          profile_with (fun static_prune ->
+              Ddg.Depprof.profile ?static_prune prog ~structure) )
     | Some domains ->
+        if domains <> 1 then
+          invalid_arg "Runner.run: replay is sequential (~out_of_core:1)";
         (* record once to disk, then replay both instrumentation stages
-           from the file, Instrumentation II sharded across domains
-           (static pruning is sequential-only: with a plan, record an
-           address-elided trace and replay Instrumentation II in
-           process instead) *)
+           from the file *)
         let path = Filename.temp_file "polyprof" ".trace" in
         Fun.protect
           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -53,29 +55,20 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
             (fun p sid -> Hashtbl.mem p.Ddg.Depprof.sp_resolved sid)
             stable_plan
         in
-        let wi = Stream.Trace_file.record_to_file ?elide prog path in
+        let (_ : Stream.Trace_file.write_info) =
+          Stream.Trace_file.record_to_file ?elide prog path
+        in
         let builder = Cfg.Cfg_builder.create prog in
         Stream.Source.with_file path (fun src ->
             Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
         let structure = Cfg.Cfg_builder.finalize builder in
-        let result =
-          if static_prune then
-            let _sd, result, _reruns =
-              Analysis.Statdep.fallback_profile prog ~profile:(fun p ->
-                  Stream.Source.with_file path (fun src ->
-                      Ddg.Depprof.profile_replay ~static_prune:p
-                        ~feed:(fun cb -> Stream.Source.replay src cb)
-                        ~run_stats:wi.Stream.Trace_file.wi_stats prog
-                        ~structure))
-            in
-            result
-          else
-            let o =
-              Stream.Par_profile.profile_file ~domains path prog ~structure
-            in
-            o.Stream.Par_profile.result
-        in
-        (structure, result)
+        ( structure,
+          profile_with (fun static_prune ->
+              let o =
+                Stream.Par_profile.profile_file ?static_prune path prog
+                  ~structure
+              in
+              o.Stream.Par_profile.result) )
   in
   let lint =
     if crosscheck then

@@ -1,7 +1,8 @@
 (* Tests for lib/stream: varint/zigzag extremes, qcheck round-trip of
    the binary codec over random event streams, framing/corruption
-   rejection with the typed [Stream.Error], and the domain-sharded
-   profiler's bit-identity with the sequential profiler. *)
+   rejection with the typed [Stream.Error], and the out-of-core
+   profile's bit-identity with the in-process one, including the
+   address-elided replay under a static-pruning plan. *)
 
 module H = Vm.Hir
 
@@ -257,7 +258,7 @@ let test_rejects_bitflip () =
   write_file path (Bytes.to_string b);
   expect_stream_error "bit flip (CRC)" (fun () -> Stream.Trace_file.load path)
 
-let test_missing_trailer_refused_by_par () =
+let test_missing_trailer_refused () =
   with_temp @@ fun path ->
   let prog = H.lower program in
   let trace, _stats = Vm.Trace.record prog in
@@ -265,7 +266,7 @@ let test_missing_trailer_refused_by_par () =
   (* no ~stats *)
   let structure = Cfg.Cfg_builder.run prog in
   expect_stream_error "missing stats trailer" (fun () ->
-      Stream.Par_profile.profile_file ~domains:2 path prog ~structure)
+      Stream.Par_profile.profile_file path prog ~structure)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming replay / persistence on a real program                    *)
@@ -285,7 +286,7 @@ let test_record_to_file_matches_live () =
   Alcotest.(check bool) "several chunks" true (wi.wi_chunks > 1)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sharded profiling == sequential profiling                  *)
+(* Out-of-core replay == in-process profiling                          *)
 (* ------------------------------------------------------------------ *)
 
 let result_fingerprint (r : Ddg.Depprof.result) =
@@ -294,41 +295,28 @@ let result_fingerprint (r : Ddg.Depprof.result) =
     (Ddg.Sched_tree.n_nodes r.stree, Ddg.Sched_tree.depth r.stree),
     (Ddg.Cct.n_nodes r.cct, Ddg.Cct.max_depth r.cct) )
 
-let check_par_equals_seq ~domains (w : Workloads.Workload.t) =
+let check_file_equals_live (w : Workloads.Workload.t) =
+  with_temp @@ fun path ->
   let prog = Vm.Hir.lower w.Workloads.Workload.hir in
   let structure = Cfg.Cfg_builder.run prog in
-  let seq = Ddg.Depprof.profile prog ~structure in
-  let trace, stats = Vm.Trace.record prog in
-  let par =
-    Stream.Par_profile.profile_trace ~domains trace ~run_stats:stats prog
-      ~structure
+  let live = Ddg.Depprof.profile prog ~structure in
+  let (_ : Stream.Trace_file.write_info) =
+    Stream.Trace_file.record_to_file prog path
   in
-  let p = par.Stream.Par_profile.result in
+  let { Stream.Par_profile.result = ooc } =
+    Stream.Par_profile.profile_file path prog ~structure
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %d-domain profile bit-identical to sequential"
-       w.Workloads.Workload.w_name domains)
+    (w.Workloads.Workload.w_name ^ ": file replay bit-identical to in-process")
     true
-    (compare (result_fingerprint seq) (result_fingerprint p) = 0);
-  (* every worker replays the complete exec stream *)
-  Array.iter
-    (fun n ->
-      Alcotest.(check int)
-        (w.Workloads.Workload.w_name ^ ": domain replayed all exec events")
-        par.par_stats.Stream.Par_profile.per_domain_events.(0)
-        n)
-    par.par_stats.Stream.Par_profile.per_domain_events
+    (compare (result_fingerprint live) (result_fingerprint ooc) = 0)
 
-let test_par_equals_seq_suite () =
-  let ws = Workloads.Rodinia.all @ [ Workloads.Gems_fdtd.workload ] in
-  List.iter (check_par_equals_seq ~domains:3) ws
+let test_file_equals_live_suite () =
+  List.iter check_file_equals_live
+    (Workloads.Rodinia.all @ [ Workloads.Gems_fdtd.workload ])
 
-let test_par_domain_counts () =
-  (* 1, 2 and 5 shards must all reproduce the sequential result *)
-  List.iter
-    (fun domains ->
-      check_par_equals_seq ~domains Workloads.Backprop.workload)
-    [ 1; 2; 5 ]
-
+(* the whole out-of-core pipeline, both instrumentation stages replayed
+   from the file *)
 let test_out_of_core_pipeline () =
   with_temp @@ fun path ->
   let w = Workloads.Backprop.workload in
@@ -337,13 +325,74 @@ let test_out_of_core_pipeline () =
     Stream.Trace_file.record_to_file prog path
   in
   let live = Polyprof.run prog in
-  let from_file, par_stats = Polyprof.run_trace_file ~domains:4 ~path prog in
+  let from_file = Polyprof.run_trace_file ~path prog in
   Alcotest.(check bool) "pipeline profile identical" true
     (compare
        (result_fingerprint live.Polyprof.profile)
        (result_fingerprint from_file.Polyprof.profile)
-    = 0);
-  Alcotest.(check int) "4 domains" 4 par_stats.Stream.Par_profile.domains
+    = 0)
+
+(* [Runner.run ~out_of_core:1 ~static_prune:true] records a trace with
+   the plan's addresses elided and replays it under the plan (with the
+   witness-failure fallback): the profile must equal the unpruned
+   in-process one *)
+let check_elided_pruned_replay ~witnesses (w : Workloads.Workload.t) =
+  let name = w.Workloads.Workload.w_name in
+  let o = Workloads.Runner.run ~out_of_core:1 ~static_prune:true w in
+  let pruned =
+    match o.Workloads.Runner.pipeline with
+    | Some p -> p.Polyprof.profile
+    | None -> Alcotest.failf "%s: the scheduler bailed out" name
+  in
+  let prog = Vm.Hir.lower w.Workloads.Workload.hir in
+  let unpruned =
+    Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog)
+  in
+  Alcotest.(check bool) (name ^ ": accesses pruned") true
+    (pruned.Ddg.Depprof.statically_pruned > 0);
+  Alcotest.(check bool) (name ^ ": witness probes") witnesses
+    (pruned.Ddg.Depprof.witnesses <> []);
+  Alcotest.(check bool)
+    (name ^ ": elided pruned replay = unpruned in-process")
+    true
+    (Ddg.Depprof.equal_result pruned unpruned)
+
+let test_elided_gemm () =
+  check_elided_pruned_replay ~witnesses:false Workloads.Polybench.gemm
+
+let test_elided_seidel_wd () =
+  check_elided_pruned_replay ~witnesses:true Workloads.Polybench.seidel_wd
+
+(* the replay is sequential: one domain reproduces the in-process
+   profile on backprop, and 2 or 5 domains (or [~out_of_core:2]) are
+   refused *)
+let test_domain_counts () =
+  let expect_invalid name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let w = Workloads.Backprop.workload in
+  expect_invalid "Runner.run ~out_of_core:2" (fun () ->
+      Workloads.Runner.run ~out_of_core:2 w);
+  with_temp @@ fun path ->
+  let prog = Vm.Hir.lower w.Workloads.Workload.hir in
+  let structure = Cfg.Cfg_builder.run prog in
+  let (_ : Stream.Trace_file.write_info) =
+    Stream.Trace_file.record_to_file prog path
+  in
+  List.iter
+    (fun domains ->
+      expect_invalid (Printf.sprintf "profile_file ~domains:%d" domains)
+        (fun () -> Stream.Par_profile.profile_file ~domains path prog ~structure))
+    [ 2; 5 ];
+  let live = Ddg.Depprof.profile prog ~structure in
+  let { Stream.Par_profile.result = ooc } =
+    Stream.Par_profile.profile_file ~domains:1 path prog ~structure
+  in
+  Alcotest.(check bool) "1-domain file replay bit-identical to in-process"
+    true
+    (compare (result_fingerprint live) (result_fingerprint ooc) = 0)
 
 let () =
   Alcotest.run "stream"
@@ -360,14 +409,19 @@ let () =
           Alcotest.test_case "truncation" `Quick test_rejects_truncation;
           Alcotest.test_case "bit flip" `Quick test_rejects_bitflip;
           Alcotest.test_case "missing trailer" `Quick
-            test_missing_trailer_refused_by_par ] );
+            test_missing_trailer_refused ] );
       ( "persistence",
         [ Alcotest.test_case "record_to_file matches live" `Quick
             test_record_to_file_matches_live ] );
       ( "parallel",
         [ Alcotest.test_case "1/2/5 domains on backprop" `Quick
-            test_par_domain_counts;
+            test_domain_counts;
           Alcotest.test_case "out-of-core pipeline" `Quick
-            test_out_of_core_pipeline;
-          Alcotest.test_case "3 domains = sequential, whole suite" `Slow
-            test_par_equals_seq_suite ] ) ]
+            test_out_of_core_pipeline ] );
+      ( "out-of-core",
+        [ Alcotest.test_case "elided pruned replay on gemm" `Quick
+            test_elided_gemm;
+          Alcotest.test_case "elided pruned replay, witness" `Quick
+            test_elided_seidel_wd;
+          Alcotest.test_case "file replay = in-process, whole suite" `Slow
+            test_file_equals_live_suite ] ) ]

@@ -28,75 +28,53 @@ bench-record:
 stream-smoke:
 	dune exec bin/polyprof_cli.exe -- trace stats backprop
 
-# static dependence engine over the whole suite, validating every
-# pruned profile against its unpruned twin (exits nonzero on any
-# divergence), then one triangular and one witness-checked workload
-# verbosely, and finally the bench JSON gated on the suite-wide pruned
-# fraction staying at or above 50%
+# static dependence engine: one triangular and one witness-checked
+# workload verbosely (each exits nonzero if its pruned profile diverges),
+# then the whole-suite bench section, which fails on any pruned profile
+# differing from its unpruned twin or on a suite-wide pruned fraction
+# below 50%
 staticdep-smoke:
-	dune exec bin/polyprof_cli.exe -- staticdep --prune
 	dune exec bin/polyprof_cli.exe -- staticdep trisolv --prune
 	dune exec bin/polyprof_cli.exe -- staticdep seidel_wd --prune
 	dune exec bench/main.exe -- staticdep --json
-	@pct=$$(sed -n 's/.*"suite_pruned_pct": \([0-9.]*\).*/\1/p' \
-	  BENCH_staticdep.json); \
-	echo "suite_pruned_pct = $$pct (gate: >= 50)"; \
-	awk "BEGIN { exit !($$pct >= 50) }" \
-	  || { echo "FAIL: suite pruned fraction below 50%"; exit 1; }
 
 # autotuning beam search end to end: a tiny search on three workloads
 # (the gemm interchange anchor plus the two fusion-chain winners), then
-# the full-suite bench JSON gated on every shipped best schedule having
-# passed the differential oracle
+# the full-suite bench section, which fails if any shipped best schedule
+# is not a candidate that passed the differential oracle
 autotune-smoke:
 	dune exec bin/polyprof_cli.exe -- autotune gemm --beam 2 --depth 1 --repeat 1
 	dune exec bin/polyprof_cli.exe -- autotune mvt --beam 2 --depth 2 --repeat 1
 	dune exec bin/polyprof_cli.exe -- autotune bicg --beam 2 --depth 2 --repeat 1
 	dune exec bench/main.exe -- autotune --json
-	@ok=$$(sed -n 's/.*"all_best_verified": \(true\|false\).*/\1/p' \
-	  BENCH_autotune.json); \
-	n=$$(sed -n 's/.*"workloads_improved": \([0-9]*\).*/\1/p' \
-	  BENCH_autotune.json); \
-	echo "workloads_improved = $$n, all_best_verified = $$ok (gate: true)"; \
-	test "$$ok" = true \
-	  || { echo "FAIL: an unverified schedule was shipped as best"; exit 1; }
 
 # parallelism certifier + race sanitizer end to end: whole-suite
 # verdicts with the dynamic cross-check (exits nonzero on any
 # E-parcheck-unsound), the seeded racy workload must yield a race
-# witness (never a certificate), and the bench JSON is gated on at
-# least 5 certified workloads with zero sanitizer races on certified
-# dims
+# witness (never a certificate), and the bench section fails unless at
+# least 5 dims are certified and no sanitizer race hits a certified dim
 parcheck-smoke:
 	dune exec bin/polyprof_cli.exe -- parcheck
 	@dune exec bin/polyprof_cli.exe -- parcheck par_racy \
 	  | grep -q 'par-racy.c:5) depth 0: RACE' \
 	  || { echo "FAIL: seeded race was not rejected with a witness"; exit 1; }
 	dune exec bench/main.exe -- parcheck --json
-	@cert=$$(sed -n 's/.*"certified": \([0-9]*\).*/\1/p' BENCH_parcheck.json \
-	  | head -1); \
-	races=$$(sed -n 's/.*"sanitizer_races_on_certified": \([0-9]*\).*/\1/p' \
-	  BENCH_parcheck.json | head -1); \
-	sound=$$(sed -n 's/.*"all_sound": \(true\|false\).*/\1/p' \
-	  BENCH_parcheck.json); \
-	echo "certified = $$cert (gate: >= 5), sanitizer races on certified =" \
-	  "$$races (gate: 0), all_sound = $$sound (gate: true)"; \
-	test "$$cert" -ge 5 \
-	  || { echo "FAIL: fewer than 5 certified dims suite-wide"; exit 1; }; \
-	test "$$races" = 0 && test "$$sound" = true \
-	  || { echo "FAIL: sanitizer race on a certified dim"; exit 1; }
 
-# lint regression gate: the sorted-unique (workload, diagnostic code)
-# pairs from `polyprof lint --json` must not grow beyond the checked-in
-# baseline (fixing a warning is fine; introducing a new one fails)
+# the sorted-unique (workload, diagnostic code) pairs of `polyprof lint
+# --json`, which prints one compact JSON entry per line
+LINT_PAIRS = dune exec bin/polyprof_cli.exe -- lint --json 2>/dev/null \
+  | awk '{ if (match($$0, /"name":"[^"]*"/)) { \
+      name = substr($$0, RSTART+8, RLENGTH-9); s = $$0; \
+      while (match(s, /"code":"[^"]*"/)) { \
+        print name, substr(s, RSTART+8, RLENGTH-9); \
+        s = substr(s, RSTART+RLENGTH); } } }' \
+  | sort -u
+
+# lint regression gate: the lint pairs must not grow beyond the
+# checked-in baseline (fixing a warning is fine; introducing a new one
+# fails)
 lint-gate:
-	@dune exec bin/polyprof_cli.exe -- lint --json 2>/dev/null \
-	  | awk '{ if (match($$0, /"name": "[^"]*"/)) { \
-	      name = substr($$0, RSTART+9, RLENGTH-10); s = $$0; \
-	      while (match(s, /"code": "[^"]*"/)) { \
-	        print name, substr(s, RSTART+9, RLENGTH-10); \
-	        s = substr(s, RSTART+RLENGTH); } } }' \
-	  | sort -u > lint_current.txt; \
+	@$(LINT_PAIRS) > lint_current.txt; \
 	new=$$(comm -13 test/lint_baseline.txt lint_current.txt); \
 	if [ -n "$$new" ]; then \
 	  echo "FAIL: new lint diagnostics not in test/lint_baseline.txt:"; \
@@ -109,13 +87,7 @@ lint-gate:
 
 # regenerate the baseline after intentionally changing lint output
 lint-baseline:
-	@dune exec bin/polyprof_cli.exe -- lint --json 2>/dev/null \
-	  | awk '{ if (match($$0, /"name": "[^"]*"/)) { \
-	      name = substr($$0, RSTART+9, RLENGTH-10); s = $$0; \
-	      while (match(s, /"code": "[^"]*"/)) { \
-	        print name, substr(s, RSTART+9, RLENGTH-10); \
-	        s = substr(s, RSTART+RLENGTH); } } }' \
-	  | sort -u > test/lint_baseline.txt; \
+	@$(LINT_PAIRS) > test/lint_baseline.txt; \
 	echo "wrote test/lint_baseline.txt" \
 	  "($$(wc -l < test/lint_baseline.txt) pairs)"
 

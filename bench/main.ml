@@ -417,37 +417,26 @@ let overhead () =
 let fig_5 () =
   section "Fig. 5a: dynamic schedule tree vs calling-context tree";
   Format.printf
-    "The CCT encodes calling contexts but no loops; its depth grows with      recursion.@.The dynamic schedule tree folds recursion into loop      dimensions.@.@.";
+    "The CCT encodes calling contexts but no loops; its depth grows with \
+     recursion.@.The dynamic schedule tree folds recursion into loop \
+     dimensions.@.@.";
   let header = [ "benchmark"; "CCT depth"; "CCT nodes"; "stree depth"; "stree nodes" ] in
+  let row name hir =
+    let prog = Vm.Hir.lower hir in
+    let res = Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog) in
+    [ name;
+      string_of_int (Ddg.Cct.max_depth res.Ddg.Depprof.cct);
+      string_of_int (Ddg.Cct.n_nodes res.Ddg.Depprof.cct);
+      string_of_int (Ddg.Sched_tree.depth res.Ddg.Depprof.stree);
+      string_of_int (Ddg.Sched_tree.n_nodes res.Ddg.Depprof.stree) ]
+  in
   let rows =
-    List.filter_map
-      (fun (w : Workloads.Workload.t) ->
-        if w.w_name = "streamcluster" then None
-        else begin
-          let prog = Vm.Hir.lower w.hir in
-          let structure = Cfg.Cfg_builder.run prog in
-          let res = Ddg.Depprof.profile prog ~structure in
-          Some
-            [ w.w_name;
-              string_of_int (Ddg.Cct.max_depth res.Ddg.Depprof.cct);
-              string_of_int (Ddg.Cct.n_nodes res.Ddg.Depprof.cct);
-              string_of_int (Ddg.Sched_tree.depth res.Ddg.Depprof.stree);
-              string_of_int (Ddg.Sched_tree.n_nodes res.Ddg.Depprof.stree) ]
-        end)
+    List.map
+      (fun (w : Workloads.Workload.t) -> row w.w_name w.hir)
       [ Workloads.Backprop.workload; Workloads.Heartwall.workload;
         Workloads.Cfd.workload; Workloads.Lud.workload ]
-  in
-  (* and the recursive example, where the contrast is the point *)
-  let prog = Vm.Hir.lower Workloads.Figure3.ex2 in
-  let structure = Cfg.Cfg_builder.run prog in
-  let res = Ddg.Depprof.profile prog ~structure in
-  let rows =
-    rows
-    @ [ [ "fig3-ex2 (recursive)";
-          string_of_int (Ddg.Cct.max_depth res.Ddg.Depprof.cct);
-          string_of_int (Ddg.Cct.n_nodes res.Ddg.Depprof.cct);
-          string_of_int (Ddg.Sched_tree.depth res.Ddg.Depprof.stree);
-          string_of_int (Ddg.Sched_tree.n_nodes res.Ddg.Depprof.stree) ] ]
+    (* and the recursive example, where the contrast is the point *)
+    @ [ row "fig3-ex2 (recursive)" Workloads.Figure3.ex2 ]
   in
   print_string (Report.Texttable.render ~header rows)
 
@@ -526,275 +515,31 @@ let emit_bench name doc =
     Format.printf "recorded %s into bench/history/%s.jsonl@." name name
   end
 
-type stream_row = {
-  sr_name : string;
-  sr_events : int;
-  sr_disk_bytes : int;
-  sr_marshal_bytes : int;
-  sr_enc_s : float;
-  sr_dec_s : float;
-  sr_seq_s : float;
-  sr_identical : bool;
-}
+(* a report section's gate: print every failure and exit nonzero *)
+let gate name failures =
+  List.iter (fun f -> Format.printf "FAIL %s: %s@." name f) failures;
+  if failures <> [] then exit 1
 
 let stream_bench () =
   section "lib/stream: binary trace codec + out-of-core replay parity";
-  let now = Obs.Clock.monotonic in
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let prog = Vm.Hir.lower w.hir in
-        let path = Filename.temp_file "polyprof" ".trace" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        @@ fun () ->
-        let trace, stats = Vm.Trace.record prog in
-        let marshal_bytes = String.length (Marshal.to_string trace []) in
-        let t0 = now () in
-        let disk_bytes = Stream.Trace_file.save ~stats trace path in
-        let t_enc = now () -. t0 in
-        let t0 = now () in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.iter src ignore);
-        let t_dec = now () -. t0 in
-        let builder = Cfg.Cfg_builder.create prog in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-        let structure = Cfg.Cfg_builder.finalize builder in
-        let t0 = now () in
-        let { Stream.Par_profile.result = ooc } =
-          Stream.Par_profile.profile_file path prog ~structure
-        in
-        let t_seq = now () -. t0 in
-        let live =
-          Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog)
-        in
-        let identical =
-          (live.Ddg.Depprof.stmts, live.deps, live.pruned_dep_edges,
-           live.total_dep_edges, live.run_stats)
-          = (ooc.Ddg.Depprof.stmts, ooc.deps, ooc.pruned_dep_edges,
-             ooc.total_dep_edges, ooc.run_stats)
-        in
-        { sr_name = w.w_name;
-          sr_events = Vm.Trace.n_events trace;
-          sr_disk_bytes = disk_bytes;
-          sr_marshal_bytes = marshal_bytes;
-          sr_enc_s = t_enc;
-          sr_dec_s = t_dec;
-          sr_seq_s = t_seq;
-          sr_identical = identical })
-      ws
-  in
-  let mbs bytes s = float_of_int bytes /. (s +. 1e-9) /. (1024. *. 1024.) in
-  let header =
-    [ "benchmark"; "events"; "disk KB"; "marshal KB"; "ratio"; "enc MB/s";
-      "dec MB/s"; "replay s"; "same" ]
-  in
-  let table =
-    List.map
-      (fun r ->
-        [ r.sr_name;
-          string_of_int r.sr_events;
-          string_of_int (r.sr_disk_bytes / 1024);
-          string_of_int (r.sr_marshal_bytes / 1024);
-          Printf.sprintf "%.1fx"
-            (float_of_int r.sr_marshal_bytes
-            /. float_of_int (max 1 r.sr_disk_bytes));
-          Printf.sprintf "%.1f" (mbs r.sr_disk_bytes r.sr_enc_s);
-          Printf.sprintf "%.1f" (mbs r.sr_disk_bytes r.sr_dec_s);
-          Printf.sprintf "%.3f" r.sr_seq_s;
-          (if r.sr_identical then "Y" else "N!") ])
-      rows
-  in
-  print_string (Report.Texttable.render ~header table);
-  let totals f = List.fold_left (fun a r -> a + f r) 0 rows in
-  Format.printf
-    "@.suite: %d events, %d KB on disk vs %d KB marshalled (%.1fx), \
-     out-of-core replay identical to in-process on all: %b@."
-    (totals (fun r -> r.sr_events))
-    (totals (fun r -> r.sr_disk_bytes) / 1024)
-    (totals (fun r -> r.sr_marshal_bytes) / 1024)
-    (float_of_int (totals (fun r -> r.sr_marshal_bytes))
-    /. float_of_int (max 1 (totals (fun r -> r.sr_disk_bytes))))
-    (List.for_all (fun r -> r.sr_identical) rows);
-  if !json_out then begin
-    let open Obs.Json_emit in
-    let doc =
-      Obj
-        (schema_header ~schema_version:Obs.Schemas.stream
-        @ [ ("chunk_bytes", Int Stream.Sink.default_chunk_bytes);
-            ( "workloads",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [ ("name", Str r.sr_name);
-                         ("events", Int r.sr_events);
-                         ("disk_bytes", Int r.sr_disk_bytes);
-                         ("marshal_bytes", Int r.sr_marshal_bytes);
-                         ( "compression",
-                           Float
-                             (float_of_int r.sr_marshal_bytes
-                             /. float_of_int (max 1 r.sr_disk_bytes)) );
-                         ("encode_mb_s", Float (mbs r.sr_disk_bytes r.sr_enc_s));
-                         ("decode_mb_s", Float (mbs r.sr_disk_bytes r.sr_dec_s));
-                         ("seq_seconds", Float r.sr_seq_s);
-                         ("identical", Bool r.sr_identical) ])
-                   rows) ) ])
-    in
-    emit_bench "stream" doc
-  end
+  let module R = Workloads.Stream_report in
+  let rows = List.map R.measure Workloads.Runner.suite in
+  print_string (R.table rows);
+  if !json_out then emit_bench "stream" (R.json rows);
+  gate "stream" (R.check rows)
 
 (* ------------------------------------------------------------------ *)
 (* lib/analysis: static dependence engine + instrumentation pruning     *)
 (* ------------------------------------------------------------------ *)
 
-type staticdep_row = {
-  dr_name : string;
-  dr_acc_static : int;  (* live reachable static accesses *)
-  dr_acc_resolved : int;
-  dr_dyn_mem : int;  (* dynamic memory operations *)
-  dr_dyn_pruned : int;  (* of which skipped shadow tracking *)
-  dr_pairs : int;  (* static pair summaries *)
-  dr_full_s : float;  (* unpruned in-process profile *)
-  dr_pruned_s : float;  (* pruned in-process profile *)
-  dr_trace_full : int;  (* trace bytes, full addresses *)
-  dr_trace_elided : int;  (* trace bytes, resolved addresses elided *)
-  dr_witnesses : int;  (* witness probes in the final speculative plan *)
-  dr_reruns : int;  (* witness-failure reruns of the hybrid driver *)
-  dr_equal : bool;  (* pruned+injected result == unpruned *)
-}
-
 let staticdep_bench () =
   section
     "lib/analysis: static polyhedral dependences + instrumentation pruning";
-  let now = Obs.Clock.monotonic in
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let prog = Vm.Hir.lower w.hir in
-        let sd = Analysis.Statdep.analyse prog in
-        let structure = Cfg.Cfg_builder.run prog in
-        let t0 = now () in
-        let full = Ddg.Depprof.profile prog ~structure in
-        let t_full = now () -. t0 in
-        let t0 = now () in
-        (* speculative plan, witness-failure reruns handled by the
-           hybrid driver (timed together: that is the user-visible cost) *)
-        let _sd_spec, pruned, reruns =
-          Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
-              Ddg.Depprof.profile ~static_prune:plan prog ~structure)
-        in
-        let t_pruned = now () -. t0 in
-        let path = Filename.temp_file "polyprof" ".trace" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        @@ fun () ->
-        let wi_full = Stream.Trace_file.record_to_file prog path in
-        let wi_elided =
-          Stream.Trace_file.record_to_file
-            ~elide:(Hashtbl.mem sd.Analysis.Statdep.pruned)
-            prog path
-        in
-        { dr_name = w.w_name;
-          dr_acc_static = sd.Analysis.Statdep.n_accesses;
-          dr_acc_resolved = Analysis.Statdep.n_resolved sd;
-          dr_dyn_mem = full.Ddg.Depprof.run_stats.Vm.Interp.dyn_mem_ops;
-          dr_dyn_pruned = pruned.Ddg.Depprof.statically_pruned;
-          dr_pairs = List.length sd.Analysis.Statdep.pairs;
-          dr_full_s = t_full;
-          dr_pruned_s = t_pruned;
-          dr_trace_full = wi_full.Stream.Trace_file.wi_bytes;
-          dr_trace_elided = wi_elided.Stream.Trace_file.wi_bytes;
-          dr_witnesses = List.length pruned.Ddg.Depprof.witnesses;
-          dr_reruns = reruns;
-          dr_equal = Ddg.Depprof.equal_result full pruned })
-      ws
-  in
-  let pct p t = 100. *. float_of_int p /. float_of_int (max 1 t) in
-  let header =
-    [ "benchmark"; "static"; "resolved"; "dyn mem"; "pruned"; "pruned %";
-      "pairs"; "full s"; "pruned s"; "trace KB"; "elided KB"; "wit"; "rerun";
-      "same" ]
-  in
-  let table =
-    List.map
-      (fun r ->
-        [ r.dr_name;
-          string_of_int r.dr_acc_static;
-          string_of_int r.dr_acc_resolved;
-          string_of_int r.dr_dyn_mem;
-          string_of_int r.dr_dyn_pruned;
-          Printf.sprintf "%.0f%%" (pct r.dr_dyn_pruned r.dr_dyn_mem);
-          string_of_int r.dr_pairs;
-          Printf.sprintf "%.4f" r.dr_full_s;
-          Printf.sprintf "%.4f" r.dr_pruned_s;
-          string_of_int (r.dr_trace_full / 1024);
-          string_of_int (r.dr_trace_elided / 1024);
-          string_of_int r.dr_witnesses;
-          string_of_int r.dr_reruns;
-          (if r.dr_equal then "Y" else "N!") ])
-      rows
-  in
-  print_string (Report.Texttable.render ~header table);
-  let all_equal = List.for_all (fun r -> r.dr_equal) rows in
-  let majority =
-    List.length (List.filter (fun r -> pct r.dr_dyn_pruned r.dr_dyn_mem > 50.) rows)
-  in
-  let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
-  Format.printf
-    "@.suite: %d/%d dynamic accesses pruned (%.0f%%), %d workloads above \
-     50%%, all pruned profiles identical to unpruned: %b@."
-    (tot (fun r -> r.dr_dyn_pruned))
-    (tot (fun r -> r.dr_dyn_mem))
-    (pct (tot (fun r -> r.dr_dyn_pruned)) (tot (fun r -> r.dr_dyn_mem)))
-    majority all_equal;
-  if not all_equal then failwith "staticdep: pruned profile diverged";
-  if !json_out then begin
-    let open Obs.Json_emit in
-    let doc =
-      Obj
-        (schema_header ~schema_version:Obs.Schemas.staticdep
-        @ [ ( "suite_pruned_pct",
-              Float
-                (pct
-                   (tot (fun r -> r.dr_dyn_pruned))
-                   (tot (fun r -> r.dr_dyn_mem))) );
-            ("workloads_above_50pct", Int majority);
-            ("all_identical", Bool all_equal);
-            ( "workloads",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [ ("name", Str r.dr_name);
-                         ("static_accesses", Int r.dr_acc_static);
-                         ("resolved", Int r.dr_acc_resolved);
-                         ("dyn_mem_ops", Int r.dr_dyn_mem);
-                         ("dyn_pruned", Int r.dr_dyn_pruned);
-                         ("pruned_pct", Float (pct r.dr_dyn_pruned r.dr_dyn_mem));
-                         ("pair_summaries", Int r.dr_pairs);
-                         ("full_seconds", Float r.dr_full_s);
-                         ("pruned_seconds", Float r.dr_pruned_s);
-                         ("trace_bytes", Int r.dr_trace_full);
-                         ("elided_trace_bytes", Int r.dr_trace_elided);
-                         ("speculative_witnesses", Int r.dr_witnesses);
-                         ("witness_reruns", Int r.dr_reruns);
-                         ("identical", Bool r.dr_equal) ])
-                   rows) ) ])
-    in
-    emit_bench "staticdep" doc
-  end
+  let module R = Workloads.Staticdep_report in
+  let rows = List.map (R.measure ~prune:true) Workloads.Runner.suite in
+  print_string (R.table rows);
+  if !json_out then emit_bench "staticdep" (R.json rows);
+  gate "staticdep" (R.check rows)
 
 (* ------------------------------------------------------------------ *)
 (* lib/obs: self-profiling telemetry over the whole workload suite      *)
@@ -876,9 +621,9 @@ let autotune_bench () =
      identity by >= %.0f%%@."
     improved (List.length results)
     ((config.Tune.Search.margin -. 1.0) *. 100.);
-  if !json_out then begin
-    emit_bench "autotune" (Tune.Tune_report.suite_json ~config results)
-  end
+  if !json_out then
+    emit_bench "autotune" (Tune.Tune_report.suite_json ~config results);
+  gate "autotune" (Tune.Tune_report.check results)
 
 (* ------------------------------------------------------------------ *)
 (* lib/serve: profiling-as-a-service engine                             *)
@@ -997,122 +742,15 @@ let serve_bench () =
 (* lib/analysis: parallelism certifier + dynamic race sanitizer         *)
 (* ------------------------------------------------------------------ *)
 
-type pc_row = {
-  pr_name : string;
-  pr_dims : int;
-  pr_cert : int;
-  pr_race : int;
-  pr_unknown : int;
-  pr_san_accesses : int;
-  pr_san_races : int;  (** dynamic races on certified dims (must be 0) *)
-  pr_xcheck_ok : bool;
-  pr_static_s : float;
-  pr_san_s : float;
-}
-
 let parcheck_bench () =
   section "lib/analysis: parallelism certifier + dynamic race sanitizer";
-  let now = Obs.Clock.monotonic in
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all @ Workloads.Polybench.seeded
-  in
+  let module R = Workloads.Parcheck_report in
   let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let prog = Vm.Hir.lower w.hir in
-        let t0 = now () in
-        let pc = Analysis.Parcheck.analyse prog in
-        let t_static = now () -. t0 in
-        let t0 = now () in
-        let san = Analysis.Parcheck.sanitize pc in
-        let t_san = now () -. t0 in
-        let diags = Analysis.Parcheck.crosscheck pc san in
-        let count v =
-          List.length
-            (List.filter
-               (fun (d : Analysis.Parcheck.dim_report) ->
-                 Analysis.Parcheck.verdict_code d.Analysis.Parcheck.dr_verdict
-                 = v)
-               pc.Analysis.Parcheck.pc_dims)
-        in
-        { pr_name = w.w_name;
-          pr_dims = List.length pc.Analysis.Parcheck.pc_dims;
-          pr_cert = Analysis.Parcheck.n_certified pc;
-          pr_race = Analysis.Parcheck.n_races pc;
-          pr_unknown = count "unknown";
-          pr_san_accesses = san.Ddg.Race_san.sr_accesses;
-          pr_san_races = Ddg.Race_san.races_on_certified san;
-          pr_xcheck_ok = Analysis.Parcheck.crosscheck_ok diags;
-          pr_static_s = t_static;
-          pr_san_s = t_san })
-      ws
+    List.map R.measure (Workloads.Runner.suite @ Workloads.Polybench.seeded)
   in
-  let header =
-    [ "benchmark"; "dims"; "certified"; "race"; "unknown"; "san acc";
-      "san races"; "xcheck"; "static s"; "san s" ]
-  in
-  let table =
-    List.map
-      (fun r ->
-        [ r.pr_name;
-          string_of_int r.pr_dims;
-          string_of_int r.pr_cert;
-          string_of_int r.pr_race;
-          string_of_int r.pr_unknown;
-          string_of_int r.pr_san_accesses;
-          string_of_int r.pr_san_races;
-          (if r.pr_xcheck_ok then "ok" else "FAIL");
-          Printf.sprintf "%.4f" r.pr_static_s;
-          Printf.sprintf "%.4f" r.pr_san_s ])
-      rows
-  in
-  print_string (Report.Texttable.render ~header table);
-  let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let all_sound =
-    List.for_all (fun r -> r.pr_san_races = 0 && r.pr_xcheck_ok) rows
-  in
-  Format.printf
-    "@.suite: %d claimed dims, %d certified, %d racy, %d unknown; sanitizer \
-     races on certified dims: %d (soundness requires 0)@."
-    (tot (fun r -> r.pr_dims))
-    (tot (fun r -> r.pr_cert))
-    (tot (fun r -> r.pr_race))
-    (tot (fun r -> r.pr_unknown))
-    (tot (fun r -> r.pr_san_races));
-  if not all_sound then
-    failwith "parcheck: sanitizer observed a race on a certified dimension";
-  if !json_out then begin
-    let open Obs.Json_emit in
-    let doc =
-      Obj
-        (schema_header ~schema_version:Obs.Schemas.parcheck
-        @ [ ("dims", Int (tot (fun r -> r.pr_dims)));
-            ("certified", Int (tot (fun r -> r.pr_cert)));
-            ("racy", Int (tot (fun r -> r.pr_race)));
-            ("unknown", Int (tot (fun r -> r.pr_unknown)));
-            ("sanitizer_races_on_certified", Int (tot (fun r -> r.pr_san_races)));
-            ("all_sound", Bool all_sound);
-            ( "workloads",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [ ("name", Str r.pr_name);
-                         ("dims", Int r.pr_dims);
-                         ("certified", Int r.pr_cert);
-                         ("racy", Int r.pr_race);
-                         ("unknown", Int r.pr_unknown);
-                         ("sanitizer_accesses", Int r.pr_san_accesses);
-                         ("sanitizer_races_on_certified", Int r.pr_san_races);
-                         ("crosscheck_ok", Bool r.pr_xcheck_ok);
-                         ("static_seconds", Float r.pr_static_s);
-                         ("sanitizer_seconds", Float r.pr_san_s) ])
-                   rows) ) ])
-    in
-    emit_bench "parcheck" doc
-  end
+  print_string (R.table rows);
+  if !json_out then emit_bench "parcheck" (R.json rows);
+  gate "parcheck" (R.check rows)
 
 let () =
   let sections =

@@ -15,6 +15,10 @@ let bench_arg =
   let doc = "Benchmark name (see $(b,polyprof list))." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
 
+(* an optional BENCH: the named workload verbosely, else the suite *)
+let opt_bench_arg doc =
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+
 (* --telemetry / POLYPROF_TELEMETRY: run the command with the
    self-profiling subsystem on and print its span/metric summary on
    stderr when the command finishes *)
@@ -39,32 +43,38 @@ let with_telemetry enabled f =
       f
   end
 
-let polybench_names =
-  List.map (fun (w : Workloads.Workload.t) -> w.w_name) Workloads.Polybench.all
+let with_workload name f =
+  match Workloads.Runner.find name with
+  | Error e ->
+      prerr_endline e;
+      1
+  | Ok w -> f w
 
-let find_workload name =
-  try Ok (Workloads.Rodinia.find name)
-  with Invalid_argument _ -> (
-    if name = "gems_fdtd" then Ok Workloads.Gems_fdtd.workload
-    else
-      match
-        List.find_opt
-          (fun (w : Workloads.Workload.t) -> w.w_name = name)
-          (Workloads.Polybench.all @ Workloads.Polybench.seeded)
-      with
-      | Some w -> Ok w
-      | None ->
-          Error
-            (Printf.sprintf "unknown benchmark %s (try: %s, gems_fdtd, %s)"
-               name
-               (String.concat ", " Workloads.Rodinia.names)
-               (String.concat ", " polybench_names)))
+(* no BENCH given means the whole [suite] *)
+let with_workloads ?(suite = Workloads.Runner.suite) bench f =
+  match bench with
+  | None -> f suite
+  | Some name -> with_workload name (fun w -> f [ w ])
+
+let print_json doc = print_string (Obs.Json_emit.to_string ~pretty:true doc)
+
+let out_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE"
+        ~doc:"Write to $(docv) instead of stdout.")
+
+let output_body out body =
+  match out with
+  | None -> print_endline body
+  | Some path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc body)
 
 let list_cmd =
   let run () =
-    List.iter print_endline Workloads.Rodinia.names;
-    print_endline "gems_fdtd";
-    List.iter print_endline polybench_names;
+    List.iter
+      (fun (w : Workloads.Workload.t) -> print_endline w.w_name)
+      Workloads.Runner.suite;
     0
   in
   Cmd.v (Cmd.info "list" ~doc:"List the available mini benchmarks")
@@ -73,27 +83,23 @@ let list_cmd =
 let run_cmd =
   let run name telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w -> (
-        let o = Workloads.Runner.run w in
-        match o.pipeline with
-        | None ->
-            Format.printf
-              "scheduling stage bailed out (%d dependence relations > budget \
-               %d)@."
-              o.dep_keys Workloads.Runner.sched_budget;
-            0
-        | Some t ->
-            Format.printf "== %s ==@." name;
-            Polyprof.render_feedback Format.std_formatter t;
-            Format.printf "@.== metrics ==@.";
-            Sched.Metrics.pp_table Format.std_formatter [ o.row ];
-            Format.printf "@.== static Polly baseline ==@.%a@."
-              Staticbase.Polly_lite.pp_verdict o.polly;
-            0)
+    with_workload name @@ fun w ->
+    let o = Workloads.Runner.run w in
+    match o.pipeline with
+    | None ->
+        Format.printf
+          "scheduling stage bailed out (%d dependence relations > budget \
+           %d)@."
+          o.dep_keys Workloads.Runner.sched_budget;
+        0
+    | Some t ->
+        Format.printf "== %s ==@." name;
+        Polyprof.render_feedback Format.std_formatter t;
+        Format.printf "@.== metrics ==@.";
+        Sched.Metrics.pp_table Format.std_formatter [ o.row ];
+        Format.printf "@.== static Polly baseline ==@.%a@."
+          Staticbase.Polly_lite.pp_verdict o.polly;
+        0
   in
   Cmd.v
     (Cmd.info "run"
@@ -110,23 +116,19 @@ let flamegraph_cmd =
   in
   let run name out telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let t = Polyprof.run_hir w.Workloads.Workload.hir in
-        (match out with
-        | Some path ->
-            let annot =
-              Report.Flamegraph.annot_of_analysis t.Polyprof.prog
-                t.Polyprof.analysis
-            in
-            Report.Flamegraph.write_svg ~path ~annot ~name:(Polyprof.ctx_name t)
-              t.Polyprof.profile.Ddg.Depprof.stree;
-            Format.printf "wrote %s@." path
-        | None -> print_string (Polyprof.flamegraph_ascii t));
-        0
+    with_workload name @@ fun w ->
+    let t = Polyprof.run_hir w.Workloads.Workload.hir in
+    (match out with
+    | Some path ->
+        let annot =
+          Report.Flamegraph.annot_of_analysis t.Polyprof.prog
+            t.Polyprof.analysis
+        in
+        Report.Flamegraph.write_svg ~path ~annot ~name:(Polyprof.ctx_name t)
+          t.Polyprof.profile.Ddg.Depprof.stree;
+        Format.printf "wrote %s@." path
+    | None -> print_string (Polyprof.flamegraph_ascii t));
+    0
   in
   Cmd.v
     (Cmd.info "flamegraph"
@@ -154,18 +156,14 @@ let table5_cmd =
 
 let polly_cmd =
   let run name =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let v =
-          Staticbase.Polly_lite.analyse_function w.Workloads.Workload.hir
-            w.Workloads.Workload.kernel_func
-        in
-        Format.printf "%s (%s): %a@." name w.Workloads.Workload.kernel_func
-          Staticbase.Polly_lite.pp_verdict v;
-        0
+    with_workload name @@ fun w ->
+    let v =
+      Staticbase.Polly_lite.analyse_function w.Workloads.Workload.hir
+        w.Workloads.Workload.kernel_func
+    in
+    Format.printf "%s (%s): %a@." name w.Workloads.Workload.kernel_func
+      Staticbase.Polly_lite.pp_verdict v;
+    0
   in
   Cmd.v
     (Cmd.info "polly"
@@ -180,41 +178,37 @@ let trace_cmd =
       & info [ "limit" ] ~docv:"N" ~doc:"Stop after N loop events.")
   in
   let run name limit =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-        let structure = Cfg.Cfg_builder.run prog in
-        let iiv = Ddg.Iiv.create () in
-        let levents =
-          Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main
-        in
-        let count = ref 0 in
-        let exception Done in
-        let show evs =
-          List.iter
-            (fun ev ->
-              Ddg.Iiv.update iiv ev;
-              incr count;
-              if !count <= limit then
-                Format.printf "%4d: %-28s %s@." !count
-                  (Format.asprintf "%a" Ddg.Loop_events.pp ev)
-                  (Ddg.Iiv.to_string iiv)
-              else raise Done)
-            evs
-        in
-        (try
-           show (Ddg.Loop_events.start levents);
-           let callbacks =
-             { Vm.Interp.on_control =
-                 (fun ev -> show (Ddg.Loop_events.feed levents ev));
-               on_exec = ignore }
-           in
-           ignore (Vm.Interp.run ~callbacks prog)
-         with Done -> ());
-        0
+    with_workload name @@ fun w ->
+    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
+    let structure = Cfg.Cfg_builder.run prog in
+    let iiv = Ddg.Iiv.create () in
+    let levents =
+      Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main
+    in
+    let count = ref 0 in
+    let exception Done in
+    let show evs =
+      List.iter
+        (fun ev ->
+          Ddg.Iiv.update iiv ev;
+          incr count;
+          if !count <= limit then
+            Format.printf "%4d: %-28s %s@." !count
+              (Format.asprintf "%a" Ddg.Loop_events.pp ev)
+              (Ddg.Iiv.to_string iiv)
+          else raise Done)
+        evs
+    in
+    (try
+       show (Ddg.Loop_events.start levents);
+       let callbacks =
+         { Vm.Interp.on_control =
+             (fun ev -> show (Ddg.Loop_events.feed levents ev));
+           on_exec = ignore }
+       in
+       ignore (Vm.Interp.run ~callbacks prog)
+     with Done -> ());
+    0
   in
   Cmd.v
     (Cmd.info "show"
@@ -238,19 +232,15 @@ let trace_record_cmd =
   in
   let run name out chunk telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-        let wi = Stream.Trace_file.record_to_file ~chunk_bytes:chunk prog out in
-        Format.printf
-          "wrote %s: %d events in %d chunks, %d bytes (%.2f s, %.1f Mev/s)@."
-          out wi.Stream.Trace_file.wi_events wi.wi_chunks wi.wi_bytes
-          wi.wi_seconds
-          (float_of_int wi.wi_events /. (wi.wi_seconds +. 1e-9) /. 1e6);
-        0
+    with_workload name @@ fun w ->
+    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
+    let wi = Stream.Trace_file.record_to_file ~chunk_bytes:chunk prog out in
+    Format.printf
+      "wrote %s: %d events in %d chunks, %d bytes (%.2f s, %.1f Mev/s)@."
+      out wi.Stream.Trace_file.wi_events wi.wi_chunks wi.wi_bytes
+      wi.wi_seconds
+      (float_of_int wi.wi_events /. (wi.wi_seconds +. 1e-9) /. 1e6);
+    0
   in
   Cmd.v
     (Cmd.info "record"
@@ -261,60 +251,10 @@ let trace_record_cmd =
 let trace_stats_cmd =
   let run name telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let now = Obs.Clock.monotonic in
-        let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-        let trace, stats = Vm.Trace.record prog in
-        let mem_bytes = String.length (Marshal.to_string trace []) in
-        let path = Filename.temp_file "polyprof" ".trace" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        @@ fun () ->
-        let t0 = now () in
-        let disk_bytes = Stream.Trace_file.save ~stats trace path in
-        let t_enc = now () -. t0 in
-        let t0 = now () in
-        let decoded =
-          Stream.Source.with_file path (fun src ->
-              let n = ref 0 in
-              Stream.Source.iter src (fun _ -> incr n);
-              !n)
-        in
-        let t_dec = now () -. t0 in
-        let builder = Cfg.Cfg_builder.create prog in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-        let structure = Cfg.Cfg_builder.finalize builder in
-        let t0 = now () in
-        let { Stream.Par_profile.result } =
-          Stream.Par_profile.profile_file path prog ~structure
-        in
-        let t_replay = now () -. t0 in
-        let mevs n s = float_of_int n /. (s +. 1e-9) /. 1e6 in
-        let mbs n s = float_of_int n /. (s +. 1e-9) /. (1024. *. 1024.) in
-        Format.printf "== trace stats: %s ==@." name;
-        Format.printf "events          %d (%d control, %d exec)@."
-          (Vm.Trace.n_events trace) (Vm.Trace.n_control trace)
-          (Vm.Trace.n_exec trace);
-        Format.printf "bytes on disk   %d (in-memory %d, %.1fx smaller)@."
-          disk_bytes mem_bytes
-          (float_of_int mem_bytes /. float_of_int (max 1 disk_bytes));
-        Format.printf "encode          %.2f Mev/s, %.1f MB/s@."
-          (mevs (Vm.Trace.n_events trace) t_enc)
-          (mbs disk_bytes t_enc);
-        Format.printf "decode          %.2f Mev/s, %.1f MB/s (%d events)@."
-          (mevs decoded t_dec) (mbs disk_bytes t_dec) decoded;
-        Format.printf "replay          %.3f s: %d statements, %d dependence \
-                       relations, %d dynamic edges@."
-          t_replay
-          (List.length result.Ddg.Depprof.stmts)
-          (List.length result.Ddg.Depprof.deps)
-          result.Ddg.Depprof.total_dep_edges;
-        0
+    with_workload name @@ fun w ->
+    print_string
+      (Workloads.Stream_report.table [ Workloads.Stream_report.measure w ]);
+    0
   in
   Cmd.v
     (Cmd.info "stats"
@@ -354,12 +294,6 @@ let trace_fetch_cmd =
             "Trace id, as returned in every job response ($(b,trace_id)) \
              and in the /metrics exemplar lines.")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write to $(docv) instead of stdout.")
-  in
   let run socket port tid out =
     match
       Serve.Client.request (endpoint_of socket port) ~meth:"GET"
@@ -369,14 +303,7 @@ let trace_fetch_cmd =
         prerr_endline e;
         1
     | Ok { Serve.Http.rs_status = 200; rs_body; _ } ->
-        (match out with
-        | None ->
-            print_string rs_body;
-            print_newline ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc rs_body;
-            close_out oc);
+        output_body out rs_body;
         0
     | Ok rs ->
         prerr_endline rs.Serve.Http.rs_body;
@@ -388,7 +315,7 @@ let trace_fetch_cmd =
          "Resolve a serve-daemon trace id to its span tree (queue wait, \
           execution, cache store) as a Chrome-trace JSON document, ready \
           for chrome://tracing or Perfetto")
-    Term.(const run $ socket_arg $ port_arg $ tid $ out)
+    Term.(const run $ socket_arg $ port_arg $ tid $ out_arg)
 
 let trace_cmd =
   Cmd.group
@@ -399,38 +326,34 @@ let trace_cmd =
 let deps_cmd =
   let run name telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let t = Polyprof.run_hir w.Workloads.Workload.hir in
-        let fname fid = (t.Polyprof.prog.Vm.Prog.funcs.(fid)).Vm.Prog.fname in
-        Format.printf "== folded dependence relations of %s ==@." name;
+    with_workload name @@ fun w ->
+    let t = Polyprof.run_hir w.Workloads.Workload.hir in
+    let fname fid = (t.Polyprof.prog.Vm.Prog.funcs.(fid)).Vm.Prog.fname in
+    Format.printf "== folded dependence relations of %s ==@." name;
+    List.iter
+      (fun (d : Ddg.Depprof.dep_info) ->
+        Format.printf "%s.%a -> %s.%a (%s, %d dynamic edges):@."
+          (fname (Vm.Isa.Sid.fid d.dk.src_sid))
+          Vm.Isa.Sid.pp d.dk.src_sid
+          (fname (Vm.Isa.Sid.fid d.dk.dst_sid))
+          Vm.Isa.Sid.pp d.dk.dst_sid
+          (match d.dk.kind with
+          | Ddg.Depprof.Reg_dep -> "reg"
+          | Ddg.Depprof.Mem_dep -> "mem"
+          | Ddg.Depprof.Out_dep -> "waw")
+          d.d_count;
         List.iter
-          (fun (d : Ddg.Depprof.dep_info) ->
-            Format.printf "%s.%a -> %s.%a (%s, %d dynamic edges):@."
-              (fname (Vm.Isa.Sid.fid d.dk.src_sid))
-              Vm.Isa.Sid.pp d.dk.src_sid
-              (fname (Vm.Isa.Sid.fid d.dk.dst_sid))
-              Vm.Isa.Sid.pp d.dk.dst_sid
-              (match d.dk.kind with
-              | Ddg.Depprof.Reg_dep -> "reg"
-              | Ddg.Depprof.Mem_dep -> "mem"
-              | Ddg.Depprof.Out_dep -> "waw")
-              d.d_count;
-            List.iter
-              (fun p ->
-                Format.printf "  %a@."
-                  (Fold.pp_piece ?names:None ?label_names:None) p)
-              d.d_pieces)
-          t.Polyprof.profile.Ddg.Depprof.deps;
-        Format.printf
-          "(%d relations; SCEV pruning removed %d of %d dynamic edges)@."
-          (List.length t.Polyprof.profile.Ddg.Depprof.deps)
-          t.Polyprof.profile.Ddg.Depprof.pruned_dep_edges
-          t.Polyprof.profile.Ddg.Depprof.total_dep_edges;
-        0
+          (fun p ->
+            Format.printf "  %a@."
+              (Fold.pp_piece ?names:None ?label_names:None) p)
+          d.d_pieces)
+      t.Polyprof.profile.Ddg.Depprof.deps;
+    Format.printf
+      "(%d relations; SCEV pruning removed %d of %d dynamic edges)@."
+      (List.length t.Polyprof.profile.Ddg.Depprof.deps)
+      t.Polyprof.profile.Ddg.Depprof.pruned_dep_edges
+      t.Polyprof.profile.Ddg.Depprof.total_dep_edges;
+    0
   in
   Cmd.v
     (Cmd.info "deps"
@@ -442,58 +365,11 @@ let json_flag =
     value & flag
     & info [ "json" ] ~doc:"Emit machine-readable JSON on stdout instead of text.")
 
-let json_string = Obs.Json_emit.escape_string
-
-let lint_entry_json (e : Analysis.Lint.entry) =
-  let c sev = Analysis.Diag.count sev e.Analysis.Lint.e_diags in
-  let diags =
-    String.concat ", "
-      (List.map
-         (fun (d : Analysis.Diag.t) ->
-           Printf.sprintf
-             "{\"severity\": %s, \"code\": %s, \"fid\": %d, \"message\": %s}"
-             (json_string
-                (match d.severity with
-                | Analysis.Diag.Error -> "error"
-                | Analysis.Diag.Warning -> "warning"
-                | Analysis.Diag.Info -> "info"))
-             (json_string d.code) d.fid (json_string d.message))
-         e.Analysis.Lint.e_diags)
-  in
-  let xcheck =
-    match e.Analysis.Lint.e_xcheck with
-    | None -> "null"
-    | Some r ->
-        Printf.sprintf
-          "{\"facts\": %d, \"checked_edges\": %d, \"skipped_edges\": %d, \
-           \"skip_norange\": %d, \"skip_crossfn\": %d, \"poly_pairs\": %d, \
-           \"poly_checked\": %d, \"sim_must\": %d, \"sim_may\": %d, \
-           \"sim_skipped\": %b, \"violations\": %d}"
-          r.Analysis.Crosscheck.facts r.Analysis.Crosscheck.checked_edges
-          r.Analysis.Crosscheck.skipped_edges
-          r.Analysis.Crosscheck.skip_norange
-          r.Analysis.Crosscheck.skip_crossfn
-          r.Analysis.Crosscheck.poly_pairs
-          r.Analysis.Crosscheck.poly_checked r.Analysis.Crosscheck.sim_must
-          r.Analysis.Crosscheck.sim_may r.Analysis.Crosscheck.sim_skipped
-          (List.length r.Analysis.Crosscheck.violations)
-  in
-  Printf.sprintf
-    "{\"name\": %s, \"errors\": %d, \"warnings\": %d, \"infos\": %d, \
-     \"accesses\": %d, \"affine\": %d, \"ranged\": %d, \"passed\": %b, \
-     \"crosscheck\": %s, \"diags\": [%s]}"
-    (json_string e.Analysis.Lint.e_name)
-    (c Analysis.Diag.Error) (c Analysis.Diag.Warning) (c Analysis.Diag.Info)
-    e.Analysis.Lint.e_accesses e.Analysis.Lint.e_affine
-    e.Analysis.Lint.e_ranged (Analysis.Lint.passed e) xcheck diags
-
 let lint_cmd =
   let bench =
-    let doc =
+    opt_bench_arg
       "Benchmark to lint verbosely; without it, lint every bundled \
        benchmark and print the summary table."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let lint_one (w : Workloads.Workload.t) =
     let prog = Vm.Hir.lower w.Workloads.Workload.hir in
@@ -507,40 +383,31 @@ let lint_cmd =
   in
   let run bench json telemetry =
     with_telemetry telemetry @@ fun () ->
-    match bench with
-    | Some name -> (
-        match find_workload name with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok w ->
-            let prog, entry = lint_one w in
-            if json then print_endline (lint_entry_json entry)
-            else Format.printf "%a@." (Analysis.Lint.pp_entry ~prog ()) entry;
-            if Analysis.Lint.passed entry then 0 else 1)
-    | None ->
-        let ws =
-          Workloads.Rodinia.all
-          @ [ Workloads.Gems_fdtd.workload ]
-          @ Workloads.Polybench.all
-        in
-        let entries = List.map (fun w -> snd (lint_one w)) ws in
-        let failed = List.filter (fun e -> not (Analysis.Lint.passed e)) entries in
-        if json then
-          Printf.printf "[\n%s\n]\n"
-            (String.concat ",\n"
-               (List.map (fun e -> "  " ^ lint_entry_json e) entries))
-        else begin
-          print_string (Analysis.Lint.table entries);
-          List.iter
-            (fun e ->
-              List.iter
-                (fun d -> Format.printf "%s: %s@." e.Analysis.Lint.e_name
-                     (Analysis.Diag.to_string d))
-                (Analysis.Lint.errors e))
-            failed
-        end;
-        if failed = [] then 0 else 1
+    with_workloads bench @@ fun ws ->
+    let linted = List.map lint_one ws in
+    let entries = List.map snd linted in
+    (match (json, bench, linted) with
+    | true, _, _ ->
+        (* one compact entry per line: the Makefile's lint-pair
+           extractor matches on it *)
+        List.iter
+          (fun e ->
+            print_endline
+              (Obs.Json_emit.to_string (Analysis.Lint.entry_json e)))
+          entries
+    | false, Some _, [ (prog, entry) ] ->
+        Format.printf "%a@." (Analysis.Lint.pp_entry ~prog ()) entry
+    | false, _, _ ->
+        print_string (Analysis.Lint.table entries);
+        List.iter
+          (fun e ->
+            List.iter
+              (fun d ->
+                Format.printf "%s: %s@." e.Analysis.Lint.e_name
+                  (Analysis.Diag.to_string d))
+              (Analysis.Lint.errors e))
+          entries);
+    if List.for_all Analysis.Lint.passed entries then 0 else 1
   in
   Cmd.v
     (Cmd.info "lint"
@@ -552,11 +419,9 @@ let lint_cmd =
 
 let staticdep_cmd =
   let bench =
-    let doc =
+    opt_bench_arg
       "Benchmark to analyse verbosely; without it, print the summary table \
        over every bundled benchmark."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let prune =
     Arg.(
@@ -567,148 +432,26 @@ let staticdep_cmd =
              instrumentation-pruning plan -- and report the pruned dynamic \
              access fraction and the equality of the two profiles.")
   in
-  let analyse_one (w : Workloads.Workload.t) =
-    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-    (prog, Analysis.Statdep.analyse prog)
-  in
-  (* a diverging pruned profile turns into a nonzero exit code, so
-     `staticdep --prune` doubles as a self-validation smoke test *)
-  let prune_failures = ref 0 in
-  (* the hybrid driver: speculative plan first, witness-failure reruns
-     handled by [fallback_profile] *)
-  let prune_stats prog =
-    let structure = Cfg.Cfg_builder.run prog in
-    let base = Ddg.Depprof.profile prog ~structure in
-    let _sd, pruned, reruns =
-      Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
-          Ddg.Depprof.profile prog ~structure ~static_prune:plan)
-    in
-    let mem = base.Ddg.Depprof.run_stats.Vm.Interp.dyn_mem_ops in
-    let equal = Ddg.Depprof.equal_result base pruned in
-    if not equal then incr prune_failures;
-    ( pruned.Ddg.Depprof.statically_pruned,
-      mem,
-      equal,
-      List.length pruned.Ddg.Depprof.witnesses,
-      reruns )
-  in
-  let sd_json name (prog : Vm.Prog.t) (sd : Analysis.Statdep.t) prune =
-    let possible =
-      List.length
-        (List.filter
-           (fun (p : Analysis.Statdep.pair_dep) -> p.pd_possible)
-           sd.Analysis.Statdep.pairs)
-    in
-    let prune_part =
-      if not prune then ""
-      else
-        let pruned_dyn, mem, equal, witnesses, reruns = prune_stats prog in
-        Printf.sprintf
-          ", \"pruned_dynamic\": %d, \"dyn_mem_ops\": %d, \
-           \"pruned_fraction\": %.4f, \"profiles_equal\": %b, \
-           \"speculative_witnesses\": %d, \"witness_reruns\": %d"
-          pruned_dyn mem
-          (float_of_int pruned_dyn /. float_of_int (max 1 mem))
-          equal witnesses reruns
-    in
-    Printf.sprintf
-      "{\"name\": %s, \"accesses\": %d, \"resolved\": %d, \"pruned\": %d, \
-       \"prunable_regions\": [%s], \"pairs\": %d, \"possible_pairs\": %d%s}"
-      (json_string name) sd.Analysis.Statdep.n_accesses
-      (Analysis.Statdep.n_resolved sd)
-      (Analysis.Statdep.n_pruned sd)
-      (String.concat ", "
-         (List.map json_string (Analysis.Statdep.prunable_regions sd)))
-      (List.length sd.Analysis.Statdep.pairs)
-      possible prune_part
-  in
   let run bench prune json telemetry =
     with_telemetry telemetry @@ fun () ->
-    match bench with
-    | Some name -> (
-        match find_workload name with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok w ->
-            let prog, sd = analyse_one w in
-            if json then print_endline (sd_json name prog sd prune)
-            else begin
-              Format.printf "%a@." Analysis.Statdep.pp sd;
-              if prune then begin
-                let pruned_dyn, mem, equal, witnesses, reruns =
-                  prune_stats prog
-                in
-                Format.printf
-                  "pruning: %d/%d dynamic accesses skipped shadow tracking \
-                   (%.1f%%), %d witness probe%s, %d witness-failure rerun%s, \
-                   pruned profile %s the unpruned one@."
-                  pruned_dyn mem
-                  (100.0 *. float_of_int pruned_dyn
-                  /. float_of_int (max 1 mem))
-                  witnesses
-                  (if witnesses = 1 then "" else "s")
-                  reruns
-                  (if reruns = 1 then "" else "s")
-                  (if equal then "IDENTICAL to" else "DIFFERS from")
-              end
-            end;
-            if !prune_failures > 0 then 1 else 0)
-    | None ->
-        let ws =
-          Workloads.Rodinia.all
-          @ [ Workloads.Gems_fdtd.workload ]
-          @ Workloads.Polybench.all
-        in
-        if json then
-          Printf.printf "[\n%s\n]\n"
-            (String.concat ",\n"
-               (List.map
-                  (fun (w : Workloads.Workload.t) ->
-                    let prog, sd = analyse_one w in
-                    "  " ^ sd_json w.w_name prog sd prune)
-                  ws))
-        else begin
-          let header =
-            [ "Workload"; "Acc"; "Res"; "Pruned"; "Regions"; "Pairs"; "Dep" ]
-            @ if prune then [ "DynPruned"; "Wit"; "Fail"; "Equal" ] else []
-          in
-          let rows =
-            List.map
-              (fun (w : Workloads.Workload.t) ->
-                let prog, sd = analyse_one w in
-                let possible =
-                  List.length
-                    (List.filter
-                       (fun (p : Analysis.Statdep.pair_dep) -> p.pd_possible)
-                       sd.Analysis.Statdep.pairs)
-                in
-                [ w.w_name;
-                  string_of_int sd.Analysis.Statdep.n_accesses;
-                  string_of_int (Analysis.Statdep.n_resolved sd);
-                  string_of_int (Analysis.Statdep.n_pruned sd);
-                  string_of_int
-                    (List.length (Analysis.Statdep.prunable_regions sd));
-                  string_of_int (List.length sd.Analysis.Statdep.pairs);
-                  string_of_int possible ]
-                @
-                if prune then begin
-                  let pruned_dyn, mem, equal, witnesses, reruns =
-                    prune_stats prog
-                  in
-                  [ Printf.sprintf "%d/%d (%.0f%%)" pruned_dyn mem
-                      (100.0 *. float_of_int pruned_dyn
-                      /. float_of_int (max 1 mem));
-                    string_of_int witnesses;
-                    string_of_int reruns;
-                    (if equal then "Y" else "N!") ]
-                end
-                else [])
-              ws
-          in
-          print_string (Report.Texttable.render ~header rows)
-        end;
-        if !prune_failures > 0 then 1 else 0
+    let module R = Workloads.Staticdep_report in
+    with_workloads bench @@ fun ws ->
+    let rows = List.map (R.measure ~prune) ws in
+    if json then
+      print_json (R.json rows)
+    else begin
+      (* a named benchmark also gets the engine's long form *)
+      if bench <> None then
+        List.iter
+          (fun (w : Workloads.Workload.t) ->
+            Format.printf "%a@." Analysis.Statdep.pp
+              (Analysis.Statdep.analyse (Vm.Hir.lower w.hir)))
+          ws;
+      print_string (R.table rows)
+    end;
+    (* a diverging pruned profile turns into a nonzero exit code, so
+       `staticdep --prune` doubles as a self-validation smoke test *)
+    if List.exists R.diverged rows then 1 else 0
   in
   Cmd.v
     (Cmd.info "staticdep"
@@ -721,11 +464,9 @@ let staticdep_cmd =
 
 let parcheck_cmd =
   let bench =
-    let doc =
+    opt_bench_arg
       "Benchmark to certify verbosely; without it, print the summary table \
        over every bundled benchmark (plus the seeded par_* variants)."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let static_only =
     Arg.(
@@ -735,176 +476,26 @@ let parcheck_cmd =
             "Skip the dynamic race sanitizer run (and with it the \
              static/dynamic cross-check); report static verdicts only.")
   in
-  let module J = struct
-    let dim (d : Analysis.Parcheck.dim_report) =
-      let open Obs.Json_emit in
-      Obj
-        ([ ("fid", Int d.Analysis.Parcheck.dr_fid);
-           ("header", Int d.Analysis.Parcheck.dr_header);
-           ("depth", Int d.Analysis.Parcheck.dr_depth);
-           ( "loc",
-             match d.Analysis.Parcheck.dr_loc with
-             | Some l ->
-                 Str (Printf.sprintf "%s:%d" l.Vm.Prog.file l.Vm.Prog.line)
-             | None -> Null );
-           ( "verdict",
-             Str (Analysis.Parcheck.verdict_code d.Analysis.Parcheck.dr_verdict)
-           ) ]
-        @
-        match d.Analysis.Parcheck.dr_verdict with
-        | Analysis.Parcheck.Certified c ->
-            [ ("pairs", Int c.Analysis.Parcheck.ct_pairs);
-              ( "private_regions",
-                Int (List.length c.Analysis.Parcheck.ct_private) );
-              ( "reduction_accesses",
-                Int (List.length c.Analysis.Parcheck.ct_reductions) ) ]
-        | Analysis.Parcheck.Race ws -> [ ("witnesses", Int (List.length ws)) ]
-        | Analysis.Parcheck.Unknown why -> [ ("reason", Str why) ])
-
-    let sanitizer (r : Ddg.Race_san.report) =
-      let open Obs.Json_emit in
-      Obj
-        [ ("accesses", Int r.Ddg.Race_san.sr_accesses);
-          ( "races_on_certified",
-            Int (Ddg.Race_san.races_on_certified r) );
-          ( "claims",
-            List
-              (List.map
-                 (fun (cs : Ddg.Race_san.claim_stats) ->
-                   Obj
-                     [ ( "label",
-                         Str cs.Ddg.Race_san.cs_claim.Ddg.Race_san.cl_label );
-                       ( "certified",
-                         Bool
-                           cs.Ddg.Race_san.cs_claim.Ddg.Race_san.cl_certified
-                       );
-                       ("instances", Int cs.Ddg.Race_san.cs_instances);
-                       ("iterations", Int cs.Ddg.Race_san.cs_iterations);
-                       ("races", Int cs.Ddg.Race_san.cs_n_races);
-                       ("covered", Int cs.Ddg.Race_san.cs_covered) ])
-                 r.Ddg.Race_san.sr_claims) ) ]
-
-    let workload name (pc : Analysis.Parcheck.t) san diags =
-      let open Obs.Json_emit in
-      Obj
-        ([ ("name", Str name);
-           ("dims", List (List.map dim pc.Analysis.Parcheck.pc_dims));
-           ("certified", Int (Analysis.Parcheck.n_certified pc));
-           ("races", Int (Analysis.Parcheck.n_races pc)) ]
-        @ (match san with
-          | Some r -> [ ("sanitizer", sanitizer r) ]
-          | None -> [])
-        @
-        match diags with
-        | Some ds ->
-            [ ( "crosscheck_ok",
-                Bool (Analysis.Parcheck.crosscheck_ok ds) );
-              ( "diagnostics",
-                List
-                  (List.map
-                     (fun d -> Str (Analysis.Diag.to_string d))
-                     ds) ) ]
-        | None -> [])
-  end in
-  let analyse_one ~static_only (w : Workloads.Workload.t) =
-    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-    let pc = Analysis.Parcheck.analyse prog in
-    if static_only then (pc, None, None)
-    else
-      let san = Analysis.Parcheck.sanitize pc in
-      let diags = Analysis.Parcheck.crosscheck pc san in
-      (pc, Some san, Some diags)
-  in
-  let failed diags =
-    match diags with
-    | Some ds -> not (Analysis.Parcheck.crosscheck_ok ds)
-    | None -> false
-  in
   let run bench static_only json telemetry =
     with_telemetry telemetry @@ fun () ->
-    match bench with
-    | Some name -> (
-        match find_workload name with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok w ->
-            let pc, san, diags = analyse_one ~static_only w in
-            if json then
-              print_endline
-                (Obs.Json_emit.to_string ~pretty:true
-                   (J.workload name pc san diags))
-            else begin
-              Format.printf "%a@." Analysis.Parcheck.pp pc;
-              (match san with
-              | Some r -> Format.printf "%a" Ddg.Race_san.pp_report r
-              | None -> ());
-              match diags with
-              | Some ds ->
-                  List.iter
-                    (fun d ->
-                      Format.printf "%s@." (Analysis.Diag.to_string d))
-                    ds
-              | None -> ()
-            end;
-            if failed diags then 1 else 0)
-    | None ->
-        let ws =
-          Workloads.Rodinia.all
-          @ [ Workloads.Gems_fdtd.workload ]
-          @ Workloads.Polybench.all @ Workloads.Polybench.seeded
-        in
-        let rows =
-          List.map
-            (fun (w : Workloads.Workload.t) ->
-              let pc, san, diags = analyse_one ~static_only w in
-              (w.Workloads.Workload.w_name, pc, san, diags))
-            ws
-        in
-        let any_failed =
-          List.exists (fun (_, _, _, diags) -> failed diags) rows
-        in
-        if json then
-          print_endline
-            (Obs.Json_emit.to_string ~pretty:true
-               (Obs.Json_emit.List
-                  (List.map
-                     (fun (name, pc, san, diags) ->
-                       J.workload name pc san diags)
-                     rows)))
-        else begin
-          let header =
-            [ "Workload"; "Dims"; "Cert"; "Race"; "Unk" ]
-            @ if static_only then [] else [ "SanRaces"; "Xcheck" ]
-          in
-          let trows =
-            List.map
-              (fun (name, (pc : Analysis.Parcheck.t), san, diags) ->
-                let dims = List.length pc.Analysis.Parcheck.pc_dims in
-                let cert = Analysis.Parcheck.n_certified pc in
-                let race = Analysis.Parcheck.n_races pc in
-                [ name;
-                  string_of_int dims;
-                  string_of_int cert;
-                  string_of_int race;
-                  string_of_int (dims - cert - race) ]
-                @
-                if static_only then []
-                else
-                  [ (match san with
-                    | Some r ->
-                        string_of_int
-                          (List.fold_left
-                             (fun a (cs : Ddg.Race_san.claim_stats) ->
-                               a + cs.Ddg.Race_san.cs_n_races)
-                             0 r.Ddg.Race_san.sr_claims)
-                    | None -> "-");
-                    (if failed diags then "FAIL!" else "ok") ])
-              rows
-          in
-          print_string (Report.Texttable.render ~header trows)
-        end;
-        if any_failed then 1 else 0
+    let module R = Workloads.Parcheck_report in
+    let suite = Workloads.Runner.suite @ Workloads.Polybench.seeded in
+    with_workloads ~suite bench @@ fun ws ->
+    let rows = List.map (R.measure ~static_only) ws in
+    (match (bench, rows) with
+    | Some _, [ r ] when json -> print_json (R.workload_json r)
+    | Some _, [ r ] ->
+        Format.printf "%a@." Analysis.Parcheck.pp_dims r.R.r_dims;
+        Option.iter
+          (fun (d : R.dynamic) ->
+            Format.printf "%a" Ddg.Race_san.pp_report d.R.d_sanitizer;
+            List.iter
+              (fun g -> Format.printf "%s@." (Analysis.Diag.to_string g))
+              d.R.d_diags)
+          r.R.r_dynamic
+    | _ when json -> print_json (R.json rows)
+    | _ -> print_string (R.table rows));
+    if List.exists (fun r -> R.unsound r <> None) rows then 1 else 0
   in
   Cmd.v
     (Cmd.info "parcheck"
@@ -940,50 +531,46 @@ let transform_cmd =
   in
   let run name verify max_plans eps telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let hir = w.Workloads.Workload.hir in
-        if not verify then begin
-          (* apply the hottest plan and show the transformed source *)
-          let t = Polyprof.run_hir hir in
-          let plans = Sched.Plan.plans_of_feedback t.Polyprof.feedback in
-          match plans with
-          | [] ->
-              Format.printf "no applicable transformation plans for %s@." name;
-              0
-          | plan :: _ -> (
-              Format.printf "== plan for %s: nest %s ==@." name
-                (Sched.Plan.describe plan);
+    with_workload name @@ fun w ->
+    let hir = w.Workloads.Workload.hir in
+    if not verify then begin
+      (* apply the hottest plan and show the transformed source *)
+      let t = Polyprof.run_hir hir in
+      let plans = Sched.Plan.plans_of_feedback t.Polyprof.feedback in
+      match plans with
+      | [] ->
+          Format.printf "no applicable transformation plans for %s@." name;
+          0
+      | plan :: _ -> (
+          Format.printf "== plan for %s: nest %s ==@." name
+            (Sched.Plan.describe plan);
+          List.iter
+            (fun s -> Format.printf "  %a@." Sched.Transform.pp_step s)
+            plan.Sched.Plan.p_steps;
+          match Xform.Apply.apply_plan hir plan with
+          | Error e ->
+              Format.printf "cannot apply: %s@." e;
+              1
+          | Ok o ->
               List.iter
-                (fun s -> Format.printf "  %a@." Sched.Transform.pp_step s)
-                plan.Sched.Plan.p_steps;
-              match Xform.Apply.apply_plan hir plan with
-              | Error e ->
-                  Format.printf "cannot apply: %s@." e;
-                  1
-              | Ok o ->
-                  List.iter
-                    (fun a -> Format.printf "%a@." Xform.Apply.pp_applied a)
-                    o.Xform.Apply.o_applied;
-                  List.iter
-                    (fun (s, why) ->
-                      Format.printf "skipped %a: %s@." Sched.Transform.pp_step s
-                        why)
-                    o.Xform.Apply.o_skipped;
-                  Format.printf "== transformed source ==@.%a@."
-                    Vm.Hir.pp_program o.Xform.Apply.o_hir;
-                  0)
-        end
-        else begin
-          let summary =
-            Polyprof.apply_and_verify ~eps ~max_plans ~name hir
-          in
-          Format.printf "%a@." Xform.Driver.pp_summary summary;
-          if summary.Xform.Driver.sm_rejected = 0 then 0 else 1
-        end
+                (fun a -> Format.printf "%a@." Xform.Apply.pp_applied a)
+                o.Xform.Apply.o_applied;
+              List.iter
+                (fun (s, why) ->
+                  Format.printf "skipped %a: %s@." Sched.Transform.pp_step s
+                    why)
+                o.Xform.Apply.o_skipped;
+              Format.printf "== transformed source ==@.%a@."
+                Vm.Hir.pp_program o.Xform.Apply.o_hir;
+              0)
+    end
+    else begin
+      let summary =
+        Polyprof.apply_and_verify ~eps ~max_plans ~name hir
+      in
+      Format.printf "%a@." Xform.Driver.pp_summary summary;
+      if summary.Xform.Driver.sm_rejected = 0 then 0 else 1
+    end
   in
   Cmd.v
     (Cmd.info "transform"
@@ -995,13 +582,9 @@ let transform_cmd =
 
 let source_cmd =
   let run name =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        Format.printf "%a@." Vm.Hir.pp_program w.Workloads.Workload.hir;
-        0
+    with_workload name @@ fun w ->
+    Format.printf "%a@." Vm.Hir.pp_program w.Workloads.Workload.hir;
+    0
   in
   Cmd.v
     (Cmd.info "source"
@@ -1024,45 +607,41 @@ let telemetry_cmd =
     file_opt [ "svg" ] "FILE" "Write a self-profile flame graph SVG."
   in
   let run name trace_json prom svg =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        Obs.Registry.enable ();
-        Obs.Metrics.reset ();
-        Obs.Span.reset ();
-        let o = Workloads.Runner.run w in
-        Format.printf "== %s pipeline telemetry (sched %s) ==@." name
-          (if o.Workloads.Runner.sched_bailed then "bailed" else "ok");
-        let roots = Obs.Span.roots () in
-        let metrics = Obs.Metrics.snapshot () in
-        print_string (Report.Obs_report.summary ~metrics roots);
-        let wrote = ref 0 in
-        Option.iter
-          (fun path ->
-            Obs.Chrome.write_file ~path ~process_name:("polyprof " ^ name)
-              ~metrics roots;
-            match Obs.Chrome.validate_file path with
-            | Ok n ->
-                incr wrote;
-                Format.printf "wrote %s (%d trace events, validated)@." path n
-            | Error e ->
-                Format.eprintf "emitted Chrome trace failed validation: %s@." e)
-          trace_json;
-        Option.iter
-          (fun path ->
-            Obs.Prometheus.write_file ~path metrics;
+    with_workload name @@ fun w ->
+    Obs.Registry.enable ();
+    Obs.Metrics.reset ();
+    Obs.Span.reset ();
+    let o = Workloads.Runner.run w in
+    Format.printf "== %s pipeline telemetry (sched %s) ==@." name
+      (if o.Workloads.Runner.sched_bailed then "bailed" else "ok");
+    let roots = Obs.Span.roots () in
+    let metrics = Obs.Metrics.snapshot () in
+    print_string (Report.Obs_report.summary ~metrics roots);
+    let wrote = ref 0 in
+    Option.iter
+      (fun path ->
+        Obs.Chrome.write_file ~path ~process_name:("polyprof " ^ name)
+          ~metrics roots;
+        match Obs.Chrome.validate_file path with
+        | Ok n ->
             incr wrote;
-            Format.printf "wrote %s@." path)
-          prom;
-        Option.iter
-          (fun path ->
-            Report.Obs_report.write_flamegraph_svg ~path roots;
-            incr wrote;
-            Format.printf "wrote %s@." path)
-          svg;
-        0
+            Format.printf "wrote %s (%d trace events, validated)@." path n
+        | Error e ->
+            Format.eprintf "emitted Chrome trace failed validation: %s@." e)
+      trace_json;
+    Option.iter
+      (fun path ->
+        Obs.Prometheus.write_file ~path metrics;
+        incr wrote;
+        Format.printf "wrote %s@." path)
+      prom;
+    Option.iter
+      (fun path ->
+        Report.Obs_report.write_flamegraph_svg ~path roots;
+        incr wrote;
+        Format.printf "wrote %s@." path)
+      svg;
+    0
   in
   Cmd.v
     (Cmd.info "telemetry"
@@ -1081,17 +660,11 @@ let overhead_cmd =
           ~doc:"Repetitions per configuration (best wall time wins).")
   in
   let run name json repeat =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let o = Workloads.Overhead.measure ~repeat w in
-        if json then
-          print_endline
-            (Obs.Json_emit.to_string ~pretty:true (Workloads.Overhead.json o))
-        else print_string (Workloads.Overhead.table o);
-        0
+    with_workload name @@ fun w ->
+    let o = Workloads.Overhead.measure ~repeat w in
+    if json then print_json (Workloads.Overhead.json o)
+    else print_string (Workloads.Overhead.table o);
+    0
   in
   Cmd.v
     (Cmd.info "overhead"
@@ -1132,42 +705,33 @@ let autotune_cmd =
   in
   let run name beam depth repeat seed json svg telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w -> (
-        let config =
-          { Tune.Search.default with
-            Tune.Search.beam;
-            depth;
-            repeat;
-            seed }
-        in
-        let result =
-          Polyprof.autotune ~config ~name:w.Workloads.Workload.w_name
-            w.Workloads.Workload.hir
-        in
-        (match (svg, result) with
-        | Some path, Ok r ->
-            let oc = open_out path in
-            output_string oc (Tune.Tune_report.svg_of r);
-            close_out oc
-        | _ -> ());
-        if json then begin
-          print_endline
-            (Obs.Json_emit.to_string ~pretty:true
-               (Tune.Tune_report.workload_json ~name result));
-          match result with Ok _ -> 0 | Error _ -> 1
-        end
-        else
-          match result with
-          | Error e ->
-              Format.printf "autotune %s: %s@." name e;
-              1
-          | Ok r ->
-              Format.printf "%a@." Tune.Tune_report.render r;
-              0)
+    with_workload name @@ fun w ->
+    let config =
+      { Tune.Search.default with
+        Tune.Search.beam;
+        depth;
+        repeat;
+        seed }
+    in
+    let result =
+      Polyprof.autotune ~config ~name:w.Workloads.Workload.w_name
+        w.Workloads.Workload.hir
+    in
+    (match (svg, result) with
+    | Some path, Ok r -> output_body (Some path) (Tune.Tune_report.svg_of r)
+    | _ -> ());
+    if json then begin
+      print_json (Tune.Tune_report.workload_json ~name result);
+      match result with Ok _ -> 0 | Error _ -> 1
+    end
+    else
+      match result with
+      | Error e ->
+          Format.printf "autotune %s: %s@." name e;
+          1
+      | Ok r ->
+          Format.printf "%a@." Tune.Tune_report.render r;
+          0
   in
   Cmd.v
     (Cmd.info "autotune"
@@ -1320,7 +884,7 @@ let submit_cmd =
         1
     | Ok doc ->
         if not wait then begin
-          print_endline (Obs.Json_emit.to_string ~pretty:true doc);
+          print_json doc;
           0
         end
         else begin
@@ -1380,7 +944,7 @@ let status_cmd =
         1
     | Ok rs ->
         (match Obs.Json_emit.parse rs.Serve.Http.rs_body with
-        | Ok doc -> print_endline (Obs.Json_emit.to_string ~pretty:true doc)
+        | Ok doc -> print_json doc
         | Error _ -> print_endline rs.Serve.Http.rs_body);
         if rs.Serve.Http.rs_status = 200 then 0 else 1
   in
@@ -1399,12 +963,6 @@ let fetch_cmd =
       & info [ "artifact" ]
           ~doc:"Fetch the per-job Chrome trace instead of the report.")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write to $(docv) instead of stdout.")
-  in
   let run socket port id artifact out =
     let ep = endpoint_of socket port in
     let leaf = if artifact then "artifact" else "report" in
@@ -1417,14 +975,7 @@ let fetch_cmd =
         prerr_endline e;
         1
     | Ok { Serve.Http.rs_status = 200; rs_body; _ } ->
-        (match out with
-        | None ->
-            print_string rs_body;
-            print_newline ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc rs_body;
-            close_out oc);
+        output_body out rs_body;
         0
     | Ok rs ->
         prerr_endline rs.Serve.Http.rs_body;
@@ -1433,7 +984,7 @@ let fetch_cmd =
   Cmd.v
     (Cmd.info "fetch"
        ~doc:"Download a finished job's report or Chrome-trace artifact")
-    Term.(const run $ socket_arg $ port_arg $ id $ artifact $ out)
+    Term.(const run $ socket_arg $ port_arg $ id $ artifact $ out_arg)
 
 let shutdown_cmd =
   let run socket port =
@@ -1566,38 +1117,37 @@ let perfdiff_cmd =
         in
         let gating = not report_only in
         if json then
-          print_endline
-            (Obs.Json_emit.to_string ~pretty:true
-               (Obs.Json_emit.Obj
-                  [ ("schema_version", Obs.Json_emit.Int Obs.Schemas.perfhist);
-                    ("history_dir", Obs.Json_emit.Str history);
-                    ("window", Obs.Json_emit.Int window);
-                    ("gating", Obs.Json_emit.Bool gating);
-                    ("regressed_total", Obs.Json_emit.Int !regressed_total);
-                    ( "benches",
-                      Obs.Json_emit.List
-                        (List.map
-                           (fun (path, bench, res) ->
-                             Obs.Json_emit.Obj
-                               ([ ("bench", Obs.Json_emit.Str bench);
-                                  ("file", Obs.Json_emit.Str path) ]
-                               @
-                               match res with
-                               | None ->
-                                   [ ("history", Obs.Json_emit.Bool false) ]
-                               | Some (n, rows) ->
-                                   [ ("history", Obs.Json_emit.Bool true);
-                                     ("history_entries", Obs.Json_emit.Int n);
-                                     ( "regressed",
-                                       Obs.Json_emit.Int
-                                         (List.length
-                                            (Obs.Perfhist.regressions rows))
-                                     );
-                                     ( "rows",
-                                       Obs.Json_emit.List
-                                         (List.map Obs.Perfhist.row_json rows)
-                                     ) ]))
-                           results) ) ]))
+          print_json
+            (Obs.Json_emit.Obj
+               [ ("schema_version", Obs.Json_emit.Int Obs.Schemas.perfhist);
+                 ("history_dir", Obs.Json_emit.Str history);
+                 ("window", Obs.Json_emit.Int window);
+                 ("gating", Obs.Json_emit.Bool gating);
+                 ("regressed_total", Obs.Json_emit.Int !regressed_total);
+                 ( "benches",
+                   Obs.Json_emit.List
+                     (List.map
+                        (fun (path, bench, res) ->
+                          Obs.Json_emit.Obj
+                            ([ ("bench", Obs.Json_emit.Str bench);
+                               ("file", Obs.Json_emit.Str path) ]
+                            @
+                            match res with
+                            | None ->
+                                [ ("history", Obs.Json_emit.Bool false) ]
+                            | Some (n, rows) ->
+                                [ ("history", Obs.Json_emit.Bool true);
+                                  ("history_entries", Obs.Json_emit.Int n);
+                                  ( "regressed",
+                                    Obs.Json_emit.Int
+                                      (List.length
+                                         (Obs.Perfhist.regressions rows))
+                                  );
+                                  ( "rows",
+                                    Obs.Json_emit.List
+                                      (List.map Obs.Perfhist.row_json rows)
+                                  ) ]))
+                        results) ) ])
         else
           List.iter
             (fun (path, bench, res) ->
@@ -1674,20 +1224,19 @@ let perfdiff_cmd =
 let version_cmd =
   let run json =
     if json then
-      print_endline
-        (Obs.Json_emit.to_string ~pretty:true
-           (Obs.Json_emit.Obj
-              [ ("version", Obs.Json_emit.Str Polyprof.version);
-                ( "schemas",
-                  Obs.Json_emit.List
-                    (List.map
-                       (fun (s : Obs.Schemas.t) ->
-                         Obs.Json_emit.Obj
-                           [ ("name", Obs.Json_emit.Str s.Obs.Schemas.s_name);
-                             ("file", Obs.Json_emit.Str s.Obs.Schemas.s_file);
-                             ( "schema_version",
-                               Obs.Json_emit.Int s.Obs.Schemas.s_version ) ])
-                       Obs.Schemas.all) ) ]))
+      print_json
+        (Obs.Json_emit.Obj
+           [ ("version", Obs.Json_emit.Str Polyprof.version);
+             ( "schemas",
+               Obs.Json_emit.List
+                 (List.map
+                    (fun (s : Obs.Schemas.t) ->
+                      Obs.Json_emit.Obj
+                        [ ("name", Obs.Json_emit.Str s.Obs.Schemas.s_name);
+                          ("file", Obs.Json_emit.Str s.Obs.Schemas.s_file);
+                          ( "schema_version",
+                            Obs.Json_emit.Int s.Obs.Schemas.s_version ) ])
+                    Obs.Schemas.all) ) ])
     else begin
       Printf.printf "polyprof %s\n" Polyprof.version;
       Printf.printf "report schemas:\n";

@@ -336,3 +336,47 @@ let pp_entry ?prog () fmt e =
   List.iter
     (fun d -> Format.fprintf fmt "@\n  %a" (Diag.pp ?prog ()) d)
     e.e_diags
+
+let entry_json e =
+  let open Obs.Json_emit in
+  let c sev = Int (Diag.count sev e.e_diags) in
+  let severity = function
+    | Diag.Error -> "error"
+    | Diag.Warning -> "warning"
+    | Diag.Info -> "info"
+  in
+  Obj
+    [ ("name", Str e.e_name);
+      ("errors", c Diag.Error);
+      ("warnings", c Diag.Warning);
+      ("infos", c Diag.Info);
+      ("accesses", Int e.e_accesses);
+      ("affine", Int e.e_affine);
+      ("ranged", Int e.e_ranged);
+      ("passed", Bool (passed e));
+      ( "crosscheck",
+        match e.e_xcheck with
+        | None -> Null
+        | Some r ->
+            Obj
+              [ ("facts", Int r.Crosscheck.facts);
+                ("checked_edges", Int r.Crosscheck.checked_edges);
+                ("skipped_edges", Int r.Crosscheck.skipped_edges);
+                ("skip_norange", Int r.Crosscheck.skip_norange);
+                ("skip_crossfn", Int r.Crosscheck.skip_crossfn);
+                ("poly_pairs", Int r.Crosscheck.poly_pairs);
+                ("poly_checked", Int r.Crosscheck.poly_checked);
+                ("sim_must", Int r.Crosscheck.sim_must);
+                ("sim_may", Int r.Crosscheck.sim_may);
+                ("sim_skipped", Bool r.Crosscheck.sim_skipped);
+                ("violations", Int (List.length r.Crosscheck.violations)) ] );
+      ( "diags",
+        List
+          (List.map
+             (fun (d : Diag.t) ->
+               Obj
+                 [ ("severity", Str (severity d.Diag.severity));
+                   ("code", Str d.Diag.code);
+                   ("fid", Int d.Diag.fid);
+                   ("message", Str d.Diag.message) ])
+             e.e_diags) ) ]

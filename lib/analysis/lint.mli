@@ -85,5 +85,9 @@ val to_row : entry -> string list
 val table : entry list -> string
 (** {!Report.Texttable} over {!header}/{!to_row}. *)
 
+val entry_json : entry -> Obs.Json_emit.t
+(** The entry as one JSON object: the table row's data, the cross-check
+    counters and every diagnostic (severity, code, fid, message). *)
+
 val pp_entry : ?prog:Vm.Prog.t -> unit -> Format.formatter -> entry -> unit
 (** The table row's data in long form, followed by every diagnostic. *)

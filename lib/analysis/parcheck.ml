@@ -698,17 +698,11 @@ let verdict_code = function
   | Race _ -> "race"
   | Unknown _ -> "unknown"
 
-let n_certified t =
-  List.length
-    (List.filter
-       (fun d -> match d.dr_verdict with Certified _ -> true | _ -> false)
-       t.pc_dims)
+let count_verdict code dims =
+  List.length (List.filter (fun d -> verdict_code d.dr_verdict = code) dims)
 
-let n_races t =
-  List.length
-    (List.filter
-       (fun d -> match d.dr_verdict with Race _ -> true | _ -> false)
-       t.pc_dims)
+let n_certified t = count_verdict "certified" t.pc_dims
+let n_races t = count_verdict "race" t.pc_dims
 
 let pp_iv fmt = function
   | None -> ()
@@ -741,9 +735,11 @@ let pp_verdict fmt = function
         Format.fprintf fmt "; +%d more" (List.length ws - 3)
   | Unknown why -> Format.fprintf fmt "unknown: %s" why
 
-let pp fmt t =
+let pp_dims fmt dims =
   Format.fprintf fmt "@[<v>parallelism certifier: %d dim(s), %d certified, %d with races@,"
-    (List.length t.pc_dims) (n_certified t) (n_races t);
+    (List.length dims)
+    (count_verdict "certified" dims)
+    (count_verdict "race" dims);
   List.iter
     (fun d ->
       Format.fprintf fmt "  f%d.b%d%s depth %d: %a@,"
@@ -752,8 +748,10 @@ let pp fmt t =
         | Some l -> Printf.sprintf " (%s:%d)" l.Vm.Prog.file l.Vm.Prog.line
         | None -> "")
         d.dr_depth pp_verdict d.dr_verdict)
-    t.pc_dims;
+    dims;
   Format.fprintf fmt "@]"
+
+let pp fmt t = pp_dims fmt t.pc_dims
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic cross-check: the race sanitizer as the certifier's oracle   *)

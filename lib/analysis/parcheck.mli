@@ -97,10 +97,14 @@ val coverage : Statdep.t -> verdict -> (int * int) list * Vm.Isa.Sid.t list
 val verdict_code : verdict -> string
 (** ["certified"], ["race"] or ["unknown"]. *)
 
+val count_verdict : string -> dim_report list -> int
+(** Dims whose {!verdict_code} is the given code. *)
+
 val n_certified : t -> int
 val n_races : t -> int
 
 val pp_verdict : Format.formatter -> verdict -> unit
+val pp_dims : Format.formatter -> dim_report list -> unit
 val pp : Format.formatter -> t -> unit
 
 (** {1 Dynamic cross-check}

@@ -1,28 +1,7 @@
 module J = Obs.Json_emit
 
-let polybench_names =
-  List.map (fun (w : Workloads.Workload.t) -> w.w_name) Workloads.Polybench.all
-
-let find_workload name =
-  try Ok (Workloads.Rodinia.find name)
-  with Invalid_argument _ -> (
-    if name = "gems_fdtd" then Ok Workloads.Gems_fdtd.workload
-    else
-      match
-        List.find_opt
-          (fun (w : Workloads.Workload.t) -> w.w_name = name)
-          (Workloads.Polybench.all @ Workloads.Polybench.seeded)
-      with
-      | Some w -> Ok w
-      | None ->
-          Error
-            (Printf.sprintf "unknown benchmark %s (try: %s, gems_fdtd, %s)"
-               name
-               (String.concat ", " Workloads.Rodinia.names)
-               (String.concat ", " polybench_names)))
-
 let job_key (spec : Proto.spec) =
-  match find_workload spec.Proto.sp_bench with
+  match Workloads.Runner.find spec.Proto.sp_bench with
   | Error e -> Error e
   | Ok w ->
       Ok
@@ -104,48 +83,11 @@ let run_apply spec (w : Workloads.Workload.t) ~max_plans =
 
 let run_parcheck spec (w : Workloads.Workload.t) =
   let static_only = Proto.param_int spec "static_only" ~default:0 <> 0 in
-  let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-  let pc = Analysis.Parcheck.analyse prog in
-  let dims =
-    J.List
-      (List.map
-         (fun (d : Analysis.Parcheck.dim_report) ->
-           J.Obj
-             [ ("fid", J.Int d.Analysis.Parcheck.dr_fid);
-               ("header", J.Int d.Analysis.Parcheck.dr_header);
-               ("depth", J.Int d.Analysis.Parcheck.dr_depth);
-               ( "verdict",
-                 J.Str
-                   (Analysis.Parcheck.verdict_code
-                      d.Analysis.Parcheck.dr_verdict) ) ])
-         pc.Analysis.Parcheck.pc_dims)
-  in
-  let base =
-    [ ("dims", dims);
-      ("certified", J.Int (Analysis.Parcheck.n_certified pc));
-      ("races", J.Int (Analysis.Parcheck.n_races pc)) ]
-  in
-  let dyn =
-    if static_only then []
-    else begin
-      let san = Analysis.Parcheck.sanitize pc in
-      let diags = Analysis.Parcheck.crosscheck pc san in
-      (* a sanitizer race on a certified dim is a soundness failure:
-         fail the job loudly instead of caching a bad certificate *)
-      if not (Analysis.Parcheck.crosscheck_ok diags) then
-        failwith
-          (String.concat "; "
-             (List.map Analysis.Diag.to_string
-                (List.filter Analysis.Diag.is_error diags)));
-      [ ( "sanitizer",
-          J.Obj
-            [ ("accesses", J.Int san.Ddg.Race_san.sr_accesses);
-              ( "races_on_certified",
-                J.Int (Ddg.Race_san.races_on_certified san) ) ] );
-        ("crosscheck_ok", J.Bool true) ]
-    end
-  in
-  report ~spec [ ("parcheck", J.Obj (base @ dyn)) ]
+  let r = Workloads.Parcheck_report.measure ~static_only w in
+  (* a sanitizer race on a certified dim is a soundness failure: fail
+     the job loudly instead of caching a bad certificate *)
+  Option.iter failwith (Workloads.Parcheck_report.unsound r);
+  report ~spec [ ("parcheck", Workloads.Parcheck_report.workload_json r) ]
 
 let run_autotune spec (w : Workloads.Workload.t) =
   let d = Tune.Search.default in
@@ -174,7 +116,7 @@ let run_autotune spec (w : Workloads.Workload.t) =
 
 let execute (spec : Proto.spec) =
   let w =
-    match find_workload spec.Proto.sp_bench with
+    match Workloads.Runner.find spec.Proto.sp_bench with
     | Ok w -> w
     | Error e -> failwith e
   in

@@ -1,4 +1,5 @@
-(** The daemon's executor: resolve a {!Proto.spec} to a workload, compute
+(** The daemon's executor: resolve a {!Proto.spec} to a workload
+    ({!Workloads.Runner.find}, the [polyprof list] namespace), compute
     its content address, and run the requested pipeline stage to a
     deterministic JSON report plus a per-job Chrome-trace artifact.
 
@@ -7,10 +8,6 @@
     concurrent-submission test pins down).  The one exception is
     [Autotune], whose report embeds measured candidate times; its cached
     bytes are still stable because the cache stores a single execution. *)
-
-val find_workload : string -> (Workloads.Workload.t, string) result
-(** Same namespace as [polyprof list]: mini-Rodinia, [gems_fdtd],
-    PolyBench. *)
 
 val job_key : Proto.spec -> (string, string) result
 (** Content address of the job: SHA-256 over the job kind, the sorted

@@ -25,7 +25,11 @@ val suite_json :
   Obs.Json_emit.t
 (** The whole [BENCH_autotune.json] document: schema header, search
     configuration, per-workload results, and the two suite-level gates
-    ([workloads_improved], [all_best_verified]). *)
+    ([workloads_improved], [all_best_verified] = {!check} passes). *)
+
+val check : (string * (Search.t, string) result) list -> string list
+(** The suite gate, one message per failure: every shipped best
+    schedule is the step trail of a [Verified] candidate. *)
 
 val improved : (string * (Search.t, string) result) list -> int
 (** Workloads whose best verified schedule beat identity by the

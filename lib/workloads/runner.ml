@@ -10,6 +10,22 @@ type outcome = {
 
 let sched_budget = 1200
 
+let suite = Rodinia.all @ [ Gems_fdtd.workload ] @ Polybench.all
+
+let find name =
+  match
+    List.find_opt
+      (fun (w : Workload.t) -> w.Workload.w_name = name)
+      (suite @ Polybench.seeded)
+  with
+  | Some w -> Ok w
+  | None ->
+      Error
+        (Printf.sprintf "unknown benchmark %s (try: %s, gems_fdtd, %s)" name
+           (String.concat ", " Rodinia.names)
+           (String.concat ", "
+              (List.map (fun (w : Workload.t) -> w.w_name) Polybench.all)))
+
 let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
     ?out_of_core ?(static_prune = false) (w : Workload.t) =
   Obs.Span.with_ ~cat:"workload" ("workload." ^ w.Workload.w_name) @@ fun () ->

@@ -24,6 +24,15 @@ val sched_budget : int
     accepts before declaring a blow-up (streamcluster reproduces the
     paper's scheduler memory exhaustion by exceeding it). *)
 
+val suite : Workload.t list
+(** The bundled suite: the 19 mini-Rodinia programs, GemsFDTD and the
+    12 PolyBench kernels (32 workloads). *)
+
+val find : string -> (Workload.t, string) result
+(** Look a workload up by name in {!suite} and the seeded
+    parallelism-certifier variants ({!Polybench.seeded}); the error
+    lists the available names. *)
+
 val run :
   ?budget:int -> ?crosscheck:bool -> ?xverify:bool -> ?out_of_core:int ->
   ?static_prune:bool -> Workload.t -> outcome

@@ -1,0 +1,117 @@
+(* The binary trace codec's report: per workload, trace size on disk vs
+   marshalled, codec throughput, and the out-of-core replay's time,
+   profile size and parity with the in-process profile. *)
+
+type row = {
+  r_name : string;
+  r_events : int;
+  r_disk_bytes : int;
+  r_marshal_bytes : int;
+  r_encode_s : float;
+  r_decode_s : float;
+  r_replay_s : float;
+  r_stmts : int;
+  r_deps : int;
+  r_dep_edges : int;
+  r_identical : bool;
+}
+
+let measure (w : Workload.t) =
+  let prog = Vm.Hir.lower w.Workload.hir in
+  let path = Filename.temp_file "polyprof" ".trace" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let trace, stats = Vm.Trace.record prog in
+  let disk_bytes, t_enc =
+    Obs.Clock.timed (fun () -> Stream.Trace_file.save ~stats trace path)
+  in
+  let (), t_dec =
+    Obs.Clock.timed (fun () ->
+        Stream.Source.with_file path (fun src -> Stream.Source.iter src ignore))
+  in
+  let builder = Cfg.Cfg_builder.create prog in
+  Stream.Source.with_file path (fun src ->
+      Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
+  let structure = Cfg.Cfg_builder.finalize builder in
+  let { Stream.Par_profile.result = ooc }, t_replay =
+    Obs.Clock.timed (fun () ->
+        Stream.Par_profile.profile_file path prog ~structure)
+  in
+  let live = Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog) in
+  { r_name = w.Workload.w_name;
+    r_events = Vm.Trace.n_events trace;
+    r_disk_bytes = disk_bytes;
+    r_marshal_bytes = String.length (Marshal.to_string trace []);
+    r_encode_s = t_enc;
+    r_decode_s = t_dec;
+    r_replay_s = t_replay;
+    r_stmts = List.length ooc.Ddg.Depprof.stmts;
+    r_deps = List.length ooc.Ddg.Depprof.deps;
+    r_dep_edges = ooc.Ddg.Depprof.total_dep_edges;
+    r_identical =
+      Ddg.Depprof.equal_result live ooc
+      && live.Ddg.Depprof.run_stats = ooc.Ddg.Depprof.run_stats }
+
+let ratio r =
+  float_of_int r.r_marshal_bytes /. float_of_int (max 1 r.r_disk_bytes)
+
+let mb_s bytes s = float_of_int bytes /. (s +. 1e-9) /. (1024. *. 1024.)
+
+let check rows =
+  List.filter_map
+    (fun r ->
+      if r.r_identical then None
+      else Some (r.r_name ^ ": out-of-core replay differs from in-process"))
+    rows
+
+let table rows =
+  let header =
+    [ "benchmark"; "events"; "disk KB"; "marshal KB"; "ratio"; "enc MB/s";
+      "dec MB/s"; "replay s"; "stmts"; "deps"; "edges"; "same" ]
+  in
+  let cells r =
+    [ r.r_name;
+      string_of_int r.r_events;
+      string_of_int (r.r_disk_bytes / 1024);
+      string_of_int (r.r_marshal_bytes / 1024);
+      Printf.sprintf "%.1fx" (ratio r);
+      Printf.sprintf "%.1f" (mb_s r.r_disk_bytes r.r_encode_s);
+      Printf.sprintf "%.1f" (mb_s r.r_disk_bytes r.r_decode_s);
+      Printf.sprintf "%.3f" r.r_replay_s;
+      string_of_int r.r_stmts;
+      string_of_int r.r_deps;
+      string_of_int r.r_dep_edges;
+      (if r.r_identical then "Y" else "N!") ]
+  in
+  let total f = List.fold_left (fun a r -> a + f r) 0 rows in
+  Report.Texttable.render ~header (List.map cells rows)
+  ^ Printf.sprintf
+      "\nsuite: %d events, %d KB on disk vs %d KB marshalled (%.1fx), \
+       out-of-core replay identical to in-process on all: %b\n"
+      (total (fun r -> r.r_events))
+      (total (fun r -> r.r_disk_bytes) / 1024)
+      (total (fun r -> r.r_marshal_bytes) / 1024)
+      (float_of_int (total (fun r -> r.r_marshal_bytes))
+      /. float_of_int (max 1 (total (fun r -> r.r_disk_bytes))))
+      (check rows = [])
+
+let json rows =
+  let open Obs.Json_emit in
+  Obj
+    (schema_header ~schema_version:Obs.Schemas.stream
+    @ [ ("chunk_bytes", Int Stream.Sink.default_chunk_bytes);
+        ( "workloads",
+          List
+            (List.map
+               (fun r ->
+                 Obj
+                   [ ("name", Str r.r_name);
+                     ("events", Int r.r_events);
+                     ("disk_bytes", Int r.r_disk_bytes);
+                     ("marshal_bytes", Int r.r_marshal_bytes);
+                     ("compression", Float (ratio r));
+                     ("encode_mb_s", Float (mb_s r.r_disk_bytes r.r_encode_s));
+                     ("decode_mb_s", Float (mb_s r.r_disk_bytes r.r_decode_s));
+                     ("seq_seconds", Float r.r_replay_s);
+                     ("identical", Bool r.r_identical) ])
+               rows) ) ])

@@ -477,17 +477,16 @@ let test_statdep_trisolv () =
   (* triangular nest: the non-rectangular domain encoding must make the
      forward-substitution kernel (inner trip = r) fully prunable — the
      rectangular engine managed under 5% here *)
-  let w = Workloads.Polybench.trisolv in
-  let prog = H.lower w.Workloads.Workload.hir in
-  let _, full, pruned = profile_both prog in
-  let dyn = full.Ddg.Depprof.run_stats.Vm.Interp.dyn_mem_ops in
-  let cut = pruned.Ddg.Depprof.statically_pruned in
-  Alcotest.(check bool)
-    (Printf.sprintf "trisolv >= 90%% pruned (%d/%d)" cut dyn)
-    true
-    (float_of_int cut >= 0.9 *. float_of_int dyn);
-  Alcotest.(check bool) "pruned profile identical" true
-    (Ddg.Depprof.equal_result full pruned)
+  let module R = Workloads.Staticdep_report in
+  match (R.measure ~prune:true Workloads.Polybench.trisolv).R.r_dynamic with
+  | None -> Alcotest.fail "measure ~prune:true has no dynamic part"
+  | Some d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "trisolv >= 90%% pruned (%d/%d)" d.R.d_dyn_pruned
+           d.R.d_dyn_mem)
+        true
+        (float_of_int d.R.d_dyn_pruned >= 0.9 *. float_of_int d.R.d_dyn_mem);
+      Alcotest.(check bool) "pruned profile identical" true d.R.d_identical
 
 let test_statdep_cholesky () =
   (* triangular 3-D nest (c <= r, k <= c): every access resolves over a
@@ -709,11 +708,6 @@ let test_triangular_fixed_seeds () =
     [ 2; 11; 42; 777; 31337 ]
 
 let test_prune_equal_all_workloads () =
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let prog = H.lower w.Workloads.Workload.hir in
@@ -721,7 +715,7 @@ let test_prune_equal_all_workloads () =
       Alcotest.(check bool)
         (w.w_name ^ ": pruned profile identical to unpruned") true
         (Ddg.Depprof.equal_result full pruned))
-    ws
+    Workloads.Runner.suite
 
 (* ---------------- parallelism certifier ---------------- *)
 
@@ -814,6 +808,113 @@ let test_parcheck_seeded_private () =
   Alcotest.(check int) "sanitizer: private scratch covered" 0
     (Ddg.Race_san.races_on_certified san)
 
+(* the one parcheck report: the single-workload view round-trips, pins
+   the seeded race, and is what the serve job embeds *)
+let test_parcheck_report_racy () =
+  let module J = Obs.Json_emit in
+  let r = Workloads.Parcheck_report.measure Workloads.Polybench.par_racy in
+  let doc = Workloads.Parcheck_report.workload_json r in
+  Alcotest.(check bool) "view round-trips through Json_emit.parse" true
+    (J.parse (J.to_string doc) = Ok doc);
+  let races =
+    match J.member "dims" doc with
+    | Some (J.List ds) ->
+        List.filter (fun d -> J.member "verdict" d = Some (J.Str "race")) ds
+    | _ -> Alcotest.fail "no dims array"
+  in
+  (match races with
+  | [ d ] ->
+      Alcotest.(check bool) "race dim has a witness" true
+        (match J.member "witnesses" d with
+        | Some (J.Int n) -> n >= 1
+        | _ -> false)
+  | ds -> Alcotest.failf "expected 1 race dim, got %d" (List.length ds));
+  Alcotest.(check bool) "crosscheck_ok" true
+    (J.member "crosscheck_ok" doc = Some (J.Bool true));
+  let x =
+    Serve.Jobs.execute
+      (Serve.Proto.spec ~kind:Serve.Proto.Parcheck ~bench:"par_racy" ())
+  in
+  match J.parse x.Serve.Engine.x_report with
+  | Error e -> Alcotest.fail e
+  | Ok report ->
+      Alcotest.(check bool) "serve job embeds the same dims" true
+        (Option.bind (J.member "parcheck" report) (J.member "dims")
+        = J.member "dims" doc)
+
+(* the suite gates, on hand-built rows (no profiling) *)
+let test_report_checks () =
+  let module S = Workloads.Staticdep_report in
+  let sd_row ~pruned ~identical =
+    { S.r_name = "w";
+      r_accesses = 1;
+      r_resolved = 1;
+      r_pruned = 1;
+      r_regions = [];
+      r_pairs = 0;
+      r_possible = 0;
+      r_dynamic =
+        Some
+          { S.d_dyn_mem = 1000;
+            d_dyn_pruned = pruned;
+            d_full_s = 0.;
+            d_pruned_s = 0.;
+            d_trace_bytes = 0;
+            d_elided_bytes = 0;
+            d_witnesses = 0;
+            d_reruns = 0;
+            d_identical = identical } }
+  in
+  let fails check rows = List.length (check rows) in
+  Alcotest.(check int) "staticdep: 60% identical passes" 0
+    (fails S.check [ sd_row ~pruned:600 ~identical:true ]);
+  Alcotest.(check int) "staticdep: divergent row fails" 1
+    (fails S.check [ sd_row ~pruned:600 ~identical:false ]);
+  Alcotest.(check int) "staticdep: 49.9% pruned fails" 1
+    (fails S.check [ sd_row ~pruned:499 ~identical:true ]);
+  let module P = Workloads.Parcheck_report in
+  let dim i =
+    { PC.dr_fid = 0;
+      dr_header = i;
+      dr_loc = None;
+      dr_depth = 0;
+      dr_verdict =
+        PC.Certified
+          { PC.ct_level = 0; ct_pairs = 1; ct_private = []; ct_reductions = [] }
+    }
+  in
+  let claim races =
+    { Ddg.Race_san.cs_claim =
+        { Ddg.Race_san.cl_fid = 0;
+          cl_header = 0;
+          cl_label = "f0.b0";
+          cl_certified = true;
+          cl_private = [];
+          cl_reductions = [] };
+      cs_instances = 1;
+      cs_iterations = 4;
+      cs_covered = 0;
+      cs_races = [];
+      cs_n_races = races }
+  in
+  let pc_row ~certified ~races =
+    { P.r_name = "w";
+      r_dims = List.init certified dim;
+      r_static_s = 0.;
+      r_dynamic =
+        Some
+          { P.d_sanitizer =
+              { Ddg.Race_san.sr_claims = [ claim races ]; sr_accesses = 8 };
+            d_diags = [];
+            d_seconds = 0. } }
+  in
+  Alcotest.(check int) "parcheck: 5 certified, sound passes" 0
+    (fails P.check [ pc_row ~certified:5 ~races:0 ]);
+  Alcotest.(check int) "parcheck: 4 certified fails" 1
+    (fails P.check [ pc_row ~certified:4 ~races:0 ]);
+  Alcotest.(check int) "parcheck: race on a certified dim fails" 1
+    (fails P.check [ pc_row ~certified:5 ~races:1 ])
+
 (* random single-loop reduction nests: [S[0] <- S[0] op A[a*r+b] ...]
    must always certify with a non-empty reduction set, and the
    sanitizer must agree (no uncovered dynamic race) *)
@@ -900,11 +1001,6 @@ let prop_seeded_race_never_certifies =
 (* ---------------- whole-workload sweep ---------------- *)
 
 let test_sweep_all_workloads () =
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let e =
@@ -922,7 +1018,7 @@ let test_sweep_all_workloads () =
           Alcotest.(check int)
             (w.w_name ^ ": no cross-check violations") 0
             (List.length r.Analysis.Crosscheck.violations))
-    ws
+    Workloads.Runner.suite
 
 let test_runner_carries_lint () =
   let w = Workloads.Rodinia.find "hotspot" in
@@ -1004,6 +1100,10 @@ let () =
             test_parcheck_seeded_reduction;
           Alcotest.test_case "seeded privatisation certificate" `Quick
             test_parcheck_seeded_private;
+          Alcotest.test_case "par_racy report: JSON view + serve job" `Quick
+            test_parcheck_report_racy;
+          Alcotest.test_case "report gates on hand-built rows" `Quick
+            test_report_checks;
           QCheck_alcotest.to_alcotest prop_reduction_certifies;
           QCheck_alcotest.to_alcotest prop_seeded_race_never_certifies ] );
       ( "polly-agreement",

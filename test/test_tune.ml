@@ -114,6 +114,52 @@ let test_gemm_interchange_anchor () =
       Alcotest.(check bool) "interchange(d2 <-> d3) measured and verified"
         true hit
 
+(* the autotune gate recomputes [all_best_verified] from the candidate
+   list: a best whose step trail was only ever Rejected must fail it *)
+let test_check_unverified_best () =
+  let steps = [ "interchange(d0 <-> d1)" ] in
+  let search status =
+    { S.r_name = "w";
+      r_config = S.default;
+      r_identity_ops = 10;
+      r_identity_seconds = 2e-3;
+      r_explored = 1;
+      r_illegal = 0;
+      r_apply_failed = 0;
+      r_pruned = 0;
+      r_measured = 1;
+      r_timeouts = 0;
+      r_rejected = 0;
+      r_verified = 0;
+      r_cands =
+        [ { S.cd_level = 1;
+            cd_steps = steps;
+            cd_status = status;
+            cd_score = 0.;
+            cd_ops = Some 10;
+            cd_seconds = Some 1e-3;
+            cd_speedup = Some 2.0 } ];
+      r_best =
+        Some
+          { S.b_steps = steps; b_ops = 10; b_seconds = 1e-3; b_speedup = 2.0 };
+      r_wall = 0. }
+  in
+  let verdict status =
+    let results = [ ("w", Ok (search status)) ] in
+    ( Tune.Tune_report.check results,
+      Obs.Json_emit.member "all_best_verified"
+        (Tune.Tune_report.suite_json ~config:S.default results) )
+  in
+  let failures, bit = verdict S.Verified in
+  Alcotest.(check (list string)) "verified best passes" [] failures;
+  Alcotest.(check bool) "all_best_verified true" true
+    (bit = Some (Obs.Json_emit.Bool true));
+  let failures, bit = verdict (S.Rejected "observable equivalence failed") in
+  Alcotest.(check int) "rejected-only best fails the check" 1
+    (List.length failures);
+  Alcotest.(check bool) "all_best_verified false" true
+    (bit = Some (Obs.Json_emit.Bool false))
+
 let () =
   Alcotest.run "tune"
     [ ( "enumerator",
@@ -124,4 +170,7 @@ let () =
           Alcotest.test_case "seed-independent exploration" `Quick
             test_seed_changes_tiebreak;
           Alcotest.test_case "gemm interchange anchor" `Quick
-            test_gemm_interchange_anchor ] ) ]
+            test_gemm_interchange_anchor ] );
+      ( "report",
+        [ Alcotest.test_case "unverified best fails the gate" `Quick
+            test_check_unverified_best ] ) ]

@@ -579,11 +579,10 @@ let obs_scev_pruned = Obs.Metrics.counter ~help:"dependence edges dropped by SCE
 
 let finalize e ~run_stats =
   Obs.Span.with_ ~cat:"ddg" "ddg.finalize" @@ fun () ->
-  let stmt_infos = stmt_infos_of e in
-  let scev_set = scev_set_of stmt_infos in
   (* inject the dependences skipped by static pruning *)
   (match e.e_prune with
   | Some plan when plan.sp_items <> [] ->
+      Obs.Span.with_ ~cat:"ddg" "ddg.finalize.inject" @@ fun () ->
       let injected, _ = simulate_plan e plan in
       Hashtbl.iter
         (fun key dr ->
@@ -592,30 +591,35 @@ let finalize e ~run_stats =
           Hashtbl.add e.deps key dr)
         injected
   | _ -> ());
-  (* SCEV pruning: drop dependence edges whose producer or consumer is a
-     recognised scalar-evolution instruction *)
+  (* fold every statement, then SCEV-prune the dependences (dropping
+     edges whose producer or consumer is a recognised scalar-evolution
+     instruction) and fold the rest *)
   let total_dep_edges = ref 0 in
   let pruned = ref 0 in
-  let dep_infos =
-    Hashtbl.fold
-      (fun dk dr acc ->
-        total_dep_edges := !total_dep_edges + dr.d_n;
-        if
-          e.e_config.scev_prune
-          && (Hashtbl.mem scev_set (dk.src_ctx, dk.src_sid)
-             || Hashtbl.mem scev_set (dk.dst_ctx, dk.dst_sid))
-        then begin
-          pruned := !pruned + dr.d_n;
-          acc
-        end
-        else
-          { dk;
-            d_count = dr.d_n;
-            d_pieces = Fold.Collector.result dr.d_collector;
-            src_depth = dr.dr_src_depth;
-            dst_depth = dr.dr_dst_depth }
-          :: acc)
-      e.deps []
+  let stmt_infos, dep_infos =
+    Obs.Span.with_ ~cat:"ddg" "ddg.finalize.fold" @@ fun () ->
+    let stmt_infos = stmt_infos_of e in
+    let scev_set = scev_set_of stmt_infos in
+    ( stmt_infos,
+      Hashtbl.fold
+        (fun dk dr acc ->
+          total_dep_edges := !total_dep_edges + dr.d_n;
+          if
+            e.e_config.scev_prune
+            && (Hashtbl.mem scev_set (dk.src_ctx, dk.src_sid)
+               || Hashtbl.mem scev_set (dk.dst_ctx, dk.dst_sid))
+          then begin
+            pruned := !pruned + dr.d_n;
+            acc
+          end
+          else
+            { dk;
+              d_count = dr.d_n;
+              d_pieces = Fold.Collector.result dr.d_collector;
+              src_depth = dr.dr_src_depth;
+              dst_depth = dr.dr_dst_depth }
+            :: acc)
+        e.deps [] )
   in
   if Obs.Registry.enabled () then begin
     Obs.Metrics.add obs_events e.seq;

@@ -45,21 +45,23 @@ let pp_piece ?names ?label_names fmt p =
 (* Affine fitting with sampling + verification                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Every per-point check below goes through [A.compare_int] /
+   [A.floor_int] / [A.ceil_int]: checked native-int evaluation that
+   falls back to [Rat] for the one call that would overflow, so no
+   folding decision depends on which path ran. *)
+
 (* Fit an affine function of [sub_dim] leading coordinates through all
    (point, value) samples, by fitting a small sample then verifying the
    rest; points failing verification are added to the sample and the fit
    is retried a bounded number of times. *)
-let fit_affine ~sub_dim (points : int array array) (values : Rat.t array) :
+let fit_affine ~sub_dim (points : int array array) (values : int array) :
     A.t option =
   let n = Array.length points in
   if n = 0 then None
   else begin
-    let take = min n (sub_dim + 2) in
-    let sample = ref (List.init take Fun.id) in
-    let rec attempt round =
+    let rec attempt round idxs =
       if round > sub_dim + 4 then None
       else begin
-        let idxs = !sample in
         let pts = Array.of_list (List.map (fun i -> Array.sub points.(i) 0 sub_dim) idxs) in
         let vals = Array.of_list (List.map (fun i -> values.(i)) idxs) in
         match Matrix.affine_fit pts vals with
@@ -67,24 +69,15 @@ let fit_affine ~sub_dim (points : int array array) (values : Rat.t array) :
         | Some (coeffs, const) ->
             let f = A.make coeffs const in
             (* verify on the full set *)
-            let bad = ref (-1) in
-            (try
-               for i = 0 to n - 1 do
-                 let v = A.eval f (Array.sub points.(i) 0 sub_dim) in
-                 if not (Rat.equal v values.(i)) then begin
-                   bad := i;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            if !bad < 0 then Some (A.extend f (Array.length points.(0)))
-            else begin
-              sample := !bad :: idxs;
-              attempt (round + 1)
-            end
+            let bad = ref 0 in
+            while !bad < n && A.compare_int f points.(!bad) values.(!bad) = 0 do
+              incr bad
+            done;
+            if !bad = n then Some (A.extend f (Array.length points.(0)))
+            else attempt (round + 1) (!bad :: idxs)
       end
     in
-    attempt 0
+    attempt 0 (List.init (min n (sub_dim + 2)) Fun.id)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -93,44 +86,98 @@ let fit_affine ~sub_dim (points : int array array) (values : Rat.t array) :
 
 type nest = { bnds : (A.t * A.t) array (* per dim, over the full space *) }
 
+let same_prefix d (a : int array) (b : int array) =
+  let k = ref 0 in
+  while !k < d && a.(!k) = b.(!k) do incr k done;
+  !k = d
+
+(* Group [points] by their first [d] coordinates.  The table is keyed on
+   the points themselves (open addressing over group ids, hashed and
+   compared on the prefix in place, grown with the number of groups), so
+   no key is built.  Returns each group's first point index, in
+   first-appearance order — [fit_affine] samples the first groups, so
+   the order picks the fit on rank-deficient data — and each point's
+   group. *)
+let group_by_prefix (points : int array array) d =
+  let bits = ref 4 in
+  let slots = ref (Array.make 16 (-1)) and first = ref (Array.make 8 0) in
+  let ngroups = ref 0 in
+  (* the slot holding [p]'s group, or the empty slot where it goes *)
+  let find p =
+    let h = ref 0 in
+    for k = 0 to d - 1 do
+      h := (!h + p.(k)) * 0x2545F4914F6CDD1D
+    done;
+    let slots = !slots and first = !first in
+    let mask = Array.length slots - 1 in
+    let s = ref ((!h lsr (63 - !bits)) land mask) in
+    while slots.(!s) >= 0 && not (same_prefix d points.(first.(slots.(!s))) p) do
+      s := (!s + 1) land mask
+    done;
+    !s
+  in
+  (* keep the table at most half full; [first] holds half its size *)
+  let grow () =
+    incr bits;
+    slots := Array.make (1 lsl !bits) (-1);
+    for g = 0 to !ngroups - 1 do
+      !slots.(find points.(!first.(g))) <- g
+    done;
+    let f = Array.make (1 lsl (!bits - 1)) 0 in
+    Array.blit !first 0 f 0 !ngroups;
+    first := f
+  in
+  let group = Array.make (Array.length points) 0 in
+  Array.iteri
+    (fun i p ->
+      let s = find p in
+      if !slots.(s) >= 0 then group.(i) <- !slots.(s)
+      else begin
+        !slots.(s) <- !ngroups;
+        !first.(!ngroups) <- i;
+        group.(i) <- !ngroups;
+        incr ngroups;
+        if 2 * !ngroups >= Array.length !slots then grow ()
+      end)
+    points;
+  (Array.sub !first 0 !ngroups, group)
+
+(* Per prefix group of [points] (see [group_by_prefix]): the min and max
+   of coordinate [d]. *)
+let prefix_ranges (points : int array array) d =
+  let first, group = group_by_prefix points d in
+  let lo = Array.make (Array.length first) max_int in
+  let hi = Array.make (Array.length first) min_int in
+  Array.iteri
+    (fun i p ->
+      let g = group.(i) in
+      if p.(d) < lo.(g) then lo.(g) <- p.(d);
+      if p.(d) > hi.(g) then hi.(g) <- p.(d))
+    points;
+  (first, group, lo, hi)
+
 let fit_domain ~dim (points : int array array) : nest option =
-  let n = Array.length points in
-  if n = 0 then None
+  if Array.length points = 0 then None
   else begin
     let bnds = Array.make dim (A.const ~dim Rat.zero, A.const ~dim Rat.zero) in
-    let ok = ref true in
-    for d = 0 to dim - 1 do
-      if !ok then begin
-        (* group by prefix c_0..c_{d-1} *)
-        let tbl : (int list, int * int) Hashtbl.t = Hashtbl.create 64 in
-        let order = ref [] in
-        Array.iter
-          (fun p ->
-            let key = Array.to_list (Array.sub p 0 d) in
-            match Hashtbl.find_opt tbl key with
-            | None ->
-                Hashtbl.add tbl key (p.(d), p.(d));
-                order := key :: !order
-            | Some (lo, hi) ->
-                Hashtbl.replace tbl key (min lo p.(d), max hi p.(d)))
-          points;
-        let prefixes = Array.of_list (List.rev_map Array.of_list !order) in
-        let los =
-          Array.map (fun pre -> Rat.of_int (fst (Hashtbl.find tbl (Array.to_list pre)))) prefixes
-        in
-        let his =
-          Array.map (fun pre -> Rat.of_int (snd (Hashtbl.find tbl (Array.to_list pre)))) prefixes
-        in
-        (* prefixes have length d; pad to at least length d for sub *)
-        let padded = Array.map (fun pre -> Array.append pre (Array.make (dim - d) 0)) prefixes in
-        match
-          (fit_affine ~sub_dim:d padded los, fit_affine ~sub_dim:d padded his)
-        with
-        | Some lo_f, Some hi_f -> bnds.(d) <- (lo_f, hi_f)
-        | _ -> ok := false
+    let rec fit_from d =
+      if d = dim then Some { bnds }
+      else begin
+        let first, _, lo, hi = prefix_ranges points d in
+        (* one point per prefix; [fit_affine] reads only its first [d]
+           coordinates *)
+        let reps = Array.map (fun i -> points.(i)) first in
+        match fit_affine ~sub_dim:d reps lo with
+        | None -> None
+        | Some lo_f -> (
+            match fit_affine ~sub_dim:d reps hi with
+            | None -> None
+            | Some hi_f ->
+                bnds.(d) <- (lo_f, hi_f);
+                fit_from (d + 1))
       end
-    done;
-    if !ok then Some { bnds } else None
+    in
+    fit_from 0
   end
 
 (* Count the integer points implied by the nest, aborting early past
@@ -143,8 +190,8 @@ let implied_count ~dim nest ~limit =
     if d = dim then 1
     else begin
       let lo_f, hi_f = nest.bnds.(d) in
-      let lo = Rat.ceil (A.eval lo_f prefix) in
-      let hi = Rat.floor (A.eval hi_f prefix) in
+      let lo = A.ceil_int lo_f prefix in
+      let hi = A.floor_int hi_f prefix in
       (* bound the sheer iteration count too: extrapolated bounds on
          prefixes absent from the data can span huge empty ranges *)
       if hi - lo > limit then raise Too_many;
@@ -161,16 +208,6 @@ let implied_count ~dim nest ~limit =
     end
   in
   try Some (go 0) with Too_many -> None
-
-let point_in_nest ~dim nest p =
-  let ok = ref true in
-  for d = 0 to dim - 1 do
-    let lo_f, hi_f = nest.bnds.(d) in
-    let c = Rat.of_int p.(d) in
-    if Rat.compare c (A.eval lo_f p) < 0 || Rat.compare c (A.eval hi_f p) > 0
-    then ok := false
-  done;
-  !ok
 
 let nest_to_polyhedron ~dim nest =
   let cons = ref [] in
@@ -204,22 +241,16 @@ let fit_segment ?(strict = true) ~dim ~label_dim (points : int array array)
     match fit_domain ~dim pts with
     | None -> None
     | Some nest ->
-        if not (Array.for_all (point_in_nest ~dim nest) pts) then None
-        else if implied_count ~dim nest ~limit:len <> Some len then None
+        (* every point lies in the nest: each bound was verified against
+           the min / max of every prefix group; so the nest is exact iff
+           it holds no other integer point *)
+        if implied_count ~dim nest ~limit:len <> Some len then None
         else begin
-          let fit_label k =
-            fit_affine ~sub_dim:dim pts
-              (Array.map (fun l -> Rat.of_int l.(k)) lbs)
+          let lfs =
+            Array.init label_dim (fun k ->
+                fit_affine ~sub_dim:dim pts (Array.map (fun l -> l.(k)) lbs))
           in
-          let lfs = Array.init label_dim fit_label in
-          if Array.for_all Option.is_some lfs then
-            Some
-              { dom = nest_to_polyhedron ~dim nest;
-                labels = lfs;
-                exact = true;
-                points = len;
-                under = None }
-          else if strict then None
+          if strict && not (Array.for_all Option.is_some lfs) then None
           else
             Some
               { dom = nest_to_polyhedron ~dim nest;
@@ -237,8 +268,7 @@ let box_piece ~dim ~label_dim (points : int array array)
   in
   let lfs =
     Array.init label_dim (fun k ->
-        fit_affine ~sub_dim:dim points
-          (Array.map (fun l -> Rat.of_int l.(k)) labels))
+        fit_affine ~sub_dim:dim points (Array.map (fun l -> l.(k)) labels))
   in
   (* under-approximation: the longest exactly-foldable prefix of the
      stream certifies an inner region that is definitely iterated *)
@@ -265,65 +295,60 @@ let box_piece ~dim ~label_dim (points : int array array)
    This captures the classic boundary pieces of dependence relations —
    e.g. a reduction whose first inner iteration reads the previous outer
    iteration's result (paper Table 2: the I4->I4 dependence holds on
-   ck >= 1 only). *)
-let split_boundary_iteration ~last part d =
-  let extremes : (int list, int) Hashtbl.t = Hashtbl.create 64 in
-  let better a b = if last then a > b else a < b in
-  List.iter
-    (fun ((p : int array), _) ->
-      let key = Array.to_list (Array.sub p 0 d) in
-      match Hashtbl.find_opt extremes key with
-      | None -> Hashtbl.add extremes key p.(d)
-      | Some m -> if better p.(d) m then Hashtbl.replace extremes key p.(d))
-    part;
+   ck >= 1 only).  [part] holds indices into [points]; both halves keep
+   its order. *)
+let split_boundary_iteration ~last points part d =
+  let pts = Array.map (fun i -> points.(i)) part in
+  let _, group, lo, hi = prefix_ranges pts d in
+  let extreme = if last then hi else lo in
   let boundary = ref [] and rest = ref [] in
-  List.iter
-    (fun ((p : int array), l) ->
-      let m = Hashtbl.find extremes (Array.to_list (Array.sub p 0 d)) in
-      if p.(d) = m then boundary := (p, l) :: !boundary
-      else rest := (p, l) :: !rest)
-    part;
-  (List.rev !boundary, List.rev !rest)
+  for k = Array.length part - 1 downto 0 do
+    if pts.(k).(d) = extreme.(group.(k)) then boundary := part.(k) :: !boundary
+    else rest := part.(k) :: !rest
+  done;
+  (Array.of_list !boundary, Array.of_list !rest)
 
 let fold_exact ?(boundary_splits = true) ~dim ~label_dim ~max_pieces points
     labels =
   let n = Array.length points in
   if n = 0 then []
   else
-    let fit_list part =
-      let pts = Array.of_list (List.map fst part) in
-      let lbs = Array.of_list (List.map snd part) in
-      fit_segment ~dim ~label_dim pts lbs 0 (Array.length pts)
+    let fit_part part =
+      fit_segment ~dim ~label_dim
+        (Array.map (fun i -> points.(i)) part)
+        (Array.map (fun i -> labels.(i)) part)
+        0 (Array.length part)
     in
     (* recursive boundary splitting, innermost dimension first, with a
-       small budget (up to 4 pieces) *)
-    let rec fit_with_splits part budget =
-      match fit_list part with
+       small budget (up to 4 pieces); [split] is tried once the whole
+       of [part] failed to fit *)
+    let rec split part budget =
+      let rec go d last =
+        if d < 0 then if last then None else go (dim - 1) true
+        else begin
+          let first, rest = split_boundary_iteration ~last points part d in
+          if Array.length first = 0 || Array.length rest = 0 then go (d - 1) last
+          else
+            match fit_with_splits first (budget - 1) with
+            | None -> go (d - 1) last
+            | Some a -> (
+                match fit_with_splits rest (budget - 1) with
+                | Some b -> Some (a @ b)
+                | None -> go (d - 1) last)
+        end
+      in
+      go (dim - 1) false
+    and fit_with_splits part budget =
+      match fit_part part with
       | Some p -> Some [ p ]
-      | None when budget > 0 ->
-          let rec go d last =
-            if d < 0 then if last then None else go (dim - 1) true
-            else begin
-              let first, rest = split_boundary_iteration ~last part d in
-              if first = [] || rest = [] then go (d - 1) last
-              else
-                match
-                  ( fit_with_splits first (budget - 1),
-                    fit_with_splits rest (budget - 1) )
-                with
-                | Some a, Some b -> Some (a @ b)
-                | _ -> go (d - 1) last
-            end
-          in
-          go (dim - 1) false
+      | None when budget > 0 -> split part budget
       | None -> None
     in
-    let all = Array.to_list (Array.mapi (fun k p -> (p, labels.(k))) points) in
     match fit_segment ~dim ~label_dim points labels 0 n with
     | Some p -> [ p ]
     | None ->
     match
-      if dim > 0 && boundary_splits then fit_with_splits all 2 else None
+      if dim > 0 && boundary_splits then split (Array.init n Fun.id) 2 else None
     with
     | Some ps -> ps
     | None ->
@@ -423,7 +448,6 @@ module Collector = struct
 
   let switch_to_approx t buf =
     let points, labels = to_arrays buf in
-    let n = Array.length points in
     let lo = Array.copy points.(0) and hi = Array.copy points.(0) in
     Array.iter
       (fun p ->
@@ -433,11 +457,9 @@ module Collector = struct
             if v > hi.(k) then hi.(k) <- v)
           p)
       points;
-    ignore n;
     let lfs =
       Array.init t.label_dim (fun k ->
-          fit_affine ~sub_dim:t.dim points
-            (Array.map (fun l -> Rat.of_int l.(k)) labels))
+          fit_affine ~sub_dim:t.dim points (Array.map (fun l -> l.(k)) labels))
     in
     let st = { lo; hi; labels = lfs } in
     t.mode <- Approx st;
@@ -452,19 +474,16 @@ module Collector = struct
         buf := (coords, label) :: !buf;
         if t.n >= t.cap then ignore (switch_to_approx t buf)
     | Approx st ->
-        Array.iteri
-          (fun k v ->
-            if v < st.lo.(k) then st.lo.(k) <- v;
-            if v > st.hi.(k) then st.hi.(k) <- v)
-          coords;
-        Array.iteri
-          (fun k f ->
-            match f with
-            | Some f ->
-                if not (Rat.equal (A.eval f coords) (Rat.of_int label.(k)))
-                then st.labels.(k) <- None
-            | None -> ())
-          st.labels
+        for k = 0 to t.dim - 1 do
+          let v = coords.(k) in
+          if v < st.lo.(k) then st.lo.(k) <- v;
+          if v > st.hi.(k) then st.hi.(k) <- v
+        done;
+        for k = 0 to t.label_dim - 1 do
+          match st.labels.(k) with
+          | Some f -> if A.compare_int f coords label.(k) <> 0 then st.labels.(k) <- None
+          | None -> ()
+        done
 
   let box_of_bounds dim lo hi =
     let cons = ref [] in

@@ -33,6 +33,61 @@ let eval_rat t x =
 
 let eval t x = eval_rat t (Array.map Rat.of_int x)
 
+(* Integer form: [t(x) = (sum_k icoef_k x_k + iconst) / iden], where
+   [iden > 0] is the lcm of the denominators and
+   [icoef_k = num_k * (iden / den_k)], evaluated in checked native ints.
+   Only the first [dim t] coordinates of [x] are read.  On
+   [Rat.Overflow], [compare_int] / [floor_int] / [ceil_int] redo that one
+   evaluation with [eval]. *)
+let common_den t =
+  let d = ref t.const.den in
+  for k = 0 to Array.length t.coeffs - 1 do
+    let c = t.coeffs.(k) in
+    if c.den <> 1 then d := Rat.lcm !d c.den
+  done;
+  !d
+
+let[@inline] scaled_coeff den (c : Rat.t) =
+  if den = 1 then c.num else Rat.int_mul c.num (den / c.den)
+
+(* [den * t(x)], given [den = common_den t] *)
+let scaled_eval t den x =
+  let acc = ref (scaled_coeff den t.const) in
+  for k = 0 to Array.length t.coeffs - 1 do
+    acc := Rat.int_add !acc (Rat.int_mul (scaled_coeff den t.coeffs.(k)) x.(k))
+  done;
+  !acc
+
+let compare_int t x v =
+  match
+    let den = common_den t in
+    Int.compare (scaled_eval t den x) (Rat.int_mul v den)
+  with
+  | c -> c
+  | exception Rat.Overflow ->
+      let e = eval t x in
+      if Rat.is_integer e then Int.compare e.num v
+      else if Rat.floor e >= v then 1
+      else -1
+
+let floor_int t x =
+  match
+    let den = common_den t in
+    let s = scaled_eval t den x in
+    if s mod den < 0 then (s / den) - 1 else s / den
+  with
+  | f -> f
+  | exception Rat.Overflow -> Rat.floor (eval t x)
+
+let ceil_int t x =
+  match
+    let den = common_den t in
+    let s = scaled_eval t den x in
+    if s mod den > 0 then (s / den) + 1 else s / den
+  with
+  | c -> c
+  | exception Rat.Overflow -> Rat.ceil (eval t x)
+
 let equal a b =
   dim a = dim b
   && Rat.equal a.const b.const

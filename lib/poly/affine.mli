@@ -18,6 +18,20 @@ val scale : Rat.t -> t -> t
 val neg : t -> t
 val eval : t -> int array -> Rat.t
 val eval_rat : t -> Rat.t array -> Rat.t
+
+(** Allocation-free evaluation at integer points, for per-point checks.
+    [t] is brought to a common denominator and evaluated in checked
+    native ints; an evaluation that would overflow is redone with
+    {!eval} (which may itself raise [Rat.Overflow]).  Only the first
+    [dim t] coordinates of the point are read, so a longer point (a
+    full iteration vector for a bound over its prefix) needs no copy. *)
+
+val compare_int : t -> int array -> int -> int
+(** [compare_int t x v] is the sign of [t(x) - v]: negative, zero or
+    positive. *)
+
+val floor_int : t -> int array -> int
+val ceil_int : t -> int array -> int
 val equal : t -> t -> bool
 val is_constant : t -> bool
 val is_integral : t -> bool

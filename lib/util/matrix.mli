@@ -33,8 +33,11 @@ val solve : t -> Rat.t array -> Rat.t array option
     inconsistent.  When the system is under-determined, free variables are
     set to zero (a minimal solution is returned). *)
 
-val affine_fit : int array array -> Rat.t array -> (Rat.t array * Rat.t) option
+val affine_fit : int array array -> int array -> (Rat.t array * Rat.t) option
 (** [affine_fit points values] finds coefficients [c] and constant [d]
     such that for every sample [i], [sum_k c.(k) * points.(i).(k) + d =
     values.(i)]; returns [None] if no affine function interpolates the
-    samples.  [points] must be non-empty and rectangular. *)
+    samples.  [points] must be non-empty and rectangular.  The answer is
+    the one [solve] gives on the Rat system (free unknowns 0), computed
+    by fraction-free elimination in native ints, with the Rat solve as
+    the fallback when an intermediate overflows. *)

@@ -5,13 +5,31 @@ exception Division_by_zero
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-let mul_checked a b =
+let int_mul_slow a b =
   if a = 0 || b = 0 then 0
   else
     let p = a * b in
-    if p / b <> a then raise Overflow else p
+    (* min_int / -1 wraps back to min_int, so that product needs its own test *)
+    if p / b <> a || (a = min_int && b = -1) then
+      raise_notrace Overflow
+    else p
 
-let lcm a b = if a = 0 || b = 0 then 0 else abs (mul_checked (a / gcd a b) b)
+(* |a|, |b| < 2^30 cannot overflow a 63-bit product: the common case
+   skips the division. *)
+let[@inline] int_mul a b =
+  if a < 0x4000_0000 && a > -0x4000_0000 && b < 0x4000_0000 && b > -0x4000_0000
+  then a * b
+  else int_mul_slow a b
+
+let[@inline] int_add a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then raise_notrace Overflow else s
+
+let[@inline] int_sub a b =
+  let s = a - b in
+  if (a lxor b) land (a lxor s) < 0 then raise_notrace Overflow else s
+
+let lcm a b = if a = 0 || b = 0 then 0 else abs (int_mul (a / gcd a b) b)
 
 let make num den =
   if den = 0 then raise Division_by_zero;
@@ -31,12 +49,12 @@ let add a b =
   let g = gcd a.den b.den in
   let da = a.den / g and db = b.den / g in
   (* a.num/ (g*da) + b.num/(g*db) = (a.num*db + b.num*da) / (g*da*db) *)
-  let n = mul_checked a.num db + mul_checked b.num da in
-  make n (mul_checked (mul_checked g da) db)
+  let n = int_add (int_mul a.num db) (int_mul b.num da) in
+  make n (int_mul (int_mul g da) db)
 
 let neg a = { a with num = -a.num }
 let sub a b = add a (neg b)
-let mul a b = make (mul_checked a.num b.num) (mul_checked a.den b.den)
+let mul a b = make (int_mul a.num b.num) (int_mul a.den b.den)
 
 let inv a =
   if a.num = 0 then raise Division_by_zero;
@@ -47,7 +65,7 @@ let abs a = { a with num = Stdlib.abs a.num }
 
 let compare a b =
   (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den *)
-  Stdlib.compare (mul_checked a.num b.den) (mul_checked b.num a.den)
+  Stdlib.compare (int_mul a.num b.den) (int_mul b.num a.den)
 
 let equal a b = a.num = b.num && a.den = b.den
 let min a b = if compare a b <= 0 then a else b

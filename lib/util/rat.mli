@@ -4,7 +4,7 @@
     positive and numerator and denominator are coprime.  Native [int]
     (63-bit) precision is sufficient for the small coefficients occurring
     in folded dependence polyhedra; operations raise [Overflow] if an
-    intermediate product would wrap. *)
+    intermediate sum or product would wrap. *)
 
 type t = private { num : int; den : int }
 
@@ -57,3 +57,10 @@ val gcd : int -> int -> int
 (** Non-negative greatest common divisor; [gcd 0 0 = 0]. *)
 
 val lcm : int -> int -> int
+
+val int_add : int -> int -> int
+val int_sub : int -> int -> int
+val int_mul : int -> int -> int
+(** Native-int [+], [-] and [*] that raise [Overflow] instead of wrapping:
+    the building blocks of the integer fast paths in {!Matrix} and
+    [Minisl.Affine]. *)

@@ -284,6 +284,121 @@ let prop_fold_covers =
       let pieces = Fold.fold_points ~dim:1 ~label_dim:1 pts in
       covers pieces pts)
 
+(* Enumeration oracle: fold a random union of 1-3 affine nests (1-3
+   dims, rectangular / triangular / trapezoidal bounds, an outer stride
+   of 1 or 2, random affine labels shared by all nests or one per nest),
+   executed one after another or interleaved under a shared outer loop.
+   Every exact piece must enumerate to exactly the input points inside
+   its domain, as many as it claims, and every label fit must reproduce
+   those points' labels.  Exact pieces are disjoint, and the pieces
+   cover the input. *)
+
+type gnest = {
+  g_bounds : (int * int * int * int) array;
+      (* per dim d: lo = a * c_{d-1} + b and hi = lo + w + s * c_{d-1}
+         (c_{-1} = 0): a rectangle, triangle or trapezoid *)
+  g_label : int array array;  (* per component: coefficients then constant *)
+}
+
+let nest_points ~stride dim g =
+  let pts = ref [] in
+  let rec go d prefix =
+    if d = dim then pts := Array.of_list (List.rev prefix) :: !pts
+    else begin
+      let a, b, w, s = g.g_bounds.(d) in
+      let prev = match prefix with c :: _ -> c | [] -> 0 in
+      let lo = (a * prev) + b in
+      let step = if d = 0 then stride else 1 in
+      for k = 0 to (w + (s * prev)) / step do
+        go (d + 1) ((lo + (k * step)) :: prefix)
+      done
+    end
+  in
+  go 0 [];
+  List.rev !pts
+
+let eval_label g p =
+  Array.map
+    (fun cs ->
+      let v = ref cs.(Array.length p) in
+      Array.iteri (fun k x -> v := !v + (cs.(k) * x)) p;
+      !v)
+    g.g_label
+
+let gen_union =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun dim ->
+    int_range 0 2 >>= fun label_dim ->
+    let gen_nest =
+      map2
+        (fun bounds label -> { g_bounds = Array.of_list bounds; g_label = Array.of_list label })
+        (list_repeat dim
+           (quad (int_range (-1) 1) (int_range (-4) 6) (int_range 0 4)
+              (int_range 0 1)))
+        (list_repeat label_dim
+           (map Array.of_list (list_repeat (dim + 1) (int_range (-3) 3))))
+    in
+    quad (return (dim, label_dim)) (list_size (int_range 1 3) gen_nest)
+      (pair bool bool) (int_range 1 2))
+
+let union_stream ((dim, _), nests, (interleave, shared_label), stride) =
+  let seen = Hashtbl.create 64 in
+  let streams =
+    List.map
+      (fun g ->
+        let lg = if shared_label then List.hd nests else g in
+        List.filter_map
+          (fun p ->
+            if Hashtbl.mem seen p then None
+            else begin
+              Hashtbl.add seen p ();
+              Some (p, eval_label lg p)
+            end)
+          (nest_points ~stride dim g))
+      nests
+  in
+  let all = List.concat streams in
+  (* interleaved nests share the outer loop: execution order is the
+     order of the outer coordinate, each nest's inner order kept *)
+  if interleave then List.stable_sort (fun (a, _) (b, _) -> compare a.(0) b.(0)) all
+  else all
+
+let prop_fold_enumeration_oracle =
+  QCheck.Test.make ~name:"exact pieces enumerate to exactly their points"
+    ~count:500
+    (QCheck.make gen_union)
+    (fun ((((dim, label_dim), _, _, _) as u)) ->
+      let pts = union_stream u in
+      QCheck.assume (pts <> []);
+      let label_of = Hashtbl.create 64 in
+      List.iter (fun (p, l) -> Hashtbl.replace label_of p l) pts;
+      let pieces = Fold.fold_points ~dim ~label_dim pts in
+      let claimed = Hashtbl.create 64 in
+      let exact_ok =
+        List.for_all
+          (fun (p : Fold.piece) ->
+            (not p.Fold.exact)
+            ||
+            let inside = P.integer_points p.Fold.dom in
+            List.length inside = p.Fold.points
+            && List.for_all
+                 (fun c ->
+                   (not (Hashtbl.mem claimed c))
+                   && (Hashtbl.add claimed c ();
+                       match Hashtbl.find_opt label_of c with
+                       | None -> false
+                       | Some l ->
+                           Array.for_all2
+                             (fun f lv ->
+                               match f with
+                               | Some f -> Rat.equal (A.eval f c) (Rat.of_int lv)
+                               | None -> true)
+                             p.Fold.labels l))
+                 inside)
+          pieces
+      in
+      exact_ok && covers pieces pts)
+
 let () =
   Alcotest.run "fold"
     [ ( "exact",
@@ -308,4 +423,5 @@ let () =
             test_under_approximation ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_fold_rect_roundtrip; prop_fold_covers ] ) ]
+          [ prop_fold_rect_roundtrip; prop_fold_covers;
+            prop_fold_enumeration_oracle ] ) ]

@@ -2,6 +2,7 @@
 
 module Rat = Pp_util.Rat
 module M = Pp_util.Matrix
+module A = Minisl.Affine
 
 let r = Rat.of_int
 
@@ -50,7 +51,7 @@ let test_solve_underdetermined () =
 let test_affine_fit_exact () =
   (* f(x, y) = 2x - 3y + 7 *)
   let pts = [| [| 0; 0 |]; [| 1; 0 |]; [| 0; 1 |]; [| 5; 3 |] |] in
-  let vals = Array.map (fun p -> r ((2 * p.(0)) - (3 * p.(1)) + 7)) pts in
+  let vals = Array.map (fun p -> (2 * p.(0)) - (3 * p.(1)) + 7) pts in
   match M.affine_fit pts vals with
   | None -> Alcotest.fail "fit failed"
   | Some (coeffs, const) ->
@@ -60,13 +61,13 @@ let test_affine_fit_exact () =
 
 let test_affine_fit_rejects_nonaffine () =
   let pts = [| [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |] |] in
-  let vals = Array.map (fun p -> r (p.(0) * p.(0))) pts in
+  let vals = Array.map (fun p -> p.(0) * p.(0)) pts in
   Alcotest.(check bool) "x^2 is not affine" true (M.affine_fit pts vals = None)
 
 let test_affine_fit_rational () =
   (* f(x) = x/2 *)
   let pts = [| [| 0 |]; [| 2 |]; [| 4 |] |] in
-  let vals = [| r 0; r 1; r 2 |] in
+  let vals = [| 0; 1; 2 |] in
   match M.affine_fit pts vals with
   | None -> Alcotest.fail "fit failed"
   | Some (coeffs, const) ->
@@ -101,6 +102,121 @@ let prop_solve_correct =
           done;
           !ok)
 
+(* The Rat reference for [affine_fit]: Gauss-Jordan on the Rat system
+   [c . x_i + d = v_i], free unknowns 0, checked against every sample. *)
+let affine_fit_rat points values =
+  let n = Array.length points and dims = Array.length points.(0) in
+  let a = M.create ~rows:n ~cols:(dims + 1) in
+  Array.iteri
+    (fun i p ->
+      Array.iteri (fun k x -> M.set a i k (r x)) p;
+      M.set a i dims Rat.one)
+    points;
+  let values = Array.map r values in
+  match M.solve a values with
+  | None -> None
+  | Some x ->
+      let interpolates i p =
+        let acc = ref x.(dims) in
+        Array.iteri (fun k c -> acc := Rat.add !acc (Rat.mul x.(k) (r c))) p;
+        Rat.equal !acc values.(i)
+      in
+      let ok = ref true in
+      Array.iteri (fun i p -> if not (interpolates i p) then ok := false) points;
+      if !ok then Some (Array.sub x 0 dims, x.(dims)) else None
+
+let same_fit a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (c, d), Some (c', d') ->
+      Array.length c = Array.length c'
+      && Array.for_all2 Rat.equal c c' && Rat.equal d d'
+  | _ -> false
+
+(* Random small systems: affine data (consistent), data with one
+   perturbed value (often inconsistent), repeated or collinear samples
+   (rank-deficient), and samples scaled near 2^40 so the fraction-free
+   elimination overflows and falls back to Rat. *)
+let gen_system =
+  QCheck.Gen.(
+    quad (int_range 1 5) (int_range 0 3) (int_range 0 4) (int_bound 1_000_000)
+    >|= fun (n, dims, kind, seed) ->
+    let st = Random.State.make [| seed |] in
+    let small () = Random.State.int st 9 - 4 in
+    let scale = if kind = 4 then 1 lsl 40 else 1 in
+    let base = Array.init n (fun _ -> Array.init dims (fun _ -> scale * small ())) in
+    let points =
+      if kind = 2 then Array.init n (fun i -> base.(i / 2))
+      else if kind = 3 then
+        Array.init n (fun i -> Array.map (fun x -> (i + 1) * x) base.(0))
+      else base
+    in
+    let c = Array.init dims (fun _ -> small ()) and d = small () in
+    let values =
+      Array.map
+        (fun p ->
+          let v = ref d in
+          Array.iteri (fun k x -> v := !v + (c.(k) * x)) p;
+          !v)
+        points
+    in
+    if kind = 1 then values.(n - 1) <- values.(n - 1) + 1 + Random.State.int st 3;
+    (points, values))
+
+let prop_affine_fit_int_is_rat =
+  QCheck.Test.make ~name:"integer affine_fit = Rat solve" ~count:1000
+    (QCheck.make gen_system) (fun (points, values) ->
+      match affine_fit_rat points values with
+      | exception Rat.Overflow -> true
+      | expected -> same_fit (M.affine_fit points values) expected)
+
+(* Coordinates, values and constants near +-2^61, where the common-
+   denominator form overflows native ints, next to small ones; the
+   coordinates are multiples of 60 so the Rat evaluation often still
+   fits and the fallback is compared for real. *)
+let gen_affine_point =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun dim ->
+    let big = oneof [ int_range (-50) 50; map (fun k -> (1 lsl 61) - k) (int_bound 1000);
+                      map (fun k -> k - (1 lsl 61)) (int_bound 1000) ] in
+    let rat = map2 Rat.make (int_range (-3) 3) (oneofl [ 1; 2; 3; 5; 6 ]) in
+    quad
+      (array_repeat dim rat)
+      (map2 (fun c b -> Rat.add c (Rat.of_int (if abs b > 50 then b / 4 else b))) rat big)
+      (array_repeat dim (map (fun x -> 60 * (x / 60)) big))
+      big)
+
+let prop_affine_int_eval =
+  QCheck.Test.make ~name:"compare_int / floor_int / ceil_int = Rat eval"
+    ~count:2000 (QCheck.make gen_affine_point) (fun (coeffs, const, x, v) ->
+      let f = A.make coeffs const in
+      match A.eval f x with
+      | exception Rat.Overflow -> true
+      | e -> (
+          A.floor_int f x = Rat.floor e
+          && A.ceil_int f x = Rat.ceil e
+          &&
+          match Rat.compare e (r v) with
+          | exception Rat.Overflow -> true
+          | c -> Int.compare c 0 = Int.compare (A.compare_int f x v) 0))
+
+let test_affine_int_fallback () =
+  let big = 1 lsl 61 in
+  (* the common-denominator form needs 2 * 2^61 or 15 * (3 * 2^59):
+     both overflow native ints, so these go through the Rat fallback *)
+  let half = A.make [| Rat.make 1 2 |] Rat.zero in
+  Alcotest.(check int) "x/2 vs 2^61" (-1) (A.compare_int half [| big |] big);
+  Alcotest.(check int) "x/2 vs 2^60" 0 (A.compare_int half [| big |] (big / 2));
+  let thirds = A.make [| Rat.make 1 3; Rat.make 1 5 |] Rat.zero in
+  let x = [| 3 * (big / 4); 5 |] in
+  Alcotest.(check int) "floor" ((big / 4) + 1) (A.floor_int thirds x);
+  Alcotest.(check int) "ceil" ((big / 4) + 1) (A.ceil_int thirds x);
+  Alcotest.(check int) "compare" 0 (A.compare_int thirds x ((big / 4) + 1));
+  (* an overflow the Rat evaluation shares still raises *)
+  let sum = A.of_int_coeffs [| 1; 1 |] 0 in
+  Alcotest.check_raises "x + y past max_int" Rat.Overflow (fun () ->
+      ignore (A.compare_int sum [| big; big |] 0))
+
 let () =
   Alcotest.run "matrix"
     [ ( "unit",
@@ -116,4 +232,9 @@ let () =
             test_affine_fit_rejects_nonaffine;
           Alcotest.test_case "affine fit rational" `Quick test_affine_fit_rational
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_solve_correct ]) ]
+      ("properties", [ QCheck_alcotest.to_alcotest prop_solve_correct ]);
+      ( "int fast paths",
+        Alcotest.test_case "affine eval overflow falls back to Rat" `Quick
+          test_affine_int_fallback
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_affine_fit_int_is_rat; prop_affine_int_eval ] ) ]

@@ -105,19 +105,19 @@ let tables_1_and_2 () =
     | Vm.Event.Jump _ -> ());
     List.iter (fun e -> Ddg.Iiv.update iiv e) (Ddg.Loop_events.feed levents ev)
   in
+  (* origins are tagged with the producer's sid *)
   let on_exec (e : Vm.Event.exec) =
     let coords = Ddg.Iiv.coords iiv in
-    let ctx = Ddg.Iiv.context_id iiv in
     let record (o : Ddg.Shadow.origin) =
       if
         Vm.Isa.Sid.fid e.sid = kernel_fid
-        && Vm.Isa.Sid.fid o.o_sid = kernel_fid
+        && Vm.Isa.Sid.fid o.o_tag = kernel_fid
         && Array.length o.o_coords = 2
         && Array.length coords = 2
       then begin
         let key =
           Printf.sprintf "I%d -> I%d"
-            (Vm.Isa.Sid.idx o.o_sid + 1)
+            (Vm.Isa.Sid.idx o.o_tag + 1)
             (Vm.Isa.Sid.idx e.sid + 1)
         in
         let cell =
@@ -143,15 +143,12 @@ let tables_1_and_2 () =
         | Some o -> record o
         | None -> ())
     | None -> ());
+    let origin = { Ddg.Shadow.o_tag = e.sid; o_coords = coords } in
     (match e.addr_written with
-    | Some addr ->
-        Ddg.Shadow.write_mem shadow ~addr
-          { o_sid = e.sid; o_ctx = ctx; o_coords = coords }
+    | Some addr -> Ddg.Shadow.write_mem shadow ~addr origin
     | None -> ());
     match e.writes with
-    | Some reg ->
-        Ddg.Shadow.write_reg shadow ~reg
-          { o_sid = e.sid; o_ctx = ctx; o_coords = coords }
+    | Some reg -> Ddg.Shadow.write_reg shadow ~reg origin
     | None -> ()
   in
   let (_ : Vm.Interp.stats) =

@@ -120,21 +120,43 @@ let loop_trip ~base ~coefs (coords : int array) =
   Array.iteri (fun i c -> t := !t + (c * coords.(i))) coefs;
   max 0 !t
 
+(* The engine numbers statements densely in first-execution order; a
+   shadow origin's tag is its producer's index, so a dependence never
+   needs the producer's [stmt_key] until its record is created. *)
 type stmt_rec = {
+  r_sk : stmt_key;
+  r_idx : int;  (* dense index: position in [stmt_arr] *)
   collector : Fold.Collector.t;
   mutable count : int;
   r_cls : Vm.Isa.op_class;
   r_label : label_kind;
+  r_pruned : static_access option;  (* the static plan's entry for the sid *)
   mutable poisoned : bool;  (* saw a label of the wrong shape *)
   r_depth : int;
 }
 
 type dep_rec = {
+  dr_dk : dep_key;
+  dr_src : int;  (* producer's statement index *)
+  dr_dst : int;  (* consumer's statement index *)
   d_collector : Fold.Collector.t;
   mutable d_n : int;
   dr_src_depth : int;
   dr_dst_depth : int;
 }
+
+(* Table keys, injective by construction.  A statement key packs the
+   context id (below [Iiv.max_contexts] = 2^26) above the 36-bit
+   [Vm.Isa.Sid.t]; a dependence key packs two statement indices (below
+   [max_stmts] = 2^30, checked where an index is issued) above the
+   2-bit kind.  Both stay below 2^62, so they are non-negative ints.
+   A witness guard's key packs its function id above its block id. *)
+let sid_bits = 36
+let max_stmts = 1 lsl 30
+let stmt_table_key ~ctx ~sid = (ctx lsl sid_bits) lor sid
+let block_key ~fid ~block = (fid lsl 32) lor block
+let kind_code = function Reg_dep -> 0 | Mem_dep -> 1 | Out_dep -> 2
+let dep_table_key ~src ~dst kind = (src lsl 32) lor (dst lsl 2) lor kind_code kind
 
 type witness_state = {
   ws_w : witness;
@@ -169,11 +191,13 @@ type engine = {
   e_stree : Sched_tree.t;
   e_cct : Cct.t;
   shadow : Shadow.t;
-  stmts : (stmt_key, stmt_rec) Hashtbl.t;
-  deps : (dep_key, dep_rec) Hashtbl.t;
+  stmts : stmt_rec Int_tbl.t;  (* by [stmt_table_key] *)
+  mutable stmt_arr : stmt_rec array;  (* by dense index; [n_stmts] used *)
+  mutable n_stmts : int;
+  deps : dep_rec Int_tbl.t;  (* by [dep_table_key] *)
   e_prune : static_plan option;
-  e_witness : (int * int, witness_state list) Hashtbl.t;
-      (* (fid, guard block) -> probes on that guard's branch *)
+  e_witness : witness_state list Int_tbl.t;
+      (* [block_key] of the guard -> probes on that guard's branch *)
   mutable n_pruned : int;  (* accesses whose shadow tracking was skipped *)
   mutable seq : int;  (* exec events seen *)
   mutable peak_shadow : int;
@@ -181,15 +205,15 @@ type engine = {
 
 let make_engine ?(config = default_config) ?static_prune prog ~structure =
   Iiv.reset_intern_table ();
-  let e_witness = Hashtbl.create 8 in
+  let e_witness = Int_tbl.create 8 in
   (match static_prune with
   | Some p ->
       List.iter
         (fun w ->
-          let key = (w.w_fid, w.w_guard) in
-          Hashtbl.replace e_witness key
+          let key = block_key ~fid:w.w_fid ~block:w.w_guard in
+          Int_tbl.replace e_witness key
             ({ ws_w = w; ws_hits = 0; ws_misses = 0 }
-            :: Option.value ~default:[] (Hashtbl.find_opt e_witness key)))
+            :: Option.value ~default:[] (Int_tbl.find_opt e_witness key)))
         p.sp_witnesses
   | None -> ());
   { e_config = config;
@@ -200,8 +224,10 @@ let make_engine ?(config = default_config) ?static_prune prog ~structure =
     e_stree = Sched_tree.create ();
     e_cct = Cct.create ~main:prog.Vm.Prog.main;
     shadow = Shadow.create ();
-    stmts = Hashtbl.create 512;
-    deps = Hashtbl.create 512;
+    stmts = Int_tbl.create 512;
+    stmt_arr = [||];
+    n_stmts = 0;
+    deps = Int_tbl.create 512;
     e_prune = static_prune;
     e_witness;
     n_pruned = 0;
@@ -211,9 +237,7 @@ let make_engine ?(config = default_config) ?static_prune prog ~structure =
 let apply_levent e ev =
   Iiv.update e.iiv ev;
   match ev with
-  | Loop_events.Iterate _ ->
-      let ctx_key = Iiv.context_id e.iiv in
-      Sched_tree.record_iteration e.e_stree ~ctx_key (Iiv.context e.iiv)
+  | Loop_events.Iterate _ -> Sched_tree.record_iteration e.e_stree e.iiv
   | Loop_events.Enter _ | Loop_events.Exit _ | Loop_events.Block _
   | Loop_events.Call_push _ | Loop_events.Ret_pop _ ->
       ()
@@ -226,7 +250,7 @@ let on_control e ev =
   | Vm.Event.Jump { fid; src; dst } -> (
       (* witness probe: every branch of a speculated guard either
          confirms or refutes the speculation *)
-      match Hashtbl.find_opt e.e_witness (fid, src) with
+      match Int_tbl.find_opt e.e_witness (block_key ~fid ~block:src) with
       | Some wss ->
           List.iter
             (fun ws ->
@@ -242,57 +266,100 @@ let on_control e ev =
       | None -> ()));
   List.iter (apply_levent e) (Loop_events.feed e.levents ev)
 
-let stmt_rec_of e ctx sid depth first_value =
-  let key = { s_ctx = ctx; s_sid = sid } in
-  match Hashtbl.find_opt e.stmts key with
-  | Some r -> (key, r)
-  | None ->
-      let r_label =
-        (* an integer-class instruction that turns out to carry a float
-           (e.g. a Mov copying a loaded float) has no integer value to
-           recognise a SCEV on: demote it to label-less *)
-        match (label_kind_of e.e_prog sid, first_value) with
-        | Lvalue, Some (Vm.Event.F _) -> Lnone
-        | k, _ -> k
-      in
-      let label_dim = match r_label with Lnone -> 0 | Lvalue | Laddr -> 1 in
-      let config = e.e_config in
-      let r =
-        { collector =
-            Fold.Collector.create ~cap:config.stmt_cap
-              ~max_pieces:config.max_pieces
-              ~boundary_splits:config.boundary_splits
-              ~per_component:config.per_component_labels ~dim:depth
-              ~label_dim ();
-          count = 0;
-          r_cls =
-            (match Vm.Prog.instr_at e.e_prog sid with
-            | i -> Vm.Isa.class_of_instr i);
-          r_label;
-          poisoned = false;
-          r_depth = depth }
-      in
-      Hashtbl.add e.stmts key r;
-      (key, r)
+let new_stmt_rec e ~key ~ctx ~sid ~depth first_value =
+  let idx = e.n_stmts in
+  if idx >= max_stmts then failwith "Depprof: more than 2^30 statements";
+  let r_label =
+    (* an integer-class instruction that turns out to carry a float
+       (e.g. a Mov copying a loaded float) has no integer value to
+       recognise a SCEV on: demote it to label-less *)
+    match (label_kind_of e.e_prog sid, first_value) with
+    | Lvalue, Some (Vm.Event.F _) -> Lnone
+    | k, _ -> k
+  in
+  let label_dim = match r_label with Lnone -> 0 | Lvalue | Laddr -> 1 in
+  let config = e.e_config in
+  let r =
+    { r_sk = { s_ctx = ctx; s_sid = sid };
+      r_idx = idx;
+      collector =
+        Fold.Collector.create ~cap:config.stmt_cap ~max_pieces:config.max_pieces
+          ~boundary_splits:config.boundary_splits
+          ~per_component:config.per_component_labels ~dim:depth ~label_dim ();
+      count = 0;
+      r_cls = Vm.Isa.class_of_instr (Vm.Prog.instr_at e.e_prog sid);
+      r_label;
+      r_pruned =
+        (match e.e_prune with
+        | None -> None
+        | Some p -> Hashtbl.find_opt p.sp_resolved sid);
+      poisoned = false;
+      r_depth = depth }
+  in
+  if idx = Array.length e.stmt_arr then begin
+    let grown = Array.make (max 64 (2 * idx)) r in
+    Array.blit e.stmt_arr 0 grown 0 idx;
+    e.stmt_arr <- grown
+  end;
+  e.stmt_arr.(idx) <- r;
+  e.n_stmts <- idx + 1;
+  Int_tbl.add e.stmts key r;
+  r
 
-let dep_rec_of e key ~src_depth ~dst_depth =
-  match Hashtbl.find_opt e.deps key with
-  | Some r -> r
-  | None ->
-      let config = e.e_config in
-      let r =
-        { d_collector =
-            Fold.Collector.create ~cap:config.dep_cap
-              ~max_pieces:config.max_pieces
-              ~boundary_splits:config.boundary_splits
-              ~per_component:config.per_component_labels ~dim:dst_depth
-              ~label_dim:src_depth ();
-          d_n = 0;
-          dr_src_depth = src_depth;
-          dr_dst_depth = dst_depth }
-      in
-      Hashtbl.add e.deps key r;
-      r
+let stmt_rec_of e ctx sid depth first_value =
+  let key = stmt_table_key ~ctx ~sid in
+  match Int_tbl.find e.stmts key with
+  | r -> r
+  | exception Not_found -> new_stmt_rec e ~key ~ctx ~sid ~depth first_value
+
+let new_dep_rec config ~(src : stmt_rec) ~(dst : stmt_rec) kind ~src_depth
+    ~dst_depth =
+  { dr_dk =
+      { src_sid = src.r_sk.s_sid;
+        src_ctx = src.r_sk.s_ctx;
+        dst_sid = dst.r_sk.s_sid;
+        dst_ctx = dst.r_sk.s_ctx;
+        kind };
+    dr_src = src.r_idx;
+    dr_dst = dst.r_idx;
+    d_collector =
+      Fold.Collector.create ~cap:config.dep_cap ~max_pieces:config.max_pieces
+        ~boundary_splits:config.boundary_splits
+        ~per_component:config.per_component_labels ~dim:dst_depth
+        ~label_dim:src_depth ();
+    d_n = 0;
+    dr_src_depth = src_depth;
+    dr_dst_depth = dst_depth }
+
+(* One dynamic dependence from the origin's producer to the statement
+   [r] now executing at [coords]. *)
+let record_dep e (r : stmt_rec) coords kind (o : Shadow.origin) =
+  let key = dep_table_key ~src:o.o_tag ~dst:r.r_idx kind in
+  let depth = Array.length coords in
+  let dr =
+    match Int_tbl.find e.deps key with
+    | dr -> dr
+    | exception Not_found ->
+        let dr =
+          new_dep_rec e.e_config ~src:e.stmt_arr.(o.o_tag) ~dst:r kind
+            ~src_depth:(Array.length o.o_coords) ~dst_depth:depth
+        in
+        Int_tbl.add e.deps key dr;
+        dr
+  in
+  dr.d_n <- dr.d_n + 1;
+  if
+    Fold.Collector.dim dr.d_collector = depth
+    && Array.length o.o_coords = dr.dr_src_depth
+  then Fold.Collector.add dr.d_collector coords o.o_coords
+
+let rec record_reg_deps e r coords = function
+  | [] -> ()
+  | reg :: rest ->
+      (match Shadow.last_reg_writer e.shadow ~reg with
+      | Some o -> record_dep e r coords Reg_dep o
+      | None -> ());
+      record_reg_deps e r coords rest
 
 let on_exec e (ex : Vm.Event.exec) =
   let config = e.e_config in
@@ -300,20 +367,15 @@ let on_exec e (ex : Vm.Event.exec) =
   let ctx = Iiv.context_id e.iiv in
   let coords = Iiv.coords e.iiv in
   let depth = Array.length coords in
+  Cct.add_weight e.e_cct 1;
+  Sched_tree.record e.e_stree e.iiv ~weight:1;
+  (* statement domain + label *)
+  let r = stmt_rec_of e ctx ex.sid depth ex.value in
+  r.count <- r.count + 1;
   (* statically pruned access?  shadow-memory tracking is skipped; the
      dependences are injected from the static plan at finalisation *)
-  let pruned_acc =
-    match e.e_prune with
-    | None -> None
-    | Some p -> Hashtbl.find_opt p.sp_resolved ex.sid
-  in
-  let pruned = Option.is_some pruned_acc in
+  let pruned = Option.is_some r.r_pruned in
   if pruned then e.n_pruned <- e.n_pruned + 1;
-  Cct.add_weight e.e_cct 1;
-  Sched_tree.record e.e_stree ~ctx_key:ctx (Iiv.context e.iiv) ~weight:1;
-  (* statement domain + label *)
-  let _, r = stmt_rec_of e ctx ex.sid depth ex.value in
-  r.count <- r.count + 1;
   if Fold.Collector.dim r.collector = depth then begin
     let label =
       match r.r_label with
@@ -330,7 +392,7 @@ let on_exec e (ex : Vm.Event.exec) =
           | None, None -> (
               (* an elided trace drops the addresses of pruned
                  accesses; the static plan reconstructs them *)
-              match pruned_acc with
+              match r.r_pruned with
               | Some sa when Array.length sa.sa_coefs = depth ->
                   let a = ref sa.sa_base in
                   Array.iteri
@@ -346,46 +408,28 @@ let on_exec e (ex : Vm.Event.exec) =
   else r.poisoned <- true;
   (* dependences: consult shadows before recording this instruction's
      own writes *)
-  let record_dep kind (o : Shadow.origin) =
-    let key =
-      { src_sid = o.o_sid; src_ctx = o.o_ctx; dst_sid = ex.sid; dst_ctx = ctx;
-        kind }
-    in
-    let dr =
-      dep_rec_of e key ~src_depth:(Array.length o.o_coords) ~dst_depth:depth
-    in
-    dr.d_n <- dr.d_n + 1;
-    if
-      Fold.Collector.dim dr.d_collector = depth
-      && Array.length o.o_coords = dr.dr_src_depth
-    then Fold.Collector.add dr.d_collector coords o.o_coords
-  in
-  if config.track_reg_deps then
-    List.iter
-      (fun reg ->
-        match Shadow.last_reg_writer e.shadow ~reg with
-        | Some o -> record_dep Reg_dep o
-        | None -> ())
-      ex.reads;
+  if config.track_reg_deps then record_reg_deps e r coords ex.reads;
   (match ex.addr_read with
   | Some addr when not pruned -> (
       match Shadow.last_mem_writer e.shadow ~addr with
-      | Some o -> record_dep Mem_dep o
+      | Some o -> record_dep e r coords Mem_dep o
       | None -> ())
   | Some _ | None -> ());
-  (match ex.addr_written with
-  | Some addr when not pruned ->
-      (if config.track_waw then
-         match Shadow.last_mem_writer e.shadow ~addr with
-         | Some o -> record_dep Out_dep o
-         | None -> ());
-      Shadow.write_mem e.shadow ~addr
-        { o_sid = ex.sid; o_ctx = ctx; o_coords = coords }
-  | Some _ | None -> ());
-  (match ex.writes with
-  | Some reg ->
-      Shadow.write_reg e.shadow ~reg { o_sid = ex.sid; o_ctx = ctx; o_coords = coords }
-  | None -> ());
+  (match (ex.addr_written, ex.writes) with
+  | None, None -> ()
+  | addr_written, writes -> (
+      let origin = { Shadow.o_tag = r.r_idx; o_coords = coords } in
+      (match addr_written with
+      | Some addr when not pruned ->
+          (if config.track_waw then
+             match Shadow.last_mem_writer e.shadow ~addr with
+             | Some o -> record_dep e r coords Out_dep o
+             | None -> ());
+          Shadow.write_mem e.shadow ~addr origin
+      | Some _ | None -> ());
+      match writes with
+      | Some reg -> Shadow.write_reg e.shadow ~reg origin
+      | None -> ()));
   let words = Shadow.n_shadowed_words e.shadow in
   if words > e.peak_shadow then e.peak_shadow <- words
 
@@ -397,7 +441,7 @@ let start e = List.iter (apply_levent e) (Loop_events.start e.levents)
 let finish e = List.iter (apply_levent e) (Loop_events.finish e.levents)
 
 let witness_outcomes e =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun _ wss acc ->
       List.map
         (fun ws ->
@@ -418,28 +462,20 @@ let check_witnesses e =
 (* Finalisation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Indexed like [stmt_arr]. *)
 let stmt_infos_of e =
-  Hashtbl.fold
-    (fun sk r acc ->
+  Array.init e.n_stmts (fun i ->
+      let r = e.stmt_arr.(i) in
       let pieces = Fold.Collector.result r.collector in
       let affine = (not r.poisoned) && Fold.Collector.is_affine r.collector in
-      { sk;
+      { sk = r.r_sk;
         cls = r.r_cls;
         s_count = r.count;
         s_pieces = pieces;
         label_kind = r.r_label;
         is_scev = (r.r_label = Lvalue && affine);
         affine_exact = affine;
-        depth = r.r_depth }
-      :: acc)
-    e.stmts []
-
-let scev_set_of stmt_infos =
-  let scev_set = Hashtbl.create 64 in
-  List.iter
-    (fun s -> if s.is_scev then Hashtbl.replace scev_set (s.sk.s_ctx, s.sk.s_sid) ())
-    stmt_infos;
-  scev_set
+        depth = r.r_depth })
 
 (* Re-derive the dependences the pruned run skipped, by simulating the
    static plan: enumerate the resolved accesses in exact execution order
@@ -451,49 +487,36 @@ let scev_set_of stmt_infos =
    context by construction of the plan (single static call chain). *)
 let simulate_plan e (plan : static_plan) =
   let config = e.e_config in
-  let ctx_of : (Vm.Isa.Sid.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let dyn_count : (Vm.Isa.Sid.t, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (sk : stmt_key) (r : stmt_rec) ->
-      if Hashtbl.mem plan.sp_resolved sk.s_sid then begin
-        (match Hashtbl.find_opt ctx_of sk.s_sid with
-        | Some c when c <> sk.s_ctx ->
-            failwith
-              "Depprof: pruned statement has multiple dynamic contexts"
-        | _ -> Hashtbl.replace ctx_of sk.s_sid sk.s_ctx);
-        Hashtbl.replace dyn_count sk.s_sid
-          (r.count
-          + Option.value ~default:0 (Hashtbl.find_opt dyn_count sk.s_sid))
-      end)
-    e.stmts;
+  (* sid -> index of the statement record of its one dynamic context *)
+  let idx_of = Int_tbl.create 64 in
+  for i = 0 to e.n_stmts - 1 do
+    let sid = e.stmt_arr.(i).r_sk.s_sid in
+    if Hashtbl.mem plan.sp_resolved sid then begin
+      if Int_tbl.mem idx_of sid then
+        failwith "Depprof: pruned statement has multiple dynamic contexts";
+      Int_tbl.add idx_of sid i
+    end
+  done;
   let last : (Vm.Isa.Sid.t * int array) option array =
     Array.make (max 1 plan.sp_mem_size) None
   in
   let sim_count : (Vm.Isa.Sid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let deps : (dep_key, dep_rec) Hashtbl.t = Hashtbl.create 64 in
+  let deps = Int_tbl.create 64 in
   let n_edges = ref 0 in
   let emit kind (src_sid, src_coords) dst_sid dst_coords =
-    match (Hashtbl.find_opt ctx_of src_sid, Hashtbl.find_opt ctx_of dst_sid)
-    with
-    | Some src_ctx, Some dst_ctx ->
-        let key = { src_sid; src_ctx; dst_sid; dst_ctx; kind } in
+    match (Int_tbl.find_opt idx_of src_sid, Int_tbl.find_opt idx_of dst_sid) with
+    | Some src, Some dst ->
+        let key = dep_table_key ~src ~dst kind in
         let dr =
-          match Hashtbl.find_opt deps key with
+          match Int_tbl.find_opt deps key with
           | Some dr -> dr
           | None ->
               let dr =
-                { d_collector =
-                    Fold.Collector.create ~cap:config.dep_cap
-                      ~max_pieces:config.max_pieces
-                      ~boundary_splits:config.boundary_splits
-                      ~per_component:config.per_component_labels
-                      ~dim:(Array.length dst_coords)
-                      ~label_dim:(Array.length src_coords) ();
-                  d_n = 0;
-                  dr_src_depth = Array.length src_coords;
-                  dr_dst_depth = Array.length dst_coords }
+                new_dep_rec config ~src:e.stmt_arr.(src) ~dst:e.stmt_arr.(dst)
+                  kind ~src_depth:(Array.length src_coords)
+                  ~dst_depth:(Array.length dst_coords)
               in
-              Hashtbl.add deps key dr;
+              Int_tbl.add deps key dr;
               dr
         in
         dr.d_n <- dr.d_n + 1;
@@ -554,9 +577,12 @@ let simulate_plan e (plan : static_plan) =
   (* the simulation must cover exactly the executions the run saw:
      a mismatch means a truncated run or an unsound plan — fail loudly
      rather than inject wrong dependences *)
+  let dyn_count sid =
+    match Int_tbl.find_opt idx_of sid with Some i -> e.stmt_arr.(i).count | None -> 0
+  in
   Hashtbl.iter
     (fun sid n ->
-      let m = Option.value ~default:0 (Hashtbl.find_opt dyn_count sid) in
+      let m = dyn_count sid in
       if !n <> m then
         failwith
           (Format.asprintf
@@ -564,11 +590,11 @@ let simulate_plan e (plan : static_plan) =
               performed %d (truncated run?)"
              !n Vm.Isa.Sid.pp sid m))
     sim_count;
-  Hashtbl.iter
-    (fun sid m ->
-      if m > 0 && not (Hashtbl.mem sim_count sid) then
+  Int_tbl.iter
+    (fun sid _ ->
+      if dyn_count sid > 0 && not (Hashtbl.mem sim_count sid) then
         failwith "Depprof: pruned access executed but absent from the plan")
-    dyn_count;
+    idx_of;
   (deps, !n_edges)
 
 let obs_events = Obs.Metrics.counter ~help:"exec events seen by the dependence profiler" "ddg.profile.events"
@@ -576,6 +602,8 @@ let obs_peak_shadow = Obs.Metrics.gauge ~help:"peak shadow-table entries (live t
 let obs_pruned_accesses = Obs.Metrics.counter ~help:"memory accesses skipped by static pruning" "ddg.profile.pruned_accesses"
 let obs_dep_edges = Obs.Metrics.counter ~help:"dynamic dependence edges (before SCEV pruning)" "ddg.result.dep_edges"
 let obs_scev_pruned = Obs.Metrics.counter ~help:"dependence edges dropped by SCEV pruning" "ddg.result.scev_pruned_edges"
+let obs_approx_stmt = Obs.Metrics.counter ~help:"statement collectors folded after spilling into approx mode" "ddg.finalize.approx_stmt"
+let obs_approx_dep = Obs.Metrics.counter ~help:"dependence collectors folded after spilling into approx mode" "ddg.finalize.approx_dep"
 
 let finalize e ~run_stats =
   Obs.Span.with_ ~cat:"ddg" "ddg.finalize" @@ fun () ->
@@ -584,11 +612,11 @@ let finalize e ~run_stats =
   | Some plan when plan.sp_items <> [] ->
       Obs.Span.with_ ~cat:"ddg" "ddg.finalize.inject" @@ fun () ->
       let injected, _ = simulate_plan e plan in
-      Hashtbl.iter
+      Int_tbl.iter
         (fun key dr ->
-          if Hashtbl.mem e.deps key then
+          if Int_tbl.mem e.deps key then
             failwith "Depprof: injected dependence collides with a dynamic one";
-          Hashtbl.add e.deps key dr)
+          Int_tbl.add e.deps key dr)
         injected
   | _ -> ());
   (* fold every statement, then SCEV-prune the dependences (dropping
@@ -596,29 +624,31 @@ let finalize e ~run_stats =
      instruction) and fold the rest *)
   let total_dep_edges = ref 0 in
   let pruned = ref 0 in
+  let approx_dep = ref 0 in
   let stmt_infos, dep_infos =
     Obs.Span.with_ ~cat:"ddg" "ddg.finalize.fold" @@ fun () ->
     let stmt_infos = stmt_infos_of e in
-    let scev_set = scev_set_of stmt_infos in
     ( stmt_infos,
-      Hashtbl.fold
-        (fun dk dr acc ->
+      Int_tbl.fold
+        (fun _ dr acc ->
           total_dep_edges := !total_dep_edges + dr.d_n;
           if
             e.e_config.scev_prune
-            && (Hashtbl.mem scev_set (dk.src_ctx, dk.src_sid)
-               || Hashtbl.mem scev_set (dk.dst_ctx, dk.dst_sid))
+            && (stmt_infos.(dr.dr_src).is_scev || stmt_infos.(dr.dr_dst).is_scev)
           then begin
             pruned := !pruned + dr.d_n;
             acc
           end
-          else
-            { dk;
+          else begin
+            let d_pieces = Fold.Collector.result dr.d_collector in
+            if Fold.Collector.spilled dr.d_collector then incr approx_dep;
+            { dk = dr.dr_dk;
               d_count = dr.d_n;
-              d_pieces = Fold.Collector.result dr.d_collector;
+              d_pieces;
               src_depth = dr.dr_src_depth;
               dst_depth = dr.dr_dst_depth }
-            :: acc)
+            :: acc
+          end)
         e.deps [] )
   in
   if Obs.Registry.enabled () then begin
@@ -626,9 +656,15 @@ let finalize e ~run_stats =
     Obs.Metrics.set_max obs_peak_shadow e.peak_shadow;
     Obs.Metrics.add obs_pruned_accesses e.n_pruned;
     Obs.Metrics.add obs_dep_edges !total_dep_edges;
-    Obs.Metrics.add obs_scev_pruned !pruned
+    Obs.Metrics.add obs_scev_pruned !pruned;
+    Obs.Metrics.add obs_approx_stmt
+      (Array.fold_left
+         (fun n r -> if Fold.Collector.spilled r.collector then n + 1 else n)
+         0
+         (Array.sub e.stmt_arr 0 e.n_stmts));
+    Obs.Metrics.add obs_approx_dep !approx_dep
   end;
-  { stmts = List.sort (fun a b -> compare a.sk b.sk) stmt_infos;
+  { stmts = List.sort (fun a b -> compare a.sk b.sk) (Array.to_list stmt_infos);
     deps = List.sort (fun a b -> compare a.dk b.dk) dep_infos;
     pruned_dep_edges = !pruned;
     total_dep_edges = !total_dep_edges;

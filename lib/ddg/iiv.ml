@@ -16,9 +16,12 @@ type t = {
   mutable outer : dim list;  (* innermost dimension first *)
   mutable last : ctx_id list;  (* innermost context element first *)
   mutable cached_ctx_id : int;  (* -1 = dirty *)
+  mutable cached_coords : int array;
+  mutable coords_valid : bool;  (* false after Enter/Iterate/Exit *)
 }
 
-let create () = { outer = []; last = []; cached_ctx_id = -1 }
+let create () =
+  { outer = []; last = []; cached_ctx_id = -1; cached_coords = [||]; coords_valid = true }
 
 let set_last t c =
   (match t.last with [] -> t.last <- [ c ] | _ :: rest -> t.last <- c :: rest);
@@ -35,7 +38,8 @@ let pop_last t =
 let add_dimension t iv c =
   t.outer <- { iv; dctx = t.last } :: t.outer;
   t.last <- [ c ];
-  t.cached_ctx_id <- -1
+  t.cached_ctx_id <- -1;
+  t.coords_valid <- false
 
 let remove_dimension t =
   match t.outer with
@@ -43,7 +47,8 @@ let remove_dimension t =
   | d :: rest ->
       t.outer <- rest;
       t.last <- d.dctx;
-      t.cached_ctx_id <- -1
+      t.cached_ctx_id <- -1;
+      t.coords_valid <- false
 
 let loop_ctx = function
   | Loop_events.Cfg_loop { l_fid; loop } -> Cloop (l_fid, loop.Cfg.Loopnest.loop_id)
@@ -64,7 +69,9 @@ let update t (ev : Loop_events.t) =
       add_dimension t 0 (Cblock (f, b))
   | Loop_events.Iterate (_, f, b) ->
       (match t.outer with
-      | d :: _ -> d.iv <- d.iv + 1
+      | d :: _ ->
+          d.iv <- d.iv + 1;
+          t.coords_valid <- false
       | [] -> ());
       set_last t (Cblock (f, b))
   | Loop_events.Exit (_, f, b) ->
@@ -73,11 +80,18 @@ let update t (ev : Loop_events.t) =
 
 let depth t = List.length t.outer
 
+(* A fresh array per iteration, handed to every holder (collectors,
+   shadow origins) until the next Enter/Iterate/Exit; it is never
+   written after it is built. *)
 let coords t =
-  let n = depth t in
-  let a = Array.make n 0 in
-  List.iteri (fun i d -> a.(n - 1 - i) <- d.iv) t.outer;
-  a
+  if not t.coords_valid then begin
+    let n = depth t in
+    let a = Array.make n 0 in
+    List.iteri (fun i d -> a.(n - 1 - i) <- d.iv) t.outer;
+    t.cached_coords <- a;
+    t.coords_valid <- true
+  end;
+  t.cached_coords
 
 let context t : context =
   let dims = List.rev_map (fun d -> List.rev d.dctx) t.outer in
@@ -102,6 +116,8 @@ let reset_intern_table () =
   Hashtbl.reset s.rev;
   s.next <- 0
 
+let max_contexts = 1 lsl 26
+
 let context_id t =
   if t.cached_ctx_id >= 0 then t.cached_ctx_id
   else begin
@@ -112,6 +128,7 @@ let context_id t =
       | Some id -> id
       | None ->
           let id = s.next in
+          if id >= max_contexts then failwith "Iiv.context_id: more than 2^26 contexts";
           s.next <- s.next + 1;
           Hashtbl.add s.tbl c id;
           Hashtbl.add s.rev id c;

@@ -34,13 +34,23 @@ val depth : t -> int
 (** Number of iv dimensions. *)
 
 val coords : t -> int array
-(** Current induction-variable vector, outermost first.  Fresh array. *)
+(** Current induction-variable vector, outermost first.  The same array
+    is returned until the next [Enter], [Iterate] or [Exit] event, which
+    builds a new one and leaves the old one as it was: holders may keep
+    it, and must never mutate it. *)
 
 val context : t -> context
+
+val max_contexts : int
+(** [2{^26}]: context ids are dense from [0] and stay below this bound,
+    so a client may pack one into the high bits of an [int] key. *)
+
 val context_id : t -> int
 (** Interned id of the current context.  The intern table is
     domain-local, so domains profiling concurrently (serve workers)
-    do not share ids. *)
+    do not share ids.
+    @raise Failure when the calling domain would issue
+    {!max_contexts} ids. *)
 
 val context_of_id : int -> context
 (** @raise Not_found for ids not produced by {!context_id} in the

@@ -7,10 +7,12 @@ type node = {
   mutable child_order : Iiv.ctx_id list;
 }
 
+(* The memos map a context id to its node; ids are dense, so they are
+   arrays indexed by id, with [unset] marking an id not seen yet. *)
 type t = {
   sroot : node;
-  leaf_memo : (int, node) Hashtbl.t;
-  loop_memo : (int, node) Hashtbl.t;
+  mutable leaf_memo : node array;
+  mutable loop_memo : node array;
 }
 
 let mk_node elt static_index =
@@ -21,10 +23,9 @@ let mk_node elt static_index =
     children = Hashtbl.create 4;
     child_order = [] }
 
-let create () =
-  { sroot = mk_node None 0;
-    leaf_memo = Hashtbl.create 256;
-    loop_memo = Hashtbl.create 256 }
+let unset = mk_node None (-1)
+
+let create () = { sroot = mk_node None 0; leaf_memo = [||]; loop_memo = [||] }
 
 let child_of n c =
   match Hashtbl.find_opt n.children c with
@@ -37,43 +38,60 @@ let child_of n c =
 
 let flatten (ctx : Iiv.context) = List.concat ctx
 
-let leaf_for t ~ctx_key ctx =
-  match Hashtbl.find_opt t.leaf_memo ctx_key with
-  | Some n -> n
-  | None ->
-      let n = List.fold_left child_of t.sroot (flatten ctx) in
-      Hashtbl.add t.leaf_memo ctx_key n;
-      n
+let memo_find memo id = if id < Array.length memo then memo.(id) else unset
 
-let record t ~ctx_key ctx ~weight =
-  let n = leaf_for t ~ctx_key ctx in
+let memo_add memo id n =
+  let memo =
+    if id < Array.length memo then memo
+    else begin
+      let grown = Array.make (max (id + 1) (2 * Array.length memo)) unset in
+      Array.blit memo 0 grown 0 (Array.length memo);
+      grown
+    end
+  in
+  memo.(id) <- n;
+  memo
+
+let record t iiv ~weight =
+  let id = Iiv.context_id iiv in
+  let n = memo_find t.leaf_memo id in
+  let n =
+    if n != unset then n
+    else begin
+      let n = List.fold_left child_of t.sroot (flatten (Iiv.context iiv)) in
+      t.leaf_memo <- memo_add t.leaf_memo id n;
+      n
+    end
+  in
   n.self_weight <- n.self_weight + weight
 
 let is_loop_elt = function
   | Iiv.Cloop _ | Iiv.Ccomp _ -> true
   | Iiv.Cblock _ -> false
 
-let record_iteration t ~ctx_key ctx =
+let record_iteration t iiv =
+  let id = Iiv.context_id iiv in
+  let n = memo_find t.loop_memo id in
   let n =
-    match Hashtbl.find_opt t.loop_memo ctx_key with
-    | Some n -> n
-    | None ->
-        (* path down to the innermost loop element of the context *)
-        let path = flatten ctx in
-        let rec last_loop acc best = function
-          | [] -> best
-          | c :: rest ->
-              let acc = c :: acc in
-              if is_loop_elt c then last_loop acc (Some (List.rev acc)) rest
-              else last_loop acc best rest
-        in
-        let n =
-          match last_loop [] None path with
-          | Some p -> List.fold_left child_of t.sroot p
-          | None -> t.sroot
-        in
-        Hashtbl.add t.loop_memo ctx_key n;
-        n
+    if n != unset then n
+    else begin
+      (* path down to the innermost loop element of the context *)
+      let path = flatten (Iiv.context iiv) in
+      let rec last_loop acc best = function
+        | [] -> best
+        | c :: rest ->
+            let acc = c :: acc in
+            if is_loop_elt c then last_loop acc (Some (List.rev acc)) rest
+            else last_loop acc best rest
+      in
+      let n =
+        match last_loop [] None path with
+        | Some p -> List.fold_left child_of t.sroot p
+        | None -> t.sroot
+      in
+      t.loop_memo <- memo_add t.loop_memo id n;
+      n
+    end
   in
   n.iterations <- n.iterations + 1
 

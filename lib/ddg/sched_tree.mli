@@ -17,12 +17,15 @@ type node = {
 type t
 
 val create : unit -> t
-val record : t -> ctx_key:int -> Iiv.context -> weight:int -> unit
+val record : t -> Iiv.t -> weight:int -> unit
 (** Attribute [weight] dynamic instructions to the leaf reached by the
-    flattened context path; memoised on [ctx_key]. *)
+    flattened path of the IIV's current context.  Memoised on
+    {!Iiv.context_id}: the context itself is built only the first time
+    an id is seen. *)
 
-val record_iteration : t -> ctx_key:int -> Iiv.context -> unit
-(** Bump the iteration count of the innermost loop node of the context. *)
+val record_iteration : t -> Iiv.t -> unit
+(** Bump the iteration count of the innermost loop node of the IIV's
+    current context (memoised like {!record}). *)
 
 val root : t -> node
 val total_weight : node -> int

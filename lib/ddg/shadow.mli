@@ -4,21 +4,26 @@
     that modified that location"). *)
 
 type origin = {
-  o_sid : Vm.Isa.Sid.t;
-  o_ctx : int;  (** interned context id of the producer *)
-  o_coords : int array;  (** producer iteration vector *)
+  o_tag : int;
+      (** the producer, in whatever numbering the caller chooses: the
+          dependence profiler passes its dense statement index *)
+  o_coords : int array;
+      (** producer iteration vector, shared with {!Iiv.coords}: never
+          mutated *)
 }
 
 type t
 
 val create : unit -> t
+(** Lookups that hit allocate nothing. *)
 
 (** Memory shadow: word-addressed. *)
 
 val write_mem : t -> addr:int -> origin -> unit
 val last_mem_writer : t -> addr:int -> origin option
 
-(** Register shadow, with one scope per call frame. *)
+(** Register shadow, with one scope per call frame.  Registers are
+    non-negative ints. *)
 
 val push_frame : t -> unit
 val pop_frame : t -> unit

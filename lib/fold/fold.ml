@@ -404,6 +404,7 @@ module Collector = struct
   let obs_points = Obs.Metrics.counter ~help:"dependence points folded into polyhedral pieces" "fold.points"
   let obs_pieces = Obs.Metrics.counter ~help:"polyhedral pieces produced by folding" "fold.pieces"
   let obs_approx = Obs.Metrics.counter ~help:"collectors that overflowed their cap into approx mode" "fold.approx_spills"
+  let obs_collector_points = Obs.Metrics.histogram ~help:"points per folded collector" "fold.collector_points"
 
   type approx_state = {
     mutable lo : int array;
@@ -411,8 +412,13 @@ module Collector = struct
     mutable labels : A.t option array;  (* still-valid incremental fits *)
   }
 
+  (* The points added so far, in order: [pts.(i)] and [lbls.(i)] for
+     [i < n].  The arrays hold the caller's arrays themselves (no tuple
+     or cons per point) and double when full. *)
+  type buffer = { mutable pts : int array array; mutable lbls : int array array }
+
   type mode =
-    | Buffering of (int array * int array) list ref
+    | Buffering of buffer
     | Approx of approx_state
 
   type t = {
@@ -436,18 +442,34 @@ module Collector = struct
       boundary_splits;
       per_component;
       n = 0;
-      mode = Buffering (ref []);
+      mode = Buffering { pts = [||]; lbls = [||] };
       finalized = None }
 
   let npoints t = t.n
   let dim t = t.dim
 
-  let to_arrays buf =
-    let items = Array.of_list (List.rev !buf) in
-    (Array.map fst items, Array.map snd items)
+  let spilled t = match t.mode with Approx _ -> true | Buffering _ -> false
 
-  let switch_to_approx t buf =
-    let points, labels = to_arrays buf in
+  let to_arrays t b = (Array.sub b.pts 0 t.n, Array.sub b.lbls 0 t.n)
+
+  let push t b coords label =
+    let i = t.n - 1 in
+    if i = Array.length b.pts then begin
+      (* never more than [cap] slots: the cap-th point spills *)
+      let size = min (max 8 (2 * i)) (max t.cap 1) in
+      let grow a =
+        let g = Array.make size [||] in
+        Array.blit a 0 g 0 i;
+        g
+      in
+      b.pts <- grow b.pts;
+      b.lbls <- grow b.lbls
+    end;
+    b.pts.(i) <- coords;
+    b.lbls.(i) <- label
+
+  let switch_to_approx t b =
+    let points, labels = to_arrays t b in
     let lo = Array.copy points.(0) and hi = Array.copy points.(0) in
     Array.iter
       (fun p ->
@@ -467,12 +489,12 @@ module Collector = struct
 
   let add t coords label =
     assert (Array.length coords = t.dim && Array.length label = t.label_dim);
-    assert (t.finalized = None);
+    assert (Option.is_none t.finalized);
     t.n <- t.n + 1;
     match t.mode with
-    | Buffering buf ->
-        buf := (coords, label) :: !buf;
-        if t.n >= t.cap then ignore (switch_to_approx t buf)
+    | Buffering b ->
+        push t b coords label;
+        if t.n >= t.cap then ignore (switch_to_approx t b)
     | Approx st ->
         for k = 0 to t.dim - 1 do
           let v = coords.(k) in
@@ -501,8 +523,10 @@ module Collector = struct
     | None ->
         let ps =
           match t.mode with
-          | Buffering buf ->
-              let points, labels = to_arrays buf in
+          | Buffering b ->
+              let points, labels = to_arrays t b in
+              b.pts <- [||];
+              b.lbls <- [||];
               fold_exact ~boundary_splits:t.boundary_splits ~dim:t.dim
                 ~label_dim:t.label_dim ~max_pieces:t.max_pieces points labels
           | Approx st ->
@@ -527,6 +551,7 @@ module Collector = struct
         t.finalized <- Some ps;
         if Obs.Registry.enabled () then begin
           Obs.Metrics.add obs_points t.n;
+          Obs.Metrics.observe obs_collector_points t.n;
           Obs.Metrics.add obs_pieces (List.length ps);
           match t.mode with
           | Approx _ -> Obs.Metrics.add obs_approx 1

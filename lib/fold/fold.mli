@@ -52,13 +52,22 @@ module Collector : sig
 
   val add : t -> int array -> int array -> unit
   (** [add t coords label].  [coords] must have length [dim] and [label]
-      length [label_dim]. *)
+      length [label_dim].  The collector keeps both arrays, not copies:
+      the caller must not mutate them afterwards (it may pass the same
+      array again, as the profiler does with one iteration's
+      coordinates). *)
 
   val npoints : t -> int
   val dim : t -> int
   val result : t -> piece list
   (** Finalize (idempotent).  The union of the returned pieces covers all
-      added points; pieces marked [exact] contain exactly their points. *)
+      added points; pieces marked [exact] contain exactly their points.
+      With telemetry on, the first call observes the point count into
+      the [fold.collector_points] histogram. *)
+
+  val spilled : t -> bool
+  (** Whether the collector reached its [cap] and switched to streaming
+      over-approximation. *)
 
   val is_affine : t -> bool
   (** After {!result}: all pieces exact with every label component

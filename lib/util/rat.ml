@@ -74,11 +74,16 @@ let sign a = Stdlib.compare a.num 0
 let is_zero a = a.num = 0
 let is_integer a = a.den = 1
 
+(* Truncating division corrected by the remainder's sign: no
+   intermediate leaves the range of [num], so a numerator near
+   [max_int] or [min_int] cannot wrap. *)
 let floor a =
-  if a.num >= 0 then a.num / a.den
-  else -(((-a.num) + a.den - 1) / a.den)
+  let q = a.num / a.den in
+  if a.num mod a.den < 0 then q - 1 else q
 
-let ceil a = -floor (neg a)
+let ceil a =
+  let q = a.num / a.den in
+  if a.num mod a.den > 0 then q + 1 else q
 
 let to_int_exn a =
   if a.den <> 1 then invalid_arg "Rat.to_int_exn: not an integer";

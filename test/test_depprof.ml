@@ -15,32 +15,129 @@ let profile hir =
 let test_shadow_memory () =
   let s = Ddg.Shadow.create () in
   Alcotest.(check bool) "unknown addr" true (Ddg.Shadow.last_mem_writer s ~addr:5 = None);
-  let o1 = { Ddg.Shadow.o_sid = 1; o_ctx = 0; o_coords = [| 3 |] } in
+  let o1 = { Ddg.Shadow.o_tag = 1; o_coords = [| 3 |] } in
   Ddg.Shadow.write_mem s ~addr:5 o1;
   (match Ddg.Shadow.last_mem_writer s ~addr:5 with
-  | Some o -> Alcotest.(check int) "writer sid" 1 o.Ddg.Shadow.o_sid
+  | Some o -> Alcotest.(check int) "writer tag" 1 o.Ddg.Shadow.o_tag
   | None -> Alcotest.fail "missing");
-  let o2 = { o1 with Ddg.Shadow.o_sid = 2 } in
+  let o2 = { o1 with Ddg.Shadow.o_tag = 2 } in
   Ddg.Shadow.write_mem s ~addr:5 o2;
   (match Ddg.Shadow.last_mem_writer s ~addr:5 with
-  | Some o -> Alcotest.(check int) "last writer wins" 2 o.Ddg.Shadow.o_sid
+  | Some o -> Alcotest.(check int) "last writer wins" 2 o.Ddg.Shadow.o_tag
   | None -> Alcotest.fail "missing");
   Alcotest.(check int) "one shadowed word" 1 (Ddg.Shadow.n_shadowed_words s)
 
 let test_shadow_register_frames () =
   let s = Ddg.Shadow.create () in
-  let o = { Ddg.Shadow.o_sid = 7; o_ctx = 0; o_coords = [||] } in
+  let o = { Ddg.Shadow.o_tag = 7; o_coords = [||] } in
   Ddg.Shadow.write_reg s ~reg:3 o;
   Ddg.Shadow.push_frame s;
   Alcotest.(check bool) "callee frame is clean" true
     (Ddg.Shadow.last_reg_writer s ~reg:3 = None);
-  Ddg.Shadow.write_reg s ~reg:3 { o with Ddg.Shadow.o_sid = 8 };
+  Ddg.Shadow.write_reg s ~reg:3 { o with Ddg.Shadow.o_tag = 8 };
   Ddg.Shadow.pop_frame s;
   (match Ddg.Shadow.last_reg_writer s ~reg:3 with
-  | Some o -> Alcotest.(check int) "caller frame restored" 7 o.Ddg.Shadow.o_sid
+  | Some o -> Alcotest.(check int) "caller frame restored" 7 o.Ddg.Shadow.o_tag
   | None -> Alcotest.fail "lost");
   Alcotest.check_raises "unbalanced pop" (Invalid_argument "Shadow.pop_frame: unbalanced")
     (fun () -> Ddg.Shadow.pop_frame s)
+
+(* The shadow as it was before it moved to arrays and int-keyed tables:
+   polymorphic hash tables, one per call frame. *)
+module Model = struct
+  type t = {
+    mem : (int, Ddg.Shadow.origin) Hashtbl.t;
+    mutable frames : (int, Ddg.Shadow.origin) Hashtbl.t list;
+  }
+
+  let create () = { mem = Hashtbl.create 4096; frames = [ Hashtbl.create 16 ] }
+  let write_mem t ~addr origin = Hashtbl.replace t.mem addr origin
+  let last_mem_writer t ~addr = Hashtbl.find_opt t.mem addr
+  let push_frame t = t.frames <- Hashtbl.create 16 :: t.frames
+
+  let pop_frame t =
+    match t.frames with
+    | _ :: (_ :: _ as rest) -> t.frames <- rest
+    | _ -> invalid_arg "Shadow.pop_frame: unbalanced"
+
+  let top t = match t.frames with f :: _ -> f | [] -> assert false
+  let write_reg t ~reg origin = Hashtbl.replace (top t) reg origin
+  let last_reg_writer t ~reg = Hashtbl.find_opt (top t) reg
+  let frame_depth t = List.length t.frames
+  let n_shadowed_words t = Hashtbl.length t.mem
+end
+
+type shadow_op =
+  | Write_mem of int * int
+  | Write_reg of int * int
+  | Push
+  | Pop
+  | Read_mem of int
+  | Read_reg of int
+
+(* registers go up to 40, past the 16 slots a fresh frame starts with *)
+let gen_shadow_op =
+  QCheck.Gen.(
+    frequency
+      [ (3, map2 (fun a t -> Write_mem (a, t)) (int_bound 50) (int_bound 1000));
+        (3, map2 (fun r t -> Write_reg (r, t)) (int_range 0 40) (int_bound 1000));
+        (1, return Push);
+        (1, return Pop);
+        (3, map (fun a -> Read_mem a) (int_bound 50));
+        (3, map (fun r -> Read_reg r) (int_range 0 40)) ])
+
+let print_shadow_op = function
+  | Write_mem (a, t) -> Printf.sprintf "write_mem %d <- %d" a t
+  | Write_reg (r, t) -> Printf.sprintf "write_reg %d <- %d" r t
+  | Push -> "push"
+  | Pop -> "pop"
+  | Read_mem a -> Printf.sprintf "read_mem %d" a
+  | Read_reg r -> Printf.sprintf "read_reg %d" r
+
+let prop_shadow_matches_model =
+  QCheck.Test.make ~name:"shadow agrees with the hash-table model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_shadow_op)
+       QCheck.Gen.(list_size (int_range 0 200) gen_shadow_op))
+    (fun ops ->
+      let s = Ddg.Shadow.create () and m = Model.create () in
+      let same_origin a b =
+        match (a, b) with
+        | None, None -> true
+        | Some (a : Ddg.Shadow.origin), Some (b : Ddg.Shadow.origin) ->
+            a.o_tag = b.o_tag && a.o_coords == b.o_coords
+        | _ -> false
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Write_mem (addr, tag) ->
+                let o = { Ddg.Shadow.o_tag = tag; o_coords = [| tag; addr |] } in
+                Ddg.Shadow.write_mem s ~addr o;
+                Model.write_mem m ~addr o;
+                true
+            | Write_reg (reg, tag) ->
+                let o = { Ddg.Shadow.o_tag = tag; o_coords = [| reg |] } in
+                Ddg.Shadow.write_reg s ~reg o;
+                Model.write_reg m ~reg o;
+                true
+            | Push ->
+                Ddg.Shadow.push_frame s;
+                Model.push_frame m;
+                true
+            | Pop -> (
+                let r1 = try Ddg.Shadow.pop_frame s; None with Invalid_argument e -> Some e in
+                let r2 = try Model.pop_frame m; None with Invalid_argument e -> Some e in
+                r1 = r2)
+            | Read_mem addr ->
+                same_origin (Ddg.Shadow.last_mem_writer s ~addr) (Model.last_mem_writer m ~addr)
+            | Read_reg reg ->
+                same_origin (Ddg.Shadow.last_reg_writer s ~reg) (Model.last_reg_writer m ~reg)
+          in
+          ok
+          && Ddg.Shadow.frame_depth s = Model.frame_depth m
+          && Ddg.Shadow.n_shadowed_words s = Model.n_shadowed_words m)
+        ops)
 
 (* a producer loop feeding a consumer loop: one clean affine dep *)
 let producer_consumer : H.program =
@@ -201,12 +298,47 @@ let test_waw_tracking_optional () =
   let res = Ddg.Depprof.profile ~config:cfg prog ~structure in
   Alcotest.(check bool) "profiling with WAW works" true (List.length res.stmts > 0)
 
+let metric_count name =
+  List.fold_left
+    (fun acc ((d : Obs.Metrics.desc), v) ->
+      match v with
+      | Obs.Metrics.Vint n when d.d_name = name -> n
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
+
+(* [finalize] splits the collectors that spilled into over-approximation
+   between statements and dependences; together they are the folded
+   collectors [fold.approx_spills] counts *)
+let test_approx_spill_counters () =
+  let prog = H.lower producer_consumer in
+  let structure = Cfg.Cfg_builder.run prog in
+  let counts config =
+    Obs.Metrics.reset ();
+    ignore (Ddg.Depprof.profile ~config prog ~structure);
+    ( metric_count "ddg.finalize.approx_stmt",
+      metric_count "ddg.finalize.approx_dep",
+      metric_count "fold.approx_spills" )
+  in
+  let stmt_spill = { Ddg.Depprof.default_config with stmt_cap = 8 } in
+  let dep_spill = { Ddg.Depprof.default_config with dep_cap = 8 } in
+  Alcotest.(check (triple int int int)) "nothing counted with telemetry off"
+    (0, 0, 0) (counts stmt_spill);
+  Obs.Registry.with_enabled @@ fun () ->
+  let s, d, all = counts stmt_spill in
+  Alcotest.(check bool) "statement spills" true (s > 0);
+  Alcotest.(check int) "no dependence spills" 0 d;
+  Alcotest.(check int) "split of fold.approx_spills" all (s + d);
+  let s, d, all = counts dep_spill in
+  Alcotest.(check int) "no statement spills" 0 s;
+  Alcotest.(check bool) "dependence spills" true (d > 0);
+  Alcotest.(check int) "split of fold.approx_spills" all (s + d)
+
 let () =
   Alcotest.run "depprof"
     [ ( "shadow",
         [ Alcotest.test_case "memory" `Quick test_shadow_memory;
-          Alcotest.test_case "register frames" `Quick test_shadow_register_frames
-        ] );
+          Alcotest.test_case "register frames" `Quick test_shadow_register_frames;
+          QCheck_alcotest.to_alcotest prop_shadow_matches_model ] );
       ( "dependences",
         [ Alcotest.test_case "memory dep folded" `Quick test_mem_dep_folded;
           Alcotest.test_case "SCEV pruning" `Quick test_scev_pruning;
@@ -216,7 +348,9 @@ let () =
             test_dep_soundness_on_workload;
           Alcotest.test_case "WAW option" `Quick test_waw_tracking_optional;
           Alcotest.test_case "Fig. 3 Ex. 1 folded domains" `Quick
-            test_fig3_ex1_folded_domains ] );
+            test_fig3_ex1_folded_domains;
+          Alcotest.test_case "approx spill counters" `Quick
+            test_approx_spill_counters ] );
       ( "statements",
         [ Alcotest.test_case "domains exact" `Quick test_stmt_domains_exact;
           Alcotest.test_case "counts match interpreter" `Quick

@@ -162,6 +162,40 @@ let test_streaming_cap_label_violation () =
         (Option.is_none p.Fold.labels.(0))
   | _ -> Alcotest.fail "expected one box"
 
+let metric name =
+  List.find_map
+    (fun ((d : Obs.Metrics.desc), v) -> if d.d_name = name then Some v else None)
+    (Obs.Metrics.snapshot ())
+
+(* [result] observes each collector's point count once, and only with
+   telemetry on *)
+let test_collector_points_histogram () =
+  let fold ~cap n =
+    let c = Fold.Collector.create ~cap ~dim:1 ~label_dim:1 () in
+    for x = 0 to n - 1 do
+      Fold.Collector.add c [| x |] [| 2 * x |]
+    done;
+    ignore (Fold.Collector.result c);
+    ignore (Fold.Collector.result c);
+    c
+  in
+  Obs.Metrics.reset ();
+  ignore (fold ~cap:100 3);
+  Alcotest.(check bool) "nothing observed with telemetry off" true
+    (metric "fold.collector_points" = None);
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  let small = fold ~cap:100 5 and big = fold ~cap:100 300 in
+  Alcotest.(check bool) "under the cap: buffered" false (Fold.Collector.spilled small);
+  Alcotest.(check bool) "past the cap: spilled" true (Fold.Collector.spilled big);
+  match metric "fold.collector_points" with
+  | Some (Obs.Metrics.Vhist h) ->
+      Alcotest.(check int) "one sample per collector" 2 h.h_count;
+      Alcotest.(check int) "sum of points" 305 h.h_sum;
+      Alcotest.(check int) "min" 5 h.h_min;
+      Alcotest.(check int) "max" 300 h.h_max
+  | _ -> Alcotest.fail "fold.collector_points histogram missing"
+
 let test_under_approximation () =
   (* a holey domain over-approximates but keeps a certified inner box
      from its dense prefix *)
@@ -420,7 +454,9 @@ let () =
           Alcotest.test_case "streaming label violation" `Quick
             test_streaming_cap_label_violation;
           Alcotest.test_case "under-approximation (paper future work)" `Quick
-            test_under_approximation ] );
+            test_under_approximation;
+          Alcotest.test_case "points histogram" `Quick
+            test_collector_points_histogram ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fold_rect_roundtrip; prop_fold_covers;

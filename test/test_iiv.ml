@@ -29,8 +29,7 @@ let replay hir =
       on_exec =
         (fun _ ->
           let ctx = Iiv.context iiv in
-          let ctx_key = Iiv.context_id iiv in
-          Ddg.Sched_tree.record stree ~ctx_key ctx ~weight:1;
+          Ddg.Sched_tree.record stree iiv ~weight:1;
           let kelly = Ddg.Sched_tree.kelly_path stree ctx in
           (* schedule position: interleave static indices and ivs *)
           let coords = Iiv.coords iiv in
@@ -86,6 +85,67 @@ let test_coords_increase_within_context () =
   in
   let (_ : Vm.Interp.stats) = Vm.Interp.run ~callbacks prog in
   ()
+
+(* [Iiv.coords] hands out one array per iteration: every instruction of
+   an iteration gets the same physical array, and an Enter, Iterate or
+   Exit a new one, leaving the old array's values as they were. *)
+let test_coords_shared_per_iteration () =
+  Iiv.reset_intern_table ();
+  let open Vm.Hir.Dsl in
+  let module H = Vm.Hir in
+  let hir =
+    { H.funs =
+        [ H.fundef "main" []
+            [ H.for_ "a" (i 0) (i 3)
+                [ store "out" (i 0) (v "a");
+                  H.for_ "b" (i 0) (i 2) [ store "out" (i 1) (v "b") ];
+                  store "out" (i 2) (v "a") ] ] ];
+      arrays = [ ("out", 3) ];
+      main = "main" }
+  in
+  let prog = H.lower hir in
+  let structure = Cfg.Cfg_builder.run prog in
+  let st = LE.create structure ~main:prog.Vm.Prog.main in
+  let iiv = Iiv.create () in
+  (* [epoch] counts the events that move the iteration vector *)
+  let epoch = ref 0 in
+  let apply evs =
+    List.iter
+      (fun ev ->
+        (match ev with
+        | LE.Enter _ | LE.Iterate _ | LE.Exit _ -> incr epoch
+        | LE.Block _ | LE.Call_push _ | LE.Ret_pop _ -> ());
+        Iiv.update iiv ev)
+      evs
+  in
+  apply (LE.start st);
+  (* (epoch, the array handed out, a copy of its values then) *)
+  let seen = ref [] in
+  let callbacks =
+    { Vm.Interp.on_control = (fun ev -> apply (LE.feed st ev));
+      on_exec =
+        (fun _ ->
+          let c = Iiv.coords iiv in
+          Alcotest.(check bool) "same array within one iteration" true
+            (c == Iiv.coords iiv);
+          seen := (!epoch, c, Array.copy c) :: !seen) }
+  in
+  let (_ : Vm.Interp.stats) = Vm.Interp.run ~callbacks prog in
+  let seen = List.rev !seen in
+  List.iter
+    (fun (e1, c1, v1) ->
+      Alcotest.(check (array int)) "old array keeps its values" v1 c1;
+      List.iter
+        (fun (e2, c2, _) ->
+          if e1 = e2 then
+            Alcotest.(check bool) "one array per iteration" true (c1 == c2)
+          else if Array.length c1 > 0 && Array.length c2 > 0 then
+            Alcotest.(check bool) "a new array after Enter/Iterate/Exit" false
+              (c1 == c2))
+        seen)
+    seen;
+  Alcotest.(check bool) "several iterations seen" true
+    (List.length (List.sort_uniq compare (List.map (fun (e, _, _) -> e) seen)) > 6)
 
 let test_fig3_ex1_depth_two () =
   let stree, _ = replay Workloads.Figure3.ex1 in
@@ -218,7 +278,9 @@ let () =
             test_fig3_ex2_recursion_depth_one;
           Alcotest.test_case "rendering" `Quick test_rendering;
           Alcotest.test_case "Kelly mapping, fused vs fissioned (Fig. 4)"
-            `Quick test_fig4_kelly_fused_vs_fissioned ] );
+            `Quick test_fig4_kelly_fused_vs_fissioned;
+          Alcotest.test_case "coords shared per iteration" `Quick
+            test_coords_shared_per_iteration ] );
       ( "schedule tree",
         [ Alcotest.test_case "weights" `Quick test_schedule_tree_weights;
           Alcotest.test_case "Kelly static indices" `Quick

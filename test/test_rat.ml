@@ -31,7 +31,13 @@ let test_floor_ceil () =
   Alcotest.(check int) "floor -7/2" (-4) (Rat.floor (Rat.make (-7) 2));
   Alcotest.(check int) "ceil -7/2" (-3) (Rat.ceil (Rat.make (-7) 2));
   Alcotest.(check int) "floor 4" 4 (Rat.floor (Rat.of_int 4));
-  Alcotest.(check int) "ceil -4" (-4) (Rat.ceil (Rat.of_int (-4)))
+  Alcotest.(check int) "ceil -4" (-4) (Rat.ceil (Rat.of_int (-4)));
+  (* numerators at the ends of the int range must not wrap *)
+  Alcotest.(check int) "floor max_int/5" (max_int / 5) (Rat.floor (Rat.make max_int 5));
+  Alcotest.(check int) "ceil max_int/5" ((max_int / 5) + 1) (Rat.ceil (Rat.make max_int 5));
+  Alcotest.(check int) "floor -max_int/5" (-(max_int / 5) - 1)
+    (Rat.floor (Rat.make (-max_int) 5));
+  Alcotest.(check int) "ceil -max_int/5" (-(max_int / 5)) (Rat.ceil (Rat.make (-max_int) 5))
 
 let test_compare () =
   Alcotest.(check bool) "1/3 < 1/2" true

@@ -201,6 +201,9 @@ type engine = {
   mutable n_pruned : int;  (* accesses whose shadow tracking was skipped *)
   mutable seq : int;  (* exec events seen *)
   mutable peak_shadow : int;
+  label_buf : int array;
+      (* a labelled statement's value or address, written per execution
+         and copied by its collector *)
 }
 
 let make_engine ?(config = default_config) ?static_prune prog ~structure =
@@ -232,7 +235,8 @@ let make_engine ?(config = default_config) ?static_prune prog ~structure =
     e_witness;
     n_pruned = 0;
     seq = 0;
-    peak_shadow = 0 }
+    peak_shadow = 0;
+    label_buf = [| 0 |] }
 
 let apply_levent e ev =
   Iiv.update e.iiv ev;
@@ -361,6 +365,32 @@ let rec record_reg_deps e r coords = function
       | None -> ());
       record_reg_deps e r coords rest
 
+(* The value or address labelling one execution of [r]; a label of the
+   wrong shape poisons [r]. *)
+let label_value r (ex : Vm.Event.exec) coords =
+  match r.r_label with
+  | Lnone -> 0
+  | Lvalue -> (
+      match ex.value with
+      | Some (Vm.Event.I v) -> v
+      | Some (Vm.Event.F _) | None ->
+          r.poisoned <- true;
+          0)
+  | Laddr -> (
+      match (ex.addr_read, ex.addr_written) with
+      | Some a, _ | None, Some a -> a
+      | None, None -> (
+          (* an elided trace drops the addresses of pruned
+             accesses; the static plan reconstructs them *)
+          match r.r_pruned with
+          | Some sa when Array.length sa.sa_coefs = Array.length coords ->
+              let a = ref sa.sa_base in
+              Array.iteri (fun i c -> a := !a + (c * coords.(i))) sa.sa_coefs;
+              !a
+          | _ ->
+              r.poisoned <- true;
+              0))
+
 let on_exec e (ex : Vm.Event.exec) =
   let config = e.e_config in
   e.seq <- e.seq + 1;
@@ -380,28 +410,9 @@ let on_exec e (ex : Vm.Event.exec) =
     let label =
       match r.r_label with
       | Lnone -> [||]
-      | Lvalue -> (
-          match ex.value with
-          | Some (Vm.Event.I v) -> [| v |]
-          | Some (Vm.Event.F _) | None ->
-              r.poisoned <- true;
-              [| 0 |])
-      | Laddr -> (
-          match (ex.addr_read, ex.addr_written) with
-          | Some a, _ | None, Some a -> [| a |]
-          | None, None -> (
-              (* an elided trace drops the addresses of pruned
-                 accesses; the static plan reconstructs them *)
-              match r.r_pruned with
-              | Some sa when Array.length sa.sa_coefs = depth ->
-                  let a = ref sa.sa_base in
-                  Array.iteri
-                    (fun i c -> a := !a + (c * coords.(i)))
-                    sa.sa_coefs;
-                  [| !a |]
-              | _ ->
-                  r.poisoned <- true;
-                  [| 0 |]))
+      | Lvalue | Laddr ->
+          e.label_buf.(0) <- label_value r ex coords;
+          e.label_buf
     in
     Fold.Collector.add r.collector coords label
   end

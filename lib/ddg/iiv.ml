@@ -80,9 +80,9 @@ let update t (ev : Loop_events.t) =
 
 let depth t = List.length t.outer
 
-(* A fresh array per iteration, handed to every holder (collectors,
-   shadow origins) until the next Enter/Iterate/Exit; it is never
-   written after it is built. *)
+(* A fresh array per iteration, handed to every holder until the next
+   Enter/Iterate/Exit (shadow origins keep it; collectors copy its
+   values); it is never written after it is built. *)
 let coords t =
   if not t.coords_valid then begin
     let n = depth t in

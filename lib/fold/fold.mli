@@ -52,10 +52,8 @@ module Collector : sig
 
   val add : t -> int array -> int array -> unit
   (** [add t coords label].  [coords] must have length [dim] and [label]
-      length [label_dim].  The collector keeps both arrays, not copies:
-      the caller must not mutate them afterwards (it may pass the same
-      array again, as the profiler does with one iteration's
-      coordinates). *)
+      length [label_dim].  The collector copies the values; the caller
+      may reuse both arrays. *)
 
   val npoints : t -> int
   val dim : t -> int
@@ -76,3 +74,26 @@ end
 
 val fold_points : dim:int -> label_dim:int -> (int array * int array) list -> piece list
 (** One-shot folding of a point list (convenience for tests). *)
+
+(** {2 Exposed for tests} *)
+
+(** The collectors' lossless run-length stream codec.  A run holds
+    consecutive points along the innermost dimension (the same outer
+    coordinates, the innermost one stepping by 1) whose labels change by
+    a constant step; no run wraps around [max_int].  A 0-dimensional
+    stream keeps one run per point. *)
+module Runs : sig
+  type t
+
+  val of_points : dim:int -> label_dim:int -> (int array * int array) list -> t
+  val to_points : t -> (int array * int array) list
+  val length : t -> int
+  (** The number of runs. *)
+end
+
+val implied_count :
+  (Minisl.Affine.t * Minisl.Affine.t) array -> limit:int -> int option
+(** [implied_count bounds ~limit]: the number of integer points of the
+    nest [ceil lo_d(c_0..c_{d-1}) <= c_d <= floor hi_d(c_0..c_{d-1})]
+    ([bounds.(d) = (lo_d, hi_d)]), or [None] once it passes [limit] or
+    the enumeration work passes [4 * (limit + dim + 1)]. *)

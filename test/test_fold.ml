@@ -433,6 +433,408 @@ let prop_fold_enumeration_oracle =
       in
       exact_ok && covers pieces pts)
 
+(* --- pinned fold digests ---------------------------------------- *)
+
+(* A seeded stream generator covering what the run-length buffer must
+   encode without special cases: 2-D and 3-D nests whose first samples
+   are rank-deficient, labels that stop being affine midway, holes,
+   interleaved / out-of-order / repeated points, 0-dimensional streams,
+   coordinates and labels within a few steps of [max_int] / [min_int]
+   (arithmetic that wraps there), more pieces than [max_pieces], and cap
+   spills.  [dim], [label_dim] and the collector options travel with the
+   points. *)
+
+type stream = {
+  s_dim : int;
+  s_label_dim : int;
+  s_cap : int;
+  s_max_pieces : int;
+  s_splits : bool;
+  s_per_component : bool;
+  s_pts : (int array * int array) list;
+}
+
+let gen_stream st =
+  let rand n = Random.State.int st (max 1 n) in
+  let range lo hi = lo + rand (hi - lo + 1) in
+  let affine dim =
+    Array.init (dim + 1) (fun k -> if k = dim then range (-50) 50 else range (-3) 3)
+  in
+  let eval cs p =
+    let v = ref cs.(Array.length p) in
+    Array.iteri (fun k x -> v := !v + (cs.(k) * x)) p;
+    !v
+  in
+  (* a loop nest: per dim, lo = a * c_{d-1} + b and hi = lo + w + s * c_{d-1} *)
+  let nest dim ~stride =
+    let bnds =
+      Array.init dim (fun _ -> (range (-1) 1, range (-3) 5, range 0 5, range 0 1))
+    in
+    let pts = ref [] in
+    let rec go d prefix =
+      if d = dim then pts := Array.of_list (List.rev prefix) :: !pts
+      else begin
+        let a, b, w, s = bnds.(d) in
+        let prev = match prefix with c :: _ -> c | [] -> 0 in
+        let lo = (a * prev) + b in
+        let step = if d = 0 then stride else 1 in
+        for k = 0 to (w + (s * prev)) / step do
+          go (d + 1) ((lo + (k * step)) :: prefix)
+        done
+      end
+    in
+    go 0 [];
+    List.rev !pts
+  in
+  let labelled label_dim pts =
+    let dim = match pts with p :: _ -> Array.length p | [] -> 0 in
+    let fs = Array.init label_dim (fun _ -> affine dim) in
+    List.map (fun p -> (p, Array.map (fun cs -> eval cs p) fs)) pts
+  in
+  let kind = rand 10 in
+  let dim =
+    match kind with 0 -> 2 | 1 -> 3 | 6 -> 0 | 7 -> range 1 2 | _ -> range 1 3
+  in
+  let label_dim =
+    match kind with 6 -> range 0 2 | 7 -> if rand 2 = 0 then 0 else range 1 2 | _ -> range 0 3
+  in
+  let base () = labelled label_dim (nest dim ~stride:(range 1 2)) in
+  let pts =
+    match kind with
+    | 0 | 1 -> base ()
+    | 2 ->
+        (* labels stop being affine midway *)
+        let pts = base () in
+        let m = rand (List.length pts) in
+        List.mapi
+          (fun i (p, l) ->
+            if i < m then (p, l) else (p, Array.map (fun v -> v + ((i - m) * (i - m)) + rand 3) l))
+          pts
+    | 3 ->
+        (* holes *)
+        let keep = range 70 95 in
+        List.filter (fun _ -> rand 100 < keep) (base ())
+    | 4 ->
+        (* two nests interleaved under the outer loop *)
+        let a = base () and b = base () in
+        List.stable_sort (fun (p, _) (q, _) -> compare p.(0) q.(0)) (a @ b)
+    | 5 ->
+        (* out-of-order and repeated points *)
+        let arr = Array.of_list (base ()) in
+        let n = Array.length arr in
+        if n > 0 then
+          for _ = 1 to rand 4 do
+            let i = rand n and j = rand n in
+            let t = arr.(i) in
+            arr.(i) <- arr.(j);
+            arr.(j) <- t
+          done;
+        List.concat_map
+          (fun (p, l) ->
+            match rand 8 with
+            | 0 -> [ (p, l); (p, l) ]
+            | 1 -> [ (p, l); (p, Array.map (fun v -> v + 1) l) ]
+            | _ -> [ (p, l) ])
+          (Array.to_list arr)
+    | 6 ->
+        (* 0-dimensional: one execution or two, small or extreme labels *)
+        let extreme = rand 2 = 0 in
+        List.init (range 1 2) (fun _ ->
+            ( [||],
+              Array.init label_dim (fun _ ->
+                  if extreme then if rand 2 = 0 then max_int - rand 3 else min_int + rand 3
+                  else range (-5) 5) ))
+    | 7 ->
+        (* within a few steps of max_int / min_int: the innermost
+           coordinate, the labels or the label steps wrap around *)
+        let near () = if rand 2 = 0 then max_int - rand 4 else min_int + rand 4 in
+        let outer = range (-2) 2 in
+        let c0 = if rand 2 = 0 then near () else range (-3) 3 and n = range 2 8 in
+        let extreme_labels = rand 2 = 0 in
+        let l0 = Array.init label_dim (fun _ -> if extreme_labels then near () else range (-5) 5) in
+        let step =
+          Array.init label_dim (fun _ ->
+              if extreme_labels && rand 2 = 0 then max_int / range 1 3 else range (-3) 3)
+        in
+        List.init n (fun t ->
+            let c = c0 + t in
+            ( (if dim = 1 then [| c |] else [| outer; c |]),
+              Array.init label_dim (fun k -> l0.(k) + (t * step.(k))) ))
+    | 8 ->
+        (* piecewise labels: more pieces than max_pieces *)
+        let period = range 2 5 in
+        List.map
+          (fun (p, l) ->
+            let i = p.(Array.length p - 1) in
+            (p, Array.map (fun v -> if i / period mod 2 = 0 then v else -v + (i / period * 7)) l))
+          (labelled label_dim (nest dim ~stride:1 @ nest dim ~stride:1))
+    | _ -> base ()
+  in
+  let n = List.length pts in
+  { s_dim = dim;
+    s_label_dim = label_dim;
+    s_cap = (if kind = 9 then max 1 (n - rand (max 1 n)) else 100_000);
+    s_max_pieces = (if kind = 8 then range 1 3 else 16);
+    s_splits = rand 8 <> 0;
+    s_per_component = rand 8 <> 0;
+    s_pts = pts }
+
+let collect s =
+  let c =
+    Fold.Collector.create ~cap:s.s_cap ~max_pieces:s.s_max_pieces
+      ~boundary_splits:s.s_splits ~per_component:s.s_per_component ~dim:s.s_dim
+      ~label_dim:s.s_label_dim ()
+  in
+  List.iter (fun (p, l) -> Fold.Collector.add c p l) s.s_pts;
+  c
+
+(* Every field of every piece, in order. *)
+let render_pieces ps =
+  String.concat ""
+    (List.map
+       (fun (p : Fold.piece) ->
+         Printf.sprintf "dom %s labels [%s] exact %b points %d under %s\n"
+           (P.to_string p.Fold.dom)
+           (String.concat "; "
+              (Array.to_list
+                 (Array.map (function Some f -> A.to_string f | None -> "T") p.Fold.labels)))
+           p.Fold.exact p.Fold.points
+           (match p.Fold.under with Some u -> P.to_string u | None -> "-"))
+       ps)
+
+let render_stream seed =
+  let s = gen_stream (Random.State.make [| seed |]) in
+  let c = collect s in
+  Printf.sprintf "seed %d dim %d label_dim %d n %d spilled %b\n" seed s.s_dim s.s_label_dim
+    (Fold.Collector.npoints c) (Fold.Collector.spilled c)
+  ^
+  match Fold.Collector.result c with
+  | ps -> Printf.sprintf "affine %b\n%s" (Fold.Collector.is_affine c) (render_pieces ps)
+  | exception Pp_util.Rat.Overflow -> "raises Rat.Overflow\n"
+
+(* 200 streams, digested in blocks of ten seeds *)
+let digest_block b =
+  Polyprof.Prog_hash.sha256_hex
+    (String.concat "" (List.init 10 (fun k -> render_stream ((10 * b) + k))))
+
+(* Digests of [digest_block] for blocks 0-19, generated before the
+   collectors kept run-length streams: folding decisions must not
+   change.  A stream on which folding raises pins the exception. *)
+let pinned_fold_digests =
+  [ (0, "c2f43f2c60fce0d8b749c55962fdf137181438d7d2fe7d6f099b0ac9f4ef5f77");
+    (1, "0c5b16ac0dd1e1721cd8c31b17825add6ff5a4a732662cf9412098a8e48f6ae0");
+    (2, "3540e95c6bab8a4cd60320fafb1d046fe20ca58b245fcf3c3eec3be24a91754f");
+    (3, "9ec74feb8b7e534f6783daba859952cad7108e47ea2a87650e1e059010e961e0");
+    (4, "8ee54a4699fa2b4f63f4ec6c0559421a4c67d37f8747a8effd12f20c3047d092");
+    (5, "e0b5d8bb1f1f9b05539567b922736f1525d372a89eb00e5bebeeaaabb9cf9393");
+    (6, "8406223f1c710f4495b31422612dac7e66a0bfbef0728573bbb63d25cb8a1a56");
+    (7, "bce569967c740f76bb23d2947e2a8748913a3782140bcabf3ff3d2b534794d71");
+    (8, "3ed3e82d63e15941e5e7197fd2ce9a231fbde0b1e12609b4c84163a9f1565622");
+    (9, "a4930b286983260237fe118e9fff50bb0d47214876ee5feb7b061a2cf33fa4c7");
+    (10, "3f785152f411bf70c5137e97ed27bfc88825f72a58d486ffc902cf08343c8689");
+    (11, "fe1adb22ff5da7ca948891d7c5dcce1e6fdfc2c990af2e13531e92cdd2482073");
+    (12, "b59c9fd805ef8921962acf131bb8c8a786415c9955f1d0b5d794fd94d053b3d8");
+    (13, "f458bd72851770290032e8728f25de78fdcd86a67ed6ef1a6945b9961663e9cc");
+    (14, "a1cfd9517e8f2b7b1d4466e40177a3910d67aaf8d89d7b9ffd01a642bae6ff61");
+    (15, "97baab8c4bae25f05fe5840b098688ad13908a9cd6e975be64575261e20fc630");
+    (16, "1e0548846ad77019a8cd163c43767992ea98ffd307eb1dd8008d8ee98caed2d1");
+    (17, "7ba31c8818c7050eaa8508d4f19bf6dfb5deb986fabc791143929fd9cbe19a5f");
+    (18, "0ab3b82da8ff354319857bcae03aebdcd27f66a4c6e4f9e13fa4408c7b9c3107");
+    (19, "d0c5417308b8a7b57ffa2979b77681fe27b3f8c9a723d575adfee1a323218340") ]
+
+let test_pinned_digests () =
+  Alcotest.(check int) "twenty blocks" 20 (List.length pinned_fold_digests);
+  List.iter
+    (fun (b, digest) ->
+      Alcotest.(check string) (Printf.sprintf "block %d" b) digest (digest_block b))
+    pinned_fold_digests
+
+(* --- run-length codec ---------------------------------------------- *)
+
+let prop_runs_roundtrip =
+  QCheck.Test.make ~name:"run-length codec decodes to its stream" ~count:500
+    (QCheck.make gen_stream) (fun s ->
+      let r = Fold.Runs.of_points ~dim:s.s_dim ~label_dim:s.s_label_dim s.s_pts in
+      Fold.Runs.to_points r = s.s_pts
+      && Fold.Runs.length r <= List.length s.s_pts)
+
+let test_runs_break () =
+  let runs ~dim ~label_dim pts = Fold.Runs.length (Fold.Runs.of_points ~dim ~label_dim pts) in
+  Alcotest.(check int) "a 3x4 rectangle with affine labels: one run per row" 3
+    (runs ~dim:2 ~label_dim:1 (enumerate_rect 3 4 (fun x y -> [| (7 * x) - (2 * y) |])));
+  Alcotest.(check int) "a non-affine label breaks the run" 2
+    (runs ~dim:1 ~label_dim:1 (List.init 4 (fun x -> ([| x |], [| min x 2 * 3 |]))));
+  (* max_int + 1 wraps to min_int: the run must stop at max_int *)
+  Alcotest.(check int) "the innermost coordinate does not wrap" 2
+    (runs ~dim:1 ~label_dim:0
+       (List.map (fun c -> ([| c |], [||])) [ max_int - 1; max_int; min_int; min_int + 1 ]));
+  Alcotest.(check int) "a label step does not wrap" 2
+    (runs ~dim:1 ~label_dim:1
+       (List.init 4 (fun x -> ([| x |], [| max_int - 3 + (2 * x) |]))));
+  Alcotest.(check int) "a label step that overflows starts a run" 2
+    (runs ~dim:1 ~label_dim:1
+       [ ([| 0 |], [| min_int + 1 |]); ([| 1 |], [| max_int - 1 |]); ([| 2 |], [| 0 |]) ]);
+  Alcotest.(check int) "repeated and out-of-order points" 3
+    (runs ~dim:1 ~label_dim:0 (List.map (fun c -> ([| c |], [||])) [ 0; 1; 1; 0; 1 ]));
+  Alcotest.(check int) "0-dimensional points are runs of their own" 2
+    (runs ~dim:0 ~label_dim:1 [ ([||], [| 5 |]); ([||], [| 5 |]) ])
+
+(* The collector copies what [add] passes it: reusing one array for the
+   coordinates and one for the label leaves the result unchanged. *)
+let test_add_copies () =
+  let pts =
+    List.concat
+      (List.init 5 (fun i -> List.init (i + 2) (fun j -> ([| i; j |], [| (3 * i) + j; i - j |]))))
+    @ [ ([| 9; 0 |], [| 0; 0 |]); ([| 9; 2 |], [| 1; 1 |]) ]
+  in
+  let fresh = Fold.fold_points ~dim:2 ~label_dim:2 pts in
+  let c = Fold.Collector.create ~dim:2 ~label_dim:2 () in
+  let coords = Array.make 2 0 and label = Array.make 2 0 in
+  List.iter
+    (fun (p, l) ->
+      Array.blit p 0 coords 0 2;
+      Array.blit l 0 label 0 2;
+      Fold.Collector.add c coords label)
+    pts;
+  Array.fill coords 0 2 (-1);
+  Array.fill label 0 2 (-1);
+  Alcotest.(check string) "same pieces" (render_pieces fresh)
+    (render_pieces (Fold.Collector.result c))
+
+(* --- closed-form innermost row ---------------------------------------- *)
+
+(* [Fold.implied_count] as it was, walking every point of the innermost
+   row *)
+let implied_count_loop bnds ~limit =
+  let dim = Array.length bnds in
+  let exception Too_many in
+  let prefix = Array.make dim 0 in
+  let work = ref 0 in
+  let rec go d =
+    if d = dim then 1
+    else begin
+      let lo_f, hi_f = bnds.(d) in
+      let lo = A.ceil_int lo_f prefix in
+      let hi = A.floor_int hi_f prefix in
+      if hi - lo > limit then raise Too_many;
+      let total = ref 0 in
+      for v = lo to hi do
+        incr work;
+        if !work > 4 * (limit + dim + 1) then raise Too_many;
+        prefix.(d) <- v;
+        total := !total + go (d + 1);
+        if !total > limit then raise Too_many
+      done;
+      prefix.(d) <- 0;
+      !total
+    end
+  in
+  try Some (go 0) with Too_many -> None
+
+(* the count and the enumeration work of a nest, without limits *)
+let count_and_work bnds =
+  let dim = Array.length bnds in
+  let prefix = Array.make dim 0 and work = ref 0 in
+  let rec go d =
+    if d = dim then 1
+    else begin
+      let lo_f, hi_f = bnds.(d) in
+      let total = ref 0 in
+      for v = A.ceil_int lo_f prefix to A.floor_int hi_f prefix do
+        incr work;
+        prefix.(d) <- v;
+        total := !total + go (d + 1)
+      done;
+      !total
+    end
+  in
+  let n = go 0 in
+  (n, !work)
+
+(* random nests: per dim, bounds affine in the outer coordinates with
+   halves among the coefficients, and rows that may be empty *)
+let gen_bounds =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun dim ->
+    let coef = map2 (fun a h -> Rat.make a (if h then 2 else 1)) (int_range (-2) 2) bool in
+    let bound = map2 (fun cs c -> (cs, c)) (list_repeat dim coef) (int_range (-12) 30) in
+    map
+      (fun bs ->
+        Array.of_list
+          (List.mapi
+             (fun d ((lcs, lc), (hcs, hc)) ->
+               let aff cs c =
+                 A.make
+                   (Array.of_list (List.mapi (fun k x -> if k < d then x else Rat.zero) cs))
+                   (Rat.of_int c)
+               in
+               (aff lcs lc, aff hcs hc))
+             bs))
+      (list_repeat dim (pair bound bound)))
+
+(* A nest whose last innermost row is what crosses the work bound while
+   the count stays under [limit]: a triangle of 44 outer iterations whose
+   innermost rows are empty but the last, of one point (count 1, work 45
+   against a bound of 44 at limit 7). *)
+let test_implied_count_work_bound () =
+  let bnds =
+    [| (A.of_int_coeffs [| 0; 0; 0 |] 0, A.of_int_coeffs [| 0; 0; 0 |] 7);
+       (A.of_int_coeffs [| 0; 0; 0 |] 0, A.of_int_coeffs [| -1; 0; 0 |] 7);
+       (A.of_int_coeffs [| 0; 0; 0 |] 0, A.of_int_coeffs [| 1; -1; 0 |] (-7)) |]
+  in
+  Alcotest.(check (pair int int)) "count and work" (1, 45) (count_and_work bnds);
+  List.iter
+    (fun limit ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "limit %d" limit)
+        (implied_count_loop bnds ~limit) (Fold.implied_count bnds ~limit))
+    [ 0; 1; 6; 7; 8 ];
+  Alcotest.(check (option int)) "the work bound ends it" None (Fold.implied_count bnds ~limit:7)
+
+let prop_implied_count_closed_form =
+  QCheck.Test.make ~name:"closed-form innermost row counts as the per-point loop"
+    ~count:500 (QCheck.make gen_bounds) (fun bnds ->
+      let dim = Array.length bnds in
+      let count, work = count_and_work bnds in
+      (* limits at the edges: the count, one below it, and where the
+         work bound [4 * (limit + dim + 1)] meets the enumeration work *)
+      let at_work = (work / 4) - dim - 1 in
+      let limits = [ count; count - 1; count + 1; at_work - 1; at_work; at_work + 1; 0 ] in
+      List.for_all
+        (fun limit ->
+          limit < 0 || Fold.implied_count bnds ~limit = implied_count_loop bnds ~limit)
+        limits)
+
+(* --- decision counters ----------------------------------------------- *)
+
+let test_runs_counter () =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  (* a 4x5 rectangle folds whole from its 4 runs; nothing is decoded *)
+  ignore (Fold.fold_points ~dim:2 ~label_dim:1 (enumerate_rect 4 5 (fun x y -> [| x + y |])));
+  Alcotest.(check bool) "fold.runs" true (metric "fold.runs" = Some (Obs.Metrics.Vint 4));
+  Alcotest.(check bool) "nothing decoded" true
+    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 0))
+
+let test_decoded_counter () =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  (* a split search decodes its whole stream ... *)
+  let pts = List.init 7 (fun x -> ([| x |], [| (if x < 3 then x else 10 * x) |])) in
+  ignore (Fold.fold_points ~dim:1 ~label_dim:1 pts);
+  Alcotest.(check bool) "split search" true
+    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 7));
+  (* ... and a cap spill the points buffered so far *)
+  let c = Fold.Collector.create ~cap:10 ~dim:1 ~label_dim:1 () in
+  for x = 0 to 29 do
+    Fold.Collector.add c [| x |] [| x |]
+  done;
+  ignore (Fold.Collector.result c);
+  Alcotest.(check bool) "spill" true
+    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 17));
+  Alcotest.(check bool) "runs held at the spill" true
+    (metric "fold.runs" = Some (Obs.Metrics.Vint 3))
+
 let () =
   Alcotest.run "fold"
     [ ( "exact",
@@ -456,8 +858,19 @@ let () =
           Alcotest.test_case "under-approximation (paper future work)" `Quick
             test_under_approximation;
           Alcotest.test_case "points histogram" `Quick
-            test_collector_points_histogram ] );
+            test_collector_points_histogram;
+          Alcotest.test_case "runs counter" `Quick test_runs_counter;
+          Alcotest.test_case "decoded points counter" `Quick test_decoded_counter ] );
+      ( "runs",
+        [ Alcotest.test_case "runs break where a step would wrap" `Quick test_runs_break;
+          Alcotest.test_case "add copies its arrays" `Quick test_add_copies ] );
+      ( "implied count",
+        [ Alcotest.test_case "the work bound ends the last row" `Quick
+            test_implied_count_work_bound ] );
+      ( "parity",
+        [ Alcotest.test_case "pinned fold digests" `Quick test_pinned_digests ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fold_rect_roundtrip; prop_fold_covers;
-            prop_fold_enumeration_oracle ] ) ]
+            prop_fold_enumeration_oracle; prop_runs_roundtrip;
+            prop_implied_count_closed_form ] ) ]

@@ -149,7 +149,9 @@ serve-smoke: all
 
 # perf-regression sentinel end to end against checked-in fixtures: a
 # seeded +30% wall-clock regression (25% band) must exit nonzero, an
-# identical rerun must exit zero, and --report-only always exits zero
+# identical rerun must exit zero, and --report-only always exits zero;
+# under the 2 ms wall-clock floor a 0.4 ms row that doubles is clean,
+# while a 200 ms row that grows 50% is still flagged
 perfdiff-smoke: all
 	@set -e; \
 	cli=$$(pwd)/_build/default/bin/polyprof_cli.exe; \
@@ -162,7 +164,13 @@ perfdiff-smoke: all
 	$$cli perfdiff --report-only --history test/perfdiff/history \
 	  test/perfdiff/regressed/BENCH_smoke.json > /dev/null \
 	  || { echo "FAIL: report-only mode exited nonzero"; exit 1; }; \
-	echo "perfdiff-smoke OK: seeded regression caught, identical rerun clean, report-only soft"
+	$$cli perfdiff --history test/perfdiff/history \
+	  test/perfdiff/ok/BENCH_floor.json \
+	  || { echo "FAIL: a sub-millisecond change was flagged"; exit 1; }; \
+	if $$cli perfdiff --history test/perfdiff/history \
+	  test/perfdiff/regressed/BENCH_floor.json; then \
+	  echo "FAIL: a 200 ms row growing 50% was not flagged"; exit 1; fi; \
+	echo "perfdiff-smoke OK: seeded regression caught, identical rerun clean, report-only soft, sub-2 ms noise clean"
 
 clean:
 	dune clean

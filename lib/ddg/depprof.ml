@@ -474,10 +474,10 @@ let check_witnesses e =
 (* ------------------------------------------------------------------ *)
 
 (* Indexed like [stmt_arr]. *)
-let stmt_infos_of e =
+let stmt_infos_of e shared =
   Array.init e.n_stmts (fun i ->
       let r = e.stmt_arr.(i) in
-      let pieces = Fold.Collector.result r.collector in
+      let pieces = Fold.Collector.result ~shared r.collector in
       let affine = (not r.poisoned) && Fold.Collector.is_affine r.collector in
       { sk = r.r_sk;
         cls = r.r_cls;
@@ -638,7 +638,9 @@ let finalize e ~run_stats =
   let approx_dep = ref 0 in
   let stmt_infos, dep_infos =
     Obs.Span.with_ ~cat:"ddg" "ddg.finalize.fold" @@ fun () ->
-    let stmt_infos = stmt_infos_of e in
+    (* one stream table for every collector: most streams repeat *)
+    let shared = Fold.Collector.shared () in
+    let stmt_infos = stmt_infos_of e shared in
     ( stmt_infos,
       Int_tbl.fold
         (fun _ dr acc ->
@@ -651,7 +653,7 @@ let finalize e ~run_stats =
             acc
           end
           else begin
-            let d_pieces = Fold.Collector.result dr.d_collector in
+            let d_pieces = Fold.Collector.result ~shared dr.d_collector in
             if Fold.Collector.spilled dr.d_collector then incr approx_dep;
             { dk = dr.dr_dk;
               d_count = dr.d_n;

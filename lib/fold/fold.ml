@@ -487,12 +487,45 @@ let fit_segment ?(strict = true) (r : Runs.t) : piece option =
         end
 
 (* ------------------------------------------------------------------ *)
+(* Int-array keys                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The key of every table that remembers a fold: a few header ints and
+   the slice [body.(0 .. len - 1)] of an int array, referenced in place
+   (never copied).  Hashing and equality read every int: [Hashtbl.hash]
+   reads only the first ten of an array, and streams that differ late
+   would all collide. *)
+module Key = struct
+  type t = { head : int array; body : int array; len : int }
+
+  let equal a b =
+    let rec same x y i n = i = n || (x.(i) = y.(i) && same x y (i + 1) n) in
+    a.len = b.len
+    && Array.length a.head = Array.length b.head
+    && same a.head b.head 0 (Array.length a.head)
+    && same a.body b.body 0 a.len
+
+  let hash k =
+    let h = ref k.len in
+    let mix v = h := (!h + v) * 0x2545F4914F6CDD1D in
+    Array.iter mix k.head;
+    for i = 0 to k.len - 1 do
+      mix k.body.(i)
+    done;
+    (* [Hashtbl] indexes by the low bits: fold the high ones in *)
+    !h lxor (!h lsr 31)
+end
+
+module Key_tbl = Hashtbl.Make (Key)
+
+(* ------------------------------------------------------------------ *)
 (* Split search, over decoded points                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* [points] / [labels] are a stream that did not fit as one piece.  Each
    candidate part or segment is encoded into [scratch] (sized for the
-   whole stream once) and fitted by [fit_segment]. *)
+   whole stream once) and fitted by [fit_segment].  The fits are pure,
+   so a candidate the search meets again is looked up, not refitted. *)
 
 let label_column labels k = fun i -> labels.(i).(k)
 
@@ -509,55 +542,66 @@ let box_piece (scratch : Runs.t) (points : int array array) (labels : int array 
         fit_points ~sub_dim:dim ~dim n (Array.get points) (label_column labels k))
   in
   (* under-approximation: the longest exactly-foldable prefix of the
-     stream certifies an inner region that is definitely iterated *)
+     stream, doubling from one point, certifies an inner region that is
+     definitely iterated *)
   let under =
     if dim = 0 || n < 2 then None
     else begin
       let fits len = fit_indices ~strict:false scratch points labels ident 0 len in
-      let len = ref 1 in
-      while 2 * !len <= n && fits (2 * !len) <> None do
-        len := 2 * !len
-      done;
-      match fits !len with
-      | Some p when !len > 1 -> Some p.dom
-      | _ -> None
+      let rec grow len best =
+        if 2 * len > n then best
+        else
+          match fits (2 * len) with
+          | Some p -> grow (2 * len) (Some p)
+          | None -> best
+      in
+      match grow 1 None with
+      | Some p -> Some p.dom
+      | None ->
+          (* a single point certifies nothing, but it is still fitted:
+             what that raises, the stream raises *)
+          ignore (fits 1);
+          None
     end
   in
   { dom; labels = lfs; exact = false; points = n; under }
 
-(* Split a part of the stream by a per-dimension boundary predicate:
+(* Split a part of the stream by per-dimension boundary predicates:
    points at the first iteration of dim [d] (within their prefix) versus
-   the rest.  This captures the classic boundary pieces of dependence
-   relations — e.g. a reduction whose first inner iteration reads the
-   previous outer iteration's result (paper Table 2: the I4->I4
-   dependence holds on ck >= 1 only).  [part] holds indices into
-   [points]; both halves keep its order.  Along a run only the innermost
+   the rest, and points at the last iteration versus the rest, from one
+   encoding of the part.  This captures the classic boundary pieces of
+   dependence relations — e.g. a reduction whose first inner iteration
+   reads the previous outer iteration's result (paper Table 2: the
+   I4->I4 dependence holds on ck >= 1 only).  [part] holds indices into
+   [points]; every half keeps its order.  Along a run only the innermost
    coordinate moves, so a run is on the boundary as a whole for an outer
    [d], and in at most one point for the innermost. *)
-let split_boundary_iteration ~last scratch points labels part d =
+let split_boundary_iterations scratch points labels part d =
   let np = Array.length part in
   Runs.encode scratch points labels part 0 np;
   let r = scratch in
   let _, group, lo, hi = prefix_ranges r d in
-  let extreme = if last then hi else lo in
-  let boundary = Array.make np 0 and rest = Array.make np 0 in
-  let nb = ref 0 and nr = ref 0 and q = ref 0 in
-  for j = 0 to r.nruns - 1 do
-    let v0 = r.buf.((j * r.stride) + d) and ext = extreme.(group.(j)) in
-    for t = 0 to Runs.run_len r j - 1 do
-      let v = if d = r.dim - 1 then v0 + t else v0 in
-      if v = ext then begin
-        boundary.(!nb) <- part.(!q);
-        incr nb
-      end
-      else begin
-        rest.(!nr) <- part.(!q);
-        incr nr
-      end;
-      incr q
-    done
-  done;
-  (Array.sub boundary 0 !nb, Array.sub rest 0 !nr)
+  let split extreme =
+    let boundary = Array.make np 0 and rest = Array.make np 0 in
+    let nb = ref 0 and nr = ref 0 and q = ref 0 in
+    for j = 0 to r.nruns - 1 do
+      let v0 = r.buf.((j * r.stride) + d) and ext = extreme.(group.(j)) in
+      for t = 0 to Runs.run_len r j - 1 do
+        let v = if d = r.dim - 1 then v0 + t else v0 in
+        if v = ext then begin
+          boundary.(!nb) <- part.(!q);
+          incr nb
+        end
+        else begin
+          rest.(!nr) <- part.(!q);
+          incr nr
+        end;
+        incr q
+      done
+    done;
+    (Array.sub boundary 0 !nb, Array.sub rest 0 !nr)
+  in
+  (split lo, split hi)
 
 (* The piece list of a stream [r] that [fit_segment] could not fit
    whole: boundary splits, then greedy segmentation, then per-component
@@ -568,18 +612,43 @@ let fold_split ~boundary_splits ~max_pieces (r : Runs.t) =
   let n = Array.length points in
   let scratch = Runs.create ~dim ~label_dim ~max_runs:n ~size:n in
   let ident = Array.init n Fun.id in
-  let fit_part part = fit_indices scratch points labels part 0 (Array.length part) in
+  (* the fit of every part the boundary splits tried, by the part's
+     contents: different split paths reach the same part *)
+  let parts = Key_tbl.create 16 in
+  let fit_part part =
+    let key = { Key.head = [||]; body = part; len = Array.length part } in
+    match Key_tbl.find_opt parts key with
+    | Some p -> p
+    | None ->
+        let p = fit_indices scratch points labels part 0 (Array.length part) in
+        Key_tbl.add parts key p;
+        p
+  in
   (* recursive boundary splitting, innermost dimension first, with a
      small budget (up to 4 pieces); [split] is tried once the whole
      of [part] failed to fit *)
   let rec split part budget =
+    (* per dim, the first- and last-iteration splits of [part],
+       classified when [go] first reaches the dim *)
+    let classified = Array.make dim None in
+    let halves d last =
+      let s =
+        match classified.(d) with
+        | Some s -> s
+        | None ->
+            let s = split_boundary_iterations scratch points labels part d in
+            classified.(d) <- Some s;
+            s
+      in
+      if last then snd s else fst s
+    in
     let rec go d last =
       if d < 0 then if last then None else go (dim - 1) true
       else begin
-        let first, rest = split_boundary_iteration ~last scratch points labels part d in
-        if Array.length first = 0 || Array.length rest = 0 then go (d - 1) last
+        let boundary, rest = halves d last in
+        if Array.length boundary = 0 || Array.length rest = 0 then go (d - 1) last
         else
-          match fit_with_splits first (budget - 1) with
+          match fit_with_splits boundary (budget - 1) with
           | None -> go (d - 1) last
           | Some a -> (
               match fit_with_splits rest (budget - 1) with
@@ -597,13 +666,25 @@ let fold_split ~boundary_splits ~max_pieces (r : Runs.t) =
   match if dim > 0 && boundary_splits then split ident 2 else None with
   | Some ps -> ps
   | None ->
+      (* the boundary phase is over: drop its parts *)
+      Key_tbl.reset parts;
       (* greedy segmentation with doubling + binary search *)
-      let segment i len = fit_indices scratch points labels ident i len in
       let pieces = ref [] in
       let i = ref 0 in
       let too_many = ref false in
+      (* the fit of every length tried from the current start *)
+      let tried = Hashtbl.create 16 in
+      let segment len =
+        match Hashtbl.find_opt tried len with
+        | Some p -> p
+        | None ->
+            let p = fit_indices scratch points labels ident !i len in
+            Hashtbl.add tried len p;
+            p
+      in
       while !i < n && not !too_many do
-        let fits len = Option.is_some (segment !i len) in
+        Hashtbl.clear tried;
+        let fits len = Option.is_some (segment len) in
         (* grow the segment by doubling + binary search; fits() is not
            monotone (a partial inner row can fail where the next full
            row succeeds), so retry the expansion from each new best
@@ -627,7 +708,7 @@ let fold_split ~boundary_splits ~max_pieces (r : Runs.t) =
           end
         done;
         let best = !best in
-        (match segment !i best with
+        (match segment best with
         | Some p -> pieces := p :: !pieces
         | None -> assert false);
         i := !i + best;
@@ -652,6 +733,7 @@ module Collector = struct
   let obs_approx = Obs.Metrics.counter ~help:"collectors that overflowed their cap into approx mode" "fold.approx_spills"
   let obs_runs = Obs.Metrics.counter ~help:"runs the collectors held when they stopped buffering" "fold.runs"
   let obs_decoded = Obs.Metrics.counter ~help:"points decoded from runs for the split search or a cap spill" "fold.decoded_points"
+  let obs_shared = Obs.Metrics.counter ~help:"collectors answered from the stream table without folding" "fold.shared"
   let obs_collector_points = Obs.Metrics.histogram ~help:"points per folded collector" "fold.collector_points"
 
   type approx_state = {
@@ -744,25 +826,49 @@ module Collector = struct
     done;
     P.make dim !cons
 
-  let result t =
+  (* The raw pieces (before the [per_component] ablation) of every
+     buffered stream folded so far, keyed on the folding options that
+     shape them and on the stream's runs, in the collector's own buffer.
+     [dim] and [label_dim] belong to the key: different layouts can have
+     the same stride and the same buffer. *)
+  type shared = piece list Key_tbl.t
+
+  let shared () : shared = Key_tbl.create 64
+
+  (* [r]'s pieces, whether they came from [shared], and the points
+     decoded for them *)
+  let fold_buffered ~shared t (r : Runs.t) =
+    let key =
+      { Key.head = [| t.dim; t.label_dim; t.max_pieces; Bool.to_int t.boundary_splits |];
+        body = r.buf;
+        len = r.nruns * r.stride }
+    in
+    match Key_tbl.find_opt shared key with
+    | Some ps -> (ps, true, 0)
+    | None ->
+        let ps, decoded =
+          match fit_segment r with
+          | Some p -> ([ p ], 0)
+          | None ->
+              ( fold_split ~boundary_splits:t.boundary_splits ~max_pieces:t.max_pieces r,
+                r.npoints )
+        in
+        Key_tbl.add shared key ps;
+        (ps, false, decoded)
+
+  let result ~shared t =
     match t.finalized with
     | Some ps -> ps
     | None ->
-        let ps, runs, decoded =
+        let ps, runs, hit, decoded =
           match t.mode with
           | Buffering r ->
               let runs = r.nruns in
-              let ps, decoded =
-                match fit_segment r with
-                | Some p -> ([ p ], 0)
-                | None ->
-                    ( fold_split ~boundary_splits:t.boundary_splits
-                        ~max_pieces:t.max_pieces r,
-                      r.npoints )
-              in
+              let ps, hit, decoded = fold_buffered ~shared t r in
+              (* the table keeps the buffer of a stream it holds *)
               Runs.clear r;
               r.buf <- [||];
-              (ps, runs, decoded)
+              (ps, runs, hit, decoded)
           | Approx st ->
               ( [ { dom = box_of_bounds t.dim st.lo st.hi;
                     labels = st.labels;
@@ -770,6 +876,7 @@ module Collector = struct
                     points = t.n;
                     under = None } ],
                 st.spill_runs,
+                false,
                 st.spill_points )
         in
         let ps =
@@ -791,6 +898,7 @@ module Collector = struct
           Obs.Metrics.add obs_pieces (List.length ps);
           Obs.Metrics.add obs_runs runs;
           Obs.Metrics.add obs_decoded decoded;
+          Obs.Metrics.add obs_shared (Bool.to_int hit);
           match t.mode with
           | Approx _ -> Obs.Metrics.add obs_approx 1
           | Buffering _ -> ()
@@ -798,12 +906,12 @@ module Collector = struct
         ps
 
   let is_affine t =
-    List.for_all
-      (fun p -> p.exact && Array.for_all Option.is_some p.labels)
-      (result t)
+    match t.finalized with
+    | Some ps -> List.for_all (fun p -> p.exact && Array.for_all Option.is_some p.labels) ps
+    | None -> invalid_arg "Fold.Collector.is_affine: the collector is not finalized"
 end
 
 let fold_points ~dim ~label_dim pts =
   let c = Collector.create ~dim ~label_dim () in
   List.iter (fun (p, l) -> Collector.add c p l) pts;
-  Collector.result c
+  Collector.result ~shared:(Collector.shared ()) c

@@ -57,9 +57,25 @@ module Collector : sig
 
   val npoints : t -> int
   val dim : t -> int
-  val result : t -> piece list
+
+  type shared
+  (** A stream table: the pieces of every buffered stream folded with
+      it, keyed on the stream's runs and on the [dim], [label_dim],
+      [max_pieces] and [boundary_splits] of its collector.  Folding is a
+      pure function of that key, so a collector whose stream is in the
+      table takes its pieces without folding.  Spilled collectors never
+      enter it.  The table references the collectors' run buffers; drop
+      it with the collectors. *)
+
+  val shared : unit -> shared
+  (** A fresh, empty stream table. *)
+
+  val result : shared:shared -> t -> piece list
   (** Finalize (idempotent).  The union of the returned pieces covers all
       added points; pieces marked [exact] contain exactly their points.
+      A stream already in [shared] is not folded again: the collector
+      takes the table's pieces (then applies its own [per_component]),
+      counts 1 in [fold.shared] and adds 0 to [fold.decoded_points].
       With telemetry on, the first call observes the point count into
       the [fold.collector_points] histogram. *)
 
@@ -68,12 +84,13 @@ module Collector : sig
       over-approximation. *)
 
   val is_affine : t -> bool
-  (** After {!result}: all pieces exact with every label component
-      affine. *)
+  (** All pieces of the finalized result exact with every label
+      component affine.  Raises [Invalid_argument] before {!result}. *)
 end
 
 val fold_points : dim:int -> label_dim:int -> (int array * int array) list -> piece list
-(** One-shot folding of a point list (convenience for tests). *)
+(** One-shot folding of a point list with a fresh stream table
+    (convenience for tests). *)
 
 (** {2 Exposed for tests} *)
 

@@ -187,6 +187,15 @@ let classify path =
   then (Lower_better, 0.15)
   else (Info_only, 0.0)
 
+(* The wall-clock floor: a [seconds] or [_ns] row that moves by less
+   than 2 ms, in its own unit, is timer noise whatever its relative
+   change. *)
+let abs_floor path =
+  let p = String.lowercase_ascii path in
+  if contains p "seconds" then 2e-3
+  else if ends_with ~suffix:"_ns" p || ends_with ~suffix:".ns" p then 2e6
+  else 0.0
+
 type verdict = Within | Regressed | Improved | New_metric | Missing | Info
 
 let verdict_name = function
@@ -234,6 +243,7 @@ let diff ~baseline:base ~current =
               (* baseline is exactly 0: relative drift is undefined, so
                  only an exact match is quiet *)
               if Float.abs (c -. b) <= 1e-12 then Within else Info
+          | Some _ when Float.abs (c -. b) < abs_floor metric -> Within
           | Some d ->
               let tol_pct = tol *. 100.0 in
               let worse =

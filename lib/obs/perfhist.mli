@@ -65,7 +65,9 @@ val diff :
 (** One row per metric present on either side, sorted by name.  A
     metric is [Regressed]/[Improved] only when its delta exceeds the
     tolerance in the bad/good direction; zero baselines compare
-    exactly. *)
+    exactly.  A [seconds] or [_ns] row that moves by less than 2 ms is
+    [Within] whatever its relative change: at that scale the change is
+    timer noise. *)
 
 val regressions : row list -> row list
 (** The rows that should fail a gating run. *)

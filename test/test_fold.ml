@@ -141,7 +141,7 @@ let test_streaming_cap () =
     Fold.Collector.add c [| x |] [| (5 * x) + 2 |]
   done;
   Alcotest.(check int) "all points counted" 1000 (Fold.Collector.npoints c);
-  match Fold.Collector.result c with
+  match Fold.Collector.result ~shared:(Fold.Collector.shared ()) c with
   | [ p ] ->
       Alcotest.(check bool) "approx" true (not p.Fold.exact);
       Alcotest.(check bool) "box covers" true
@@ -156,7 +156,7 @@ let test_streaming_cap_label_violation () =
   for x = 0 to 199 do
     Fold.Collector.add c [| x |] [| x * x |]
   done;
-  match Fold.Collector.result c with
+  match Fold.Collector.result ~shared:(Fold.Collector.shared ()) c with
   | [ p ] ->
       Alcotest.(check bool) "label degraded to top" true
         (Option.is_none p.Fold.labels.(0))
@@ -175,8 +175,8 @@ let test_collector_points_histogram () =
     for x = 0 to n - 1 do
       Fold.Collector.add c [| x |] [| 2 * x |]
     done;
-    ignore (Fold.Collector.result c);
-    ignore (Fold.Collector.result c);
+    ignore (Fold.Collector.result ~shared:(Fold.Collector.shared ()) c);
+    ignore (Fold.Collector.result ~shared:(Fold.Collector.shared ()) c);
     c
   in
   Obs.Metrics.reset ();
@@ -602,15 +602,19 @@ let render_pieces ps =
            (match p.Fold.under with Some u -> P.to_string u | None -> "-"))
        ps)
 
-let render_stream seed =
-  let s = gen_stream (Random.State.make [| seed |]) in
+(* [s] collected and folded with the stream table [shared] *)
+let render_collector ~shared s =
   let c = collect s in
-  Printf.sprintf "seed %d dim %d label_dim %d n %d spilled %b\n" seed s.s_dim s.s_label_dim
-    (Fold.Collector.npoints c) (Fold.Collector.spilled c)
+  Printf.sprintf "n %d spilled %b\n" (Fold.Collector.npoints c) (Fold.Collector.spilled c)
   ^
-  match Fold.Collector.result c with
+  match Fold.Collector.result ~shared c with
   | ps -> Printf.sprintf "affine %b\n%s" (Fold.Collector.is_affine c) (render_pieces ps)
   | exception Pp_util.Rat.Overflow -> "raises Rat.Overflow\n"
+
+let render_stream seed =
+  let s = gen_stream (Random.State.make [| seed |]) in
+  Printf.sprintf "seed %d dim %d label_dim %d " seed s.s_dim s.s_label_dim
+  ^ render_collector ~shared:(Fold.Collector.shared ()) s
 
 (* 200 streams, digested in blocks of ten seeds *)
 let digest_block b =
@@ -648,6 +652,92 @@ let test_pinned_digests () =
     (fun (b, digest) ->
       Alcotest.(check string) (Printf.sprintf "block %d" b) digest (digest_block b))
     pinned_fold_digests
+
+(* --- stream table ---------------------------------------------------- *)
+
+let fresh s = render_collector ~shared:(Fold.Collector.shared ()) s
+
+(* [pts] with the default collector options *)
+let plain_stream ?(cap = 100_000) dim label_dim pts =
+  { s_dim = dim; s_label_dim = label_dim; s_cap = cap; s_max_pieces = 16; s_splits = true;
+    s_per_component = true; s_pts = pts }
+
+(* Each pinned stream goes through one table twice, around variants
+   that differ in a keyed option (max_pieces, boundary_splits) or in
+   the unkeyed per_component ablation: every collector renders what a
+   fresh table renders, and the repeats are answered from the table. *)
+let test_shared_parity () =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  let shared = Fold.Collector.shared () in
+  let foldable = ref 0 in
+  for seed = 0 to 199 do
+    let s = gen_stream (Random.State.make [| seed |]) in
+    let variants =
+      [ s;
+        { s with s_max_pieces = (s.s_max_pieces mod 3) + 1 };
+        { s with s_splits = false };
+        { s with s_per_component = not s.s_per_component };
+        s ]
+    in
+    List.iteri
+      (fun k v ->
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d, collector %d" seed k)
+          (fresh v) (render_collector ~shared v))
+      variants;
+    let c = collect s in
+    match Fold.Collector.result ~shared:(Fold.Collector.shared ()) c with
+    | _ -> if not (Fold.Collector.spilled c) then incr foldable
+    | exception Pp_util.Rat.Overflow -> ()
+  done;
+  match metric "fold.shared" with
+  | Some (Obs.Metrics.Vint hits) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d hits for %d foldable streams" hits !foldable)
+        true
+        (hits >= 2 * !foldable)
+  | _ -> Alcotest.fail "fold.shared missing"
+
+(* Streams whose run buffers coincide under a different (dim, label_dim)
+   of the same stride fold apart. *)
+let test_shared_layouts () =
+  let same_stride a b =
+    let shared = Fold.Collector.shared () in
+    List.iter
+      (fun s -> Alcotest.(check string) "same as fresh" (fresh s) (render_collector ~shared s))
+      [ a; b; a; b ]
+  in
+  (* stride 5, buffer [0; 3; 5; 1; 7 | 10; 2; 3; 0; 3]: runs
+     (p0, len, l0, step, last) for dim 1, (c0, c1, c2, c3, len) for dim 4 *)
+  same_stride
+    (plain_stream 1 1
+       (List.init 3 (fun x -> ([| x |], [| 5 + x |]))
+       @ List.init 2 (fun x -> ([| 10 + x |], [| 3 |]))))
+    (plain_stream 4 0
+       (List.init 7 (fun t -> ([| 0; 3; 5; 1 + t |], [||]))
+       @ List.init 3 (fun t -> ([| 10; 2; 3; t |], [||]))));
+  (* stride 4, buffer [1; 4; 0; 4 | 1; 2; 0; 2]: a 0-dimensional stream
+     with one label, and a 3-dimensional one without labels *)
+  same_stride
+    (plain_stream 0 1 [ ([||], [| 4 |]); ([||], [| 2 |]) ])
+    (plain_stream 3 0
+       (List.init 4 (fun t -> ([| 1; 4; t |], [||]))
+       @ List.init 2 (fun t -> ([| 1; 2; t |], [||]))))
+
+(* A spilled collector neither answers from the table nor fills it, and
+   a strict prefix of a cached stream is a stream of its own. *)
+let test_shared_misses () =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  let rect = enumerate_rect 4 5 (fun x y -> [| (2 * x) + y |]) in
+  let stream ?cap pts = plain_stream ?cap 2 1 pts in
+  let take n = List.filteri (fun i _ -> i < n) rect in
+  let shared = Fold.Collector.shared () in
+  List.iter
+    (fun s -> Alcotest.(check string) "same as fresh" (fresh s) (render_collector ~shared s))
+    [ stream ~cap:10 rect; stream rect; stream ~cap:10 rect; stream (take 15); stream (take 14) ];
+  Alcotest.(check bool) "no hit" true (metric "fold.shared" = Some (Obs.Metrics.Vint 0))
 
 (* --- run-length codec ---------------------------------------------- *)
 
@@ -699,7 +789,7 @@ let test_add_copies () =
   Array.fill coords 0 2 (-1);
   Array.fill label 0 2 (-1);
   Alcotest.(check string) "same pieces" (render_pieces fresh)
-    (render_pieces (Fold.Collector.result c))
+    (render_pieces (Fold.Collector.result ~shared:(Fold.Collector.shared ()) c))
 
 (* --- closed-form innermost row ---------------------------------------- *)
 
@@ -829,11 +919,31 @@ let test_decoded_counter () =
   for x = 0 to 29 do
     Fold.Collector.add c [| x |] [| x |]
   done;
-  ignore (Fold.Collector.result c);
+  ignore (Fold.Collector.result ~shared:(Fold.Collector.shared ()) c);
   Alcotest.(check bool) "spill" true
     (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 17));
   Alcotest.(check bool) "runs held at the spill" true
     (metric "fold.runs" = Some (Obs.Metrics.Vint 3))
+
+let test_shared_counter () =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  let shared = Fold.Collector.shared () in
+  let fold pts =
+    let c = Fold.Collector.create ~dim:1 ~label_dim:1 () in
+    List.iter (fun (p, l) -> Fold.Collector.add c p l) pts;
+    Fold.Collector.result ~shared c
+  in
+  (* the second collector of a split-search stream takes the first's
+     pieces: one hit, nothing decoded for it *)
+  let pts = List.init 7 (fun x -> ([| x |], [| (if x < 3 then x else 10 * x) |])) in
+  let a = fold pts and b = fold pts in
+  Alcotest.(check bool) "the table's pieces" true (a == b);
+  Alcotest.(check bool) "one hit" true (metric "fold.shared" = Some (Obs.Metrics.Vint 1));
+  Alcotest.(check bool) "one decode" true
+    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 7));
+  Alcotest.(check bool) "both count their points" true
+    (metric "fold.points" = Some (Obs.Metrics.Vint 14))
 
 let () =
   Alcotest.run "fold"
@@ -860,7 +970,8 @@ let () =
           Alcotest.test_case "points histogram" `Quick
             test_collector_points_histogram;
           Alcotest.test_case "runs counter" `Quick test_runs_counter;
-          Alcotest.test_case "decoded points counter" `Quick test_decoded_counter ] );
+          Alcotest.test_case "decoded points counter" `Quick test_decoded_counter;
+          Alcotest.test_case "shared streams counter" `Quick test_shared_counter ] );
       ( "runs",
         [ Alcotest.test_case "runs break where a step would wrap" `Quick test_runs_break;
           Alcotest.test_case "add copies its arrays" `Quick test_add_copies ] );
@@ -868,7 +979,10 @@ let () =
         [ Alcotest.test_case "the work bound ends the last row" `Quick
             test_implied_count_work_bound ] );
       ( "parity",
-        [ Alcotest.test_case "pinned fold digests" `Quick test_pinned_digests ] );
+        [ Alcotest.test_case "pinned fold digests" `Quick test_pinned_digests;
+          Alcotest.test_case "a shared table folds as fresh ones" `Quick test_shared_parity;
+          Alcotest.test_case "equal buffers, different layouts" `Quick test_shared_layouts;
+          Alcotest.test_case "spills and prefixes miss" `Quick test_shared_misses ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fold_rect_roundtrip; prop_fold_covers;

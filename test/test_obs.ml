@@ -410,6 +410,21 @@ let test_equal_ignoring () =
     (J.write_file_stable path
        (J.Obj [ ("schema_version", J.Int 99); ("generated_utc", J.Str "t2") ]))
 
+(* --- perfdiff bands ------------------------------------------------- *)
+
+let test_perfdiff_floor () =
+  let verdict metric b c =
+    match Obs.Perfhist.diff ~baseline:[ (metric, b) ] ~current:[ (metric, c) ] with
+    | [ r ] -> Obs.Perfhist.verdict_name r.r_verdict
+    | _ -> Alcotest.fail "one row expected"
+  in
+  Alcotest.(check string) "0.4 ms doubling" "ok" (verdict "stage.seconds" 0.0004 0.0008);
+  Alcotest.(check string) "0.4 ms halving" "ok" (verdict "stage.seconds" 0.0008 0.0004);
+  Alcotest.(check string) "1.5 ms in ns" "ok" (verdict "stage.total_ns" 1e6 2.5e6);
+  Alcotest.(check string) "200 ms growing 50%" "REGRESSED" (verdict "stage.seconds" 0.2 0.3);
+  Alcotest.(check string) "3 ms in ns" "REGRESSED" (verdict "stage.total_ns" 1e6 4e6);
+  Alcotest.(check string) "no floor on byte counts" "REGRESSED" (verdict "heap.bytes" 10. 20.)
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -432,6 +447,8 @@ let () =
           Alcotest.test_case "nesting order" `Quick test_span_nesting;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_span_disabled_noop ] );
+      ( "bands",
+        [ Alcotest.test_case "wall-clock floor" `Quick test_perfdiff_floor ] );
       ( "export",
         [ Alcotest.test_case "chrome escaping" `Quick test_chrome_escaping;
           Alcotest.test_case "json string round-trip" `Quick

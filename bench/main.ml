@@ -97,27 +97,29 @@ let tables_1_and_2 () =
   let samples : (string, (int array * int array) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
-  List.iter (fun e -> Ddg.Iiv.update iiv e) (Ddg.Loop_events.start levents);
+  let emit = Ddg.Iiv.update iiv in
+  Ddg.Loop_events.start levents ~emit;
   let on_control ev =
     (match ev with
     | Vm.Event.Call _ -> Ddg.Shadow.push_frame shadow
     | Vm.Event.Return _ -> Ddg.Shadow.pop_frame shadow
     | Vm.Event.Jump _ -> ());
-    List.iter (fun e -> Ddg.Iiv.update iiv e) (Ddg.Loop_events.feed levents ev)
+    Ddg.Loop_events.feed levents ~emit ev
   in
-  (* origins are tagged with the producer's sid *)
+  (* shadow tags are the producer's sid *)
   let on_exec (e : Vm.Event.exec) =
     let coords = Ddg.Iiv.coords iiv in
-    let record (o : Ddg.Shadow.origin) =
+    let record tag src_coords =
       if
-        Vm.Isa.Sid.fid e.sid = kernel_fid
-        && Vm.Isa.Sid.fid o.o_tag = kernel_fid
-        && Array.length o.o_coords = 2
+        tag >= 0
+        && Vm.Isa.Sid.fid e.sid = kernel_fid
+        && Vm.Isa.Sid.fid tag = kernel_fid
+        && Array.length src_coords = 2
         && Array.length coords = 2
       then begin
         let key =
           Printf.sprintf "I%d -> I%d"
-            (Vm.Isa.Sid.idx o.o_tag + 1)
+            (Vm.Isa.Sid.idx tag + 1)
             (Vm.Isa.Sid.idx e.sid + 1)
         in
         let cell =
@@ -128,27 +130,22 @@ let tables_1_and_2 () =
               Hashtbl.add samples key r;
               r
         in
-        cell := (coords, o.o_coords) :: !cell
+        cell := (coords, src_coords) :: !cell
       end
     in
     List.iter
       (fun reg ->
-        match Ddg.Shadow.last_reg_writer shadow ~reg with
-        | Some o -> record o
-        | None -> ())
+        record (Ddg.Shadow.reg_tag shadow ~reg) (Ddg.Shadow.reg_coords shadow ~reg))
       e.reads;
     (match e.addr_read with
-    | Some addr -> (
-        match Ddg.Shadow.last_mem_writer shadow ~addr with
-        | Some o -> record o
-        | None -> ())
+    | Some addr ->
+        record (Ddg.Shadow.mem_tag shadow ~addr) (Ddg.Shadow.mem_coords shadow ~addr)
     | None -> ());
-    let origin = { Ddg.Shadow.o_tag = e.sid; o_coords = coords } in
     (match e.addr_written with
-    | Some addr -> Ddg.Shadow.write_mem shadow ~addr origin
+    | Some addr -> Ddg.Shadow.write_mem shadow ~addr ~tag:e.sid ~coords
     | None -> ());
     match e.writes with
-    | Some reg -> Ddg.Shadow.write_reg shadow ~reg origin
+    | Some reg -> Ddg.Shadow.write_reg shadow ~reg ~tag:e.sid ~coords
     | None -> ()
   in
   let (_ : Vm.Interp.stats) =

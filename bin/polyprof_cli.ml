@@ -187,23 +187,20 @@ let trace_cmd =
     in
     let count = ref 0 in
     let exception Done in
-    let show evs =
-      List.iter
-        (fun ev ->
-          Ddg.Iiv.update iiv ev;
-          incr count;
-          if !count <= limit then
-            Format.printf "%4d: %-28s %s@." !count
-              (Format.asprintf "%a" Ddg.Loop_events.pp ev)
-              (Ddg.Iiv.to_string iiv)
-          else raise Done)
-        evs
+    let show ev =
+      Ddg.Iiv.update iiv ev;
+      incr count;
+      if !count <= limit then
+        Format.printf "%4d: %-28s %s@." !count
+          (Format.asprintf "%a" Ddg.Loop_events.pp ev)
+          (Ddg.Iiv.to_string iiv)
+      else raise Done
     in
     (try
-       show (Ddg.Loop_events.start levents);
+       Ddg.Loop_events.start levents ~emit:show;
        let callbacks =
          { Vm.Interp.on_control =
-             (fun ev -> show (Ddg.Loop_events.feed levents ev));
+             (fun ev -> Ddg.Loop_events.feed levents ~emit:show ev);
            on_exec = ignore }
        in
        ignore (Vm.Interp.run ~callbacks prog)

@@ -31,23 +31,20 @@ let () =
     | Ddg.Iiv.Ccomp c -> Printf.sprintf "L%d" (c + 1)
   in
   let step = ref 0 in
-  let show evs =
-    List.iter
-      (fun ev ->
-        Ddg.Iiv.update iiv ev;
-        incr step;
-        Format.printf "%3d: %-22s %s@." !step
-          (Format.asprintf "%a" Ddg.Loop_events.pp ev)
-          (Ddg.Iiv.to_string ~name iiv))
-      evs
+  let show ev =
+    Ddg.Iiv.update iiv ev;
+    incr step;
+    Format.printf "%3d: %-22s %s@." !step
+      (Format.asprintf "%a" Ddg.Loop_events.pp ev)
+      (Ddg.Iiv.to_string ~name iiv)
   in
-  show (Ddg.Loop_events.start levents);
+  Ddg.Loop_events.start levents ~emit:show;
   let callbacks =
-    { Vm.Interp.on_control = (fun ev -> show (Ddg.Loop_events.feed levents ev));
+    { Vm.Interp.on_control = (fun ev -> Ddg.Loop_events.feed levents ~emit:show ev);
       on_exec = ignore }
   in
   let (_ : Vm.Interp.stats) = Vm.Interp.run ~callbacks prog in
-  show (Ddg.Loop_events.finish levents);
+  Ddg.Loop_events.finish levents ~emit:show;
 
   (* the full pipeline: schedule tree + folded domains (Fig. 3j/k) *)
   let t = Polyprof.run_hir hir in

@@ -37,11 +37,15 @@ let cfg_of t fid =
       Hashtbl.replace t.func_cfgs fid g;
       g
 
+(* Most control events repeat an edge already seen: test it first,
+   since adding rebuilds both adjacency entries. *)
+let add_edge g a b = if not (Digraph.mem_edge g a b) then Digraph.add_edge g a b
+
 let on_control t = function
-  | Vm.Event.Jump { fid; src; dst } -> Digraph.add_edge (cfg_of t fid) src dst
+  | Vm.Event.Jump { fid; src; dst } -> add_edge (cfg_of t fid) src dst
   | Vm.Event.Call { caller; site; callee; dst = _ } ->
       ignore (cfg_of t callee);
-      Digraph.add_edge t.cg caller callee;
+      add_edge t.cg caller callee;
       Hashtbl.replace t.sites (caller, site, callee) ();
       t.call_stack <- (caller, site) :: t.call_stack
   | Vm.Event.Return { caller; dst; _ } -> (
@@ -52,7 +56,7 @@ let on_control t = function
       | (cf, site) :: rest ->
           t.call_stack <- rest;
           assert (cf = caller);
-          Digraph.add_edge (cfg_of t caller) site dst
+          add_edge (cfg_of t caller) site dst
       | [] -> invalid_arg "Cfg_builder: unbalanced return")
 
 let callbacks t =

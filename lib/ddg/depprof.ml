@@ -121,8 +121,12 @@ let loop_trip ~base ~coefs (coords : int array) =
   max 0 !t
 
 (* The engine numbers statements densely in first-execution order; a
-   shadow origin's tag is its producer's index, so a dependence never
-   needs the producer's [stmt_key] until its record is created. *)
+   shadow tag is its producer's index, so a dependence never needs the
+   producer's [stmt_key] until its record is created.  Each consumer
+   memoises, per dependence slot (register operand 0 or 1, memory read,
+   WAW), the producer it last saw there and that dependence's record:
+   a slot's kind is fixed, so a producer equal to the memoised one
+   means the same [dep_table_key]. *)
 type stmt_rec = {
   r_sk : stmt_key;
   r_idx : int;  (* dense index: position in [stmt_arr] *)
@@ -133,9 +137,11 @@ type stmt_rec = {
   r_pruned : static_access option;  (* the static plan's entry for the sid *)
   mutable poisoned : bool;  (* saw a label of the wrong shape *)
   r_depth : int;
+  slot_src : int array;  (* per slot: producer index last seen, or -1 *)
+  slot_dep : dep_rec array;  (* per slot: its record *)
 }
 
-type dep_rec = {
+and dep_rec = {
   dr_dk : dep_key;
   dr_src : int;  (* producer's statement index *)
   dr_dst : int;  (* consumer's statement index *)
@@ -145,18 +151,47 @@ type dep_rec = {
   dr_dst_depth : int;
 }
 
-(* Table keys, injective by construction.  A statement key packs the
-   context id (below [Iiv.max_contexts] = 2^26) above the 36-bit
-   [Vm.Isa.Sid.t]; a dependence key packs two statement indices (below
-   [max_stmts] = 2^30, checked where an index is issued) above the
-   2-bit kind.  Both stay below 2^62, so they are non-negative ints.
-   A witness guard's key packs its function id above its block id. *)
-let sid_bits = 36
+(* Table keys, injective by construction.  A dependence key packs two
+   statement indices (below [max_stmts] = 2^30, checked where an index
+   is issued) above the 2-bit kind, below 2^62, so it is a
+   non-negative int.  A witness guard's key packs its function id
+   above its block id. *)
 let max_stmts = 1 lsl 30
-let stmt_table_key ~ctx ~sid = (ctx lsl sid_bits) lor sid
 let block_key ~fid ~block = (fid lsl 32) lor block
 let kind_code = function Reg_dep -> 0 | Mem_dep -> 1 | Out_dep -> 2
 let dep_table_key ~src ~dst kind = (src lsl 32) lor (dst lsl 2) lor kind_code kind
+
+(* Dependence slots of a consumer; register operands past the second
+   (none in the ISA today) go uncached. *)
+let n_slots = 4
+let mem_slot = 2
+let waw_slot = 3
+let no_slot = -1
+
+(* Fill the empty entries of [by_ctx] rows and of the slot caches. *)
+let no_collector = Fold.Collector.create ~cap:1 ~dim:0 ~label_dim:0 ()
+
+let no_dep =
+  { dr_dk = { src_sid = -1; src_ctx = -1; dst_sid = -1; dst_ctx = -1; kind = Reg_dep };
+    dr_src = -1;
+    dr_dst = -1;
+    d_collector = no_collector;
+    d_n = 0;
+    dr_src_depth = 0;
+    dr_dst_depth = 0 }
+
+let no_stmt =
+  { r_sk = { s_ctx = -1; s_sid = -1 };
+    r_idx = -1;
+    collector = no_collector;
+    count = 0;
+    r_cls = Vm.Isa.Other_op;
+    r_label = Lnone;
+    r_pruned = None;
+    poisoned = false;
+    r_depth = 0;
+    slot_src = [||];
+    slot_dep = [||] }
 
 type witness_state = {
   ws_w : witness;
@@ -191,7 +226,10 @@ type engine = {
   e_stree : Sched_tree.t;
   e_cct : Cct.t;
   shadow : Shadow.t;
-  stmts : stmt_rec Int_tbl.t;  (* by [stmt_table_key] *)
+  mutable by_ctx : stmt_rec array array;
+      (* by context id, then [Vm.Isa.Sid.idx]: a context ends in the
+         block executing, so the index picks the instruction; [no_stmt]
+         marks a statement not executed yet *)
   mutable stmt_arr : stmt_rec array;  (* by dense index; [n_stmts] used *)
   mutable n_stmts : int;
   deps : dep_rec Int_tbl.t;  (* by [dep_table_key] *)
@@ -227,7 +265,7 @@ let make_engine ?(config = default_config) ?static_prune prog ~structure =
     e_stree = Sched_tree.create ();
     e_cct = Cct.create ~main:prog.Vm.Prog.main;
     shadow = Shadow.create ();
-    stmts = Int_tbl.create 512;
+    by_ctx = [||];
     stmt_arr = [||];
     n_stmts = 0;
     deps = Int_tbl.create 512;
@@ -246,7 +284,7 @@ let apply_levent e ev =
   | Loop_events.Call_push _ | Loop_events.Ret_pop _ ->
       ()
 
-let on_control e ev =
+let on_control e ~emit ev =
   Cct.on_control e.e_cct ev;
   (match ev with
   | Vm.Event.Call _ -> Shadow.push_frame e.shadow
@@ -268,9 +306,9 @@ let on_control e ev =
               else ws.ws_misses <- ws.ws_misses + 1)
             wss
       | None -> ()));
-  List.iter (apply_levent e) (Loop_events.feed e.levents ev)
+  Loop_events.feed e.levents ~emit ev
 
-let new_stmt_rec e ~key ~ctx ~sid ~depth first_value =
+let new_stmt_rec e ~ctx ~sid ~depth first_value =
   let idx = e.n_stmts in
   if idx >= max_stmts then failwith "Depprof: more than 2^30 statements";
   let r_label =
@@ -298,7 +336,9 @@ let new_stmt_rec e ~key ~ctx ~sid ~depth first_value =
         | None -> None
         | Some p -> Hashtbl.find_opt p.sp_resolved sid);
       poisoned = false;
-      r_depth = depth }
+      r_depth = depth;
+      slot_src = Array.make n_slots (-1);
+      slot_dep = Array.make n_slots no_dep }
   in
   if idx = Array.length e.stmt_arr then begin
     let grown = Array.make (max 64 (2 * idx)) r in
@@ -307,14 +347,43 @@ let new_stmt_rec e ~key ~ctx ~sid ~depth first_value =
   end;
   e.stmt_arr.(idx) <- r;
   e.n_stmts <- idx + 1;
-  Int_tbl.add e.stmts key r;
   r
 
+(* The [by_ctx] row of [ctx], sized to [sid]'s block on first use. *)
+let stmt_row e ctx sid =
+  if ctx >= Array.length e.by_ctx then begin
+    let grown = Array.make (max (ctx + 1) (2 * Array.length e.by_ctx)) [||] in
+    Array.blit e.by_ctx 0 grown 0 (Array.length e.by_ctx);
+    e.by_ctx <- grown
+  end;
+  match e.by_ctx.(ctx) with
+  | [||] ->
+      let fid = Vm.Isa.Sid.fid sid and bid = Vm.Isa.Sid.bid sid in
+      let n = Array.length (Vm.Prog.block e.e_prog ~fid ~bid).Vm.Prog.instrs in
+      let row = Array.make (max n (Vm.Isa.Sid.idx sid + 1)) no_stmt in
+      e.by_ctx.(ctx) <- row;
+      row
+  | row -> row
+
 let stmt_rec_of e ctx sid depth first_value =
-  let key = stmt_table_key ~ctx ~sid in
-  match Int_tbl.find e.stmts key with
-  | r -> r
-  | exception Not_found -> new_stmt_rec e ~key ~ctx ~sid ~depth first_value
+  let i = Vm.Isa.Sid.idx sid in
+  let hit =
+    if ctx < Array.length e.by_ctx then
+      let row = e.by_ctx.(ctx) in
+      if i < Array.length row then row.(i) else no_stmt
+    else no_stmt
+  in
+  if hit.r_sk.s_sid = sid then hit
+  else begin
+    let row = stmt_row e ctx sid in
+    if i >= Array.length row || row.(i) != no_stmt then
+      failwith
+        (Format.asprintf "Depprof: %a executed outside its block's context"
+           Vm.Isa.Sid.pp sid);
+    let r = new_stmt_rec e ~ctx ~sid ~depth first_value in
+    row.(i) <- r;
+    r
+  end
 
 let new_dep_rec config ~(src : stmt_rec) ~(dst : stmt_rec) kind ~src_depth
     ~dst_depth =
@@ -335,35 +404,46 @@ let new_dep_rec config ~(src : stmt_rec) ~(dst : stmt_rec) kind ~src_depth
     dr_src_depth = src_depth;
     dr_dst_depth = dst_depth }
 
-(* One dynamic dependence from the origin's producer to the statement
-   [r] now executing at [coords]. *)
-let record_dep e (r : stmt_rec) coords kind (o : Shadow.origin) =
-  let key = dep_table_key ~src:o.o_tag ~dst:r.r_idx kind in
-  let depth = Array.length coords in
+let find_dep e (r : stmt_rec) coords kind ~src ~src_coords =
+  let key = dep_table_key ~src ~dst:r.r_idx kind in
+  match Int_tbl.find e.deps key with
+  | dr -> dr
+  | exception Not_found ->
+      let dr =
+        new_dep_rec e.e_config ~src:e.stmt_arr.(src) ~dst:r kind
+          ~src_depth:(Array.length src_coords) ~dst_depth:(Array.length coords)
+      in
+      Int_tbl.add e.deps key dr;
+      dr
+
+(* One dynamic dependence from producer [src], which ran at
+   [src_coords], to the statement [r] now executing at [coords],
+   through [slot] (of kind [kind]). *)
+let record_dep e (r : stmt_rec) coords slot kind ~src ~src_coords =
   let dr =
-    match Int_tbl.find e.deps key with
-    | dr -> dr
-    | exception Not_found ->
-        let dr =
-          new_dep_rec e.e_config ~src:e.stmt_arr.(o.o_tag) ~dst:r kind
-            ~src_depth:(Array.length o.o_coords) ~dst_depth:depth
-        in
-        Int_tbl.add e.deps key dr;
-        dr
+    if slot = no_slot then find_dep e r coords kind ~src ~src_coords
+    else if r.slot_src.(slot) = src then r.slot_dep.(slot)
+    else begin
+      let dr = find_dep e r coords kind ~src ~src_coords in
+      r.slot_src.(slot) <- src;
+      r.slot_dep.(slot) <- dr;
+      dr
+    end
   in
   dr.d_n <- dr.d_n + 1;
   if
-    Fold.Collector.dim dr.d_collector = depth
-    && Array.length o.o_coords = dr.dr_src_depth
-  then Fold.Collector.add dr.d_collector coords o.o_coords
+    Fold.Collector.dim dr.d_collector = Array.length coords
+    && Array.length src_coords = dr.dr_src_depth
+  then Fold.Collector.add dr.d_collector coords src_coords
 
-let rec record_reg_deps e r coords = function
+let rec record_reg_deps e r coords slot = function
   | [] -> ()
   | reg :: rest ->
-      (match Shadow.last_reg_writer e.shadow ~reg with
-      | Some o -> record_dep e r coords Reg_dep o
-      | None -> ());
-      record_reg_deps e r coords rest
+      let src = Shadow.reg_tag e.shadow ~reg in
+      if src >= 0 then
+        record_dep e r coords slot Reg_dep ~src
+          ~src_coords:(Shadow.reg_coords e.shadow ~reg);
+      record_reg_deps e r coords (if slot = 0 then 1 else no_slot) rest
 
 (* The value or address labelling one execution of [r]; a label of the
    wrong shape poisons [r]. *)
@@ -419,37 +499,37 @@ let on_exec e (ex : Vm.Event.exec) =
   else r.poisoned <- true;
   (* dependences: consult shadows before recording this instruction's
      own writes *)
-  if config.track_reg_deps then record_reg_deps e r coords ex.reads;
+  if config.track_reg_deps then record_reg_deps e r coords 0 ex.reads;
+  let shadow = e.shadow in
   (match ex.addr_read with
-  | Some addr when not pruned -> (
-      match Shadow.last_mem_writer e.shadow ~addr with
-      | Some o -> record_dep e r coords Mem_dep o
-      | None -> ())
+  | Some addr when not pruned ->
+      let src = Shadow.mem_tag shadow ~addr in
+      if src >= 0 then
+        record_dep e r coords mem_slot Mem_dep ~src
+          ~src_coords:(Shadow.mem_coords shadow ~addr)
   | Some _ | None -> ());
-  (match (ex.addr_written, ex.writes) with
-  | None, None -> ()
-  | addr_written, writes -> (
-      let origin = { Shadow.o_tag = r.r_idx; o_coords = coords } in
-      (match addr_written with
-      | Some addr when not pruned ->
-          (if config.track_waw then
-             match Shadow.last_mem_writer e.shadow ~addr with
-             | Some o -> record_dep e r coords Out_dep o
-             | None -> ());
-          Shadow.write_mem e.shadow ~addr origin
-      | Some _ | None -> ());
-      match writes with
-      | Some reg -> Shadow.write_reg e.shadow ~reg origin
-      | None -> ()));
+  (match ex.addr_written with
+  | Some addr when not pruned ->
+      (if config.track_waw then
+         let src = Shadow.mem_tag shadow ~addr in
+         if src >= 0 then
+           record_dep e r coords waw_slot Out_dep ~src
+             ~src_coords:(Shadow.mem_coords shadow ~addr));
+      Shadow.write_mem shadow ~addr ~tag:r.r_idx ~coords
+  | Some _ | None -> ());
+  (match ex.writes with
+  | Some reg -> Shadow.write_reg shadow ~reg ~tag:r.r_idx ~coords
+  | None -> ());
   let words = Shadow.n_shadowed_words e.shadow in
   if words > e.peak_shadow then e.peak_shadow <- words
 
 let callbacks e =
-  { Vm.Interp.on_control = (fun ev -> on_control e ev);
+  let emit = apply_levent e in
+  { Vm.Interp.on_control = (fun ev -> on_control e ~emit ev);
     on_exec = (fun ex -> on_exec e ex) }
 
-let start e = List.iter (apply_levent e) (Loop_events.start e.levents)
-let finish e = List.iter (apply_levent e) (Loop_events.finish e.levents)
+let start e = Loop_events.start e.levents ~emit:(apply_levent e)
+let finish e = Loop_events.finish e.levents ~emit:(apply_levent e)
 
 let witness_outcomes e =
   Int_tbl.fold

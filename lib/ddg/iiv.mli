@@ -41,24 +41,21 @@ val coords : t -> int array
 
 val context : t -> context
 
-val max_contexts : int
-(** [2{^26}]: context ids are dense from [0] and stay below this bound,
-    so a client may pack one into the high bits of an [int] key. *)
-
 val context_id : t -> int
-(** Interned id of the current context.  The intern table is
-    domain-local, so domains profiling concurrently (serve workers)
-    do not share ids.
-    @raise Failure when the calling domain would issue
-    {!max_contexts} ids. *)
+(** Id of the current context: dense from [0], issued in first-query
+    order.  Contexts are interned as a trie of [(parent, element)]
+    nodes that every {!update} steps through, so a query is an array
+    read.  The trie is domain-local, so domains profiling concurrently
+    (serve workers) do not share ids. *)
 
 val context_of_id : int -> context
 (** @raise Not_found for ids not produced by {!context_id} in the
     calling domain. *)
 
 val reset_intern_table : unit -> unit
-(** Clear the calling domain's intern table (between independent
-    analyses). *)
+(** Clear the calling domain's trie and ids (between independent
+    analyses).  An IIV created before the reset must not be used
+    after it. *)
 
 val pp : ?name:(ctx_id -> string) -> Format.formatter -> t -> unit
 (** Renders like the paper: [(M0/L1, 0, A1/L2, 1, B1)]. *)

@@ -29,7 +29,12 @@ let pp fmt = function
   | Call_push (f, b) -> Format.fprintf fmt "C(f%d.b%d)" f b
   | Ret_pop (f, b) -> Format.fprintf fmt "R(f%d.b%d)" f b
 
-type stack_entry = Loop_live of loop_ref | Frame of int
+(* Per-function lookups built once from the structure, indexed by fid
+   and block id: the loop headed by each block, and, per loop, its
+   membership as a bool array. *)
+type floop = { lr : loop_ref; fl_fid : int; inside : bool array }
+
+type stack_entry = Cfg_live of floop | Rec_live of Cfg.Recset.component | Frame of int
 
 type comp_state = { mutable stackcount : int; mutable centry : int option }
 
@@ -38,14 +43,35 @@ type state = {
   mutable stack : stack_entry list;  (* top first *)
   mutable started : bool;
   main : int;
+  headers : floop option array array;  (* by fid, then block id; [||] = no CFG *)
   comp_states : (int, comp_state) Hashtbl.t;
 }
 
-let create structure ~main =
+let index_function fid forest g =
+  let size = List.fold_left max 0 (Cfg.Digraph.nodes g) + 1 in
+  let headers = Array.make size None in
+  List.iter
+    (fun (loop : Cfg.Loopnest.loop) ->
+      let inside =
+        Array.make (List.fold_left max loop.header loop.members + 1) false
+      in
+      List.iter (fun b -> inside.(b) <- true) loop.members;
+      headers.(loop.header) <-
+        Some { lr = Cfg_loop { l_fid = fid; loop }; fl_fid = fid; inside })
+    (Cfg.Loopnest.all_loops forest);
+  headers
+
+let create (structure : Cfg.Cfg_builder.structure) ~main =
+  let n_funs = List.fold_left (fun m (fid, _, _) -> max m (fid + 1)) 0 structure.cfgs in
+  let headers = Array.make n_funs [||] in
+  List.iter
+    (fun (fid, forest, g) -> headers.(fid) <- index_function fid forest g)
+    structure.cfgs;
   { structure;
     stack = [ Frame main ];
     started = false;
     main;
+    headers;
     comp_states = Hashtbl.create 4 }
 
 let comp_state st (c : Cfg.Recset.component) =
@@ -56,55 +82,55 @@ let comp_state st (c : Cfg.Recset.component) =
       Hashtbl.add st.comp_states c.comp_id s;
       s
 
-let forest st fid =
-  match Cfg.Cfg_builder.forest_of st.structure fid with
-  | Some f -> f
-  | None -> invalid_arg (Printf.sprintf "Loop_events: no CFG for f%d" fid)
+let headers st fid =
+  if fid >= 0 && fid < Array.length st.headers && st.headers.(fid) != [||] then
+    st.headers.(fid)
+  else invalid_arg (Printf.sprintf "Loop_events: no CFG for f%d" fid)
 
-let same_cfg_loop a fid (l : Cfg.Loopnest.loop) =
-  match a with
-  | Cfg_loop { l_fid; loop } -> l_fid = fid && loop.Cfg.Loopnest.loop_id = l.Cfg.Loopnest.loop_id
-  | Rec_comp _ -> false
+(* The loop headed by block [b] of [fid]. *)
+let loop_at st fid b =
+  let h = headers st fid in
+  if b < Array.length h then h.(b) else None
+
+let contains fl b = b < Array.length fl.inside && fl.inside.(b)
+
+(* The CFG loop headed by [dst], if any: iterate it when it is the
+   innermost live loop, enter it otherwise (Algorithm 1, and Algorithm
+   2 line 24 after a return). *)
+let at_header st ~emit fid dst =
+  match loop_at st fid dst with
+  | None -> ()
+  | Some fl -> (
+      match st.stack with
+      | Cfg_live top :: _ when top == fl -> emit (Iterate (fl.lr, fid, dst))
+      | _ ->
+          st.stack <- Cfg_live fl :: st.stack;
+          emit (Enter (fl.lr, fid, dst)))
 
 (* Algorithm 1: loop events from a local jump. *)
-let on_jump st ~fid ~dst =
-  let events = ref [] in
-  let emit e = events := e :: !events in
+let on_jump st ~emit ~fid ~dst =
   (* exit live loops of the current frame that do not contain [dst] *)
   let rec pop_exited () =
     match st.stack with
-    | Loop_live (Cfg_loop { l_fid; loop }) :: rest
-      when l_fid = fid && not (Cfg.Loopnest.loop_contains loop dst) ->
+    | Cfg_live fl :: rest when fl.fl_fid = fid && not (contains fl dst) ->
         st.stack <- rest;
-        emit (Exit (Cfg_loop { l_fid; loop }, fid, dst));
+        emit (Exit (fl.lr, fid, dst));
         pop_exited ()
     | _ -> ()
   in
   pop_exited ();
-  (match Cfg.Loopnest.loop_of_header (forest st fid) dst with
-  | Some l -> (
-      match st.stack with
-      | Loop_live top :: _ when same_cfg_loop top fid l ->
-          emit (Iterate (Cfg_loop { l_fid = fid; loop = l }, fid, dst))
-      | _ ->
-          let lr = Cfg_loop { l_fid = fid; loop = l } in
-          st.stack <- Loop_live lr :: st.stack;
-          emit (Enter (lr, fid, dst)))
-  | None -> ());
-  emit (Block (fid, dst));
-  List.rev !events
+  at_header st ~emit fid dst;
+  emit (Block (fid, dst))
 
 (* Algorithm 2, call part. *)
-let on_call st ~callee =
-  let events = ref [] in
-  let emit e = events := e :: !events in
+let on_call st ~emit ~callee =
   let recset = st.structure.Cfg.Cfg_builder.recset in
   (match Cfg.Recset.component_of recset callee with
   | Some c when Cfg.Recset.is_entry recset callee && (comp_state st c).centry = None
     ->
       let cs = comp_state st c in
       cs.centry <- Some callee;
-      st.stack <- Loop_live (Rec_comp c) :: st.stack;
+      st.stack <- Rec_live c :: st.stack;
       emit (Enter (Rec_comp c, callee, 0))
   | Some c when Cfg.Recset.is_header recset callee ->
       (* iteration of the recursive loop: all live CFG loops of member
@@ -112,14 +138,14 @@ let on_call st ~callee =
          are exited *)
       let cs = comp_state st c in
       let rec pop_members acc = function
-        | Loop_live (Cfg_loop ll) :: rest ->
-            emit (Exit (Cfg_loop ll, callee, 0));
+        | Cfg_live fl :: rest ->
+            emit (Exit (fl.lr, callee, 0));
             pop_members acc rest
-        | (Loop_live (Rec_comp c') :: _) as stack
+        | (Rec_live c' :: _) as stack
           when c'.Cfg.Recset.comp_id = c.Cfg.Recset.comp_id ->
             List.rev_append acc stack
         | Frame f :: rest -> pop_members (Frame f :: acc) rest
-        | Loop_live (Rec_comp _) :: rest ->
+        | Rec_live _ :: rest ->
             (* a disjoint component cannot be live strictly inside [c]
                while iterating [c]; be defensive and keep it *)
             pop_members acc rest
@@ -129,30 +155,26 @@ let on_call st ~callee =
       cs.stackcount <- cs.stackcount + 1;
       emit (Iterate (Rec_comp c, callee, 0))
   | Some _ | None -> emit (Call_push (callee, 0)));
-  st.stack <- Frame callee :: st.stack;
-  List.rev !events
+  st.stack <- Frame callee :: st.stack
 
 (* Algorithm 2, return part. *)
-let on_return st ~callee ~caller ~dst =
-  let events = ref [] in
-  let emit e = events := e :: !events in
+let on_return st ~emit ~callee ~caller ~dst =
   (* exit the returning function's still-live CFG loops, then pop its
      frame marker *)
   let rec unwind () =
     match st.stack with
-    | Loop_live (Cfg_loop ll) :: rest ->
+    | Cfg_live fl :: rest ->
         st.stack <- rest;
-        emit (Exit (Cfg_loop ll, caller, dst));
+        emit (Exit (fl.lr, caller, dst));
         unwind ()
     | Frame f :: rest ->
         assert (f = callee);
         st.stack <- rest
-    | Loop_live (Rec_comp _) :: _ | [] ->
-        invalid_arg "Loop_events: unbalanced return"
+    | Rec_live _ :: _ | [] -> invalid_arg "Loop_events: unbalanced return"
   in
   unwind ();
   let recset = st.structure.Cfg.Cfg_builder.recset in
-  (match Cfg.Recset.component_of recset callee with
+  match Cfg.Recset.component_of recset callee with
   | Some c
     when (comp_state st c).centry = Some callee
          && (comp_state st c).stackcount = 0 ->
@@ -160,7 +182,7 @@ let on_return st ~callee ~caller ~dst =
       let cs = comp_state st c in
       cs.centry <- None;
       (match st.stack with
-      | Loop_live (Rec_comp c') :: rest when c'.Cfg.Recset.comp_id = c.comp_id ->
+      | Rec_live c' :: rest when c'.Cfg.Recset.comp_id = c.comp_id ->
           st.stack <- rest
       | _ -> invalid_arg "Loop_events: recursive component not on top at exit");
       emit (Exit (Rec_comp c, caller, dst))
@@ -172,46 +194,31 @@ let on_return st ~callee ~caller ~dst =
       emit (Ret_pop (caller, dst));
       (* the continuation block may itself be a loop header (paper Alg. 2
          line 24 falls through to Alg. 1) *)
-      (match Cfg.Loopnest.loop_of_header (forest st caller) dst with
-      | Some l -> (
-          match st.stack with
-          | Loop_live top :: _ when same_cfg_loop top caller l ->
-              emit (Iterate (Cfg_loop { l_fid = caller; loop = l }, caller, dst))
-          | _ ->
-              let lr = Cfg_loop { l_fid = caller; loop = l } in
-              st.stack <- Loop_live lr :: st.stack;
-              emit (Enter (lr, caller, dst)))
-      | None -> ()));
-  List.rev !events
+      at_header st ~emit caller dst
 
-let start st =
-  if st.started then []
-  else begin
+let start st ~emit =
+  if not st.started then begin
     st.started <- true;
-    [ Block (st.main, 0) ]
+    emit (Block (st.main, 0))
   end
 
-let feed st (ev : Vm.Event.control) =
-  let prefix = start st in
-  let events =
-    match ev with
-    | Vm.Event.Jump { fid; src = _; dst } -> on_jump st ~fid ~dst
-    | Vm.Event.Call { caller = _; site = _; callee; dst = _ } ->
-        on_call st ~callee
-    | Vm.Event.Return { callee; caller; dst } -> on_return st ~callee ~caller ~dst
-  in
-  prefix @ events
+let feed st ~emit (ev : Vm.Event.control) =
+  start st ~emit;
+  match ev with
+  | Vm.Event.Jump { fid; src = _; dst } -> on_jump st ~emit ~fid ~dst
+  | Vm.Event.Call { caller = _; site = _; callee; dst = _ } -> on_call st ~emit ~callee
+  | Vm.Event.Return { callee; caller; dst } -> on_return st ~emit ~callee ~caller ~dst
 
-let finish st =
-  let events = ref [] in
+let finish st ~emit =
+  let live = st.stack in
+  st.stack <- [];
   List.iter
     (function
-      | Loop_live lr -> events := Exit (lr, -1, -1) :: !events
+      | Cfg_live fl -> emit (Exit (fl.lr, -1, -1))
+      | Rec_live c -> emit (Exit (Rec_comp c, -1, -1))
       | Frame _ -> ())
-    st.stack;
-  st.stack <- [];
-  List.rev !events
+    live
 
 let live_depth st =
   List.length
-    (List.filter (function Loop_live _ -> true | Frame _ -> false) st.stack)
+    (List.filter (function Cfg_live _ | Rec_live _ -> true | Frame _ -> false) st.stack)

@@ -27,15 +27,19 @@ type state
 
 val create : Cfg.Cfg_builder.structure -> main:int -> state
 
-val start : state -> t list
-(** The initial [Block (main, 0)] event for entering [main].  If not
-    called explicitly, it is delivered on the first call to {!feed}. *)
+(** Events are delivered to an [emit] callback, in order, as they are
+    produced. *)
 
-val feed : state -> Vm.Event.control -> t list
-(** Translate one raw control event into its loop events, in order. *)
+val start : state -> emit:(t -> unit) -> unit
+(** Emit the initial [Block (main, 0)] event for entering [main].  If
+    not called explicitly, it is emitted on the first call to
+    {!feed}. *)
 
-val finish : state -> t list
-(** Exit events for loops still live at the end of the trace. *)
+val feed : state -> emit:(t -> unit) -> Vm.Event.control -> unit
+(** Emit the loop events of one raw control event. *)
+
+val finish : state -> emit:(t -> unit) -> unit
+(** Emit the exits of the loops still live at the end of the trace. *)
 
 val live_depth : state -> int
 (** Number of currently live loops (for invariant checking in tests). *)

@@ -222,11 +222,11 @@ let run ?max_steps ?(max_races = 5) ?args prog ~structure ~claims =
         end
   in
   let levents = LE.create structure ~main:prog.Vm.Prog.main in
-  List.iter handle_levent (LE.start levents);
+  LE.start levents ~emit:handle_levent;
   let callbacks =
     {
       Vm.Interp.on_control =
-        (fun c -> List.iter handle_levent (LE.feed levents c));
+        (fun c -> LE.feed levents ~emit:handle_levent c);
       on_exec =
         (fun (e : Vm.Event.exec) ->
           match (e.addr_read, e.addr_written) with

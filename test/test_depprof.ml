@@ -14,45 +14,58 @@ let profile hir =
 
 let test_shadow_memory () =
   let s = Ddg.Shadow.create () in
-  Alcotest.(check bool) "unknown addr" true (Ddg.Shadow.last_mem_writer s ~addr:5 = None);
-  let o1 = { Ddg.Shadow.o_tag = 1; o_coords = [| 3 |] } in
-  Ddg.Shadow.write_mem s ~addr:5 o1;
-  (match Ddg.Shadow.last_mem_writer s ~addr:5 with
-  | Some o -> Alcotest.(check int) "writer tag" 1 o.Ddg.Shadow.o_tag
-  | None -> Alcotest.fail "missing");
-  let o2 = { o1 with Ddg.Shadow.o_tag = 2 } in
-  Ddg.Shadow.write_mem s ~addr:5 o2;
-  (match Ddg.Shadow.last_mem_writer s ~addr:5 with
-  | Some o -> Alcotest.(check int) "last writer wins" 2 o.Ddg.Shadow.o_tag
-  | None -> Alcotest.fail "missing");
-  Alcotest.(check int) "one shadowed word" 1 (Ddg.Shadow.n_shadowed_words s)
+  Alcotest.(check int) "unknown addr" (-1) (Ddg.Shadow.mem_tag s ~addr:5);
+  let c1 = [| 3 |] in
+  Ddg.Shadow.write_mem s ~addr:5 ~tag:1 ~coords:c1;
+  Alcotest.(check int) "writer tag" 1 (Ddg.Shadow.mem_tag s ~addr:5);
+  Alcotest.(check bool) "writer coords, shared" true
+    (Ddg.Shadow.mem_coords s ~addr:5 == c1);
+  Ddg.Shadow.write_mem s ~addr:5 ~tag:2 ~coords:c1;
+  Alcotest.(check int) "last writer wins" 2 (Ddg.Shadow.mem_tag s ~addr:5);
+  Alcotest.(check int) "one shadowed word" 1 (Ddg.Shadow.n_shadowed_words s);
+  (* the words on both sides of a page boundary, and a negative one *)
+  List.iteri
+    (fun tag addr -> Ddg.Shadow.write_mem s ~addr ~tag ~coords:[| addr |])
+    [ 4095; 4096; -1; -4096; -4097 ];
+  List.iteri
+    (fun tag addr ->
+      Alcotest.(check int) (Printf.sprintf "tag at %d" addr) tag
+        (Ddg.Shadow.mem_tag s ~addr))
+    [ 4095; 4096; -1; -4096; -4097 ];
+  Alcotest.(check int) "unwritten neighbour" (-1) (Ddg.Shadow.mem_tag s ~addr:4094);
+  Alcotest.(check int) "six shadowed words" 6 (Ddg.Shadow.n_shadowed_words s)
 
 let test_shadow_register_frames () =
   let s = Ddg.Shadow.create () in
-  let o = { Ddg.Shadow.o_tag = 7; o_coords = [||] } in
-  Ddg.Shadow.write_reg s ~reg:3 o;
+  let c = [||] in
+  Ddg.Shadow.write_reg s ~reg:3 ~tag:7 ~coords:c;
   Ddg.Shadow.push_frame s;
-  Alcotest.(check bool) "callee frame is clean" true
-    (Ddg.Shadow.last_reg_writer s ~reg:3 = None);
-  Ddg.Shadow.write_reg s ~reg:3 { o with Ddg.Shadow.o_tag = 8 };
+  Alcotest.(check int) "callee frame is clean" (-1) (Ddg.Shadow.reg_tag s ~reg:3);
+  Ddg.Shadow.write_reg s ~reg:3 ~tag:8 ~coords:c;
+  Ddg.Shadow.write_reg s ~reg:40 ~tag:9 ~coords:c;
   Ddg.Shadow.pop_frame s;
-  (match Ddg.Shadow.last_reg_writer s ~reg:3 with
-  | Some o -> Alcotest.(check int) "caller frame restored" 7 o.Ddg.Shadow.o_tag
-  | None -> Alcotest.fail "lost");
+  Alcotest.(check int) "caller frame restored" 7 (Ddg.Shadow.reg_tag s ~reg:3);
+  Ddg.Shadow.push_frame s;
+  Alcotest.(check (list int)) "a frame pushed again at the same depth is clean"
+    [ -1; -1 ]
+    [ Ddg.Shadow.reg_tag s ~reg:3; Ddg.Shadow.reg_tag s ~reg:40 ];
+  Alcotest.(check int) "and holds no coordinates" 0
+    (Array.length (Ddg.Shadow.reg_coords s ~reg:40));
+  Ddg.Shadow.pop_frame s;
   Alcotest.check_raises "unbalanced pop" (Invalid_argument "Shadow.pop_frame: unbalanced")
     (fun () -> Ddg.Shadow.pop_frame s)
 
-(* The shadow as it was before it moved to arrays and int-keyed tables:
-   polymorphic hash tables, one per call frame. *)
+(* The shadow as a reference model: polymorphic hash tables of
+   [(tag, coords)], one per call frame. *)
 module Model = struct
   type t = {
-    mem : (int, Ddg.Shadow.origin) Hashtbl.t;
-    mutable frames : (int, Ddg.Shadow.origin) Hashtbl.t list;
+    mem : (int, int * int array) Hashtbl.t;
+    mutable frames : (int, int * int array) Hashtbl.t list;
   }
 
   let create () = { mem = Hashtbl.create 4096; frames = [ Hashtbl.create 16 ] }
-  let write_mem t ~addr origin = Hashtbl.replace t.mem addr origin
-  let last_mem_writer t ~addr = Hashtbl.find_opt t.mem addr
+  let write_mem t ~addr w = Hashtbl.replace t.mem addr w
+  let mem_writer t ~addr = Hashtbl.find_opt t.mem addr
   let push_frame t = t.frames <- Hashtbl.create 16 :: t.frames
 
   let pop_frame t =
@@ -61,8 +74,8 @@ module Model = struct
     | _ -> invalid_arg "Shadow.pop_frame: unbalanced"
 
   let top t = match t.frames with f :: _ -> f | [] -> assert false
-  let write_reg t ~reg origin = Hashtbl.replace (top t) reg origin
-  let last_reg_writer t ~reg = Hashtbl.find_opt (top t) reg
+  let write_reg t ~reg w = Hashtbl.replace (top t) reg w
+  let reg_writer t ~reg = Hashtbl.find_opt (top t) reg
   let frame_depth t = List.length t.frames
   let n_shadowed_words t = Hashtbl.length t.mem
 end
@@ -75,15 +88,27 @@ type shadow_op =
   | Read_mem of int
   | Read_reg of int
 
-(* registers go up to 40, past the 16 slots a fresh frame starts with *)
+(* Addresses: small, negative, on both sides of the 4096-word page
+   boundaries around 0, and far apart (up to the ends of [int]).
+   Registers go up to 40, past the 16 slots a fresh frame starts
+   with. *)
+let gen_addr =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_bound 50);
+        (2, int_range (-50) (-1));
+        (2, map2 (fun k d -> (k * 4096) + d) (int_range (-2) 2) (int_range (-3) 2));
+        (1, oneofl [ 1 lsl 40; -(1 lsl 40); (1 lsl 40) + 4096; max_int; min_int ]);
+        (1, int_range (-(1 lsl 50)) (1 lsl 50)) ])
+
 let gen_shadow_op =
   QCheck.Gen.(
     frequency
-      [ (3, map2 (fun a t -> Write_mem (a, t)) (int_bound 50) (int_bound 1000));
+      [ (3, map2 (fun a t -> Write_mem (a, t)) gen_addr (int_bound 1000));
         (3, map2 (fun r t -> Write_reg (r, t)) (int_range 0 40) (int_bound 1000));
         (1, return Push);
         (1, return Pop);
-        (3, map (fun a -> Read_mem a) (int_bound 50));
+        (3, map (fun a -> Read_mem a) gen_addr);
         (3, map (fun r -> Read_reg r) (int_range 0 40)) ])
 
 let print_shadow_op = function
@@ -100,39 +125,44 @@ let prop_shadow_matches_model =
        QCheck.Gen.(list_size (int_range 0 200) gen_shadow_op))
     (fun ops ->
       let s = Ddg.Shadow.create () and m = Model.create () in
-      let same_origin a b =
-        match (a, b) with
-        | None, None -> true
-        | Some (a : Ddg.Shadow.origin), Some (b : Ddg.Shadow.origin) ->
-            a.o_tag = b.o_tag && a.o_coords == b.o_coords
-        | _ -> false
+      let same tag coords = function
+        | None -> tag = -1 && coords = [||]
+        | Some (t, c) -> tag = t && coords == c
+      in
+      let clear_frame () =
+        List.for_all
+          (fun reg ->
+            Ddg.Shadow.reg_tag s ~reg = -1 && Ddg.Shadow.reg_coords s ~reg = [||])
+          (List.init 41 Fun.id)
       in
       List.for_all
         (fun op ->
           let ok =
             match op with
             | Write_mem (addr, tag) ->
-                let o = { Ddg.Shadow.o_tag = tag; o_coords = [| tag; addr |] } in
-                Ddg.Shadow.write_mem s ~addr o;
-                Model.write_mem m ~addr o;
+                let coords = [| tag; addr |] in
+                Ddg.Shadow.write_mem s ~addr ~tag ~coords;
+                Model.write_mem m ~addr (tag, coords);
                 true
             | Write_reg (reg, tag) ->
-                let o = { Ddg.Shadow.o_tag = tag; o_coords = [| reg |] } in
-                Ddg.Shadow.write_reg s ~reg o;
-                Model.write_reg m ~reg o;
+                let coords = [| reg |] in
+                Ddg.Shadow.write_reg s ~reg ~tag ~coords;
+                Model.write_reg m ~reg (tag, coords);
                 true
             | Push ->
                 Ddg.Shadow.push_frame s;
                 Model.push_frame m;
-                true
+                clear_frame ()
             | Pop -> (
                 let r1 = try Ddg.Shadow.pop_frame s; None with Invalid_argument e -> Some e in
                 let r2 = try Model.pop_frame m; None with Invalid_argument e -> Some e in
                 r1 = r2)
             | Read_mem addr ->
-                same_origin (Ddg.Shadow.last_mem_writer s ~addr) (Model.last_mem_writer m ~addr)
+                same (Ddg.Shadow.mem_tag s ~addr) (Ddg.Shadow.mem_coords s ~addr)
+                  (Model.mem_writer m ~addr)
             | Read_reg reg ->
-                same_origin (Ddg.Shadow.last_reg_writer s ~reg) (Model.last_reg_writer m ~reg)
+                same (Ddg.Shadow.reg_tag s ~reg) (Ddg.Shadow.reg_coords s ~reg)
+                  (Model.reg_writer m ~reg)
           in
           ok
           && Ddg.Shadow.frame_depth s = Model.frame_depth m

@@ -15,17 +15,14 @@ let replay hir =
   let iiv = Iiv.create () in
   let stree = Ddg.Sched_tree.create () in
   let observations = ref [] in
-  let apply evs =
-    List.iter
-      (fun ev ->
-        Iiv.update iiv ev;
-        Alcotest.(check int)
-          "IIV depth = live loop depth" (LE.live_depth st) (Iiv.depth iiv))
-      evs
+  let apply ev =
+    Iiv.update iiv ev;
+    Alcotest.(check int)
+      "IIV depth = live loop depth" (LE.live_depth st) (Iiv.depth iiv)
   in
-  apply (LE.start st);
+  LE.start st ~emit:apply;
   let callbacks =
-    { Vm.Interp.on_control = (fun ev -> apply (LE.feed st ev));
+    { Vm.Interp.on_control = (fun ev -> LE.feed st ~emit:apply ev);
       on_exec =
         (fun _ ->
           let ctx = Iiv.context iiv in
@@ -45,7 +42,7 @@ let replay hir =
       }
   in
   let (_ : Vm.Interp.stats) = Vm.Interp.run ~callbacks prog in
-  apply (LE.finish st);
+  LE.finish st ~emit:apply;
   (stree, List.rev !observations)
 
 (* Not fully lexicographic across all statements (kelly interleaving is
@@ -67,10 +64,10 @@ let test_coords_increase_within_context () =
   let st = LE.create structure ~main:prog.Vm.Prog.main in
   let iiv = Iiv.create () in
   let per_ctx : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let apply evs = List.iter (Iiv.update iiv) evs in
-  apply (LE.start st);
+  let apply = Iiv.update iiv in
+  LE.start st ~emit:apply;
   let callbacks =
-    { Vm.Interp.on_control = (fun ev -> apply (LE.feed st ev));
+    { Vm.Interp.on_control = (fun ev -> LE.feed st ~emit:apply ev);
       on_exec =
         (fun _ ->
           let ctx = Iiv.context_id iiv in
@@ -109,20 +106,17 @@ let test_coords_shared_per_iteration () =
   let iiv = Iiv.create () in
   (* [epoch] counts the events that move the iteration vector *)
   let epoch = ref 0 in
-  let apply evs =
-    List.iter
-      (fun ev ->
-        (match ev with
-        | LE.Enter _ | LE.Iterate _ | LE.Exit _ -> incr epoch
-        | LE.Block _ | LE.Call_push _ | LE.Ret_pop _ -> ());
-        Iiv.update iiv ev)
-      evs
+  let apply ev =
+    (match ev with
+    | LE.Enter _ | LE.Iterate _ | LE.Exit _ -> incr epoch
+    | LE.Block _ | LE.Call_push _ | LE.Ret_pop _ -> ());
+    Iiv.update iiv ev
   in
-  apply (LE.start st);
+  LE.start st ~emit:apply;
   (* (epoch, the array handed out, a copy of its values then) *)
   let seen = ref [] in
   let callbacks =
-    { Vm.Interp.on_control = (fun ev -> apply (LE.feed st ev));
+    { Vm.Interp.on_control = (fun ev -> LE.feed st ~emit:apply ev);
       on_exec =
         (fun _ ->
           let c = Iiv.coords iiv in
@@ -146,6 +140,50 @@ let test_coords_shared_per_iteration () =
     seen;
   Alcotest.(check bool) "several iterations seen" true
     (List.length (List.sort_uniq compare (List.map (fun (e, _, _) -> e) seen)) > 6)
+
+(* At every executed instruction, [context_of_id] inverts
+   [context_id], and the ids are those a list-keyed intern table would
+   issue for the same queries: dense, in first-query order. *)
+let check_context_ids prog =
+  Iiv.reset_intern_table ();
+  let structure = Cfg.Cfg_builder.run prog in
+  let st = LE.create structure ~main:prog.Vm.Prog.main in
+  let iiv = Iiv.create () in
+  let reference : (Iiv.context, int) Hashtbl.t = Hashtbl.create 64 in
+  let ok = ref true in
+  let emit = Iiv.update iiv in
+  LE.start st ~emit;
+  let callbacks =
+    { Vm.Interp.on_control = (fun ev -> LE.feed st ~emit ev);
+      on_exec =
+        (fun _ ->
+          let c = Iiv.context iiv and id = Iiv.context_id iiv in
+          let expected =
+            match Hashtbl.find_opt reference c with
+            | Some id -> id
+            | None ->
+                let id = Hashtbl.length reference in
+                Hashtbl.add reference c id;
+                id
+          in
+          if id <> expected || Iiv.context_of_id id <> c then ok := false) }
+  in
+  let (_ : Vm.Interp.stats) = Vm.Interp.run ~callbacks prog in
+  !ok
+
+let test_context_ids_suite () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      Alcotest.(check bool) w.Workloads.Workload.w_name true
+        (check_context_ids (Vm.Hir.lower w.Workloads.Workload.hir)))
+    Workloads.Runner.suite
+
+let test_context_ids_random () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true
+        (check_context_ids (Vm.Hir.lower (Random_gen.gen_program_rec seed))))
+    (List.init 40 (fun k -> 3 + (104729 * k)))
 
 let test_fig3_ex1_depth_two () =
   let stree, _ = replay Workloads.Figure3.ex1 in
@@ -280,7 +318,10 @@ let () =
           Alcotest.test_case "Kelly mapping, fused vs fissioned (Fig. 4)"
             `Quick test_fig4_kelly_fused_vs_fissioned;
           Alcotest.test_case "coords shared per iteration" `Quick
-            test_coords_shared_per_iteration ] );
+            test_coords_shared_per_iteration;
+          Alcotest.test_case "context ids, suite" `Quick test_context_ids_suite;
+          Alcotest.test_case "context ids, random programs" `Quick
+            test_context_ids_random ] );
       ( "schedule tree",
         [ Alcotest.test_case "weights" `Quick test_schedule_tree_weights;
           Alcotest.test_case "Kelly static indices" `Quick

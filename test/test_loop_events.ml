@@ -8,13 +8,13 @@ let collect hir =
   let structure = Cfg.Cfg_builder.run prog in
   let st = LE.create structure ~main:prog.Vm.Prog.main in
   let events = ref [] in
-  let push evs = events := List.rev_append evs !events in
-  push (LE.start st);
+  let emit ev = events := ev :: !events in
+  LE.start st ~emit;
   let callbacks =
-    { Vm.Interp.on_control = (fun ev -> push (LE.feed st ev)); on_exec = ignore }
+    { Vm.Interp.on_control = (fun ev -> LE.feed st ~emit ev); on_exec = ignore }
   in
   let (_ : Vm.Interp.stats) = Vm.Interp.run ~callbacks prog in
-  push (LE.finish st);
+  LE.finish st ~emit;
   Alcotest.(check int) "all loops exited at the end" 0 (LE.live_depth st);
   (prog, List.rev !events)
 

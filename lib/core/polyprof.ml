@@ -44,10 +44,7 @@ let run_trace_file ?config ~path prog =
   Obs.Span.with_ ~cat:"pipeline" "pipeline.run_trace_file" @@ fun () ->
   let structure =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.cfg" @@ fun () ->
-    let builder = Cfg.Cfg_builder.create prog in
-    Stream.Source.with_file path (fun src ->
-        Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-    Cfg.Cfg_builder.finalize builder
+    Stream.Trace_file.structure prog path
   in
   let { Stream.Par_profile.result = profile } =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.profile" @@ fun () ->

@@ -22,6 +22,10 @@ val kind_stats : char
 val max_chunk_payload : int
 (** Upper bound accepted for a chunk's declared payload length. *)
 
+val max_event_bytes : int
+(** Upper bound on one encoded event's bytes, not counting the operand
+    lists written on a dictionary miss. *)
+
 (** Coding state, one per stream being encoded or decoded: per-chunk
     predictors/dictionaries plus the cross-chunk derived call depth. *)
 type delta
@@ -38,15 +42,21 @@ val reset_delta : delta -> unit
 (** Reset the per-chunk parts (predictors and dictionaries); the
     derived call depth survives, since the call stack spans chunks. *)
 
-val encode : delta -> Buffer.t -> Vm.Event.t -> unit
-(** Append one event to a chunk payload under construction. *)
+val encode_control : delta -> Varint.writer -> Vm.Event.control -> unit
+val encode_exec : delta -> Varint.writer -> Vm.Event.exec -> unit
+(** Append one event to a chunk payload under construction; each
+    reserves its own room in the writer. *)
 
-val decode_events : delta -> Bytes.t -> (Vm.Event.t -> unit) -> int
-(** Decode a full events-chunk payload (resetting [delta]'s per-chunk
-    state first), calling the consumer on each event in order; returns
-    the event count.  Pass the same [delta] for every chunk of a
-    stream, in order, so the derived call depth carries over.
+val encode : delta -> Varint.writer -> Vm.Event.t -> unit
+
+val decode_events :
+  delta -> Bytes.t -> len:int -> Vm.Interp.callbacks -> int
+(** Decode the events-chunk payload held in the first [len] bytes of
+    the buffer (resetting [delta]'s per-chunk state first), calling
+    [on_control]/[on_exec] on each event in order; returns the event
+    count.  Pass the same [delta] for every chunk of a stream, in order,
+    so the derived call depth carries over.
     @raise Error.Error on any malformed payload. *)
 
-val encode_stats : Buffer.t -> Vm.Interp.stats -> unit
-val decode_stats : Bytes.t -> Vm.Interp.stats
+val encode_stats : Varint.writer -> Vm.Interp.stats -> unit
+val decode_stats : Bytes.t -> len:int -> Vm.Interp.stats

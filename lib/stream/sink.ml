@@ -1,14 +1,19 @@
 (* Bounded-memory streaming trace writer: events are encoded into an
    in-memory chunk payload and flushed to the channel every time the
    payload reaches the chunk budget.  Peak memory is one chunk,
-   independent of trace length. *)
+   independent of trace length.
+
+   The chunk is built in place in one reused byte buffer: the payload's
+   events start at [frame_room], and a flush writes the event count and
+   then the frame header (kind, length, CRC) right-aligned into the room
+   before them, so the finished chunk is one contiguous slice handed to
+   the channel in a single [output]. *)
 
 type t = {
   oc : out_channel;
   owned : bool;
   chunk_bytes : int;
-  body : Buffer.t;
-  scratch : Buffer.t;
+  w : Varint.writer;
   d : Codec.delta;
   mutable chunk_events : int;
   mutable n_events : int;
@@ -18,6 +23,9 @@ type t = {
 }
 
 let default_chunk_bytes = 64 * 1024
+
+(* kind byte + length varint + CRC + event-count varint *)
+let frame_room = 1 + Varint.max_u_bytes + 4 + Varint.max_u_bytes
 
 let obs_events = Obs.Metrics.counter ~help:"events encoded to binary trace sinks" "stream.encode.events"
 let obs_chunks = Obs.Metrics.counter ~help:"chunks written to binary trace sinks" "stream.encode.chunks"
@@ -30,11 +38,13 @@ let obs_f_misses = Obs.Metrics.counter ~help:"float-dictionary misses while enco
 let to_channel ?(chunk_bytes = default_chunk_bytes) oc =
   output_string oc Codec.magic;
   output_char oc (Char.chr Codec.version);
+  let chunk_bytes = max 512 chunk_bytes in
+  let w = Varint.writer (frame_room + chunk_bytes + Codec.max_event_bytes) in
+  w.Varint.wpos <- frame_room;
   { oc;
     owned = false;
-    chunk_bytes = max 512 chunk_bytes;
-    body = Buffer.create (chunk_bytes + 256);
-    scratch = Buffer.create 32;
+    chunk_bytes;
+    w;
     d = Codec.delta ();
     chunk_events = 0;
     n_events = 0;
@@ -46,54 +56,70 @@ let create ?chunk_bytes path =
   let oc = open_out_bin path in
   { (to_channel ?chunk_bytes oc) with owned = true }
 
-let write_chunk t kind payload_head payload_body =
-  let crc = Crc32.string ~crc:(Crc32.string payload_head) payload_body in
-  output_char t.oc kind;
-  Buffer.clear t.scratch;
-  Varint.put_u t.scratch (String.length payload_head + String.length payload_body);
-  Buffer.output_buffer t.oc t.scratch;
-  let c = Int32.to_int (Int32.logand crc 0xFFFFFFFFl) land 0xFFFFFFFF in
+(* Frame and write the payload [buf[payload .. wpos)], then rewind the
+   writer to an empty payload. *)
+let seal t kind payload =
+  let w = t.w in
+  let stop = w.Varint.wpos in
+  let len = stop - payload in
+  let crc = Crc32.update_int 0 w.Varint.buf ~pos:payload ~len in
+  let start = payload - 1 - Varint.size_u len - 4 in
+  w.Varint.wpos <- start;
+  Varint.put_byte w (Char.code kind);
+  Varint.put_u w len;
   for i = 0 to 3 do
-    output_char t.oc (Char.chr ((c lsr (8 * i)) land 0xFF))
+    Varint.put_byte w (crc lsr (8 * i))
   done;
-  output_string t.oc payload_head;
-  output_string t.oc payload_body;
-  t.bytes_written <-
-    t.bytes_written + 1 + Buffer.length t.scratch + 4 + String.length payload_head
-    + String.length payload_body;
-  t.n_chunks <- t.n_chunks + 1
+  output t.oc w.Varint.buf start (stop - start);
+  t.bytes_written <- t.bytes_written + stop - start;
+  t.n_chunks <- t.n_chunks + 1;
+  w.Varint.wpos <- frame_room
 
 let flush_events t =
   if t.chunk_events > 0 then begin
-    Buffer.clear t.scratch;
-    Varint.put_u t.scratch t.chunk_events;
-    let head = Buffer.contents t.scratch in
-    write_chunk t Codec.kind_events head (Buffer.contents t.body);
-    Buffer.clear t.body;
+    let w = t.w in
+    let stop = w.Varint.wpos in
+    let payload = frame_room - Varint.size_u t.chunk_events in
+    w.Varint.wpos <- payload;
+    Varint.put_u w t.chunk_events;
+    w.Varint.wpos <- stop;
+    seal t Codec.kind_events payload;
     Codec.reset_delta t.d;
     t.chunk_events <- 0
   end
 
-let event t ev =
-  if t.closed then invalid_arg "Stream.Sink.event: sink is closed";
-  Codec.encode t.d t.body ev;
+let check_open t =
+  if t.closed then invalid_arg "Stream.Sink.event: sink is closed"
+
+let count t =
   t.chunk_events <- t.chunk_events + 1;
   t.n_events <- t.n_events + 1;
-  if Buffer.length t.body >= t.chunk_bytes then flush_events t
+  if t.w.Varint.wpos - frame_room >= t.chunk_bytes then flush_events t
 
-let callbacks t =
-  { Vm.Interp.on_control = (fun c -> event t (Vm.Event.Control c));
-    on_exec = (fun e -> event t (Vm.Event.Exec e)) }
+let control t c =
+  check_open t;
+  Codec.encode_control t.d t.w c;
+  count t
+
+let exec t e =
+  check_open t;
+  Codec.encode_exec t.d t.w e;
+  count t
+
+let event t ev =
+  check_open t;
+  Codec.encode t.d t.w ev;
+  count t
+
+let callbacks t = { Vm.Interp.on_control = control t; on_exec = exec t }
 
 let close ?stats t =
   if not t.closed then begin
     flush_events t;
     (match stats with
     | Some s ->
-        Buffer.clear t.body;
-        Codec.encode_stats t.body s;
-        write_chunk t Codec.kind_stats "" (Buffer.contents t.body);
-        Buffer.clear t.body
+        Codec.encode_stats t.w s;
+        seal t Codec.kind_stats frame_room
     | None -> ());
     flush t.oc;
     if t.owned then close_out t.oc;

@@ -1,8 +1,9 @@
 (** Bounded-memory streaming trace writer.
 
-    Events are delta-encoded into a chunk buffer flushed every
+    Events are delta-encoded into one reused chunk buffer flushed every
     [chunk_bytes] (default 64 KiB); memory use is one chunk regardless
-    of trace length.  The file starts with the codec magic and version;
+    of trace length, and a flush frames the chunk in place and writes
+    it with one [output].  The file starts with the codec magic and version;
     {!close} optionally appends the run's {!Vm.Interp.stats} as a
     trailer chunk so replay-based profiling can report them. *)
 

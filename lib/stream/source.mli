@@ -1,5 +1,7 @@
-(** Streaming trace reader: decodes a binary trace chunk-at-a-time, so
-    peak memory is one chunk payload regardless of trace length.
+(** Streaming trace reader: decodes a binary trace chunk-at-a-time into
+    one reused payload buffer, so peak memory is one chunk payload
+    regardless of trace length.  A chunk whose declared length exceeds
+    the bytes left in the file is rejected before any buffer grows.
 
     All failures — missing/bad magic, unsupported version, truncated
     file, CRC mismatch, malformed payload — raise [Stream.Error] with a
@@ -11,16 +13,17 @@ val open_file : string -> t
 (** Validate the header.  @raise Error.Error if [path] is not a
     version-compatible polyprof binary trace. *)
 
-val iter : t -> (Vm.Event.t -> unit) -> unit
-(** Stream every remaining event, in order, through the consumer.
-    Single-shot: a source can only be iterated once. *)
-
 val replay : t -> Vm.Interp.callbacks -> unit
-(** {!iter} dispatched to instrumentation callbacks. *)
+(** Stream every remaining event, in order, straight into the
+    instrumentation callbacks.  Single-shot: a source can only be
+    replayed once. *)
+
+val iter : t -> (Vm.Event.t -> unit) -> unit
+(** {!replay} with each event wrapped as a {!Vm.Event.t}. *)
 
 val stats : t -> Vm.Interp.stats option
 (** The recorded run's interpreter stats, once the trailer chunk has
-    been read (i.e. after {!iter}/{!replay} completed). *)
+    been read (i.e. after {!replay}/{!iter} completed). *)
 
 val n_events : t -> int
 (** Events decoded so far. *)

@@ -55,6 +55,12 @@ let record_to_file ?max_steps ?args ?chunk_bytes ?elide prog path =
     wi_stats = stats;
     wi_seconds = Obs.Clock.monotonic () -. t0 }
 
+let structure prog path =
+  let builder = Cfg.Cfg_builder.create prog in
+  Source.with_file path (fun src ->
+      Source.replay src (Cfg.Cfg_builder.callbacks builder));
+  Cfg.Cfg_builder.finalize builder
+
 let load path =
   Obs.Span.with_ ~cat:"stream" "stream.load" @@ fun () ->
   Source.with_file path (fun src ->

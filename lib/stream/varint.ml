@@ -2,65 +2,105 @@
    per byte, high bit = continuation.  Signed values go through zigzag
    so small negative deltas stay short.  OCaml ints are 63-bit here;
    [put_u]/[get_u] treat the int as an unsigned 63-bit payload (the
-   zigzag layer is what gives negatives a meaning). *)
+   zigzag layer is what gives negatives a meaning), so a varint is at
+   most [max_u_bytes] long.
 
-type reader = { buf : Bytes.t; mutable pos : int; limit : int }
+   The writer is a byte cursor over one growable [Bytes]: a caller
+   [reserve]s room for everything it is about to write, and the puts
+   after that store without bounds checks.  The reader checks every
+   byte it consumes against [limit], and raises [Error.Error] past it. *)
+
+let max_u_bytes = 9
+
+(* ------------------------------------------------------------------ *)
+(* Writer                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type writer = { mutable buf : Bytes.t; mutable wpos : int }
+
+let writer n = { buf = Bytes.create (max 16 n); wpos = 0 }
+
+let grow w n =
+  let cap = ref (2 * Bytes.length w.buf) in
+  while !cap < w.wpos + n do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit w.buf 0 b 0 w.wpos;
+  w.buf <- b
+
+let reserve w n = if w.wpos + n > Bytes.length w.buf then grow w n
+
+let put_byte w c =
+  Bytes.unsafe_set w.buf w.wpos (Char.unsafe_chr c);
+  w.wpos <- w.wpos + 1
+
+let put_u w v =
+  let b = w.buf in
+  let p = ref w.wpos in
+  (* logical shift: the sign bit must not stick for the top chunk *)
+  let v = ref v in
+  while !v land lnot 0x7f <> 0 do
+    Bytes.unsafe_set b !p (Char.unsafe_chr (!v land 0x7f lor 0x80));
+    incr p;
+    v := !v lsr 7
+  done;
+  Bytes.unsafe_set b !p (Char.unsafe_chr !v);
+  w.wpos <- !p + 1
+
+let size_u v =
+  let n = ref 1 and v = ref (v lsr 7) in
+  while !v <> 0 do
+    incr n;
+    v := !v lsr 7
+  done;
+  !n
+
+(* Zigzag: 0, -1, 1, -2, 2 ... -> 0, 1, 2, 3, 4 ... *)
+let zigzag v = (v lsl 1) lxor (v asr 62)
+let unzigzag v = (v lsr 1) lxor - (v land 1)
+
+let put_s w v = put_u w (zigzag v)
+
+let put_f64 w f =
+  Bytes.set_int64_le w.buf w.wpos (Int64.bits_of_float f);
+  w.wpos <- w.wpos + 8
+
+(* ------------------------------------------------------------------ *)
+(* Reader                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type reader = { rbuf : Bytes.t; mutable pos : int; limit : int }
 
 let reader ?(pos = 0) ?limit buf =
   let limit = match limit with Some l -> l | None -> Bytes.length buf in
-  { buf; pos; limit }
+  { rbuf = buf; pos; limit }
 
 let eof r = r.pos >= r.limit
 
-let put_u b v =
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let lo = !v land 0x7f in
-    (* logical shift: the sign bit must not stick for the top chunk *)
-    v := (!v lsr 7) land max_int;
-    if !v = 0 then begin
-      Buffer.add_char b (Char.chr lo);
-      continue := false
-    end
-    else Buffer.add_char b (Char.chr (lo lor 0x80))
-  done
+let get_byte r =
+  if r.pos >= r.limit then Error.fail "varint: truncated at byte %d" r.pos;
+  let c = Char.code (Bytes.get r.rbuf r.pos) in
+  r.pos <- r.pos + 1;
+  c
 
+(* 9 bytes hold 63 bits; a continuation bit on the 9th is overlong *)
 let get_u r =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
-    if r.pos >= r.limit then
-      Error.fail "varint: truncated at byte %d" r.pos;
     if !shift > 62 then Error.fail "varint: overlong encoding at byte %d" r.pos;
-    let c = Char.code (Bytes.get r.buf r.pos) in
-    r.pos <- r.pos + 1;
+    let c = get_byte r in
     v := !v lor ((c land 0x7f) lsl !shift);
     shift := !shift + 7;
     if c land 0x80 = 0 then continue := false
   done;
   !v
 
-(* Zigzag: 0, -1, 1, -2, 2 ... -> 0, 1, 2, 3, 4 ... *)
-let zigzag v = (v lsl 1) lxor (v asr 62)
-let unzigzag v = (v lsr 1) lxor (- (v land 1))
-
-let put_s b v = put_u b (zigzag v)
 let get_s r = unzigzag (get_u r)
 
-let put_f64 b f =
-  let bits = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
-
 let get_f64 r =
-  if r.pos + 8 > r.limit then Error.fail "varint: truncated float at byte %d" r.pos;
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor !bits
-        (Int64.shift_left (Int64.of_int (Char.code (Bytes.get r.buf (r.pos + i)))) (8 * i))
-  done;
+  if r.pos + 8 > r.limit then
+    Error.fail "varint: truncated float at byte %d" r.pos;
+  let f = Int64.float_of_bits (Bytes.get_int64_le r.rbuf r.pos) in
   r.pos <- r.pos + 8;
-  Int64.float_of_bits !bits
+  f

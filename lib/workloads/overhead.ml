@@ -50,10 +50,7 @@ let measure ?(repeat = 3) (w : Workload.t) =
     @@ fun () ->
     time ~repeat (fun () ->
         let wi = Stream.Trace_file.record_to_file prog path in
-        let builder = Cfg.Cfg_builder.create prog in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-        let structure = Cfg.Cfg_builder.finalize builder in
+        let structure = Stream.Trace_file.structure prog path in
         let o = Stream.Par_profile.profile_file path prog ~structure in
         (wi, o.Stream.Par_profile.result))
   in

@@ -74,10 +74,7 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
         let (_ : Stream.Trace_file.write_info) =
           Stream.Trace_file.record_to_file ?elide prog path
         in
-        let builder = Cfg.Cfg_builder.create prog in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-        let structure = Cfg.Cfg_builder.finalize builder in
+        let structure = Stream.Trace_file.structure prog path in
         ( structure,
           profile_with (fun static_prune ->
               let o =

@@ -29,10 +29,7 @@ let measure (w : Workload.t) =
     Obs.Clock.timed (fun () ->
         Stream.Source.with_file path (fun src -> Stream.Source.iter src ignore))
   in
-  let builder = Cfg.Cfg_builder.create prog in
-  Stream.Source.with_file path (fun src ->
-      Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-  let structure = Cfg.Cfg_builder.finalize builder in
+  let structure = Stream.Trace_file.structure prog path in
   let { Stream.Par_profile.result = ooc }, t_replay =
     Obs.Clock.timed (fun () ->
         Stream.Par_profile.profile_file path prog ~structure)

@@ -29,14 +29,20 @@ let[@inline] int_sub a b =
   let s = a - b in
   if (a lxor b) land (a lxor s) < 0 then raise_notrace Overflow else s
 
+let[@inline] int_neg a = if a = min_int then raise_notrace Overflow else -a
+
 let lcm a b = if a = 0 || b = 0 then 0 else abs (int_mul (a / gcd a b) b)
 
+(* Divide by the gcd before fixing the sign: the negation can then
+   overflow only when the canonical result does not fit (a numerator or
+   denominator of 2^62).  [gcd] is [min_int] only for [num] in
+   [{0, min_int}] and [den = min_int], and the divisions still give the
+   canonical [0/1] or [1/1] there. *)
 let make num den =
   if den = 0 then raise Division_by_zero;
-  let s = if den < 0 then -1 else 1 in
-  let num = s * num and den = s * den in
   let g = gcd num den in
-  if g = 0 then { num = 0; den = 1 } else { num = num / g; den = den / g }
+  let num = num / g and den = den / g in
+  if den > 0 then { num; den } else { num = int_neg num; den = int_neg den }
 
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
@@ -52,7 +58,7 @@ let add a b =
   let n = int_add (int_mul a.num db) (int_mul b.num da) in
   make n (int_mul (int_mul g da) db)
 
-let neg a = { a with num = -a.num }
+let neg a = { a with num = int_neg a.num }
 let sub a b = add a (neg b)
 let mul a b = make (int_mul a.num b.num) (int_mul a.den b.den)
 
@@ -61,7 +67,7 @@ let inv a =
   make a.den a.num
 
 let div a b = mul a (inv b)
-let abs a = { a with num = Stdlib.abs a.num }
+let abs a = if a.num < 0 then neg a else a
 
 let compare a b =
   (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den *)

@@ -13,7 +13,9 @@ exception Division_by_zero
 
 val make : int -> int -> t
 (** [make num den] is the canonical rational [num/den].
-    @raise Division_by_zero if [den = 0]. *)
+    @raise Division_by_zero if [den = 0].
+    @raise Overflow if the canonical numerator or denominator is
+    [2^62], one past [max_int] (e.g. [make min_int (-1)]). *)
 
 val of_int : int -> t
 
@@ -29,6 +31,8 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 val neg : t -> t
+(** @raise Overflow on a numerator of [min_int] (likewise {!abs}). *)
+
 val inv : t -> t
 val abs : t -> t
 val min : t -> t -> t
@@ -61,6 +65,7 @@ val lcm : int -> int -> int
 val int_add : int -> int -> int
 val int_sub : int -> int -> int
 val int_mul : int -> int -> int
-(** Native-int [+], [-] and [*] that raise [Overflow] instead of wrapping:
-    the building blocks of the integer fast paths in {!Matrix} and
-    [Minisl.Affine]. *)
+val int_neg : int -> int
+(** Native-int [+], [-], [*] and negation that raise [Overflow] instead
+    of wrapping: the building blocks of the integer fast paths in
+    [Minisl.Affine] and [Fold]. *)

@@ -54,6 +54,21 @@ let test_gcd_lcm () =
   Alcotest.(check int) "lcm 4 6" 12 (Rat.lcm 4 6);
   Alcotest.(check int) "lcm 0 6" 0 (Rat.lcm 0 6)
 
+(* At [min_int] the canonical result may not fit: -min_int is 2^62.
+   These used to wrap back to [min_int]. *)
+let test_min_int () =
+  Alcotest.check_raises "neg min_int" Rat.Overflow (fun () -> ignore (Rat.neg (Rat.of_int min_int)));
+  Alcotest.check_raises "abs min_int" Rat.Overflow (fun () -> ignore (Rat.abs (Rat.of_int min_int)));
+  Alcotest.check rat "abs (min_int + 1)" (Rat.of_int max_int) (Rat.abs (Rat.of_int (min_int + 1)));
+  Alcotest.check rat "0/min_int = 0" Rat.zero (Rat.make 0 min_int);
+  Alcotest.check rat "min_int/-2 = 2^61" (Rat.of_int (1 lsl 61)) (Rat.make min_int (-2));
+  Alcotest.check rat "min_int/min_int = 1" Rat.one (Rat.make min_int min_int);
+  Alcotest.check rat "min_int/2 = -2^61" (Rat.of_int (-(1 lsl 61))) (Rat.make min_int 2);
+  Alcotest.check_raises "min_int/-1" Rat.Overflow (fun () -> ignore (Rat.make min_int (-1)));
+  Alcotest.check_raises "1/min_int" Rat.Overflow (fun () -> ignore (Rat.make 1 min_int));
+  Alcotest.check_raises "int_neg min_int" Rat.Overflow (fun () -> ignore (Rat.int_neg min_int));
+  Alcotest.(check int) "int_neg max_int" (min_int + 1) (Rat.int_neg max_int)
+
 (* property tests *)
 
 let small = QCheck.int_range (-1000) 1000
@@ -106,7 +121,8 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_arith;
           Alcotest.test_case "floor/ceil" `Quick test_floor_ceil;
           Alcotest.test_case "compare/sign" `Quick test_compare;
-          Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm ] );
+          Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm;
+          Alcotest.test_case "min_int" `Quick test_min_int ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_add_comm; prop_add_assoc; prop_mul_distributes;

@@ -129,9 +129,10 @@ let solve a b =
     Some x
   end
 
-(* The Rat system [c . x_i + d = v_i] of [affine_fit], solved by
-   [solve] and checked against every sample. *)
-let affine_fit_rat points values =
+(* The Rat system [c . x_i + d = v_i], solved by [solve] and checked
+   against every sample. *)
+let affine_fit points values =
+  assert (Array.length points > 0 && Array.length points = Array.length values);
   let n = Array.length points in
   let dims = Array.length points.(0) in
   (* unknowns: c_0 .. c_{dims-1}, d *)
@@ -158,69 +159,3 @@ let affine_fit_rat points values =
         if not (Rat.equal !acc values.(i)) then ok := false
       done;
       if !ok then Some (Array.sub x 0 dims, x.(dims)) else None
-
-(* Divide a row by the gcd of its entries. *)
-let normalize_row r =
-  let g = Array.fold_left Rat.gcd 0 r in
-  if g > 1 then Array.iteri (fun j v -> r.(j) <- v / g) r
-
-(* Fraction-free Gauss-Jordan on the augmented system [x_i 1 | v_i],
-   in checked native ints.  Each elimination step is the exact row
-   operation [a * row_i - b * row_p] followed by division by the row's
-   gcd, so the rows stay integer multiples of the reduced row-echelon
-   form's.  That form is unique, so the pivot columns, the consistency
-   verdict and the solution (pivot entry ratios, free unknowns 0) are
-   exactly those of [affine_fit_rat]; a consistent system's solution
-   interpolates every sample, so no check is needed. *)
-let affine_fit_int points values =
-  let n = Array.length points in
-  let dims = Array.length points.(0) in
-  let cols = dims + 2 in
-  let m =
-    Array.init n (fun i ->
-        let r = Array.make cols 1 in
-        Array.blit points.(i) 0 r 0 dims;
-        r.(dims + 1) <- values.(i);
-        r)
-  in
-  let pivots = Array.make cols (-1) in
-  let row = ref 0 in
-  for col = 0 to cols - 1 do
-    if !row < n then begin
-      let p = ref !row in
-      while !p < n && m.(!p).(col) = 0 do incr p done;
-      if !p < n then begin
-        let tmp = m.(!row) in
-        m.(!row) <- m.(!p);
-        m.(!p) <- tmp;
-        let pr = m.(!row) in
-        normalize_row pr;
-        for i = 0 to n - 1 do
-          let ri = m.(i) in
-          if i <> !row && ri.(col) <> 0 then begin
-            let g = Rat.gcd pr.(col) ri.(col) in
-            let a = pr.(col) / g and b = ri.(col) / g in
-            for j = 0 to cols - 1 do
-              ri.(j) <- Rat.int_sub (Rat.int_mul a ri.(j)) (Rat.int_mul b pr.(j))
-            done;
-            normalize_row ri
-          end
-        done;
-        pivots.(col) <- !row;
-        incr row
-      end
-    end
-  done;
-  if pivots.(dims + 1) >= 0 then None (* inconsistent: pivot in b column *)
-  else
-    let x =
-      Array.init (dims + 1) (fun k ->
-          let r = pivots.(k) in
-          if r < 0 then Rat.zero else Rat.make m.(r).(dims + 1) m.(r).(k))
-    in
-    Some (Array.sub x 0 dims, x.(dims))
-
-let affine_fit points values =
-  assert (Array.length points > 0 && Array.length points = Array.length values);
-  try affine_fit_int points values
-  with Rat.Overflow -> affine_fit_rat points values

@@ -38,6 +38,6 @@ val affine_fit : int array array -> int array -> (Rat.t array * Rat.t) option
     such that for every sample [i], [sum_k c.(k) * points.(i).(k) + d =
     values.(i)]; returns [None] if no affine function interpolates the
     samples.  [points] must be non-empty and rectangular.  The answer is
-    the one [solve] gives on the Rat system (free unknowns 0), computed
-    by fraction-free elimination in native ints, with the Rat solve as
-    the fallback when an intermediate overflows. *)
+    the one [solve] gives on the Rat system (free unknowns 0).  Folding
+    solves its samples by fraction-free elimination in native ints and
+    calls this only when that overflows. *)

@@ -133,18 +133,32 @@ let same_fit a b =
       && Array.for_all2 Rat.equal c c' && Rat.equal d d'
   | _ -> false
 
-(* Random small systems: affine data (consistent), data with one
-   perturbed value (often inconsistent), repeated or collinear samples
-   (rank-deficient), and samples scaled near 2^40 so the fraction-free
-   elimination overflows and falls back to Rat. *)
+(* Random systems of the shape a fit round solves: 1-9 samples over
+   0-6 coordinates.  Kinds: 0 affine data (consistent), 1 one perturbed
+   value (often inconsistent), 2 repeated rows and 3 collinear samples
+   (rank-deficient), 4 samples scaled by 2^40, 5 coordinates and 6
+   values near +-2^61 or at max_int / min_int, where the fraction-free
+   elimination overflows. *)
 let gen_system =
   QCheck.Gen.(
-    quad (int_range 1 5) (int_range 0 3) (int_range 0 4) (int_bound 1_000_000)
+    quad (int_range 1 9) (int_range 0 6) (int_range 0 6) (int_bound 1_000_000)
     >|= fun (n, dims, kind, seed) ->
     let st = Random.State.make [| seed |] in
     let small () = Random.State.int st 9 - 4 in
-    let scale = if kind = 4 then 1 lsl 40 else 1 in
-    let base = Array.init n (fun _ -> Array.init dims (fun _ -> scale * small ())) in
+    let extreme () =
+      match Random.State.int st 4 with
+      | 0 -> max_int - Random.State.int st 3
+      | 1 -> min_int + Random.State.int st 3
+      | 2 -> (1 lsl 61) - Random.State.int st 1000
+      | _ -> Random.State.int st 1000 - (1 lsl 61)
+    in
+    let coord () =
+      match kind with
+      | 4 -> (1 lsl 40) * small ()
+      | 5 -> if Random.State.bool st then extreme () else small ()
+      | _ -> small ()
+    in
+    let base = Array.init n (fun _ -> Array.init dims (fun _ -> coord ())) in
     let points =
       if kind = 2 then Array.init n (fun i -> base.(i / 2))
       else if kind = 3 then
@@ -161,14 +175,36 @@ let gen_system =
         points
     in
     if kind = 1 then values.(n - 1) <- values.(n - 1) + 1 + Random.State.int st 3;
-    (points, values))
+    if kind = 6 then Array.iteri (fun i _ -> if Random.State.bool st then values.(i) <- extreme ()) values;
+    (kind, points, values))
 
-let prop_affine_fit_int_is_rat =
-  QCheck.Test.make ~name:"integer affine_fit = Rat solve" ~count:1000
-    (QCheck.make gen_system) (fun (points, values) ->
-      match affine_fit_rat points values with
-      | exception Rat.Overflow -> true
-      | expected -> same_fit (M.affine_fit points values) expected)
+let print_system (kind, points, values) =
+  Printf.sprintf "kind %d: %s" kind
+    (String.concat "; "
+       (Array.to_list
+          (Array.mapi
+             (fun i p ->
+               Printf.sprintf "[%s] -> %d"
+                 (String.concat " " (Array.to_list (Array.map string_of_int p)))
+                 values.(i))
+             points)))
+
+(* One workspace for every case, so its growth between dimensions is
+   exercised too. *)
+let ws = Fold.Ws.create ()
+
+(* The folding kernel's sample solve returns exactly the Rat reference,
+   or raises [Rat.Overflow] (a fit round then runs [M.affine_fit]); on
+   small values (kinds 0-3) it never raises. *)
+let prop_sample_solve_is_rat =
+  QCheck.Test.make ~name:"integer affine_fit = Rat solve" ~count:2000
+    (QCheck.make ~print:print_system gen_system) (fun (kind, points, values) ->
+      match Fold.solve_samples ws points values with
+      | exception Rat.Overflow -> kind > 3
+      | got -> (
+          match affine_fit_rat points values with
+          | exception Rat.Overflow -> true
+          | expected -> same_fit got expected))
 
 (* Coordinates, values and constants near +-2^61, where the common-
    denominator form overflows native ints, next to small ones; the
@@ -237,4 +273,4 @@ let () =
         Alcotest.test_case "affine eval overflow falls back to Rat" `Quick
           test_affine_int_fallback
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_affine_fit_int_is_rat; prop_affine_int_eval ] ) ]
+             [ prop_sample_solve_is_rat; prop_affine_int_eval ] ) ]

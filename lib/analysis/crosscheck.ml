@@ -272,7 +272,7 @@ let check (prog : Vm.Prog.t) (res : Ddg.Depprof.result) =
     skipped_edges = !skip_norange + !skip_crossfn;
     skip_norange = !skip_norange;
     skip_crossfn = !skip_crossfn;
-    poly_pairs = List.length sd.Statdep.pairs;
+    poly_pairs = List.length (Lazy.force sd.Statdep.pairs);
     poly_checked = !poly_checked;
     sim_must = !sim_must;
     sim_may = !sim_may;

@@ -52,7 +52,7 @@ type t = {
   unresolved : (Vm.Isa.Sid.t * bool * reason) list;
   prunable : bool array;
   pruned : (Vm.Isa.Sid.t, unit) Hashtbl.t;
-  pairs : pair_dep list;
+  pairs : pair_dep list Lazy.t;
   plan : Dp.static_plan;
   n_accesses : int;
   speculated : ((int * int) * spec_decision) list;
@@ -773,6 +773,37 @@ let pair_dep (s : resolved) (d : resolved) kind =
     pd_dists = dists;
     pd_rel = rel }
 
+(* Static dependence summaries of every (store, access) pair of
+   resolved accesses sharing a region, sorted by (source, destination,
+   kind). *)
+let pairs_of resolved =
+  Obs.Span.with_ ~cat:"analysis" "analysis.statdep.pairs" @@ fun () ->
+  let by_region = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun _ (r : resolved) ->
+      if r.r_region > 0 then
+        Hashtbl.replace by_region r.r_region
+          (r :: Option.value ~default:[] (Hashtbl.find_opt by_region r.r_region)))
+    resolved;
+  let pairs = ref [] in
+  Hashtbl.iter
+    (fun _ accs ->
+      let accs = List.sort (fun a b' -> compare a.r_sid b'.r_sid) accs in
+      List.iter
+        (fun s ->
+          if s.r_store then
+            List.iter
+              (fun d ->
+                let kind = if d.r_store then Dp.Out_dep else Dp.Mem_dep in
+                pairs := pair_dep s d kind :: !pairs)
+              accs)
+        accs)
+    by_region;
+  List.sort
+    (fun a b' ->
+      compare (a.pd_src, a.pd_dst, a.pd_kind) (b'.pd_src, b'.pd_dst, b'.pd_kind))
+    !pairs
+
 (* ------------------------------------------------------------------ *)
 (* Whole-program analysis                                              *)
 (* ------------------------------------------------------------------ *)
@@ -959,41 +990,16 @@ let analyse ?(speculate = false) ?(directions = []) (prog : Vm.Prog.t) =
       sp_witnesses;
       sp_mem_size = prog.mem_size }
   in
-  (* static dependence summaries over resolved same-region pairs *)
-  let by_region = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ (r : resolved) ->
-      if r.r_region > 0 then
-        Hashtbl.replace by_region r.r_region
-          (r :: Option.value ~default:[] (Hashtbl.find_opt by_region r.r_region)))
-    b.b_resolved;
-  let pairs = ref [] in
-  Hashtbl.iter
-    (fun _ accs ->
-      let accs = List.sort (fun a b' -> compare a.r_sid b'.r_sid) accs in
-      List.iter
-        (fun s ->
-          if s.r_store then
-            List.iter
-              (fun d ->
-                let kind = if d.r_store then Dp.Out_dep else Dp.Mem_dep in
-                pairs := pair_dep s d kind :: !pairs)
-              accs)
-        accs)
-    by_region;
-  let pairs =
-    List.sort
-      (fun a b' ->
-        compare (a.pd_src, a.pd_dst, a.pd_kind) (b'.pd_src, b'.pd_dst, b'.pd_kind))
-      !pairs
-  in
+  (* the pairs thunk holds the resolved table only: capturing [b] would
+     keep its per-function state live through the profile *)
+  let resolved = b.b_resolved in
   { prog;
     pta;
-    resolved = b.b_resolved;
+    resolved;
     unresolved;
     prunable;
     pruned;
-    pairs;
+    pairs = lazy (pairs_of resolved);
     plan;
     n_accesses = !n_accesses;
     speculated =
@@ -1056,7 +1062,7 @@ let fallback_profile ?(speculate = true) prog ~profile =
 let pair_of t ~src ~dst kind =
   List.find_opt
     (fun p -> p.pd_src = src && p.pd_dst = dst && p.pd_kind = kind)
-    t.pairs
+    (Lazy.force t.pairs)
 
 let n_resolved t = Hashtbl.length t.resolved
 let n_pruned t = Hashtbl.length t.pruned
@@ -1107,5 +1113,5 @@ let pp fmt t =
           p.pd_dirs;
         Format.fprintf fmt ")@,"
       end)
-    t.pairs;
+    (Lazy.force t.pairs);
   Format.fprintf fmt "@]"

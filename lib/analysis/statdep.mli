@@ -19,7 +19,9 @@
       trapezoidal nests included — and its exact address range (by
       rational LP over the domain) must lie within a single named
       memory region;
-    - builds {e dependence polyhedra} for every resolved pair sharing a
+    - builds, on demand (the lazy [pairs] field: only reports and the
+      cross-check force it, never the pruned profile),
+      {e dependence polyhedra} for every resolved pair sharing a
       region: iteration-domain constraint rows, address equality and
       lexicographic-precedence disjuncts over [src ++ dst] iteration
       space, decided exactly by {!Minisl.Lp.feasible} (rational
@@ -105,7 +107,11 @@ type t = {
   prunable : bool array;  (** per region index *)
   pruned : (Vm.Isa.Sid.t, unit) Hashtbl.t;
       (** resolved accesses assigned to prunable regions *)
-  pairs : pair_dep list;
+  pairs : pair_dep list Lazy.t;
+      (** per ordered same-region (store, access) pair, sorted by
+          (source, destination, kind); built on first force, so the
+          profiling path, which reads only [plan], never pays for the
+          dependence polyhedra *)
   plan : Ddg.Depprof.static_plan;  (** pruned accesses only *)
   n_accesses : int;  (** reachable accesses in live functions *)
   speculated : ((int * int) * spec_decision) list;

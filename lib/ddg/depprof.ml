@@ -404,16 +404,18 @@ let new_dep_rec config ~(src : stmt_rec) ~(dst : stmt_rec) kind ~src_depth
     dr_src_depth = src_depth;
     dr_dst_depth = dst_depth }
 
-let find_dep e (r : stmt_rec) coords kind ~src ~src_coords =
+(* The record in [deps] of the dependence from [src] to [r], created on
+   first use. *)
+let find_dep e deps (r : stmt_rec) coords kind ~src ~src_coords =
   let key = dep_table_key ~src ~dst:r.r_idx kind in
-  match Int_tbl.find e.deps key with
+  match Int_tbl.find deps key with
   | dr -> dr
   | exception Not_found ->
       let dr =
         new_dep_rec e.e_config ~src:e.stmt_arr.(src) ~dst:r kind
           ~src_depth:(Array.length src_coords) ~dst_depth:(Array.length coords)
       in
-      Int_tbl.add e.deps key dr;
+      Int_tbl.add deps key dr;
       dr
 
 (* One dynamic dependence from producer [src], which ran at
@@ -421,10 +423,10 @@ let find_dep e (r : stmt_rec) coords kind ~src ~src_coords =
    through [slot] (of kind [kind]). *)
 let record_dep e (r : stmt_rec) coords slot kind ~src ~src_coords =
   let dr =
-    if slot = no_slot then find_dep e r coords kind ~src ~src_coords
+    if slot = no_slot then find_dep e e.deps r coords kind ~src ~src_coords
     else if r.slot_src.(slot) = src then r.slot_dep.(slot)
     else begin
-      let dr = find_dep e r coords kind ~src ~src_coords in
+      let dr = find_dep e e.deps r coords kind ~src ~src_coords in
       r.slot_src.(slot) <- src;
       r.slot_dep.(slot) <- dr;
       dr
@@ -568,19 +570,28 @@ let stmt_infos_of e shared =
         affine_exact = affine;
         depth = r.r_depth })
 
+(* A plan item compiled for the simulation: an access carries its
+   statement's dense index ([n_stmts] and past: never executed). *)
+type sim_item =
+  | Sim_acc of { idx : int; store : bool; base : int; coefs : int array }
+  | Sim_loop of { base : int; coefs : int array; body : sim_item array }
+
 (* Re-derive the dependences the pruned run skipped, by simulating the
    static plan: enumerate the resolved accesses in exact execution order
-   (the plan is the program's once-executed chain) with a dense
-   last-writer table over the address space, feeding every rediscovered
-   edge into a fresh collector exactly as the unpruned engine would
-   have.  Contexts are recovered from the pruned run's own statement
-   table — each pruned statement executes under a unique dynamic
-   context by construction of the plan (single static call chain). *)
+   (the plan is the program's once-executed chain) with a fresh
+   [Shadow] as the last-writer table, tagged by statement index, and
+   one coordinate array per loop iteration shared by its accesses as
+   [Iiv.coords] is, feeding every rediscovered edge into a fresh
+   collector exactly as the unpruned engine would have.  Contexts are
+   recovered from the pruned run's own statement table — each pruned
+   statement executes under a unique dynamic context by construction of
+   the plan (single static call chain). *)
 let simulate_plan e (plan : static_plan) =
   let config = e.e_config in
+  let n_exec = e.n_stmts in
   (* sid -> index of the statement record of its one dynamic context *)
   let idx_of = Int_tbl.create 64 in
-  for i = 0 to e.n_stmts - 1 do
+  for i = 0 to n_exec - 1 do
     let sid = e.stmt_arr.(i).r_sk.s_sid in
     if Hashtbl.mem plan.sp_resolved sid then begin
       if Int_tbl.mem idx_of sid then
@@ -588,105 +599,107 @@ let simulate_plan e (plan : static_plan) =
       Int_tbl.add idx_of sid i
     end
   done;
-  let last : (Vm.Isa.Sid.t * int array) option array =
-    Array.make (max 1 plan.sp_mem_size) None
+  (* plan accesses the run never executed get indices from [n_exec] on:
+     an edge with such an endpoint fails, and so does its count check *)
+  let unexecuted = Int_tbl.create 4 in
+  let index sid =
+    match Int_tbl.find_opt idx_of sid with
+    | Some i -> i
+    | None -> (
+        match Int_tbl.find_opt unexecuted sid with
+        | Some i -> i
+        | None ->
+            let i = n_exec + Int_tbl.length unexecuted in
+            Int_tbl.add unexecuted sid i;
+            i)
   in
-  let sim_count : (Vm.Isa.Sid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let rec compile items =
+    Array.of_list
+      (List.map
+         (function
+           | Sacc a ->
+               Sim_acc
+                 { idx = index a.sa_sid;
+                   store = a.sa_store;
+                   base = a.sa_base;
+                   coefs = a.sa_coefs }
+           | Sloop { sl_base; sl_coefs; sl_body } ->
+               Sim_loop { base = sl_base; coefs = sl_coefs; body = compile sl_body })
+         items)
+  in
+  let items = compile plan.sp_items in
+  let sim_count = Array.make (n_exec + Int_tbl.length unexecuted) 0 in
+  let mem_size = max 1 plan.sp_mem_size in
+  let last = Shadow.create () in
   let deps = Int_tbl.create 64 in
-  let n_edges = ref 0 in
-  let emit kind (src_sid, src_coords) dst_sid dst_coords =
-    match (Int_tbl.find_opt idx_of src_sid, Int_tbl.find_opt idx_of dst_sid) with
-    | Some src, Some dst ->
-        let key = dep_table_key ~src ~dst kind in
-        let dr =
-          match Int_tbl.find_opt deps key with
-          | Some dr -> dr
-          | None ->
-              let dr =
-                new_dep_rec config ~src:e.stmt_arr.(src) ~dst:e.stmt_arr.(dst)
-                  kind ~src_depth:(Array.length src_coords)
-                  ~dst_depth:(Array.length dst_coords)
-              in
-              Int_tbl.add deps key dr;
-              dr
-        in
-        dr.d_n <- dr.d_n + 1;
-        incr n_edges;
-        Fold.Collector.add dr.d_collector dst_coords src_coords
-    | _ -> failwith "Depprof: pruned dependence endpoint never executed"
+  (* the edge from [addr]'s last writer, if any, to statement [dst]
+     running at [coords] *)
+  let edge kind ~dst ~addr coords =
+    let src = Shadow.mem_tag last ~addr in
+    if src >= 0 then begin
+      if src >= n_exec || dst >= n_exec then
+        failwith "Depprof: pruned dependence endpoint never executed";
+      let src_coords = Shadow.mem_coords last ~addr in
+      let dr = find_dep e deps e.stmt_arr.(dst) coords kind ~src ~src_coords in
+      dr.d_n <- dr.d_n + 1;
+      Fold.Collector.add dr.d_collector coords src_coords
+    end
   in
-  let coords_buf = ref (Array.make 16 0) in
-  let depth = ref 0 in
-  let rec go items =
-    List.iter
-      (fun item ->
-        match item with
-        | Sacc a ->
-            let d = !depth in
-            if Array.length a.sa_coefs <> d then
-              failwith "Depprof: static plan depth mismatch";
-            let coords = Array.sub !coords_buf 0 d in
-            let addr = ref a.sa_base in
-            Array.iteri (fun i c -> addr := !addr + (c * coords.(i))) a.sa_coefs;
-            let addr = !addr in
-            if addr < 0 || addr >= Array.length last then
-              failwith "Depprof: static plan address out of range";
-            (match Hashtbl.find_opt sim_count a.sa_sid with
-            | Some r -> incr r
-            | None -> Hashtbl.add sim_count a.sa_sid (ref 1));
-            if a.sa_store then begin
-              (if config.track_waw then
-                 match last.(addr) with
-                 | Some origin -> emit Out_dep origin a.sa_sid coords
-                 | None -> ());
-              last.(addr) <- Some (a.sa_sid, coords)
-            end
-            else begin
-              match last.(addr) with
-              | Some origin -> emit Mem_dep origin a.sa_sid coords
-              | None -> ()
-            end
-        | Sloop { sl_base; sl_coefs; sl_body } ->
-            let d = !depth in
-            if Array.length sl_coefs <> d then
-              failwith "Depprof: static plan loop depth mismatch";
-            if d >= Array.length !coords_buf then begin
-              let grown = Array.make (2 * Array.length !coords_buf) 0 in
-              Array.blit !coords_buf 0 grown 0 (Array.length !coords_buf);
-              coords_buf := grown
-            end;
-            let trip = loop_trip ~base:sl_base ~coefs:sl_coefs !coords_buf in
-            depth := d + 1;
-            for k = 0 to trip - 1 do
-              !coords_buf.(d) <- k;
-              go sl_body
-            done;
-            depth := d)
-      items
+  let rec go coords items =
+    let d = Array.length coords in
+    for j = 0 to Array.length items - 1 do
+      match items.(j) with
+      | Sim_acc { idx; store; base; coefs } ->
+          if Array.length coefs <> d then
+            failwith "Depprof: static plan depth mismatch";
+          let addr = ref base in
+          for i = 0 to d - 1 do
+            addr := !addr + (coefs.(i) * coords.(i))
+          done;
+          let addr = !addr in
+          if addr < 0 || addr >= mem_size then
+            failwith "Depprof: static plan address out of range";
+          sim_count.(idx) <- sim_count.(idx) + 1;
+          if store then begin
+            if config.track_waw then edge Out_dep ~dst:idx ~addr coords;
+            Shadow.write_mem last ~addr ~tag:idx ~coords
+          end
+          else edge Mem_dep ~dst:idx ~addr coords
+      | Sim_loop { base; coefs; body } ->
+          if Array.length coefs <> d then
+            failwith "Depprof: static plan loop depth mismatch";
+          for k = 0 to loop_trip ~base ~coefs coords - 1 do
+            let inner = Array.make (d + 1) k in
+            Array.blit coords 0 inner 0 d;
+            go inner body
+          done
+    done
   in
-  go plan.sp_items;
+  go [||] items;
   (* the simulation must cover exactly the executions the run saw:
      a mismatch means a truncated run or an unsound plan — fail loudly
      rather than inject wrong dependences *)
-  let dyn_count sid =
-    match Int_tbl.find_opt idx_of sid with Some i -> e.stmt_arr.(i).count | None -> 0
-  in
-  Hashtbl.iter
-    (fun sid n ->
-      let m = dyn_count sid in
-      if !n <> m then
+  Array.iteri
+    (fun i n ->
+      let m = if i < n_exec then e.stmt_arr.(i).count else 0 in
+      if n > 0 && n <> m then begin
+        let sid =
+          if i < n_exec then e.stmt_arr.(i).r_sk.s_sid
+          else Int_tbl.fold (fun sid j acc -> if j = i then sid else acc) unexecuted (-1)
+        in
         failwith
           (Format.asprintf
              "Depprof: static plan simulated %d executions of %a, the run \
               performed %d (truncated run?)"
-             !n Vm.Isa.Sid.pp sid m))
+             n Vm.Isa.Sid.pp sid m)
+      end)
     sim_count;
   Int_tbl.iter
-    (fun sid _ ->
-      if dyn_count sid > 0 && not (Hashtbl.mem sim_count sid) then
+    (fun _ i ->
+      if e.stmt_arr.(i).count > 0 && sim_count.(i) = 0 then
         failwith "Depprof: pruned access executed but absent from the plan")
     idx_of;
-  (deps, !n_edges)
+  deps
 
 let obs_events = Obs.Metrics.counter ~help:"exec events seen by the dependence profiler" "ddg.profile.events"
 let obs_peak_shadow = Obs.Metrics.gauge ~help:"peak shadow-table entries (live tracked addresses)" "ddg.profile.peak_shadow"
@@ -702,7 +715,7 @@ let finalize e ~run_stats =
   (match e.e_prune with
   | Some plan when plan.sp_items <> [] ->
       Obs.Span.with_ ~cat:"ddg" "ddg.finalize.inject" @@ fun () ->
-      let injected, _ = simulate_plan e plan in
+      let injected = simulate_plan e plan in
       Int_tbl.iter
         (fun key dr ->
           if Int_tbl.mem e.deps key then

@@ -58,7 +58,7 @@ let measure_dynamic prog (sd : Analysis.Statdep.t) =
 let measure ?(prune = false) (w : Workload.t) =
   let prog = Vm.Hir.lower w.Workload.hir in
   let sd = Analysis.Statdep.analyse prog in
-  let pairs = sd.Analysis.Statdep.pairs in
+  let pairs = Lazy.force sd.Analysis.Statdep.pairs in
   let possible (p : Analysis.Statdep.pair_dep) = p.pd_possible in
   { r_name = w.Workload.w_name;
     r_accesses = sd.Analysis.Statdep.n_accesses;

@@ -471,7 +471,55 @@ let test_statdep_gemm () =
          p.pd_kind = Ddg.Depprof.Mem_dep && p.pd_possible
          && p.pd_dirs = [| D.Dzero; D.Dzero; D.Dpos |]
          && p.pd_dists = [| Some 0; Some 0; None |])
-       sd.Analysis.Statdep.pairs)
+       (Lazy.force sd.Analysis.Statdep.pairs))
+
+let test_statdep_profile_skips_pairs () =
+  (* the pruned profile reads only the plan: the hybrid driver must
+     leave the LP-decided pair summaries unbuilt *)
+  let prog = H.lower Workloads.Polybench.gemm.Workloads.Workload.hir in
+  let structure = Cfg.Cfg_builder.run prog in
+  let sd, _, _ =
+    Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
+        Ddg.Depprof.profile ~static_prune:plan prog ~structure)
+  in
+  Alcotest.(check bool) "pairs not forced by profiling" false
+    (Lazy.is_val sd.Analysis.Statdep.pairs);
+  Alcotest.(check bool) "pairs still available on demand" true
+    (Lazy.force sd.Analysis.Statdep.pairs <> [])
+
+let test_statdep_truncated_run () =
+  (* a run that lost its last exec events must fail the plan's count
+     check instead of injecting dependences for executions it never
+     reported *)
+  let prog = H.lower Workloads.Polybench.gemm.Workloads.Workload.hir in
+  let structure = Cfg.Cfg_builder.run prog in
+  let sd = Analysis.Statdep.analyse prog in
+  let n_exec = ref 0 in
+  ignore
+    (Vm.Interp.run prog
+       ~callbacks:
+         { Vm.Interp.no_instrumentation with on_exec = (fun _ -> incr n_exec) });
+  let keep = !n_exec - 50 in
+  let feed (cb : Vm.Interp.callbacks) =
+    let seen = ref 0 in
+    Vm.Interp.run prog
+      ~callbacks:
+        { cb with
+          on_exec =
+            (fun ex ->
+              incr seen;
+              if !seen <= keep then cb.on_exec ex) }
+  in
+  match
+    Ddg.Depprof.profile_replay ~static_prune:sd.Analysis.Statdep.plan ~feed
+      prog ~structure
+  with
+  | _ -> Alcotest.fail "a truncated run produced a pruned profile"
+  | exception Failure m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "count-mismatch error (%s)" m)
+        true
+        (contains m "static plan simulated" && contains m "truncated run?")
 
 let test_statdep_trisolv () =
   (* triangular nest: the non-rectangular domain encoding must make the
@@ -509,7 +557,7 @@ let test_statdep_cholesky () =
          p.pd_kind = Ddg.Depprof.Mem_dep && p.pd_possible
          && p.pd_dirs = [| D.Dzero; D.Dzero; D.Dpos |]
          && p.pd_dists = [| Some 0; Some 0; None |])
-       sd.Analysis.Statdep.pairs)
+       (Lazy.force sd.Analysis.Statdep.pairs))
 
 (* ---------------- speculation + witness checks ---------------- *)
 
@@ -1071,6 +1119,10 @@ let () =
       ( "statdep",
         [ Alcotest.test_case "gemm fully resolved + (=,=,<)" `Quick
             test_statdep_gemm;
+          Alcotest.test_case "profiling leaves pair summaries unbuilt" `Quick
+            test_statdep_profile_skips_pairs;
+          Alcotest.test_case "truncated run fails the plan count check" `Quick
+            test_statdep_truncated_run;
           Alcotest.test_case "seeded alias forces dynamic fallback" `Quick
             test_statdep_alias_fallback;
           Alcotest.test_case "trisolv triangular nest >= 90% pruned" `Quick

@@ -1,5 +1,5 @@
 .PHONY: all check test bench bench-json bench-record stream-smoke \
-  staticdep-smoke obs-smoke autotune-smoke serve-smoke parcheck-smoke \
+  staticdep-smoke obs-smoke autotune-smoke parcheck-smoke \
   perfdiff-smoke lint-gate lint-baseline clean
 
 all:
@@ -99,53 +99,6 @@ obs-smoke:
 	  --trace-json telemetry_backprop.json \
 	  --prom telemetry_backprop.prom --svg telemetry_backprop.svg
 	dune exec bin/polyprof_cli.exe -- overhead backprop --json
-
-# profiling-as-a-service end to end: start the daemon, submit the same
-# job twice, assert the second submission was served from the cache
-# (exactly one execution according to the live /metrics counter) with a
-# byte-identical report, check crash isolation, fetch the first job's
-# trace by its id and check the span tree plus the JSON log, shut down
-# gracefully.  The built binary is invoked directly so the daemon pid
-# is killable.
-serve-smoke: all
-	@set -e; \
-	dir=$$(mktemp -d); \
-	cli=$$(pwd)/_build/default/bin/polyprof_cli.exe; \
-	sock=$$dir/polyprof.sock; \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf $$dir' EXIT; \
-	$$cli serve --socket $$sock --workers 2 --quiet \
-	  --log-json $$dir/serve.log.jsonl & pid=$$!; \
-	for i in $$(seq 1 100); do test -S $$sock && break; sleep 0.1; done; \
-	test -S $$sock || { echo "FAIL: daemon never bound $$sock"; exit 1; }; \
-	$$cli submit profile gemm --socket $$sock --wait > $$dir/r1.json; \
-	$$cli submit profile gemm --socket $$sock --wait > $$dir/r2.json; \
-	cmp $$dir/r1.json $$dir/r2.json \
-	  || { echo "FAIL: cached report differs from the original"; exit 1; }; \
-	$$cli submit crash gemm --socket $$sock --wait > /dev/null 2>&1 \
-	  && { echo "FAIL: crash job reported success"; exit 1; } || true; \
-	$$cli submit profile atax --socket $$sock --wait > /dev/null \
-	  || { echo "FAIL: daemon did not survive the worker crash"; exit 1; }; \
-	$$cli status --socket $$sock > /dev/null; \
-	execs=$$($$cli fetch 1 --socket $$sock > /dev/null 2>&1; \
-	  curl -s --unix-socket $$sock http://localhost/metrics \
-	  | sed -n 's/^polyprof_serve_executions_total \([0-9]*\)$$/\1/p'); \
-	echo "executions_total = $$execs (expect 3: gemm cold, crash, atax)"; \
-	test "$$execs" = 3 \
-	  || { echo "FAIL: cache hit re-executed the job"; exit 1; }; \
-	tid=$$(curl -s --unix-socket $$sock http://localhost/jobs/1 \
-	  | sed -n 's/.*"trace_id":"\([0-9a-f]\{16\}\)".*/\1/p'); \
-	test -n "$$tid" || { echo "FAIL: job status has no trace id"; exit 1; }; \
-	$$cli trace fetch $$tid --socket $$sock -o $$dir/trace.json; \
-	for span in traceEvents queue.wait execute cache.store; do \
-	  grep -q "$$span" $$dir/trace.json \
-	    || { echo "FAIL: serve trace is missing $$span"; exit 1; }; \
-	done; \
-	$$cli shutdown --socket $$sock > /dev/null; \
-	wait $$pid; \
-	grep -q '"serve.job.done"' $$dir/serve.log.jsonl \
-	  || { echo "FAIL: JSON log sink missed the job lifecycle"; exit 1; }; \
-	test ! -e $$sock || { echo "FAIL: socket not unlinked"; exit 1; }; \
-	echo "serve-smoke OK: 1 execution for 2 submissions, bit-identical reports, crash isolated, trace resolvable, graceful shutdown"
 
 # perf-regression sentinel end to end against checked-in fixtures: a
 # seeded +30% wall-clock regression (25% band) must exit nonzero, an

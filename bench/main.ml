@@ -620,119 +620,6 @@ let autotune_bench () =
   gate "autotune" (Tune.Tune_report.check results)
 
 (* ------------------------------------------------------------------ *)
-(* lib/serve: profiling-as-a-service engine                             *)
-(* ------------------------------------------------------------------ *)
-
-let serve_bench () =
-  section "lib/serve: job engine, content-addressed cache, backpressure";
-  let module P = Serve.Proto in
-  let module E = Serve.Engine in
-  let now () = Obs.Clock.monotonic () in
-  (* --- cold vs cached latency on the real executor ----------------- *)
-  let engine =
-    E.create ~exec:Serve.Jobs.execute { E.default_config with E.workers = 2 }
-  in
-  let benches = [ "gemm"; "atax"; "mvt"; "bicg"; "gesummv" ] in
-  let submit_timed bench =
-    let spec = P.spec ~kind:P.Profile ~bench () in
-    let key =
-      match Serve.Jobs.job_key spec with
-      | Ok k -> k
-      | Error e -> failwith e
-    in
-    let t0 = now () in
-    match E.submit engine ~key spec with
-    | E.Hit _ -> (now () -. t0, true)
-    | E.Enqueued j | E.Joined j -> (
-        match E.await engine j.E.j_id ~timeout_s:300.0 () with
-        | Some { E.j_state = P.Done; _ } -> (now () -. t0, false)
-        | _ -> failwith (bench ^ ": job did not finish"))
-    | E.Overloaded | E.Closed -> failwith "unexpected submit outcome"
-  in
-  let rows =
-    List.map
-      (fun b ->
-        let cold_s, h1 = submit_timed b in
-        let hit_s, h2 = submit_timed b in
-        assert ((not h1) && h2);
-        (b, cold_s, hit_s))
-      benches
-  in
-  Format.printf "%-10s %12s %12s %10s@." "benchmark" "cold (ms)" "cached (us)"
-    "speedup";
-  List.iter
-    (fun (b, cold, hit) ->
-      Format.printf "%-10s %12.2f %12.1f %10.0fx@." b (cold *. 1e3) (hit *. 1e6)
-        (cold /. (hit +. 1e-9)))
-    rows;
-  (* --- sustained cached throughput --------------------------------- *)
-  let sustained =
-    let m = 2000 in
-    let t0 = now () in
-    for i = 0 to m - 1 do
-      ignore (submit_timed (List.nth benches (i mod List.length benches)))
-    done;
-    float_of_int m /. (now () -. t0)
-  in
-  Format.printf "@.sustained cached throughput: %.0f jobs/s@." sustained;
-  let dedup_executions = (E.stats engine).E.s_executions in
-  E.shutdown engine;
-  (* --- dedup + backpressure under overload (slow injected executor) - *)
-  let ran = Atomic.make 0 in
-  let slow _spec =
-    Atomic.incr ran;
-    Unix.sleepf 0.05;
-    { E.x_report = "{}"; x_span = None }
-  in
-  let engine2 =
-    E.create ~exec:slow
-      { E.default_config with E.workers = 1; queue_capacity = 4 }
-  in
-  let offered = 32 in
-  let accepted = ref 0 and overloaded = ref 0 in
-  for i = 0 to offered - 1 do
-    let spec = P.spec ~kind:P.Profile ~bench:(Printf.sprintf "b%d" i) () in
-    let key = Polyprof.Prog_hash.sha256_hex (string_of_int i) in
-    match E.submit engine2 ~key spec with
-    | E.Enqueued _ | E.Joined _ | E.Hit _ -> incr accepted
-    | E.Overloaded -> incr overloaded
-    | E.Closed -> ()
-  done;
-  E.shutdown engine2;
-  Format.printf
-    "backpressure: offered %d jobs to a 1-worker/4-deep engine -> %d \
-     accepted, %d rejected (429), %d executed@."
-    offered !accepted !overloaded (Atomic.get ran);
-  if !json_out then begin
-    let open Obs.Json_emit in
-    let doc =
-      Obj
-        (schema_header ~schema_version:Obs.Schemas.serve
-        @ [ ("workers", Int 2);
-            ( "workloads",
-              List
-                (List.map
-                   (fun (b, cold, hit) ->
-                     Obj
-                       [ ("name", Str b);
-                         ("cold_seconds", Float cold);
-                         ("cached_seconds", Float hit);
-                         ("speedup", Float (cold /. (hit +. 1e-9))) ])
-                   rows) );
-            ("sustained_cached_jobs_per_s", Float sustained);
-            ("executions", Int dedup_executions);
-            ( "backpressure",
-              Obj
-                [ ("offered", Int offered);
-                  ("queue_capacity", Int 4);
-                  ("accepted", Int !accepted);
-                  ("overloaded", Int !overloaded);
-                  ("executed", Int (Atomic.get ran)) ] ) ])
-    in
-    emit_bench "serve" doc
-  end
-
-(* ------------------------------------------------------------------ *)
 (* lib/analysis: parallelism certifier + dynamic race sanitizer         *)
 (* ------------------------------------------------------------------ *)
 
@@ -754,7 +641,7 @@ let () =
       ("ablation", ablation); ("perf", perf); ("overhead", overhead);
       ("stream", stream_bench); ("staticdep", staticdep_bench);
       ("obs", obs_bench); ("autotune", autotune_bench);
-      ("parcheck", parcheck_bench); ("serve", serve_bench) ]
+      ("parcheck", parcheck_bench) ]
   in
   let argv = Array.to_list Sys.argv in
   json_out := List.mem "--json" argv;

@@ -58,18 +58,6 @@ let with_workloads ?(suite = Workloads.Runner.suite) bench f =
 
 let print_json doc = print_string (Obs.Json_emit.to_string ~pretty:true doc)
 
-let out_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Write to $(docv) instead of stdout.")
-
-let output_body out body =
-  match out with
-  | None -> print_endline body
-  | Some path ->
-      Out_channel.with_open_text path (fun oc -> output_string oc body)
-
 let list_cmd =
   let run () =
     List.iter
@@ -260,65 +248,11 @@ let trace_stats_cmd =
              and the replay's time and profile size")
     Term.(const run $ bench_arg $ telemetry_flag)
 
-(* daemon endpoint args, shared by the serve-client commands and
-   [trace fetch] *)
-let socket_arg =
-  Arg.(
-    value
-    & opt string Serve.Server.default_socket
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket the daemon listens on.")
-
-let port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "port" ] ~docv:"PORT"
-        ~doc:"TCP port on 127.0.0.1 (in addition to the Unix socket).")
-
-let endpoint_of socket port =
-  match port with
-  | Some p -> Serve.Client.Tcp ("127.0.0.1", p)
-  | None -> Serve.Client.Unix_sock socket
-
-let trace_fetch_cmd =
-  let tid =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TRACE_ID"
-          ~doc:
-            "Trace id, as returned in every job response ($(b,trace_id)) \
-             and in the /metrics exemplar lines.")
-  in
-  let run socket port tid out =
-    match
-      Serve.Client.request (endpoint_of socket port) ~meth:"GET"
-        ~path:("/trace/" ^ tid) ()
-    with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok { Serve.Http.rs_status = 200; rs_body; _ } ->
-        output_body out rs_body;
-        0
-    | Ok rs ->
-        prerr_endline rs.Serve.Http.rs_body;
-        1
-  in
-  Cmd.v
-    (Cmd.info "fetch"
-       ~doc:
-         "Resolve a serve-daemon trace id to its span tree (queue wait, \
-          execution, cache store) as a Chrome-trace JSON document, ready \
-          for chrome://tracing or Perfetto")
-    Term.(const run $ socket_arg $ port_arg $ tid $ out_arg)
-
 let trace_cmd =
   Cmd.group
     (Cmd.info "trace"
        ~doc:"Record, inspect and profile execution traces")
-    [ trace_cmd; trace_record_cmd; trace_stats_cmd; trace_fetch_cmd ]
+    [ trace_cmd; trace_record_cmd; trace_stats_cmd ]
 
 let deps_cmd =
   let run name telemetry =
@@ -715,7 +649,9 @@ let autotune_cmd =
         w.Workloads.Workload.hir
     in
     (match (svg, result) with
-    | Some path, Ok r -> output_body (Some path) (Tune.Tune_report.svg_of r)
+    | Some path, Ok r ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Tune.Tune_report.svg_of r))
     | _ -> ());
     if json then begin
       print_json (Tune.Tune_report.workload_json ~name result);
@@ -741,266 +677,6 @@ let autotune_cmd =
     Term.(
       const run $ bench_arg $ beam $ depth $ repeat $ seed $ json_flag $ svg
       $ telemetry_flag)
-
-(* ------------------------------------------------------------------ *)
-(* Profiling as a service: serve / submit / status / fetch / shutdown   *)
-(* ------------------------------------------------------------------ *)
-
-let serve_cmd =
-  let workers =
-    Arg.(
-      value & opt int Serve.Engine.default_config.Serve.Engine.workers
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains in the pool.")
-  in
-  let queue =
-    Arg.(
-      value & opt int Serve.Engine.default_config.Serve.Engine.queue_capacity
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Queued-job bound; submissions beyond it are rejected (429).")
-  in
-  let cache_mb =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-mb" ] ~docv:"MiB"
-          ~doc:"Byte budget of the content-addressed result cache (LRU).")
-  in
-  let persist =
-    Arg.(
-      value & opt (some string) None
-      & info [ "persist" ] ~docv:"DIR"
-          ~doc:
-            "Persist cached results to $(docv) (CRC-sealed, one file per \
-             entry) and reload them on restart; corrupt files are rejected.")
-  in
-  let deadline =
-    Arg.(
-      value & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:"Default per-job deadline for specs that carry none.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"No lifecycle chatter on stdout.")
-  in
-  let log_json =
-    Arg.(
-      value & opt (some string) None
-      & info [ "log-json" ] ~docv:"FILE"
-          ~doc:
-            "Append structured JSON-lines logs (one object per event, with \
-             trace_id/job_id correlation fields) to $(docv).")
-  in
-  let run socket port workers queue cache_mb persist deadline quiet log_json =
-    (* the /metrics endpoint is the daemon's point: telemetry is on *)
-    Obs.Registry.enable ();
-    Serve.Server.serve ~quiet
-      { Serve.Server.socket_path = socket;
-        tcp_port = port;
-        log_json;
-        engine =
-          { Serve.Engine.workers;
-            queue_capacity = queue;
-            cache_bytes = cache_mb * 1024 * 1024;
-            persist_dir = persist;
-            default_deadline_s = deadline } };
-    0
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the profiling daemon: accept profile/transform/verify/autotune \
-          jobs over HTTP/1.1 + JSON on a Unix-domain socket (and optionally \
-          TCP), execute them on a bounded pool of worker domains with \
-          per-job deadlines and crash isolation, serve repeat submissions \
-          from a content-addressed result cache, and expose live \
-          Prometheus metrics on /metrics")
-    Term.(
-      const run $ socket_arg $ port_arg $ workers $ queue $ cache_mb $ persist
-      $ deadline $ quiet $ log_json)
-
-let kind_arg =
-  let kinds =
-    [ ("profile", Serve.Proto.Profile); ("transform", Serve.Proto.Transform);
-      ("verify", Serve.Proto.Verify); ("autotune", Serve.Proto.Autotune);
-      ("parcheck", Serve.Proto.Parcheck); ("crash", Serve.Proto.Crash) ]
-  in
-  Arg.(
-    required
-    & pos 0 (some (enum kinds)) None
-    & info [] ~docv:"KIND"
-        ~doc:"Job kind: $(b,profile), $(b,transform), $(b,verify), \
-              $(b,autotune), $(b,parcheck) or $(b,crash) (the \
-              crash-isolation self-test).")
-
-let submit_cmd =
-  let bench =
-    Arg.(
-      required & pos 1 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see $(b,polyprof list)).")
-  in
-  let params =
-    Arg.(
-      value & opt_all string []
-      & info [ "param"; "p" ] ~docv:"K=V"
-          ~doc:
-            "Job parameter (repeatable): $(b,budget) for profile, \
-             $(b,max_plans) for transform/verify, \
-             $(b,beam)/$(b,depth)/$(b,repeat)/$(b,seed) for autotune.")
-  in
-  let deadline =
-    Arg.(
-      value & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS" ~doc:"Per-job deadline.")
-  in
-  let wait =
-    Arg.(
-      value & flag
-      & info [ "wait" ]
-          ~doc:
-            "Block until the job finishes and print its report document \
-             instead of the submit acknowledgement.")
-  in
-  let run socket port kind bench params deadline wait =
-    let ep = endpoint_of socket port in
-    let params =
-      List.filter_map
-        (fun kv ->
-          match String.index_opt kv '=' with
-          | Some i ->
-              Some
-                ( String.sub kv 0 i,
-                  String.sub kv (i + 1) (String.length kv - i - 1) )
-          | None ->
-              prerr_endline ("ignoring malformed --param " ^ kv);
-              None)
-        params
-    in
-    let spec = Serve.Proto.spec ~kind ~bench ~params ?deadline_s:deadline () in
-    match Serve.Client.submit ep spec with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok doc ->
-        if not wait then begin
-          print_json doc;
-          0
-        end
-        else begin
-          match Serve.Client.job_id_of doc with
-          | Error e ->
-              prerr_endline e;
-              1
-          | Ok id -> (
-              match Serve.Client.wait ep ~job_id:id () with
-              | Error e ->
-                  prerr_endline e;
-                  1
-              | Ok _ -> (
-                  match
-                    Serve.Client.request ep ~meth:"GET"
-                      ~path:(Printf.sprintf "/jobs/%d/report" id)
-                      ()
-                  with
-                  | Ok { Serve.Http.rs_status = 200; rs_body; _ } ->
-                      print_string rs_body;
-                      print_newline ();
-                      0
-                  | Ok rs ->
-                      prerr_endline
-                        (Printf.sprintf "HTTP %d" rs.Serve.Http.rs_status);
-                      1
-                  | Error e ->
-                      prerr_endline e;
-                      1))
-        end
-  in
-  Cmd.v
-    (Cmd.info "submit"
-       ~doc:
-         "Submit a job to a running $(b,polyprof serve) daemon; repeat \
-          submissions of identical jobs are served from its \
-          content-addressed cache")
-    Term.(
-      const run $ socket_arg $ port_arg $ kind_arg $ bench $ params $ deadline
-      $ wait)
-
-let status_cmd =
-  let id =
-    Arg.(
-      value & pos 0 (some int) None
-      & info [] ~docv:"ID"
-          ~doc:"Job id; without it, list the most recent jobs.")
-  in
-  let run socket port id =
-    let ep = endpoint_of socket port in
-    let path =
-      match id with Some i -> Printf.sprintf "/jobs/%d" i | None -> "/jobs"
-    in
-    match Serve.Client.request ep ~meth:"GET" ~path () with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok rs ->
-        (match Obs.Json_emit.parse rs.Serve.Http.rs_body with
-        | Ok doc -> print_json doc
-        | Error _ -> print_endline rs.Serve.Http.rs_body);
-        if rs.Serve.Http.rs_status = 200 then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "status" ~doc:"Query a running daemon for job status")
-    Term.(const run $ socket_arg $ port_arg $ id)
-
-let fetch_cmd =
-  let id =
-    Arg.(
-      required & pos 0 (some int) None & info [] ~docv:"ID" ~doc:"Job id.")
-  in
-  let artifact =
-    Arg.(
-      value & flag
-      & info [ "artifact" ]
-          ~doc:"Fetch the per-job Chrome trace instead of the report.")
-  in
-  let run socket port id artifact out =
-    let ep = endpoint_of socket port in
-    let leaf = if artifact then "artifact" else "report" in
-    match
-      Serve.Client.request ep ~meth:"GET"
-        ~path:(Printf.sprintf "/jobs/%d/%s" id leaf)
-        ()
-    with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok { Serve.Http.rs_status = 200; rs_body; _ } ->
-        output_body out rs_body;
-        0
-    | Ok rs ->
-        prerr_endline rs.Serve.Http.rs_body;
-        1
-  in
-  Cmd.v
-    (Cmd.info "fetch"
-       ~doc:"Download a finished job's report or Chrome-trace artifact")
-    Term.(const run $ socket_arg $ port_arg $ id $ artifact $ out_arg)
-
-let shutdown_cmd =
-  let run socket port =
-    match
-      Serve.Client.request (endpoint_of socket port) ~meth:"POST"
-        ~path:"/shutdown" ()
-    with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok rs ->
-        print_endline rs.Serve.Http.rs_body;
-        if rs.Serve.Http.rs_status = 200 then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "shutdown"
-       ~doc:"Gracefully stop a running daemon (drain the queue, join the \
-             workers)")
-    Term.(const run $ socket_arg $ port_arg)
 
 (* ------------------------------------------------------------------ *)
 (* perfdiff: the BENCH_* regression sentinel                            *)
@@ -1264,5 +940,4 @@ let () =
           [ list_cmd; run_cmd; flamegraph_cmd; table5_cmd; polly_cmd; trace_cmd;
             deps_cmd; lint_cmd; staticdep_cmd; parcheck_cmd; transform_cmd;
             autotune_cmd;
-            source_cmd; telemetry_cmd; overhead_cmd; serve_cmd; submit_cmd;
-            status_cmd; fetch_cmd; shutdown_cmd; perfdiff_cmd; version_cmd ]))
+            source_cmd; telemetry_cmd; overhead_cmd; perfdiff_cmd; version_cmd ]))

@@ -20,12 +20,10 @@
       ({!Sched}, {!Report}). *)
 
 module Prog_hash : module type of Prog_hash
-(** Canonical program hashing (SHA-256 content addresses) — the cache
-    key of the {!Serve} service layer. *)
+(** SHA-256 digests, the pins of every folded-profile oracle. *)
 
 val version : string
-(** The binary/library version, also reported by [polyprof version] and
-    the daemon's [/version] endpoint. *)
+(** The binary/library version, also reported by [polyprof version]. *)
 
 type t = {
   prog : Vm.Prog.t;

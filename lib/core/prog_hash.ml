@@ -1,7 +1,7 @@
 (* SHA-256 (FIPS 180-4), pure OCaml over Int32 words.  ~40 lines of
    compression function; the whole tree ships no crypto dependency and
-   cache keys must survive daemon restarts, so Marshal/Hashtbl.hash are
-   not an option. *)
+   pinned digests must be stable across runs, OCaml versions and
+   machines, so Marshal/Hashtbl.hash are not an option. *)
 
 let k =
   [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
@@ -64,30 +64,3 @@ let sha256_hex msg =
   done;
   String.concat ""
     (Array.to_list (Array.map (Printf.sprintf "%08lx") h))
-
-let canonical_source (hir : Vm.Hir.program) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "main=";
-  Buffer.add_string b hir.Vm.Hir.main;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun (name, size) ->
-      Buffer.add_string b (Printf.sprintf "array %s[%d]\n" name size))
-    hir.Vm.Hir.arrays;
-  Buffer.add_string b (Format.asprintf "%a" Vm.Hir.pp_program hir);
-  Buffer.contents b
-
-let job_key ~kind ~params hir =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "polyprof-job-v1\n";
-  Buffer.add_string b kind;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun (key, v) ->
-      Buffer.add_string b key;
-      Buffer.add_char b '=';
-      Buffer.add_string b v;
-      Buffer.add_char b '\n')
-    (List.sort compare params);
-  Buffer.add_string b (canonical_source hir);
-  sha256_hex (Buffer.contents b)

@@ -1,22 +1,10 @@
-(** Canonical program hashing — the content-address of the service
-    layer's result cache.
+(** SHA-256 digests of canonical profile text.
 
-    Two submissions name the same cache entry exactly when their HIR
-    sources print identically, their declared arrays and entry point
-    agree, and the job kind and parameters match.  The digest is a pure
-    OCaml SHA-256 (the container ships no crypto library), so keys are
-    stable across daemon restarts and across machines. *)
+    The pipeline benchmark's output oracle and the fold, stream and
+    random-program tests pin each folded profile by the digest of its
+    canonical rendering.  The digest is a pure OCaml SHA-256 (the tree
+    ships no crypto library), so pinned values are stable across runs
+    and across machines. *)
 
 val sha256_hex : string -> string
 (** Lowercase 64-hex-char SHA-256 digest of a byte string. *)
-
-val canonical_source : Vm.Hir.program -> string
-(** Deterministic byte serialization of an HIR program: the pretty
-    printed source plus the array table and entry point (both included
-    explicitly so programs differing only in declarations hash apart). *)
-
-val job_key :
-  kind:string -> params:(string * string) list -> Vm.Hir.program -> string
-(** Content address of one job: SHA-256 over a versioned envelope of
-    the job [kind], the parameter list (sorted by name, so argument
-    order cannot split the cache) and {!canonical_source}. *)

@@ -37,9 +37,9 @@ let ctx_of_code c =
   | 1 -> Cloop ((c lsr 2) land (id_limit - 1), c lsr 14)
   | _ -> Ccomp (c lsr 2)
 
-(* The context trie, domain-local because each serve worker domain runs
-   whole profiles of its own; a profile and the scheduling stages that
-   read its ids run in the same domain.  Node 0 is the root; a node is
+(* The context trie, domain-local so that domains profiling concurrently
+   never share it; a profile and the scheduling stages that read its ids
+   run in the same domain.  Node 0 is the root; a node is
    [(parent, element code)], found by one [Int_tbl] step keyed by
    [parent lsl code_bits lor code].  A context is the path from the
    root: its stacks in order, a [sep] node between consecutive ones.

@@ -46,7 +46,7 @@ val context_id : t -> int
     order.  Contexts are interned as a trie of [(parent, element)]
     nodes that every {!update} steps through, so a query is an array
     read.  The trie is domain-local, so domains profiling concurrently
-    (serve workers) do not share ids. *)
+    do not share ids. *)
 
 val context_of_id : int -> context
 (** @raise Not_found for ids not produced by {!context_id} in the

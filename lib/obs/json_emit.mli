@@ -40,8 +40,8 @@ val strip_fields : names:string list -> t -> t
 
 val equal_ignoring : ignore:string list -> t -> t -> bool
 (** Structural equality after {!strip_fields} — the comparison every
-    rerun-stability consumer (perf diffing, the serve result cache,
-    stable benchmark rewrites) uses to disregard volatile fields like
+    rerun-stability consumer (perf diffing, stable benchmark rewrites)
+    uses to disregard volatile fields like
     [generated_utc]. *)
 
 val write_file_stable : ?pretty:bool -> ?ignore:string list -> string -> t -> bool

@@ -248,33 +248,8 @@ end
 
 let dls_key = Domain.DLS.new_key (fun () -> Sink.create ())
 let current () = Domain.DLS.get dls_key
-
-let retired_mutex = Mutex.create ()
-let retired : Sink.t list ref = ref []
-
-let flush_domain () =
-  let s = current () in
-  Domain.DLS.set dls_key (Sink.create ());
-  Mutex.protect retired_mutex (fun () -> retired := s :: !retired)
-
-let snapshot () =
-  let sinks =
-    Mutex.protect retired_mutex (fun () -> !retired) @ [ current () ]
-  in
-  Sink.snapshot_of sinks
-
-let compact () =
-  Mutex.protect retired_mutex (fun () ->
-      match !retired with
-      | [] | [ _ ] -> ()
-      | sinks ->
-          let merged = Sink.create () in
-          List.iter (fun s -> Sink.merge_into ~dst:merged s) sinks;
-          retired := [ merged ])
-
-let reset () =
-  Mutex.protect retired_mutex (fun () -> retired := []);
-  Domain.DLS.set dls_key (Sink.create ())
+let snapshot () = Sink.snapshot_of [ current () ]
+let reset () = Domain.DLS.set dls_key (Sink.create ())
 
 let add c n = if Registry.enabled () then Sink.add (current ()) c n
 let set_max g v = if Registry.enabled () then Sink.set_max (current ()) g v

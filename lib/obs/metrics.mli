@@ -1,18 +1,19 @@
 (** Counters, gauges and histograms with per-domain sinks.
 
     Metric {e descriptors} are process-global and registered once by
-    name; metric {e values} accumulate in a lock-free per-domain
+    name; metric {e values} accumulate in the calling domain's live
     {!Sink.t} (plain mutable state reached through [Domain.DLS] — no
-    atomics on the update path).  Worker domains call {!flush_domain}
-    before exiting; {!snapshot} merges all retired sinks plus the
-    calling domain's live one.
+    atomics on the update path).  Each domain has exactly one live
+    sink and none is ever retired: {!snapshot} reads the calling
+    domain's, so values recorded on another domain do not appear in
+    it.
 
-    The merge is deterministic and order-insensitive by construction:
-    counters and histogram buckets add (integer sums commute), gauges
-    are high-watermarks (merge by [max]), histogram [min]/[max] merge by
-    [min]/[max].  Merging the same updates split across 1, 2 or 5 sinks
-    in any order yields bit-identical totals — property-tested in
-    [test_obs.ml]. *)
+    {!Sink.merge_into} is deterministic and order-insensitive by
+    construction: counters and histogram buckets add (integer sums
+    commute), gauges are high-watermarks (merge by [max]), histogram
+    [min]/[max] merge by [min]/[max].  Merging the same updates split
+    across 1, 2 or 5 sinks in any order yields bit-identical totals —
+    property-tested in [test_obs.ml]. *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -83,17 +84,7 @@ val default_quantiles : float list
     Prometheus summary lines, [polyprof telemetry]) reports. *)
 
 val snapshot : unit -> snapshot
-(** Merge every retired sink and the calling domain's live sink. *)
-
-val flush_domain : unit -> unit
-(** Retire the calling domain's sink into the global pool (call before
-    a worker domain exits; its DLS state is unreachable afterwards). *)
-
-val compact : unit -> unit
-(** Merge all retired sinks into one.  A long-running process whose
-    workers {!flush_domain} after every task (the serve daemon) calls
-    this periodically so {!snapshot} stays O(1) in the number of retired
-    sinks instead of growing with total tasks served. *)
+(** The calling domain's sink. *)
 
 val reset : unit -> unit
 (** Drop all accumulated values (descriptors survive) — test isolation

@@ -6,14 +6,10 @@ let obs = 1
 let autotune = 1
 let overhead = 2
 let parcheck = 1
-let serve = 1
 let perfhist = 1
-let log = 1
 
 let all =
   [ { s_name = "autotune"; s_file = "BENCH_autotune.json"; s_version = autotune };
-    { s_name = "log"; s_file = "(jsonl: Obs.Log sinks, serve --log-json)";
-      s_version = log };
     { s_name = "obs"; s_file = "BENCH_obs.json"; s_version = obs };
     { s_name = "overhead"; s_file = "(stdout: polyprof overhead --json)";
       s_version = overhead };
@@ -21,7 +17,6 @@ let all =
       s_version = parcheck };
     { s_name = "perfhist"; s_file = "bench/history/*.jsonl";
       s_version = perfhist };
-    { s_name = "serve"; s_file = "BENCH_serve.json"; s_version = serve };
     { s_name = "staticdep"; s_file = "BENCH_staticdep.json";
       s_version = staticdep };
     { s_name = "stream"; s_file = "BENCH_stream.json"; s_version = stream } ]

@@ -3,9 +3,9 @@
     A span measures one phase of the pipeline: monotonic wall time
     ({!Clock}), GC minor/major words allocated during the phase and the
     peak-heap watermark at its end.  Spans nest per domain (each domain
-    has its own stack, so serve worker domains record their own
-    subtrees tagged with their domain id); finished top-level spans land
-    in a process-global list read by the exporters.
+    has its own stack, so a domain that profiles concurrently records
+    its own subtrees tagged with its domain id); finished top-level
+    spans land in a process-global list read by the exporters.
 
     Every operation is a no-op while {!Registry.enabled} is false. *)
 

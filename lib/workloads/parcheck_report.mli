@@ -1,5 +1,5 @@
 (** The parallelism certifier's report ([polyprof parcheck],
-    [bench parcheck], BENCH_parcheck.json, the serve [parcheck] job):
+    [bench parcheck], BENCH_parcheck.json):
     the {!Analysis.Parcheck} verdict of every claimed-parallel chain
     dimension and, unless static-only, one race-sanitizer run
     cross-checked against the certificates. *)

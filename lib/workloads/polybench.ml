@@ -511,5 +511,5 @@ let par_private =
       arrays = [ ("A", n * n); ("C", n * n); ("T", n) ];
       main = "main" }
 
-(* findable by name (CLI, serve) without joining the benchmark suite *)
+(* findable by name (CLI) without joining the benchmark suite *)
 let seeded = [ par_racy; par_reduction; par_private ]

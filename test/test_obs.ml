@@ -7,7 +7,8 @@
    - span nesting is enforced ([Unbalanced] on mismatched exits);
    - the Chrome trace exporter escapes hostile span names and survives
      a round-trip through the self-hosted JSON parser;
-   - [Json_emit] escaping round-trips control characters and quotes. *)
+   - [Json_emit] escaping round-trips control characters and quotes;
+   - the [Schemas] registry matches the committed BENCH files. *)
 
 module M = Obs.Metrics
 module J = Obs.Json_emit
@@ -246,132 +247,6 @@ let test_quantiles () =
            [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]))
     [ uni; tail ]
 
-(* --- structured logging -------------------------------------------- *)
-
-let mk_record i =
-  { Obs.Log.r_seq = i;
-    r_ts_ns = i * 1000;
-    r_domain = 0;
-    r_level = Obs.Log.Info;
-    r_event = "t.ring";
-    r_msg = Printf.sprintf "m%d" i;
-    r_fields = [] }
-
-let test_log_ring_wraparound () =
-  let ring = Obs.Log.Ring.create ~capacity:8 in
-  for i = 0 to 19 do
-    Obs.Log.Ring.push ring (mk_record i)
-  done;
-  Alcotest.(check int) "dropped" 12 (Obs.Log.Ring.dropped ring);
-  let drained = Obs.Log.Ring.drain ring in
-  Alcotest.(check (list int))
-    "last 8 records in order"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.map (fun (r : Obs.Log.record) -> r.Obs.Log.r_seq) drained);
-  Alcotest.(check int) "drain clears" 0
-    (List.length (Obs.Log.Ring.drain ring))
-
-let with_logging f =
-  Obs.Log.reset ();
-  Obs.Log.set_level (Some Obs.Log.Debug);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Log.set_level None;
-      Obs.Log.reset ())
-    f
-
-let test_log_concurrent_merge () =
-  with_logging @@ fun () ->
-  let domains = 4 and per_domain = 50 in
-  let workers =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to per_domain - 1 do
-              Obs.Log.info "t.par" "%d:%d" d i
-            done))
-  in
-  List.iter Domain.join workers;
-  let records =
-    List.filter
-      (fun (r : Obs.Log.record) -> r.Obs.Log.r_event = "t.par")
-      (Obs.Log.drain ())
-  in
-  Alcotest.(check int) "all records drained" (domains * per_domain)
-    (List.length records);
-  ignore
-    (List.fold_left
-       (fun prev (r : Obs.Log.record) ->
-         Alcotest.(check bool) "seq strictly increasing" true
-           (r.Obs.Log.r_seq > prev);
-         r.Obs.Log.r_seq)
-       (-1) records);
-  (* within each domain the emission order is preserved *)
-  for d = 0 to domains - 1 do
-    let prefix = Printf.sprintf "%d:" d in
-    let mine =
-      List.filter_map
-        (fun (r : Obs.Log.record) ->
-          let m = r.Obs.Log.r_msg in
-          if String.length m > String.length prefix
-             && String.sub m 0 (String.length prefix) = prefix
-          then
-            int_of_string_opt
-              (String.sub m (String.length prefix)
-                 (String.length m - String.length prefix))
-          else None)
-        records
-    in
-    Alcotest.(check (list int))
-      (Printf.sprintf "domain %d order preserved" d)
-      (List.init per_domain Fun.id) mine
-  done
-
-let test_log_jsonl_roundtrip () =
-  with_logging @@ fun () ->
-  Obs.Log.with_context
-    [ ("trace_id", "abc123"); ("job_id", "7") ]
-    (fun () -> Obs.Log.warn "t.hostile" ~fields:[ ("blob", hostile) ] "%s" hostile);
-  match Obs.Log.drain () with
-  | [ r ] -> (
-      Alcotest.(check string) "msg intact" hostile r.Obs.Log.r_msg;
-      let line = Obs.Log.to_jsonl r in
-      Alcotest.(check bool) "single line" false (String.contains line '\n');
-      match J.parse line with
-      | Error e -> Alcotest.failf "jsonl line does not parse: %s" e
-      | Ok doc ->
-          let str name =
-            match J.member name doc with
-            | Some (J.Str s) -> s
-            | _ -> Alcotest.failf "missing %s" name
-          in
-          Alcotest.(check string) "hostile msg round-trips" hostile (str "msg");
-          Alcotest.(check string) "trace_id promoted" "abc123" (str "trace_id");
-          Alcotest.(check string) "job_id promoted" "7" (str "job_id");
-          Alcotest.(check string) "level" "warn" (str "level");
-          (match J.member "fields" doc with
-          | Some (J.Obj fields) ->
-              Alcotest.(check bool) "hostile field round-trips" true
-                (List.assoc_opt "blob" fields = Some (J.Str hostile))
-          | _ -> Alcotest.fail "no fields object");
-          match J.member "schema_version" doc with
-          | Some (J.Int v) ->
-              Alcotest.(check int) "schema" Obs.Schemas.log v
-          | _ -> Alcotest.fail "no schema_version")
-  | l -> Alcotest.failf "expected one record, got %d" (List.length l)
-
-let test_log_off_and_sampling () =
-  Obs.Log.reset ();
-  Obs.Log.set_level None;
-  Obs.Log.info "t.off" "never recorded";
-  Alcotest.(check int) "off means nothing lands" 0
-    (List.length (Obs.Log.drain ()));
-  with_logging @@ fun () ->
-  let admitted = ref 0 in
-  for _ = 1 to 10 do
-    if Obs.Log.sample ~every:5 "t.sampled" then incr admitted
-  done;
-  Alcotest.(check int) "1st and every 5th admitted" 2 !admitted
-
 (* --- equal_ignoring / stable writes -------------------------------- *)
 
 let test_equal_ignoring () =
@@ -425,20 +300,42 @@ let test_perfdiff_floor () =
   Alcotest.(check string) "3 ms in ns" "REGRESSED" (verdict "stage.total_ns" 1e6 4e6);
   Alcotest.(check string) "no floor on byte counts" "REGRESSED" (verdict "heap.bytes" 10. 20.)
 
+(* --- schema registry vs the committed BENCH files ------------------- *)
+
+(* every registry row that names a BENCH file matches that file's
+   schema_version, and every BENCH file in the repo root has a row; the
+   files are this stanza's dune deps, one directory up *)
+let test_schemas_match_bench_files () =
+  let is_bench f =
+    String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json"
+  in
+  let on_disk =
+    List.sort compare (List.filter is_bench (Array.to_list (Sys.readdir "..")))
+  in
+  let rows =
+    List.filter (fun r -> is_bench r.Obs.Schemas.s_file) Obs.Schemas.all
+  in
+  Alcotest.(check (list string))
+    "a row for every BENCH file" on_disk
+    (List.sort compare (List.map (fun r -> r.Obs.Schemas.s_file) rows));
+  List.iter
+    (fun r ->
+      let path = Filename.concat ".." r.Obs.Schemas.s_file in
+      match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok doc -> (
+          match J.member "schema_version" doc with
+          | Some (J.Int v) ->
+              Alcotest.(check int) r.Obs.Schemas.s_file r.Obs.Schemas.s_version v
+          | _ -> Alcotest.failf "%s: no schema_version" path))
+    rows
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
         [ merge_qcheck;
           Alcotest.test_case "merge semantics" `Quick test_merge_semantics;
           Alcotest.test_case "quantile estimation" `Quick test_quantiles ] );
-      ( "log",
-        [ Alcotest.test_case "ring wraparound" `Quick test_log_ring_wraparound;
-          Alcotest.test_case "concurrent emission merges deterministically"
-            `Quick test_log_concurrent_merge;
-          Alcotest.test_case "hostile jsonl round-trip" `Quick
-            test_log_jsonl_roundtrip;
-          Alcotest.test_case "off threshold and sampling" `Quick
-            test_log_off_and_sampling ] );
       ( "json",
         [ Alcotest.test_case "equal_ignoring + stable writes" `Quick
             test_equal_ignoring ] );
@@ -449,6 +346,9 @@ let () =
             test_span_disabled_noop ] );
       ( "bands",
         [ Alcotest.test_case "wall-clock floor" `Quick test_perfdiff_floor ] );
+      ( "schemas",
+        [ Alcotest.test_case "registry matches the BENCH files" `Quick
+            test_schemas_match_bench_files ] );
       ( "export",
         [ Alcotest.test_case "chrome escaping" `Quick test_chrome_escaping;
           Alcotest.test_case "json string round-trip" `Quick

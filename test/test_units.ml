@@ -1,6 +1,6 @@
 (* Grab-bag unit tests for the smaller substrate pieces: Sid packing,
    the program builder's error handling, vectors, affine algebra, hulls,
-   calling-context trees, domain parameter rendering. *)
+   calling-context trees, domain parameter rendering, SHA-256. *)
 
 module Rat = Pp_util.Rat
 module A = Minisl.Affine
@@ -163,6 +163,27 @@ let test_domain_params_pp () =
      let rec go i = i + nl <= hl && (String.sub out i nl = needle || go (i + 1)) in
      go 0)
 
+(* --- Prog_hash.sha256_hex ---------------------------------------------- *)
+
+(* FIPS 180-4 vectors: every digest in bench/pipeline/expected.json
+   rests on this implementation *)
+let test_sha256 () =
+  let check = Alcotest.check and ss = Alcotest.string in
+  check ss "empty string"
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    (Polyprof.Prog_hash.sha256_hex "");
+  check ss "abc"
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    (Polyprof.Prog_hash.sha256_hex "abc");
+  check ss "448-bit vector"
+    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    (Polyprof.Prog_hash.sha256_hex
+       "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  (* crosses the 64-byte block boundary *)
+  check ss "million a's"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Polyprof.Prog_hash.sha256_hex (String.make 1_000_000 'a'))
+
 let () =
   Alcotest.run "units"
     [ ( "isa",
@@ -185,4 +206,6 @@ let () =
             test_cct_contexts_distinguished ] );
       ( "rendering",
         [ Alcotest.test_case "domain parameterisation pp" `Quick
-            test_domain_params_pp ] ) ]
+            test_domain_params_pp ] );
+      ( "prog_hash",
+        [ Alcotest.test_case "sha256 vectors" `Quick test_sha256 ] ) ]

@@ -24,9 +24,11 @@ bench-record:
 	dune exec bench/main.exe -- --json --record
 
 # quick end-to-end check of the out-of-core path: record, decode,
-# profile by replaying the file
+# profile by replaying the file; the offline example exits nonzero
+# unless its profile from the file equals the live one
 stream-smoke:
 	dune exec bin/polyprof_cli.exe -- trace stats backprop
+	dune exec examples/offline_trace.exe
 
 # static dependence engine: one triangular and one witness-checked
 # workload verbosely (each exits nonzero if its pruned profile diverges),

@@ -366,7 +366,10 @@ let perf () =
     time_ns ~name:"bounds-FM" (fun () -> ignore (Minisl.Polyhedron.bounds p3 obj))
   in
   let t_lp =
-    time_ns ~name:"bounds-LP" (fun () -> ignore (Minisl.Lp.bounds p3 obj))
+    time_ns ~name:"bounds-LP" (fun () ->
+        ignore
+          ( Minisl.Polyhedron.minimize p3 obj,
+            Minisl.Polyhedron.maximize p3 obj ))
   in
   let n_ops = float_of_int (Vm.Interp.run backprop).Vm.Interp.dyn_instrs in
   Format.printf "interpreter            : %8.0f ns/run (%.0f Mops/s)@." t_interp
@@ -384,25 +387,23 @@ let perf () =
 
 let overhead () =
   section "Section 8: profiling overhead (paper: 3h06' CPU for the suite)";
-  let total_plain = ref 0.0 and total_prof = ref 0.0 in
-  List.iter
-    (fun (w : Workloads.Workload.t) ->
-      let prog = Vm.Hir.lower w.hir in
-      let t0 = Obs.Clock.monotonic () in
-      let (_ : Vm.Interp.stats) = Vm.Interp.run prog in
-      let t1 = Obs.Clock.monotonic () in
-      let structure = Cfg.Cfg_builder.run prog in
-      let (_ : Ddg.Depprof.result) = Ddg.Depprof.profile prog ~structure in
-      let t2 = Obs.Clock.monotonic () in
-      total_plain := !total_plain +. (t1 -. t0);
-      total_prof := !total_prof +. (t2 -. t1))
-    Workloads.Rodinia.all;
+  let measured = List.map Workloads.Overhead.measure Workloads.Rodinia.all in
+  let total mode =
+    List.fold_left
+      (fun acc (o : Workloads.Overhead.t) ->
+        List.fold_left
+          (fun acc (r : Workloads.Overhead.row) ->
+            if r.r_mode = mode then acc +. r.r_seconds else acc)
+          acc o.o_rows)
+      0.0 measured
+  in
+  let total_plain = total "native" and total_prof = total "instrumented" in
   Format.printf
     "uninstrumented MiniVM execution of the suite: %.2fs@.\
      instrumentation I+II (CFG recovery + DDG profiling + folding): %.2fs@.\
      slowdown factor: %.1fx@."
-    !total_plain !total_prof
-    (!total_prof /. (max 1e-9 !total_plain))
+    total_plain total_prof
+    (total_prof /. max 1e-9 total_plain)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5a: schedule tree vs calling-context tree                       *)

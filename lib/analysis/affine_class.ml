@@ -418,11 +418,6 @@ let class_code a =
   | `Affine _ -> "-"
   | `Nonaffine r -> Staticbase.Polly_lite.reason_code r
 
-let n_affine fr =
-  List.length
-    (List.filter (fun a -> match classify a with `Affine _ -> true | _ -> false)
-       fr.fr_accesses)
-
 let analyse_func ?(param_value = fun _ -> None) (prog : Vm.Prog.t) fid =
   let func = prog.funcs.(fid) in
   let n_regs = Insn.n_regs func in

@@ -91,8 +91,6 @@ type func_result = {
   fr_loops : loop_info list;  (** one summary per static loop *)
 }
 
-val n_affine : func_result -> int
-
 val analyse_func :
   ?param_value:(int -> int option) -> Vm.Prog.t -> int -> func_result
 (** [param_value i] gives a known compile-time constant for parameter

@@ -4,8 +4,7 @@
     rewordings, used by the tests), a severity, and a location: the
     owning function plus, when the problem is tied to one instruction or
     terminator, a static id.  Terminators are addressed by the index one
-    past the last instruction of their block, mirroring how
-    {!Vm.Prog.n_static_instrs} counts them. *)
+    past the last instruction of their block. *)
 
 type severity = Error | Warning | Info
 

@@ -339,22 +339,22 @@ let concrete_point n rows =
   let rec fix rows i =
     if i = n then true
     else
-      match Minisl.Lp.minimize (P.make n rows) (Af.of_int_coeffs (unit_vec n i) 0) with
-      | Minisl.Lp.Opt m ->
+      match P.minimize (P.make n rows) (Af.of_int_coeffs (unit_vec n i) 0) with
+      | P.Opt m ->
           let c0 = Rat.ceil m in
           let rec try_c j =
             if j > 3 then false
             else
               let c = c0 + j in
               let rows' = Cs.make Cs.Eq (unit_vec n i) (-c) :: rows in
-              if Minisl.Lp.feasible (P.make n rows') then begin
+              if P.feasible (P.make n rows') then begin
                 coords.(i) <- c;
                 fix rows' (i + 1)
               end
               else try_c (j + 1)
           in
           try_c 0
-      | Minisl.Lp.Unbounded | Minisl.Lp.Infeasible -> false
+      | P.Unbounded | P.Infeasible -> false
   in
   if fix rows 0 then Some coords else None
 
@@ -517,7 +517,7 @@ let certify (sd : Sd.t) ~fid ~header =
                             then begin
                               incr pairs;
                               let n, rows = carried_rows k s d in
-                              if Minisl.Lp.feasible (P.make n rows) then
+                              if P.feasible (P.make n rows) then
                                 blocking := (s, d) :: !blocking
                             end)
                           under)

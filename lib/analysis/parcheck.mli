@@ -10,7 +10,7 @@
     resolved accesses under the loop with at least one store, the
     level-carried dependence polyhedron (iteration domains, address
     equality, equal outer coordinates, source iteration strictly
-    earlier at the claimed level) is decided by {!Minisl.Lp.feasible};
+    earlier at the claimed level) is decided by {!Minisl.Polyhedron.feasible};
     rational infeasibility of every pair is a machine-checkable
     DOALL certificate.
 

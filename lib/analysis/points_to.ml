@@ -42,8 +42,6 @@ let region_of_addr t a =
 
 let const_pts t c = if t.degraded then t.all_mask else 1 lsl region_of_addr t c
 
-let may_alias a b = a land b <> 0
-
 let regs_of (f : Vm.Prog.func) = Insn.n_regs f
 
 let analyse (prog : Vm.Prog.t) =
@@ -176,16 +174,6 @@ let analyse (prog : Vm.Prog.t) =
         f.blocks)
     prog.funcs;
   t
-
-let regions_of_operand t ~fid o =
-  match o with
-  | Vm.Isa.Imm c -> const_pts t c
-  | Vm.Isa.Reg r ->
-      let row = t.pts.(fid) in
-      if r < Array.length row then row.(r) else 0
-
-let access_mask t sid =
-  Option.map snd (Hashtbl.find_opt t.access sid)
 
 let accesses t =
   Hashtbl.fold (fun sid (st, m) acc -> (sid, st, m) :: acc) t.access []

@@ -44,21 +44,11 @@ val region_of_addr : t -> int -> int
 (** Region index containing a concrete address (0 when in no named
     region). *)
 
-val regions_of_operand : t -> fid:int -> Vm.Isa.operand -> int
-(** May-point-to mask of an address operand in function [fid]. *)
-
-val access_mask : t -> Vm.Isa.Sid.t -> int option
-(** May-point-to mask of the address of the [Load]/[Store] at [sid];
-    [None] if [sid] is not a memory access. *)
-
 val accesses : t -> (Vm.Isa.Sid.t * bool * int) list
 (** Every memory access: sid, is-store, address mask. *)
 
 val func_touched : t -> int -> int
 (** Mask of regions function [fid] may access, transitively through
     calls (0 = provably memory-access-free, e.g. the libm stand-ins). *)
-
-val may_alias : int -> int -> bool
-(** Non-empty mask intersection. *)
 
 val pp : Format.formatter -> t -> unit

@@ -351,10 +351,10 @@ let addr_range bounds base coefs =
   else
     let dom = P.make nd (domain_rows nd ~offset:0 bounds) in
     let obj = Af.of_int_coeffs coefs 0 in
-    match (Minisl.Lp.minimize dom obj, Minisl.Lp.maximize dom obj) with
-    | Minisl.Lp.Opt mn, Minisl.Lp.Opt mx ->
+    match (P.minimize dom obj, P.maximize dom obj) with
+    | P.Opt mn, P.Opt mx ->
         Some (base + Rat.floor mn, base + Rat.ceil mx)
-    | Minisl.Lp.Infeasible, _ | _, Minisl.Lp.Infeasible ->
+    | P.Infeasible, _ | _, P.Infeasible ->
         (* empty iteration domain: the access never executes *)
         Some (base, base)
     | _ -> None
@@ -673,7 +673,7 @@ let pair_dep (s : resolved) (d : resolved) kind =
     List.filter_map
       (fun extra ->
         let p = P.make n (base_cons @ extra) in
-        if Minisl.Lp.feasible p then Some p else None)
+        if P.feasible p then Some p else None)
       disjuncts
   in
   let dirs = Array.make c Dir.Dany in
@@ -686,13 +686,11 @@ let pair_dep (s : resolved) (d : resolved) kind =
                if i = ds + k then 1 else if i = k then -1 else 0))
           0
       in
-      (* exact LP bounds: [P.bounds] degrades to interval arithmetic
-         above its FM dimension limit, which here loses the equality
-         couplings between the x and y coordinates *)
+      (* exact LP bounds of each feasible disjunct *)
       let lp_max p a =
-        match Minisl.Lp.maximize p a with
-        | Minisl.Lp.Opt r -> Some r
-        | Minisl.Lp.Unbounded | Minisl.Lp.Infeasible -> None
+        match P.maximize p a with
+        | P.Opt r -> Some r
+        | P.Unbounded | P.Infeasible -> None
       in
       let lo = ref (Some Rat.zero) and hi = ref (Some Rat.zero) in
       let first = ref true in
@@ -752,7 +750,7 @@ let pair_dep (s : resolved) (d : resolved) kind =
         cons := Cs.make Cs.Ge v !const :: !cons
       done;
       let dom = P.make dd !cons in
-      if Minisl.Lp.feasible dom then
+      if P.feasible dom then
         let out =
           Array.init ds (fun k ->
               Af.of_int_coeffs (unit_vec dd k) (-delta.(k)))

@@ -24,7 +24,7 @@
       {e dependence polyhedra} for every resolved pair sharing a
       region: iteration-domain constraint rows, address equality and
       lexicographic-precedence disjuncts over [src ++ dst] iteration
-      space, decided exactly by {!Minisl.Lp.feasible} (rational
+      space, decided exactly by {!Minisl.Polyhedron.feasible} (rational
       infeasibility implies integer independence), yielding
       per-statement-pair direction/distance summaries in the
       {!Sched.Depanalysis.dir} vocabulary and, for uniform dependences,

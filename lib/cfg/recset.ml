@@ -102,11 +102,6 @@ let component_of t f = Hashtbl.find_opt t.by_member f
 let is_entry t f = Iset.mem f t.entry_set
 let is_header t f = Iset.mem f t.header_set
 
-let in_same_component t a b =
-  match (component_of t a, component_of t b) with
-  | Some ca, Some cb -> ca.comp_id = cb.comp_id
-  | _ -> false
-
 let pp fmt t =
   List.iter
     (fun c ->

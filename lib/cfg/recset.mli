@@ -21,5 +21,4 @@ val component_of : t -> int -> component option
 
 val is_entry : t -> int -> bool
 val is_header : t -> int -> bool
-val in_same_component : t -> int -> int -> bool
 val pp : Format.formatter -> t -> unit

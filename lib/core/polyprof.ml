@@ -89,7 +89,6 @@ let flamegraph_ascii ?width t =
   Report.Flamegraph.to_ascii ?width ~name:(ctx_name t) t.profile.Ddg.Depprof.stree
 
 let render_feedback fmt t = Sched.Feedback.render fmt t.feedback
-let n_dynamic_ops t = t.profile.Ddg.Depprof.run_stats.Vm.Interp.dyn_instrs
 
 (* Apply the feedback's suggested schedules to the HIR source and verify
    each one differentially (Xform.Driver): the end-to-end oracle that

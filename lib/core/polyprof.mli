@@ -74,7 +74,6 @@ val ctx_name : t -> Ddg.Iiv.ctx_id -> string
 val flamegraph_svg : ?width:int -> t -> string
 val flamegraph_ascii : ?width:int -> t -> string
 val render_feedback : Format.formatter -> t -> unit
-val n_dynamic_ops : t -> int
 
 val apply_and_verify :
   ?eps:float ->

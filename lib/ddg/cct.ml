@@ -50,7 +50,6 @@ let add_weight t w =
   n.weight <- n.weight + w
 
 let root t = t.nroot
-let cur_depth t = List.length t.stack - 1
 let max_depth t = t.maxd
 
 let rec count_nodes n =

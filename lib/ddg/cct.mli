@@ -20,7 +20,6 @@ val add_weight : t -> int -> unit
 (** Attribute dynamic instructions to the current context. *)
 
 val root : t -> node
-val cur_depth : t -> int
 val max_depth : t -> int
 val n_nodes : t -> int
 val total_weight : node -> int

@@ -2,7 +2,6 @@ type config = {
   stmt_cap : int;
   dep_cap : int;
   max_pieces : int;
-  track_reg_deps : bool;
   track_waw : bool;
   scev_prune : bool;
   boundary_splits : bool;
@@ -13,7 +12,6 @@ let default_config =
   { stmt_cap = 100_000;
     dep_cap = 50_000;
     max_pieces = 16;
-    track_reg_deps = true;
     track_waw = false;
     scev_prune = true;
     boundary_splits = true;
@@ -501,7 +499,7 @@ let on_exec e (ex : Vm.Event.exec) =
   else r.poisoned <- true;
   (* dependences: consult shadows before recording this instruction's
      own writes *)
-  if config.track_reg_deps then record_reg_deps e r coords 0 ex.reads;
+  record_reg_deps e r coords 0 ex.reads;
   let shadow = e.shadow in
   (match ex.addr_read with
   | Some addr when not pruned ->

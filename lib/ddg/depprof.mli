@@ -13,7 +13,6 @@ type config = {
   stmt_cap : int;  (** buffered points per statement before widening *)
   dep_cap : int;
   max_pieces : int;
-  track_reg_deps : bool;
   track_waw : bool;  (** also record output (write-after-write) deps *)
   scev_prune : bool;  (** drop dep edges touching SCEV statements (§5) *)
   boundary_splits : bool;  (** folding ablation knob *)
@@ -169,10 +168,9 @@ val profile_replay :
   result
 (** Instrumentation II over a pre-recorded event stream instead of a
     live run: [feed] must deliver the events of one execution to the
-    callbacks (e.g. with [Vm.Trace.replay] or a streaming
-    [Stream.Source.replay]) and then return the recorded run's
-    interpreter stats (a trace file's stats trailer is read only after
-    its events).  The result is identical to {!profile} of the same
+    callbacks (e.g. with a streaming [Stream.Source.replay]) and then
+    return the recorded run's interpreter stats (a trace file's stats
+    trailer is read only after its events).  The result is identical to {!profile} of the same
     execution, which is this driver fed by the interpreter.  Under
     [static_prune] the trace may have been recorded with the addresses
     of pruned accesses elided ({!Stream.Trace_file} [~elide]): the plan

@@ -223,15 +223,6 @@ let pp_stack name fmt stack =
       Format.fprintf fmt "%s" (name c))
     stack
 
-let pp_context ?(name = default_name) fmt (c : context) =
-  Format.fprintf fmt "(";
-  List.iteri
-    (fun i stack ->
-      if i > 0 then Format.fprintf fmt ", _, ";
-      pp_stack name fmt stack)
-    c;
-  Format.fprintf fmt ")"
-
 let pp ?(name = default_name) fmt t =
   Format.fprintf fmt "(";
   List.iteri

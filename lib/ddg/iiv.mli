@@ -60,5 +60,4 @@ val reset_intern_table : unit -> unit
 val pp : ?name:(ctx_id -> string) -> Format.formatter -> t -> unit
 (** Renders like the paper: [(M0/L1, 0, A1/L2, 1, B1)]. *)
 
-val pp_context : ?name:(ctx_id -> string) -> Format.formatter -> context -> unit
 val to_string : ?name:(ctx_id -> string) -> t -> string

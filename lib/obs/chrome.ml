@@ -7,7 +7,6 @@ let rec span_events acc (sp : Span.t) =
     [ ("minor_words", J.Float sp.Span.sp_minor_words);
       ("major_words", J.Float sp.Span.sp_major_words);
       ("top_heap_words", J.Int sp.Span.sp_top_heap_words) ]
-    @ List.map (fun (k, v) -> (k, J.Str v)) sp.Span.sp_args
   in
   let ev =
     J.Obj

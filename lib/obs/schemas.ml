@@ -1,6 +1,6 @@
 type t = { s_name : string; s_file : string; s_version : int }
 
-let stream = 2
+let stream = 3
 let staticdep = 1
 let obs = 1
 let autotune = 1

@@ -10,7 +10,6 @@ type t = {
   mutable sp_major_words : float;
   mutable sp_top_heap_words : int;
   mutable sp_children : t list;
-  mutable sp_args : (string * string) list;
 }
 
 type frame = { f_span : t; f_minor0 : float; f_major0 : float }
@@ -33,8 +32,7 @@ let enter ?(cat = "polyprof") name =
         sp_minor_words = 0.0;
         sp_major_words = 0.0;
         sp_top_heap_words = 0;
-        sp_children = [];
-        sp_args = [] }
+        sp_children = [] }
     in
     let st = Domain.DLS.get stack_key in
     st :=
@@ -61,7 +59,6 @@ let exit_ name =
         sp.sp_major_words <- q.Gc.major_words -. f.f_major0;
         sp.sp_top_heap_words <- q.Gc.top_heap_words;
         sp.sp_children <- List.rev sp.sp_children;
-        sp.sp_args <- List.rev sp.sp_args;
         (match rest with
         | parent :: _ ->
             parent.f_span.sp_children <- sp :: parent.f_span.sp_children
@@ -75,12 +72,6 @@ let with_ ?cat name f =
     enter ?cat name;
     Fun.protect ~finally:(fun () -> exit_ name) f
   end
-
-let add_arg k v =
-  if Registry.enabled () then
-    match !(Domain.DLS.get stack_key) with
-    | [] -> ()
-    | f :: _ -> f.f_span.sp_args <- (k, v) :: f.f_span.sp_args
 
 let roots () =
   let l = Mutex.protect completed_mutex (fun () -> !completed) in

@@ -23,7 +23,6 @@ type t = {
   mutable sp_major_words : float;
   mutable sp_top_heap_words : int;  (** [Gc] watermark at span end *)
   mutable sp_children : t list;  (** in start order once closed *)
-  mutable sp_args : (string * string) list;
 }
 
 val enter : ?cat:string -> string -> unit
@@ -32,10 +31,6 @@ val exit_ : string -> unit
 val with_ : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** [with_ name f] runs [f] inside a span; the span closes even if [f]
     raises.  The preferred instrumentation form. *)
-
-val add_arg : string -> string -> unit
-(** Attach a key/value to the innermost open span (shown in the Chrome
-    trace [args] and the summary). *)
 
 val roots : unit -> t list
 (** Completed top-level spans, across all domains, ordered by start

@@ -94,8 +94,6 @@ let equal a b =
   && Array.for_all2 Rat.equal a.coeffs b.coeffs
 
 let is_constant t = Array.for_all Rat.is_zero t.coeffs
-let is_integral t =
-  Rat.is_integer t.const && Array.for_all Rat.is_integer t.coeffs
 
 let substitute e k by =
   assert (dim e = dim by);

@@ -34,8 +34,6 @@ val floor_int : t -> int array -> int
 val ceil_int : t -> int array -> int
 val equal : t -> t -> bool
 val is_constant : t -> bool
-val is_integral : t -> bool
-(** All coefficients and the constant are integers. *)
 
 val substitute : t -> int -> t -> t
 (** [substitute e k by] replaces [x_k] with the expression [by] (which

@@ -15,7 +15,6 @@ let make ~in_dim ~out_dim pieces =
 let in_dim t = t.in_dim
 let out_dim t = t.out_dim
 let pieces t = t.pieces
-let n_pieces t = List.length t.pieces
 let is_empty t = t.pieces = []
 
 let apply t x =

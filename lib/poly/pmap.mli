@@ -14,7 +14,6 @@ val make : in_dim:int -> out_dim:int -> piece list -> t
 val in_dim : t -> int
 val out_dim : t -> int
 val pieces : t -> piece list
-val n_pieces : t -> int
 val is_empty : t -> bool
 
 val apply : t -> int array -> Rat.t array option

@@ -111,111 +111,266 @@ let drop_dims t ks =
   in
   make ndim (List.map remap p.cons)
 
+(* The one engine switch: Fourier-Motzkin answers emptiness and bounds
+   up to this many dimensions; above it the constraint count blows up
+   and the exact rational simplex below answers instead. *)
 let fm_dim_limit = 4
 
-(* Per-dimension interval propagation for nest-shaped polyhedra: process
-   dimensions left to right; a constraint bounds dim d if its only other
-   non-zero coefficients are on earlier dims, whose intervals are already
-   known (interval arithmetic gives a sound, possibly loose, bound).
-   Fold-produced domains have exactly this triangular shape, so this is
-   exact for them; Fourier-Motzkin would blow up past ~5 dims. *)
-let interval_bounds t =
-  let n = t.dim in
-  let lo = Array.make n None and hi = Array.make n None in
-  let push_lo d (b : Rat.t) =
-    lo.(d) <- (match lo.(d) with None -> Some b | Some x -> Some (Rat.max x b))
-  in
-  let push_hi d (b : Rat.t) =
-    hi.(d) <- (match hi.(d) with None -> Some b | Some x -> Some (Rat.min x b))
-  in
-  for d = 0 to n - 1 do
-    List.iter
-      (fun (c : Constr.t) ->
-        let a = c.v.(d) in
-        let only_earlier =
-          a <> 0
-          &&
-          let ok = ref true in
-          Array.iteri (fun k v -> if k > d && v <> 0 then ok := false) c.v;
-          !ok
-        in
-        if only_earlier then begin
-          (* a*x_d + sum_{k<d} v_k x_k + cst >= 0 (or = 0) *)
-          let eval_rest min_or_max =
-            (* extreme value of sum v_k x_k + cst over earlier intervals *)
-            let acc = ref (Some (Rat.of_int c.c)) in
-            for k = 0 to d - 1 do
-              if c.v.(k) <> 0 then begin
-                let coef = Rat.of_int c.v.(k) in
-                let pick =
-                  (* for a lower bound on the rest take the minimum, etc. *)
-                  if (Rat.sign coef > 0) = min_or_max then hi.(k) else lo.(k)
-                in
-                match (!acc, pick) with
-                | Some a0, Some b -> acc := Some (Rat.add a0 (Rat.mul coef b))
-                | _ -> acc := None
-              end
-            done;
-            !acc
-          in
-          if a > 0 then begin
-            (* x_d >= -(rest)/a : strongest when rest is maximal *)
-            (match eval_rest true with
-            | Some r -> push_lo d (Rat.div (Rat.neg r) (Rat.of_int a))
-            | None -> ());
-            if c.kind = Constr.Eq then
-              match eval_rest false with
-              | Some r -> push_hi d (Rat.div (Rat.neg r) (Rat.of_int a))
-              | None -> ()
-          end
-          else begin
-            (match eval_rest true with
-            | Some r -> push_hi d (Rat.div r (Rat.of_int (-a)))
-            | None -> ());
-            if c.kind = Constr.Eq then
-              match eval_rest false with
-              | Some r -> push_lo d (Rat.div r (Rat.of_int (-a)))
-              | None -> ()
-          end
-        end)
-      t.cons
-  done;
-  (lo, hi)
+type optimum = Opt of Rat.t | Unbounded | Infeasible
 
-let interval_expr_bounds t (a : Affine.t) =
-  let lo, hi = interval_bounds t in
-  let lo_acc = ref (Some a.Affine.const) and hi_acc = ref (Some a.Affine.const) in
+(* Dictionary-based primal simplex (Chvatal).  Variables are indexed
+   globally; [basis.(i)] is the variable defined by row [i]:
+
+     basis.(i) = bval.(i) - sum_j a.(i).(j) * nonbasis.(j)
+     z         = obj0     + sum_j obj.(j)   * nonbasis.(j)
+
+   All variables are >= 0.  Bland's smallest-index rule guarantees
+   termination. *)
+type dict = {
+  mutable basis : int array;
+  mutable nonbasis : int array;
+  a : Rat.t array array;  (* m x n *)
+  bval : Rat.t array;  (* m *)
+  obj : Rat.t array;  (* n *)
+  mutable obj0 : Rat.t;
+}
+
+let pivot d ~row ~col =
+  let m = Array.length d.bval and n = Array.length d.obj in
+  let piv = d.a.(row).(col) in
+  assert (not (Rat.is_zero piv));
+  (* solve row for the entering variable *)
+  let inv = Rat.inv piv in
+  d.bval.(row) <- Rat.mul d.bval.(row) inv;
+  for j = 0 to n - 1 do
+    d.a.(row).(j) <- Rat.mul d.a.(row).(j) inv
+  done;
+  (* the leaving variable takes the entering variable's column slot *)
+  let leaving = d.basis.(row) and entering = d.nonbasis.(col) in
+  d.a.(row).(col) <- inv;
+  (* substitute into the other rows *)
+  for i = 0 to m - 1 do
+    if i <> row then begin
+      let f = d.a.(i).(col) in
+      if not (Rat.is_zero f) then begin
+        d.bval.(i) <- Rat.sub d.bval.(i) (Rat.mul f d.bval.(row));
+        for j = 0 to n - 1 do
+          if j <> col then
+            d.a.(i).(j) <- Rat.sub d.a.(i).(j) (Rat.mul f d.a.(row).(j))
+        done;
+        d.a.(i).(col) <- Rat.neg (Rat.mul f d.a.(row).(col))
+      end
+    end
+  done;
+  (* and into the objective *)
+  let f = d.obj.(col) in
+  if not (Rat.is_zero f) then begin
+    d.obj0 <- Rat.add d.obj0 (Rat.mul f d.bval.(row));
+    for j = 0 to n - 1 do
+      if j <> col then
+        d.obj.(j) <- Rat.sub d.obj.(j) (Rat.mul f d.a.(row).(j))
+    done;
+    d.obj.(col) <- Rat.neg (Rat.mul f d.a.(row).(col))
+  end;
+  d.basis.(row) <- entering;
+  d.nonbasis.(col) <- leaving
+
+(* One phase of the simplex on a feasible dictionary. *)
+let optimize d =
+  let m = Array.length d.bval and n = Array.length d.obj in
+  let rec step () =
+    (* Bland: entering = smallest-id nonbasic with positive reduced cost *)
+    let enter = ref (-1) in
+    for j = n - 1 downto 0 do
+      if Rat.sign d.obj.(j) > 0 then
+        if !enter = -1 || d.nonbasis.(j) < d.nonbasis.(!enter) then enter := j
+    done;
+    if !enter = -1 then `Optimal
+    else begin
+      let col = !enter in
+      (* leaving: min ratio bval/a over rows with positive coefficient *)
+      let leave = ref (-1) in
+      let best = ref Rat.zero in
+      for i = 0 to m - 1 do
+        let coef = d.a.(i).(col) in
+        if Rat.sign coef > 0 then begin
+          let ratio = Rat.div d.bval.(i) coef in
+          let better =
+            !leave = -1
+            || Rat.compare ratio !best < 0
+            || (Rat.equal ratio !best && d.basis.(i) < d.basis.(!leave))
+          in
+          if better then begin
+            leave := i;
+            best := ratio
+          end
+        end
+      done;
+      if !leave = -1 then `Unbounded
+      else begin
+        pivot d ~row:!leave ~col;
+        step ()
+      end
+    end
+  in
+  step ()
+
+(* Build the nonneg-variable system from a polyhedron and an objective:
+   every free dimension x_k becomes u_k - w_k with u, w >= 0. *)
+let build p (objective : Affine.t) =
+  let dim = p.dim in
+  assert (Affine.dim objective = dim);
+  let cons =
+    List.concat_map
+      (fun (c : Constr.t) ->
+        (* v.x + cst >= 0  <=>  -v.x <= cst ; equalities give both rows *)
+        match c.Constr.kind with
+        | Constr.Ge -> [ (Array.map (fun x -> -x) c.Constr.v, c.Constr.c) ]
+        | Constr.Eq ->
+            [ (Array.map (fun x -> -x) c.Constr.v, c.Constr.c);
+              (Array.copy c.Constr.v, -c.Constr.c) ])
+      p.cons
+  in
+  let m = List.length cons in
+  let n = 2 * dim in
+  let a = Array.make_matrix m n Rat.zero in
+  let bval = Array.make m Rat.zero in
+  List.iteri
+    (fun i (row, rhs) ->
+      bval.(i) <- Rat.of_int rhs;
+      Array.iteri
+        (fun k v ->
+          a.(i).(k) <- Rat.of_int v;
+          a.(i).(dim + k) <- Rat.of_int (-v))
+        row)
+    cons;
+  let obj = Array.make n Rat.zero in
   Array.iteri
-    (fun k coef ->
-      if not (Rat.is_zero coef) then begin
-        let pick_lo = if Rat.sign coef > 0 then lo.(k) else hi.(k) in
-        let pick_hi = if Rat.sign coef > 0 then hi.(k) else lo.(k) in
-        (match (!lo_acc, pick_lo) with
-        | Some acc, Some b -> lo_acc := Some (Rat.add acc (Rat.mul coef b))
-        | _ -> lo_acc := None);
-        match (!hi_acc, pick_hi) with
-        | Some acc, Some b -> hi_acc := Some (Rat.add acc (Rat.mul coef b))
-        | _ -> hi_acc := None
-      end)
-    a.Affine.coeffs;
-  (!lo_acc, !hi_acc)
+    (fun k c ->
+      obj.(k) <- c;
+      obj.(dim + k) <- Rat.neg c)
+    objective.Affine.coeffs;
+  (* variable ids: 0..n-1 = structural, n..n+m-1 = slacks *)
+  { basis = Array.init m (fun i -> n + i);
+    nonbasis = Array.init n (fun j -> j);
+    a;
+    bval;
+    obj;
+    obj0 = objective.Affine.const }
+
+(* Phase 1: make the dictionary feasible with an auxiliary variable. *)
+let make_feasible d =
+  let m = Array.length d.bval and n = Array.length d.obj in
+  let worst = ref (-1) in
+  for i = 0 to m - 1 do
+    if
+      Rat.sign d.bval.(i) < 0
+      && (!worst = -1 || Rat.compare d.bval.(i) d.bval.(!worst) < 0)
+    then worst := i
+  done;
+  if !worst = -1 then true (* already feasible *)
+  else begin
+    (* auxiliary dictionary: add x0 (id max_int) with column -1
+       everywhere; objective becomes -x0 *)
+    let aux_col = n in
+    let a' = Array.map (fun row -> Array.append row [| Rat.minus_one |]) d.a in
+    let obj' = Array.append (Array.map (fun _ -> Rat.zero) d.obj) [| Rat.minus_one |] in
+    let d' =
+      { basis = Array.copy d.basis;
+        nonbasis = Array.append (Array.copy d.nonbasis) [| max_int |];
+        a = a';
+        bval = Array.copy d.bval;
+        obj = obj';
+        obj0 = Rat.zero }
+    in
+    pivot d' ~row:!worst ~col:aux_col;
+    (match optimize d' with `Optimal | `Unbounded -> ());
+    if not (Rat.is_zero d'.obj0) then false (* optimum of -x0 below 0 *)
+    else begin
+      (* if x0 is still basic (degenerate), pivot it out *)
+      (match
+         Array.to_seq d'.basis
+         |> Seq.mapi (fun i v -> (i, v))
+         |> Seq.find (fun (_, v) -> v = max_int)
+       with
+      | Some (row, _) ->
+          let col = ref (-1) in
+          Array.iteri
+            (fun j _ ->
+              if !col = -1 && d'.nonbasis.(j) <> max_int
+                 && not (Rat.is_zero d'.a.(row).(j))
+              then col := j)
+            d'.nonbasis;
+          if !col >= 0 then pivot d' ~row ~col:!col
+      | None -> ());
+      (* copy back, dropping x0's column *)
+      let keep = ref [] in
+      Array.iteri
+        (fun j v -> if v <> max_int then keep := (j, v) :: !keep)
+        d'.nonbasis;
+      let keep = Array.of_list (List.rev !keep) in
+      Array.iteri (fun jj (j, v) ->
+          d.nonbasis.(jj) <- v;
+          Array.iteri (fun i _ -> d.a.(i).(jj) <- d'.a.(i).(j)) d.bval)
+        keep;
+      Array.blit d'.basis 0 d.basis 0 (Array.length d.basis);
+      Array.blit d'.bval 0 d.bval 0 (Array.length d.bval);
+      (* the objective is now stale: callers rebuild it over the new
+         nonbasis with [set_objective] *)
+      true
+    end
+  end
+
+(* Express an objective (over variable ids) in the current dictionary. *)
+let set_objective d (coef_of_var : int -> Rat.t) const =
+  let m = Array.length d.bval and n = Array.length d.obj in
+  Array.fill d.obj 0 n Rat.zero;
+  d.obj0 <- const;
+  (* nonbasic structural variables contribute directly *)
+  Array.iteri
+    (fun j v ->
+      let c = coef_of_var v in
+      if not (Rat.is_zero c) then d.obj.(j) <- Rat.add d.obj.(j) c)
+    d.nonbasis;
+  (* basic ones substitute their row *)
+  for i = 0 to m - 1 do
+    let c = coef_of_var d.basis.(i) in
+    if not (Rat.is_zero c) then begin
+      d.obj0 <- Rat.add d.obj0 (Rat.mul c d.bval.(i));
+      for j = 0 to n - 1 do
+        d.obj.(j) <- Rat.sub d.obj.(j) (Rat.mul c d.a.(i).(j))
+      done
+    end
+  done
+
+let maximize p objective =
+  let dim = p.dim in
+  let d = build p objective in
+  if not (make_feasible d) then Infeasible
+  else begin
+    let coef_of_var v =
+      if v < dim then objective.Affine.coeffs.(v)
+      else if v < 2 * dim then Rat.neg objective.Affine.coeffs.(v - dim)
+      else Rat.zero
+    in
+    set_objective d coef_of_var objective.Affine.const;
+    match optimize d with `Optimal -> Opt d.obj0 | `Unbounded -> Unbounded
+  end
+
+let minimize p objective =
+  match maximize p (Affine.neg objective) with
+  | Opt v -> Opt (Rat.neg v)
+  | (Unbounded | Infeasible) as r -> r
+
+let feasible p =
+  match maximize p (Affine.const ~dim:p.dim Rat.zero) with
+  | Opt _ | Unbounded -> true
+  | Infeasible -> false
 
 let is_empty t =
   let p = simplify t in
   if p.cons = [] then false
-  else if p.dim > fm_dim_limit then begin
-    (* sound, incomplete emptiness for high dimension: empty interval on
-       some dim, or a constraint violated at the interval midpoint box *)
-    let lo, hi = interval_bounds p in
-    let empty_interval = ref false in
-    Array.iteri
-      (fun k l ->
-        match (l, hi.(k)) with
-        | Some a, Some b when Rat.compare a b > 0 -> empty_interval := true
-        | _ -> ())
-      lo;
-    !empty_interval
-  end
+  else if p.dim > fm_dim_limit then not (feasible p)
   else
     let q = eliminate p (List.init p.dim Fun.id) in
     (* after eliminating everything, only constant constraints remain and
@@ -261,10 +416,16 @@ let fm_bounds t (a : Affine.t) =
     q.cons;
   (!lo, !hi)
 
+let lp_bounds t a =
+  let side = function Opt v -> Some v | Unbounded | Infeasible -> None in
+  match minimize t a with
+  | Infeasible -> (None, None)
+  | lo -> (side lo, side (maximize t a))
+
 let bounds t (a : Affine.t) =
   if Affine.is_constant a then (Some a.Affine.const, Some a.Affine.const)
   else if t.dim <= fm_dim_limit then fm_bounds t a
-  else interval_expr_bounds t a
+  else lp_bounds t a
 
 let dim_bounds t k = bounds t (Affine.var ~dim:t.dim k)
 

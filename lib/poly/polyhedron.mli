@@ -1,10 +1,14 @@
 (** Convex integer polyhedra represented as conjunctions of affine
-    constraints, with the Fourier–Motzkin based operations needed by the
-    folding and feedback stages.
+    constraints, with the operations needed by the folding and feedback
+    stages.
 
-    Emptiness, entailment and bounds are computed over the rational
-    relaxation.  Sets produced by folding are constructed from actual
-    integer points, so the relaxation is exact for them. *)
+    Emptiness, entailment and bounds are computed exactly over the
+    rational relaxation, in every dimension: by Fourier–Motzkin
+    elimination up to 4 dimensions and by an exact rational simplex
+    (two-phase primal, Bland's rule) above, where elimination would
+    blow up.  This module is the only place that choice is made.  Sets
+    produced by folding are constructed from actual integer points, so
+    the relaxation is exact for them. *)
 
 module Rat = Pp_util.Rat
 
@@ -39,6 +43,27 @@ val bounds : t -> Affine.t -> Rat.t option * Rat.t option
     on an empty polyhedron — use {!is_empty} first if it matters. *)
 
 val dim_bounds : t -> int -> Rat.t option * Rat.t option
+
+(** {2 Linear programming}
+
+    The simplex itself, in any dimension, for callers that need the
+    optimum's kind (e.g. to tell an empty domain from an unbounded
+    one) rather than {!bounds}' pair. *)
+
+type optimum =
+  | Opt of Rat.t  (** finite optimum *)
+  | Unbounded
+  | Infeasible
+
+val maximize : t -> Affine.t -> optimum
+(** Maximum of the affine objective over the rational relaxation. *)
+
+val minimize : t -> Affine.t -> optimum
+
+val feasible : t -> bool
+(** Rational feasibility by phase 1 alone: [not (is_empty p)] in any
+    dimension, without simplifying or eliminating first. *)
+
 val entails : t -> Constr.t -> bool
 val is_subset : t -> t -> bool
 val equal_set : t -> t -> bool

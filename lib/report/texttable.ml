@@ -19,6 +19,3 @@ let render ~header rows =
   Buffer.add_char buf '\n';
   List.iter put rows;
   Buffer.contents buf
-
-let render_fmt fmt ~header rows =
-  Format.pp_print_string fmt (render ~header rows)

@@ -2,5 +2,3 @@
 
 val render : header:string list -> string list list -> string
 (** Column-aligned rendering with a separator line under the header. *)
-
-val render_fmt : Format.formatter -> header:string list -> string list list -> unit

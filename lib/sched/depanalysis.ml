@@ -135,15 +135,9 @@ let rec take n = function
 
 let is_prefix p l = take (List.length p) l = p
 
-(* Classify the sign of an affine expression over a polyhedron.  Low
-   dimensions use exact Fourier-Motzkin; higher ones the exact rational
-   simplex (interval propagation would lose triangular precision). *)
-let exact_bounds dom expr =
-  if P.dim dom <= 4 then P.bounds dom expr
-  else try Minisl.Lp.bounds dom expr with Invalid_argument _ -> (None, None)
-
+(* Classify the sign of an affine expression over a polyhedron. *)
 let classify_sign dom expr =
-  let lo, hi = exact_bounds dom expr in
+  let lo, hi = P.bounds dom expr in
   let const =
     match (lo, hi) with
     | Some l, Some h when Rat.equal l h && Rat.is_integer l ->

@@ -94,12 +94,7 @@ let fusion_legal (t : Depanalysis.t) plen a b =
                     (* consumer executes at or after producer on the
                        fused dimension *)
                     let forward = is_prefix a.c_path sp in
-                    let lo, hi =
-                      if P.dim p.Fold.dom <= 4 then P.bounds p.Fold.dom expr
-                      else
-                        try Minisl.Lp.bounds p.Fold.dom expr
-                        with Invalid_argument _ -> (None, None)
-                    in
+                    let lo, hi = P.bounds p.Fold.dom expr in
                     if forward then
                       match lo with
                       | Some l -> Pp_util.Rat.sign l >= 0

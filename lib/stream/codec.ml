@@ -53,9 +53,9 @@
    The encoder's float table keys on the float's IEEE bits (never boxed
    as an [int64]) and holds dictionary indices into [f_vals], the
    float array that is the decoder's whole dictionary.  Decoding reads a
-   caller-owned buffer and calls the instrumentation callbacks directly,
-   without an intermediate [Vm.Event.t]: the exec record (with its
-   option and value boxes) is the only allocation per event. *)
+   caller-owned buffer and calls the instrumentation callbacks directly:
+   the exec record (with its option and value boxes) is the only
+   allocation per event. *)
 
 let magic = "PLYPROF1"
 let version = 1
@@ -395,10 +395,6 @@ let encode_exec d w (e : Vm.Event.exec) =
     | None -> put_u w 0);
     add_ops d e.sid { o_reads = e.reads; o_writes = e.writes }
   end
-
-let encode d w = function
-  | Vm.Event.Control c -> encode_control d w c
-  | Vm.Event.Exec e -> encode_exec d w e
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)

@@ -47,8 +47,6 @@ val encode_exec : delta -> Varint.writer -> Vm.Event.exec -> unit
 (** Append one event to a chunk payload under construction; each
     reserves its own room in the writer. *)
 
-val encode : delta -> Varint.writer -> Vm.Event.t -> unit
-
 val decode_events :
   delta -> Bytes.t -> len:int -> Vm.Interp.callbacks -> int
 (** Decode the events-chunk payload held in the first [len] bytes of

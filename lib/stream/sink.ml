@@ -89,7 +89,7 @@ let flush_events t =
   end
 
 let check_open t =
-  if t.closed then invalid_arg "Stream.Sink.event: sink is closed"
+  if t.closed then invalid_arg "Stream.Sink: sink is closed"
 
 let count t =
   t.chunk_events <- t.chunk_events + 1;
@@ -104,11 +104,6 @@ let control t c =
 let exec t e =
   check_open t;
   Codec.encode_exec t.d t.w e;
-  count t
-
-let event t ev =
-  check_open t;
-  Codec.encode t.d t.w ev;
   count t
 
 let callbacks t = { Vm.Interp.on_control = control t; on_exec = exec t }

@@ -17,8 +17,6 @@ val create : ?chunk_bytes:int -> string -> t
 val to_channel : ?chunk_bytes:int -> out_channel -> t
 (** Same on an already-open channel (not closed by {!close}). *)
 
-val event : t -> Vm.Event.t -> unit
-
 val callbacks : t -> Vm.Interp.callbacks
 (** Interpreter callbacks that stream every event into the sink —
     out-of-core trace recording is

@@ -110,11 +110,6 @@ let replay t (cb : Vm.Interp.callbacks) =
     Obs.Metrics.add obs_chunks t.n_chunks
   end
 
-let iter t f =
-  replay t
-    { Vm.Interp.on_control = (fun c -> f (Vm.Event.Control c));
-      on_exec = (fun e -> f (Vm.Event.Exec e)) }
-
 let stats t = t.stats
 let n_events t = t.n_events
 let n_chunks t = t.n_chunks

@@ -18,12 +18,9 @@ val replay : t -> Vm.Interp.callbacks -> unit
     instrumentation callbacks.  Single-shot: a source can only be
     replayed once. *)
 
-val iter : t -> (Vm.Event.t -> unit) -> unit
-(** {!replay} with each event wrapped as a {!Vm.Event.t}. *)
-
 val stats : t -> Vm.Interp.stats option
 (** The recorded run's interpreter stats, once the trailer chunk has
-    been read (i.e. after {!replay}/{!iter} completed). *)
+    been read (i.e. after {!replay} completed). *)
 
 val n_events : t -> int
 (** Events decoded so far. *)

@@ -6,8 +6,9 @@
     length | CRC-32 | payload].  Event payloads delta-encode program
     counters and addresses with zigzag varints; a trailer chunk carries
     the run's interpreter stats.  {!Sink}/{!Source} write and read
-    traces chunk-at-a-time in bounded memory; {!Trace_file} is the
-    whole-trace convenience layer; {!Par_profile} replays the
+    traces chunk-at-a-time in bounded memory; {!Trace_file} records a
+    run straight to a file and recovers its structure from one;
+    {!Par_profile} replays the
     dependence profiler sequentially from a trace file. *)
 
 exception Error = Error.Error

@@ -1,5 +1,5 @@
-(* Whole-trace persistence on top of the chunked codec: the replacement
-   for the old [Vm.Trace.save]/[load] Marshal path. *)
+(* Whole-trace recording on top of the chunked codec, and
+   Instrumentation I replayed from a trace file. *)
 
 type write_info = {
   wi_events : int;
@@ -8,12 +8,6 @@ type write_info = {
   wi_stats : Vm.Interp.stats;
   wi_seconds : float;
 }
-
-let save ?chunk_bytes ?stats trace path =
-  let sink = Sink.create ?chunk_bytes path in
-  Vm.Trace.iter (Sink.event sink) trace;
-  Sink.close ?stats sink;
-  Sink.bytes_written sink
 
 let record_to_file ?max_steps ?args ?chunk_bytes ?elide prog path =
   Obs.Span.with_ ~cat:"stream" "stream.record_to_file" @@ fun () ->
@@ -60,17 +54,3 @@ let structure prog path =
   Source.with_file path (fun src ->
       Source.replay src (Cfg.Cfg_builder.callbacks builder));
   Cfg.Cfg_builder.finalize builder
-
-let load path =
-  Obs.Span.with_ ~cat:"stream" "stream.load" @@ fun () ->
-  Source.with_file path (fun src ->
-      let buf = ref [] in
-      let n = ref 0 in
-      Source.iter src (fun ev ->
-          incr n;
-          buf := ev :: !buf);
-      let events =
-        Array.make !n (Vm.Event.Control (Vm.Event.Jump { fid = 0; src = 0; dst = 0 }))
-      in
-      List.iteri (fun i e -> events.(!n - 1 - i) <- e) !buf;
-      (Vm.Trace.of_events events, Source.stats src))

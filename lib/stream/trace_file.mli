@@ -1,5 +1,6 @@
-(** Whole-trace persistence on the chunked binary codec — the successor
-    of the deleted [Vm.Trace] Marshal path. *)
+(** Whole-trace recording on the chunked binary codec: a trace exists
+    only as a streamed file, written during the run and read back by
+    replaying it into instrumentation callbacks ({!Source.replay}). *)
 
 type write_info = {
   wi_events : int;
@@ -8,11 +9,6 @@ type write_info = {
   wi_stats : Vm.Interp.stats;
   wi_seconds : float;  (** wall time of run + encode *)
 }
-
-val save : ?chunk_bytes:int -> ?stats:Vm.Interp.stats -> Vm.Trace.t -> string -> int
-(** Encode a recorded trace to [path]; returns the bytes written.  Pass
-    [stats] (from {!Vm.Trace.record}) to append the stats trailer that
-    replay-based profiling reports as [run_stats]. *)
 
 val record_to_file :
   ?max_steps:int -> ?args:int list -> ?chunk_bytes:int ->
@@ -35,7 +31,3 @@ val structure : Vm.Prog.t -> string -> Cfg.Cfg_builder.structure
     into a {!Cfg.Cfg_builder} for [prog] and return the recovered
     CFG/loop/call structure.
     @raise Error.Error on a corrupt trace. *)
-
-val load : string -> Vm.Trace.t * Vm.Interp.stats option
-(** Decode a trace file into memory.
-    @raise Error.Error on bad magic/version, truncation or corruption. *)

@@ -95,8 +95,6 @@ let to_int_exn a =
   if a.den <> 1 then invalid_arg "Rat.to_int_exn: not an integer";
   a.num
 
-let to_float a = float_of_int a.num /. float_of_int a.den
-
 let pp fmt a =
   if a.den = 1 then Format.fprintf fmt "%d" a.num
   else Format.fprintf fmt "%d/%d" a.num a.den

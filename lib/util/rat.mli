@@ -53,7 +53,6 @@ val ceil : t -> int
 val to_int_exn : t -> int
 (** @raise Invalid_argument if the value is not an integer. *)
 
-val to_float : t -> float
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -27,16 +27,3 @@ type exec = {
   writes : Isa.reg option;
   depth : int;  (** call-stack depth (main = 0) *)
 }
-
-type t = Control of control | Exec of exec
-
-let pp_control fmt = function
-  | Jump { fid; src; dst } -> Format.fprintf fmt "jump f%d: b%d -> b%d" fid src dst
-  | Call { caller; site; callee; dst } ->
-      Format.fprintf fmt "call f%d.b%d -> f%d.b%d" caller site callee dst
-  | Return { callee; caller; dst } ->
-      Format.fprintf fmt "ret f%d -> f%d.b%d" callee caller dst
-
-let pp fmt = function
-  | Control c -> pp_control fmt c
-  | Exec e -> Format.fprintf fmt "exec %a" Isa.Sid.pp e.sid

@@ -437,8 +437,6 @@ and pp_stmts_indent indent fmt stmts =
 ")
     (pp_stmt_indent indent) fmt stmts
 
-let pp_stmt fmt s = pp_stmt_indent 0 fmt s
-
 let pp_program fmt (p : program) =
   List.iter
     (fun (name, size) -> Format.fprintf fmt "float %s[%d];@

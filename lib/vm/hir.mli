@@ -90,7 +90,6 @@ val lower : program -> Prog.t
     bounds, ...). *)
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_program : Format.formatter -> program -> unit
 (** C-like source listing of a HIR program (the "source code" of a
     workload, as the static baseline sees it). *)

@@ -36,12 +36,6 @@ let instr_at t sid =
 
 let loc_of_block t ~fid ~bid = (block t ~fid ~bid).block_loc
 
-let n_static_instrs t =
-  Array.fold_left
-    (fun acc f ->
-      Array.fold_left (fun acc b -> acc + Array.length b.instrs + 1) acc f.blocks)
-    0 t.funcs
-
 (* ------------------------------------------------------------------ *)
 (* Structural well-formedness                                          *)
 (* ------------------------------------------------------------------ *)

@@ -51,7 +51,6 @@ val func_name : t -> int -> string
 val block : t -> fid:int -> bid:int -> block
 val instr_at : t -> Isa.Sid.t -> Isa.instr
 val loc_of_block : t -> fid:int -> bid:int -> loc option
-val n_static_instrs : t -> int
 val pp : Format.formatter -> t -> unit
 
 (** Imperative program builder. *)

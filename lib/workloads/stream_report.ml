@@ -1,13 +1,12 @@
-(* The binary trace codec's report: per workload, trace size on disk vs
-   marshalled, codec throughput, and the out-of-core replay's time,
+(* The binary trace codec's report: per workload, trace size on disk,
+   record and decode throughput, and the out-of-core replay's time,
    profile size and parity with the in-process profile. *)
 
 type row = {
   r_name : string;
   r_events : int;
   r_disk_bytes : int;
-  r_marshal_bytes : int;
-  r_encode_s : float;
+  r_record_s : float;
   r_decode_s : float;
   r_replay_s : float;
   r_stmts : int;
@@ -21,13 +20,11 @@ let measure (w : Workload.t) =
   let path = Filename.temp_file "polyprof" ".trace" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let trace, stats = Vm.Trace.record prog in
-  let disk_bytes, t_enc =
-    Obs.Clock.timed (fun () -> Stream.Trace_file.save ~stats trace path)
-  in
+  let wi = Stream.Trace_file.record_to_file prog path in
   let (), t_dec =
     Obs.Clock.timed (fun () ->
-        Stream.Source.with_file path (fun src -> Stream.Source.iter src ignore))
+        Stream.Source.with_file path (fun src ->
+            Stream.Source.replay src Vm.Interp.no_instrumentation))
   in
   let structure = Stream.Trace_file.structure prog path in
   let { Stream.Par_profile.result = ooc }, t_replay =
@@ -36,10 +33,9 @@ let measure (w : Workload.t) =
   in
   let live = Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog) in
   { r_name = w.Workload.w_name;
-    r_events = Vm.Trace.n_events trace;
-    r_disk_bytes = disk_bytes;
-    r_marshal_bytes = String.length (Marshal.to_string trace []);
-    r_encode_s = t_enc;
+    r_events = wi.Stream.Trace_file.wi_events;
+    r_disk_bytes = wi.wi_bytes;
+    r_record_s = wi.wi_seconds;
     r_decode_s = t_dec;
     r_replay_s = t_replay;
     r_stmts = List.length ooc.Ddg.Depprof.stmts;
@@ -48,9 +44,6 @@ let measure (w : Workload.t) =
     r_identical =
       Ddg.Depprof.equal_result live ooc
       && live.Ddg.Depprof.run_stats = ooc.Ddg.Depprof.run_stats }
-
-let ratio r =
-  float_of_int r.r_marshal_bytes /. float_of_int (max 1 r.r_disk_bytes)
 
 let mb_s bytes s = float_of_int bytes /. (s +. 1e-9) /. (1024. *. 1024.)
 
@@ -63,16 +56,14 @@ let check rows =
 
 let table rows =
   let header =
-    [ "benchmark"; "events"; "disk KB"; "marshal KB"; "ratio"; "enc MB/s";
-      "dec MB/s"; "replay s"; "stmts"; "deps"; "edges"; "same" ]
+    [ "benchmark"; "events"; "disk KB"; "rec MB/s"; "dec MB/s"; "replay s";
+      "stmts"; "deps"; "edges"; "same" ]
   in
   let cells r =
     [ r.r_name;
       string_of_int r.r_events;
       string_of_int (r.r_disk_bytes / 1024);
-      string_of_int (r.r_marshal_bytes / 1024);
-      Printf.sprintf "%.1fx" (ratio r);
-      Printf.sprintf "%.1f" (mb_s r.r_disk_bytes r.r_encode_s);
+      Printf.sprintf "%.1f" (mb_s r.r_disk_bytes r.r_record_s);
       Printf.sprintf "%.1f" (mb_s r.r_disk_bytes r.r_decode_s);
       Printf.sprintf "%.3f" r.r_replay_s;
       string_of_int r.r_stmts;
@@ -83,13 +74,10 @@ let table rows =
   let total f = List.fold_left (fun a r -> a + f r) 0 rows in
   Report.Texttable.render ~header (List.map cells rows)
   ^ Printf.sprintf
-      "\nsuite: %d events, %d KB on disk vs %d KB marshalled (%.1fx), \
-       out-of-core replay identical to in-process on all: %b\n"
+      "\nsuite: %d events, %d KB on disk, out-of-core replay identical to \
+       in-process on all: %b\n"
       (total (fun r -> r.r_events))
       (total (fun r -> r.r_disk_bytes) / 1024)
-      (total (fun r -> r.r_marshal_bytes) / 1024)
-      (float_of_int (total (fun r -> r.r_marshal_bytes))
-      /. float_of_int (max 1 (total (fun r -> r.r_disk_bytes))))
       (check rows = [])
 
 let json rows =
@@ -105,9 +93,7 @@ let json rows =
                    [ ("name", Str r.r_name);
                      ("events", Int r.r_events);
                      ("disk_bytes", Int r.r_disk_bytes);
-                     ("marshal_bytes", Int r.r_marshal_bytes);
-                     ("compression", Float (ratio r));
-                     ("encode_mb_s", Float (mb_s r.r_disk_bytes r.r_encode_s));
+                     ("record_mb_s", Float (mb_s r.r_disk_bytes r.r_record_s));
                      ("decode_mb_s", Float (mb_s r.r_disk_bytes r.r_decode_s));
                      ("seq_seconds", Float r.r_replay_s);
                      ("identical", Bool r.r_identical) ])

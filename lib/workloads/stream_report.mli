@@ -7,9 +7,8 @@ type row = {
   r_name : string;
   r_events : int;
   r_disk_bytes : int;
-  r_marshal_bytes : int;  (** the same trace, [Marshal]led *)
-  r_encode_s : float;
-  r_decode_s : float;
+  r_record_s : float;  (** run + encode, straight to the file *)
+  r_decode_s : float;  (** replay into no instrumentation *)
   r_replay_s : float;  (** out-of-core profile from the file *)
   r_stmts : int;  (** of the replayed profile *)
   r_deps : int;

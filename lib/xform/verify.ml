@@ -142,13 +142,6 @@ type legality = {
   dl_violations : violation list;
 }
 
-let nonempty poly =
-  if P.dim poly <= 4 then not (P.is_empty poly)
-  else
-    match Minisl.Lp.maximize poly (A.const ~dim:(P.dim poly) Rat.zero) with
-    | Minisl.Lp.Infeasible -> false
-    | Minisl.Lp.Opt _ | Minisl.Lp.Unbounded -> true
-
 (* Does the (exact) piece contain a point whose source iteration comes
    lexicographically *after* its destination on the first [common]
    dims?  The domain ranges over destination coordinates; labels give
@@ -170,7 +163,7 @@ let piece_reversed_dim (p : Fold.piece) common =
                 (C.of_affine C.Ge
                    (A.sub (A.sub src_d dst_d) (A.const ~dim:n Rat.one)))
             in
-            if nonempty viol then Some (d + 1)
+            if not (P.is_empty viol) then Some (d + 1)
             else
               (* continue under src_d = dst_d *)
               go (d + 1)

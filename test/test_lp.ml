@@ -1,11 +1,12 @@
-(* Tests for the exact rational simplex, including cross-validation
-   against Fourier-Motzkin bounds on random low-dimensional polyhedra. *)
+(* Tests for the exact rational simplex behind [Polyhedron.maximize],
+   [minimize] and [feasible], including cross-validation against the
+   Fourier-Motzkin bounds [Polyhedron.bounds] computes on random
+   low-dimensional polyhedra. *)
 
 module Rat = Pp_util.Rat
 module A = Minisl.Affine
 module C = Minisl.Constr
 module P = Minisl.Polyhedron
-module Lp = Minisl.Lp
 
 let box2 a b =
   P.make 2
@@ -18,22 +19,22 @@ let triangle n =
       C.make Ge [| 0; 1 |] 0; C.make Ge [| 1; -1 |] 0 ]
 
 let check_opt name expected = function
-  | Lp.Opt v -> Alcotest.(check bool) name true (Rat.equal v (Rat.of_int expected))
-  | Lp.Unbounded -> Alcotest.fail (name ^ ": unbounded")
-  | Lp.Infeasible -> Alcotest.fail (name ^ ": infeasible")
+  | P.Opt v -> Alcotest.(check bool) name true (Rat.equal v (Rat.of_int expected))
+  | P.Unbounded -> Alcotest.fail (name ^ ": unbounded")
+  | P.Infeasible -> Alcotest.fail (name ^ ": infeasible")
 
 let test_box () =
   let p = box2 5 7 in
-  check_opt "max x" 5 (Lp.maximize p (A.of_int_coeffs [| 1; 0 |] 0));
-  check_opt "max x+y" 12 (Lp.maximize p (A.of_int_coeffs [| 1; 1 |] 0));
-  check_opt "min x-y" (-7) (Lp.minimize p (A.of_int_coeffs [| 1; -1 |] 0));
-  check_opt "constant offset" 15 (Lp.maximize p (A.of_int_coeffs [| 1; 1 |] 3))
+  check_opt "max x" 5 (P.maximize p (A.of_int_coeffs [| 1; 0 |] 0));
+  check_opt "max x+y" 12 (P.maximize p (A.of_int_coeffs [| 1; 1 |] 0));
+  check_opt "min x-y" (-7) (P.minimize p (A.of_int_coeffs [| 1; -1 |] 0));
+  check_opt "constant offset" 15 (P.maximize p (A.of_int_coeffs [| 1; 1 |] 3))
 
 let test_triangle () =
   let p = triangle 6 in
-  check_opt "max j" 6 (Lp.maximize p (A.of_int_coeffs [| 0; 1 |] 0));
-  check_opt "max 2j - i" 6 (Lp.maximize p (A.of_int_coeffs [| -1; 2 |] 0));
-  check_opt "min i - j" 0 (Lp.minimize p (A.of_int_coeffs [| 1; -1 |] 0))
+  check_opt "max j" 6 (P.maximize p (A.of_int_coeffs [| 0; 1 |] 0));
+  check_opt "max 2j - i" 6 (P.maximize p (A.of_int_coeffs [| -1; 2 |] 0));
+  check_opt "min i - j" 0 (P.minimize p (A.of_int_coeffs [| 1; -1 |] 0))
 
 let test_negative_orthant () =
   (* a polyhedron entirely in negative coordinates: phase 1 required *)
@@ -41,20 +42,20 @@ let test_negative_orthant () =
     P.make 1 [ C.make Ge [| -1 |] (-3); C.make Ge [| 1 |] 10 ]
     (* -x - 3 >= 0 (x <= -3) and x + 10 >= 0 (x >= -10) *)
   in
-  check_opt "max x" (-3) (Lp.maximize p (A.of_int_coeffs [| 1 |] 0));
-  check_opt "min x" (-10) (Lp.minimize p (A.of_int_coeffs [| 1 |] 0))
+  check_opt "max x" (-3) (P.maximize p (A.of_int_coeffs [| 1 |] 0));
+  check_opt "min x" (-10) (P.minimize p (A.of_int_coeffs [| 1 |] 0))
 
 let test_unbounded () =
   let half = P.make 1 [ C.make Ge [| 1 |] 0 ] in
   Alcotest.(check bool) "max x unbounded" true
-    (Lp.maximize half (A.of_int_coeffs [| 1 |] 0) = Lp.Unbounded);
-  check_opt "min x" 0 (Lp.minimize half (A.of_int_coeffs [| 1 |] 0))
+    (P.maximize half (A.of_int_coeffs [| 1 |] 0) = P.Unbounded);
+  check_opt "min x" 0 (P.minimize half (A.of_int_coeffs [| 1 |] 0))
 
 let test_infeasible () =
   let p = P.make 1 [ C.make Ge [| 1 |] (-5); C.make Ge [| -1 |] 2 ] in
   (* x >= 5 and x <= 2 *)
   Alcotest.(check bool) "infeasible" true
-    (Lp.maximize p (A.of_int_coeffs [| 1 |] 0) = Lp.Infeasible)
+    (P.maximize p (A.of_int_coeffs [| 1 |] 0) = P.Infeasible)
 
 let test_equalities () =
   (* x + y = 10, 0 <= x <= 4 *)
@@ -63,8 +64,8 @@ let test_equalities () =
       [ C.make Eq [| 1; 1 |] (-10); C.make Ge [| 1; 0 |] 0;
         C.make Ge [| -1; 0 |] 4 ]
   in
-  check_opt "max y" 10 (Lp.maximize p (A.of_int_coeffs [| 0; 1 |] 0));
-  check_opt "min y" 6 (Lp.minimize p (A.of_int_coeffs [| 0; 1 |] 0))
+  check_opt "max y" 10 (P.maximize p (A.of_int_coeffs [| 0; 1 |] 0));
+  check_opt "min y" 6 (P.minimize p (A.of_int_coeffs [| 0; 1 |] 0))
 
 let test_rational_vertex () =
   (* 2x + 3y <= 12, 3x + 2y <= 12, x,y >= 0: max x+y at (12/5, 12/5) *)
@@ -73,8 +74,8 @@ let test_rational_vertex () =
       [ C.make Ge [| -2; -3 |] 12; C.make Ge [| -3; -2 |] 12;
         C.make Ge [| 1; 0 |] 0; C.make Ge [| 0; 1 |] 0 ]
   in
-  match Lp.maximize p (A.of_int_coeffs [| 1; 1 |] 0) with
-  | Lp.Opt v ->
+  match P.maximize p (A.of_int_coeffs [| 1; 1 |] 0) with
+  | P.Opt v ->
       Alcotest.(check bool) "24/5" true (Rat.equal v (Rat.make 24 5))
   | _ -> Alcotest.fail "expected optimum"
 
@@ -90,10 +91,15 @@ let test_high_dim_box () =
   done;
   let p = P.make n !cons in
   let all_ones = A.of_int_coeffs (Array.make n 1) 0 in
-  check_opt "sum of maxes" 36 (Lp.maximize p all_ones);
-  check_opt "min is 0" 0 (Lp.minimize p all_ones)
+  check_opt "sum of maxes" 36 (P.maximize p all_ones);
+  check_opt "min is 0" 0 (P.minimize p all_ones)
 
-(* cross-validate against FM-based bounds on random 2-3 dim polyhedra *)
+(* cross-validate against FM-based bounds on random 2-3 dim polyhedra,
+   where [P.bounds] eliminates rather than running the simplex *)
+let lp_bounds p obj =
+  let side = function P.Opt v -> Some v | P.Unbounded | P.Infeasible -> None in
+  (side (P.minimize p obj), side (P.maximize p obj))
+
 let prop_lp_equals_fm =
   let gen =
     QCheck.Gen.(
@@ -122,10 +128,10 @@ let prop_lp_equals_fm =
       let p = P.make dim cons in
       let obj = A.of_int_coeffs (Array.of_list objc) 0 in
       if P.is_empty p then
-        Lp.maximize p obj = Lp.Infeasible
+        P.maximize p obj = P.Infeasible
       else begin
         let fm_lo, fm_hi = P.bounds p obj in
-        let lp_lo, lp_hi = Lp.bounds p obj in
+        let lp_lo, lp_hi = lp_bounds p obj in
         let agree a b =
           match (a, b) with
           | Some x, Some y -> Rat.equal x y

@@ -119,8 +119,8 @@ let test_hull () =
   Alcotest.(check bool) "box is tight" false (P.mem box [| 4; 0 |]);
   Alcotest.(check int) "box count" 20 (P.count box)
 
-let test_interval_bounds_high_dim () =
-  (* 6-D boxes would blow up FM; interval propagation must handle them *)
+let test_bounds_high_dim () =
+  (* 6-D boxes would blow up FM; the simplex answers above the limit *)
   let n = 6 in
   let cons = ref [] in
   for d = 0 to n - 1 do
@@ -136,6 +136,42 @@ let test_interval_bounds_high_dim () =
   Alcotest.(check bool) "hi 6" true
     (match hi with Some h -> Rat.equal h (Rat.of_int 6) | None -> false);
   Alcotest.(check bool) "non-empty" false (P.is_empty p)
+
+(* [cons] over (x0, x1), padded to 5 dims with the boxes
+   0 <= x_d <= 3 for d >= 2: above the FM limit, so the simplex answers *)
+let padded5 cons =
+  let n = 5 in
+  let row v0 v1 = Array.init n (fun d -> if d = 0 then v0 else if d = 1 then v1 else 0) in
+  let boxes =
+    List.concat_map
+      (fun d ->
+        let up = Array.make n 0 and dn = Array.make n 0 in
+        up.(d) <- 1;
+        dn.(d) <- -1;
+        [ C.make Ge up 0; C.make Ge dn 3 ])
+      [ 2; 3; 4 ]
+  in
+  P.make n (List.map (fun (v0, v1, c) -> C.make Ge (row v0 v1) c) cons @ boxes)
+
+let test_exact_high_dim () =
+  (* 0 <= x0 <= 5, x1 <= x0, x1 >= x0 + 1: every dimension has a
+     non-empty interval, yet the set is empty *)
+  let p = padded5 [ (1, 0, 0); (-1, 0, 5); (1, -1, 0); (-1, 1, -1) ] in
+  Alcotest.(check bool) "x1 <= x0 < x1 is empty" true (P.is_empty p);
+  Alcotest.(check bool) "empty set: no bounds" true
+    (P.dim_bounds p 0 = (None, None));
+  (* triangle 0 <= x1 <= x0 <= 4: per-dimension intervals would put the
+     minimum of x0 - x1 at 0 - 4 *)
+  let t = padded5 [ (0, 1, 0); (1, -1, 0); (-1, 0, 4) ] in
+  let diff = A.of_int_coeffs [| 1; -1; 0; 0; 0 |] 0 in
+  (match P.bounds t diff with
+  | Some lo, Some hi ->
+      Alcotest.(check bool) "min x0 - x1 = 0" true (Rat.is_zero lo);
+      Alcotest.(check bool) "max x0 - x1 = 4" true
+        (Rat.equal hi (Rat.of_int 4))
+  | _ -> Alcotest.fail "x0 - x1 is bounded on the triangle");
+  Alcotest.(check bool) "entails x0 - x1 >= 0" true
+    (P.entails t (C.make Ge [| 1; -1; 0; 0; 0 |] 0))
 
 let test_constr_canonical () =
   let c = C.make Ge [| 4; -8 |] 12 in
@@ -245,8 +281,10 @@ let () =
           Alcotest.test_case "pset" `Quick test_pset;
           Alcotest.test_case "pmap" `Quick test_pmap;
           Alcotest.test_case "hull" `Quick test_hull;
-          Alcotest.test_case "interval bounds (6-D)" `Quick
-            test_interval_bounds_high_dim;
+          Alcotest.test_case "bounds above the FM limit (6-D)" `Quick
+            test_bounds_high_dim;
+          Alcotest.test_case "exact emptiness and bounds (5-D)" `Quick
+            test_exact_high_dim;
           Alcotest.test_case "constraint canonical form" `Quick
             test_constr_canonical;
           Alcotest.test_case "add_constraint/universe" `Quick

@@ -113,10 +113,42 @@ let prop_crc_slices =
 (* Codec round-trip over random event streams                          *)
 (* ------------------------------------------------------------------ *)
 
+(* One interpreter event, as the callbacks deliver it. *)
+type event = Control of Vm.Event.control | Exec of Vm.Event.exec
+
+let collector () =
+  let acc = ref [] in
+  ( { Vm.Interp.on_control = (fun c -> acc := Control c :: !acc);
+      on_exec = (fun e -> acc := Exec e :: !acc) },
+    fun () -> List.rev !acc )
+
+(* the events of a live run, with its stats *)
+let live_events prog =
+  let callbacks, events = collector () in
+  let stats = Vm.Interp.run ~callbacks prog in
+  (events (), stats)
+
+(* write [events] through a sink's callbacks, as a live run would *)
+let save ?chunk_bytes ?stats events path =
+  let sink = Stream.Sink.create ?chunk_bytes path in
+  let cb = Stream.Sink.callbacks sink in
+  List.iter
+    (function
+      | Control c -> cb.Vm.Interp.on_control c | Exec e -> cb.Vm.Interp.on_exec e)
+    events;
+  Stream.Sink.close ?stats sink
+
+(* replay a whole file into a list *)
+let load path =
+  Stream.Source.with_file path (fun src ->
+      let callbacks, events = collector () in
+      Stream.Source.replay src callbacks;
+      (events (), Stream.Source.stats src))
+
 (* Event streams whose exec depths are consistent with their own
    call/return events (as every interpreter-produced stream is): the
    codec derives depth from the control stream rather than storing it. *)
-let gen_events : Vm.Event.t list QCheck.Gen.t =
+let gen_events : event list QCheck.Gen.t =
   let open QCheck.Gen in
   let big_int =
     oneof
@@ -151,7 +183,7 @@ let gen_events : Vm.Event.t list QCheck.Gen.t =
     list_size (int_range 0 4) (int_range 0 30) >>= fun reads ->
     oneof [ return None; map Option.some (int_range 0 30) ] >>= fun writes ->
     return
-      (Vm.Event.Exec
+      (Exec
          { sid = Vm.Isa.Sid.make ~fid ~bid ~idx;
            cls; value; addr_read; addr_written; reads; writes; depth })
   in
@@ -170,7 +202,7 @@ let gen_events : Vm.Event.t list QCheck.Gen.t =
           small >>= fun src ->
           small >>= fun dst ->
           go depth
-            (Vm.Event.Control (Vm.Event.Jump { fid; src; dst }) :: acc)
+            (Control (Vm.Event.Jump { fid; src; dst }) :: acc)
             (k - 1)
       | `Call ->
           small >>= fun caller ->
@@ -178,7 +210,7 @@ let gen_events : Vm.Event.t list QCheck.Gen.t =
           small >>= fun callee ->
           small >>= fun dst ->
           go (depth + 1)
-            (Vm.Event.Control (Vm.Event.Call { caller; site; callee; dst })
+            (Control (Vm.Event.Call { caller; site; callee; dst })
             :: acc)
             (k - 1)
       | `Return ->
@@ -186,16 +218,11 @@ let gen_events : Vm.Event.t list QCheck.Gen.t =
           small >>= fun caller ->
           small >>= fun dst ->
           go (depth - 1)
-            (Vm.Event.Control (Vm.Event.Return { callee; caller; dst })
+            (Control (Vm.Event.Return { callee; caller; dst })
             :: acc)
             (k - 1)
   in
   go 0 [] n
-
-let events_to_list trace =
-  let acc = ref [] in
-  Vm.Trace.iter (fun e -> acc := e :: !acc) trace;
-  List.rev !acc
 
 let with_temp f =
   let path = Filename.temp_file "polyprof_test" ".trace" in
@@ -209,11 +236,10 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"codec round-trips random event streams" ~count:150
     (QCheck.make gen_events) (fun events ->
       with_temp @@ fun path ->
-      let trace = Vm.Trace.of_events (Array.of_list events) in
       (* tiny chunks: force many chunk boundaries and dictionary resets *)
-      let (_ : int) = Stream.Trace_file.save ~chunk_bytes:600 trace path in
-      let loaded, stats = Stream.Trace_file.load path in
-      stats = None && compare (events_to_list loaded) events = 0)
+      save ~chunk_bytes:600 events path;
+      let loaded, stats = load path in
+      stats = None && compare loaded events = 0)
 
 let prop_roundtrip_stats =
   QCheck.Test.make ~name:"stats trailer round-trips" ~count:30
@@ -223,9 +249,8 @@ let prop_roundtrip_stats =
       let stats =
         { Vm.Interp.dyn_instrs; dyn_mem_ops; dyn_fp_ops; max_depth }
       in
-      let trace = Vm.Trace.of_events [||] in
-      let (_ : int) = Stream.Trace_file.save ~stats trace path in
-      let _, stats' = Stream.Trace_file.load path in
+      save ~stats [] path;
+      let _, stats' = load path in
       stats' = Some stats)
 
 (* ------------------------------------------------------------------ *)
@@ -245,9 +270,10 @@ let program : H.program =
 
 let write_valid_trace path =
   let prog = H.lower program in
-  let trace, stats = Vm.Trace.record prog in
-  let (_ : int) = Stream.Trace_file.save ~stats ~chunk_bytes:600 trace path in
-  Vm.Trace.n_events trace
+  let (_ : Stream.Trace_file.write_info) =
+    Stream.Trace_file.record_to_file ~chunk_bytes:600 prog path
+  in
+  ()
 
 let expect_stream_error name f =
   match f () with
@@ -272,30 +298,30 @@ let write_file path s =
 let test_rejects_garbage () =
   with_temp @@ fun path ->
   write_file path "definitely not a polyprof trace file";
-  expect_stream_error "garbage" (fun () -> Stream.Trace_file.load path)
+  expect_stream_error "garbage" (fun () -> load path)
 
 let test_rejects_empty_and_short () =
   with_temp @@ fun path ->
   write_file path "";
-  expect_stream_error "empty" (fun () -> Stream.Trace_file.load path);
+  expect_stream_error "empty" (fun () -> load path);
   write_file path "PLYP";
-  expect_stream_error "short magic" (fun () -> Stream.Trace_file.load path);
+  expect_stream_error "short magic" (fun () -> load path);
   write_file path "PLYPROF1";
   expect_stream_error "missing version" (fun () ->
-      Stream.Trace_file.load path)
+      load path)
 
 let test_rejects_bad_version () =
   with_temp @@ fun path ->
-  let (_ : int) = write_valid_trace path in
+  write_valid_trace path;
   let s = read_file path in
   let b = Bytes.of_string s in
   Bytes.set b 8 (Char.chr 99);
   write_file path (Bytes.to_string b);
-  expect_stream_error "future version" (fun () -> Stream.Trace_file.load path)
+  expect_stream_error "future version" (fun () -> load path)
 
 let test_rejects_truncation () =
   with_temp @@ fun path ->
-  let (_ : int) = write_valid_trace path in
+  write_valid_trace path;
   let s = read_file path in
   (* drop the tail: mid-payload truncation must be caught by framing *)
   List.iter
@@ -303,24 +329,24 @@ let test_rejects_truncation () =
       write_file path (String.sub s 0 keep);
       expect_stream_error
         (Printf.sprintf "truncated to %d bytes" keep)
-        (fun () -> Stream.Trace_file.load path))
+        (fun () -> load path))
     [ String.length s - 3; String.length s / 2; 12 ]
 
 let test_rejects_bitflip () =
   with_temp @@ fun path ->
-  let (_ : int) = write_valid_trace path in
+  write_valid_trace path;
   let s = read_file path in
   let b = Bytes.of_string s in
   let pos = (String.length s / 2) + 3 in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
   write_file path (Bytes.to_string b);
-  expect_stream_error "bit flip (CRC)" (fun () -> Stream.Trace_file.load path)
+  expect_stream_error "bit flip (CRC)" (fun () -> load path)
 
 let test_missing_trailer_refused () =
   with_temp @@ fun path ->
   let prog = H.lower program in
-  let trace, _stats = Vm.Trace.record prog in
-  let (_ : int) = Stream.Trace_file.save trace path in
+  let events, _stats = live_events prog in
+  save events path;
   (* no ~stats *)
   let structure = Cfg.Cfg_builder.run prog in
   expect_stream_error "missing stats trailer" (fun () ->
@@ -341,7 +367,7 @@ let test_corrupt_length_no_alloc () =
   let top () = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
   let top0 = top () and alloc0 = Gc.allocated_bytes () in
   expect_stream_error "2^29-byte chunk in a 30-byte file" (fun () ->
-      Stream.Trace_file.load path);
+      load path);
   let mb = 1 lsl 20 in
   Alcotest.(check bool) "top heap grew by < 1 MB" true (top () - top0 < mb);
   Alcotest.(check bool) "allocated < 1 MB" true
@@ -371,14 +397,18 @@ let events_payload events =
   let d = Stream.Codec.delta () and w = Stream.Varint.writer 64 in
   Stream.Varint.reserve w Stream.Varint.max_u_bytes;
   Stream.Varint.put_u w (List.length events);
-  List.iter (Stream.Codec.encode d w) events;
+  List.iter
+    (function
+      | Control c -> Stream.Codec.encode_control d w c
+      | Exec e -> Stream.Codec.encode_exec d w e)
+    events;
   Bytes.sub_string w.Stream.Varint.buf 0 w.wpos
 
 (* any outcome but a [Stream.Error] escapes and fails the property *)
 let decodes_or_stream_error file =
   with_temp @@ fun path ->
   write_file path file;
-  match Stream.Trace_file.load path with
+  match load path with
   | _ -> true
   | exception Stream.Error _ -> true
 
@@ -504,13 +534,12 @@ let test_record_to_file_matches_live () =
   with_temp @@ fun path ->
   let prog = H.lower program in
   let wi = Stream.Trace_file.record_to_file ~chunk_bytes:600 prog path in
-  let trace, stats = Vm.Trace.record prog in
-  let loaded, loaded_stats = Stream.Trace_file.load path in
-  Alcotest.(check int) "event count" (Vm.Trace.n_events trace)
+  let live, stats = live_events prog in
+  let loaded, loaded_stats = load path in
+  Alcotest.(check int) "event count" (List.length live)
     wi.Stream.Trace_file.wi_events;
   Alcotest.(check bool) "stats trailer" true (loaded_stats = Some stats);
-  Alcotest.(check bool) "same events" true
-    (compare (events_to_list loaded) (events_to_list trace) = 0);
+  Alcotest.(check bool) "same events" true (compare loaded live = 0);
   Alcotest.(check bool) "several chunks" true (wi.wi_chunks > 1)
 
 (* ------------------------------------------------------------------ *)

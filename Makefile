@@ -106,7 +106,9 @@ obs-smoke:
 # seeded +30% wall-clock regression (25% band) must exit nonzero, an
 # identical rerun must exit zero, and --report-only always exits zero;
 # under the 2 ms wall-clock floor a 0.4 ms row that doubles is clean,
-# while a 200 ms row that grows 50% is still flagged
+# while a 200 ms row that grows 50% is still flagged; --assert passes
+# on bounds the fixture meets and fails on a violated bound or a
+# metric the fixture lacks
 perfdiff-smoke: all
 	@set -e; \
 	cli=$$(pwd)/_build/default/bin/polyprof_cli.exe; \
@@ -125,7 +127,17 @@ perfdiff-smoke: all
 	if $$cli perfdiff --history test/perfdiff/history \
 	  test/perfdiff/regressed/BENCH_floor.json; then \
 	  echo "FAIL: a 200 ms row growing 50% was not flagged"; exit 1; fi; \
-	echo "perfdiff-smoke OK: seeded regression caught, identical rerun clean, report-only soft, sub-2 ms noise clean"
+	$$cli perfdiff --assert 'pruned_fraction >= 0.9' \
+	  --assert 'pipeline.seconds<=1' --assert 'heap.bytes == 1000000' \
+	  test/perfdiff/ok/BENCH_smoke.json > /dev/null \
+	  || { echo "FAIL: assertions the fixture meets failed"; exit 1; }; \
+	if $$cli perfdiff --assert 'pruned_fraction >= 0.95' \
+	  test/perfdiff/ok/BENCH_smoke.json > /dev/null; then \
+	  echo "FAIL: a violated assertion passed"; exit 1; fi; \
+	if $$cli perfdiff --assert 'no.such.metric == 0' \
+	  test/perfdiff/ok/BENCH_smoke.json > /dev/null; then \
+	  echo "FAIL: an assertion on a missing metric passed"; exit 1; fi; \
+	echo "perfdiff-smoke OK: seeded regression caught, identical rerun clean, report-only soft, sub-2 ms noise clean, assertions gate"
 
 clean:
 	dune clean

@@ -729,9 +729,57 @@ let perfdiff_cmd =
             "Append $(i,FILES) to the history as accepted baselines instead \
              of diffing against it.")
   in
+  let asserts =
+    let assertion =
+      Arg.conv
+        ( (fun s ->
+            Result.map_error (fun e -> `Msg e) (Obs.Perfhist.assertion_of_string s)),
+          fun fmt a -> Format.pp_print_string fmt (Obs.Perfhist.assertion_to_string a) )
+    in
+    Arg.(
+      value & opt_all assertion []
+      & info [ "assert" ] ~docv:"'NAME OP VALUE'"
+          ~doc:
+            "Instead of diffing against the history, check that the dotted \
+             metric $(i,NAME) of $(i,FILES) (as flattened for the history, \
+             e.g. metrics.ddg.profile.scev_reruns.value) compares to \
+             $(i,VALUE) by $(i,OP), one of <=, >= and ==.  Repeatable; \
+             every document that has the metric must satisfy it, and one \
+             must have it.  Prints one line per check.")
+  in
   let fmt_val = Printf.sprintf "%.6g" in
   let fmt_opt = function Some v -> fmt_val v | None -> "-" in
-  let run files history window report_only bless json =
+  (* --assert: each assertion against every document, no history *)
+  let check_assertions asserts docs =
+    let results =
+      List.map
+        (fun a ->
+          let checks =
+            List.filter_map
+              (fun (path, _, doc) ->
+                Option.map
+                  (fun (v, ok) -> (path, v, ok))
+                  (Obs.Perfhist.check a (Obs.Perfhist.flatten doc)))
+              docs
+          in
+          (a, checks, checks <> [] && List.for_all (fun (_, _, ok) -> ok) checks))
+        asserts
+    in
+    List.iter
+      (fun (a, checks, _) ->
+        let a = Obs.Perfhist.assertion_to_string a in
+        match checks with
+        | [] -> Printf.printf "FAIL %s: no document has the metric\n" a
+        | _ ->
+            List.iter
+              (fun (path, v, holds) ->
+                Printf.printf "%s %s: %s in %s\n" (if holds then "ok  " else "FAIL") a
+                  (fmt_val v) path)
+              checks)
+      results;
+    List.length (List.filter (fun (_, _, ok) -> not ok) results)
+  in
+  let run files history window report_only bless asserts json =
     let files =
       if files <> [] then files
       else
@@ -761,7 +809,9 @@ let perfdiff_cmd =
                 None)
           files
       in
-      if bless then begin
+      if asserts <> [] then
+        if check_assertions asserts docs > 0 || !broken then 1 else 0
+      else if bless then begin
         List.iter
           (fun (path, bench, doc) ->
             Obs.Perfhist.record ~dir:history ~bench doc;
@@ -889,10 +939,11 @@ let perfdiff_cmd =
           performance history with noise-aware per-metric tolerance bands \
           (wall-clock 25%, allocation 15%, deterministic fractions 2%); \
           exits nonzero when a gated metric regressed beyond its band \
-          unless $(b,--report-only)")
+          unless $(b,--report-only).  With $(b,--assert), check absolute \
+          bounds on the documents instead")
     Term.(
       const run $ files_arg $ history $ window $ report_only $ bless
-      $ json_flag)
+      $ asserts $ json_flag)
 
 let version_cmd =
   let run json =

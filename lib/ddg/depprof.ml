@@ -133,6 +133,8 @@ type stmt_rec = {
   r_cls : Vm.Isa.op_class;
   r_label : label_kind;
   r_pruned : static_access option;  (* the static plan's entry for the sid *)
+  r_scev : bool;
+      (* predicted SCEV: its dependences are counted, never collected *)
   mutable poisoned : bool;  (* saw a label of the wrong shape *)
   r_depth : int;
   slot_src : int array;  (* per slot: producer index last seen, or -1 *)
@@ -143,7 +145,7 @@ and dep_rec = {
   dr_dk : dep_key;
   dr_src : int;  (* producer's statement index *)
   dr_dst : int;  (* consumer's statement index *)
-  d_collector : Fold.Collector.t;
+  d_collector : Fold.Collector.t;  (* [no_collector] when an endpoint is [r_scev] *)
   mutable d_n : int;
   dr_src_depth : int;
   dr_dst_depth : int;
@@ -186,6 +188,7 @@ let no_stmt =
     r_cls = Vm.Isa.Other_op;
     r_label = Lnone;
     r_pruned = None;
+    r_scev = false;
     poisoned = false;
     r_depth = 0;
     slot_src = [||];
@@ -212,9 +215,10 @@ let label_kind_of prog sid =
 (* ------------------------------------------------------------------ *)
 
 (* One Instrumentation-II state machine, driven by the events of one
-   execution: live from the interpreter ([profile]) or replayed from an
-   in-memory or on-disk trace ([profile_replay]).  Dependence points
-   stream straight into the folding collectors. *)
+   execution: live from the interpreter ([profile]) or replayed from a
+   trace file ([profile_replay]).  Dependence points stream straight
+   into the folding collectors, except those of a dependence with a
+   predicted-SCEV endpoint, which SCEV pruning will drop. *)
 type engine = {
   e_config : config;
   e_prog : Vm.Prog.t;
@@ -232,17 +236,17 @@ type engine = {
   mutable n_stmts : int;
   deps : dep_rec Int_tbl.t;  (* by [dep_table_key] *)
   e_prune : static_plan option;
+  e_scev : Scev_pred.t;  (* statements predicted SCEV *)
   e_witness : witness_state list Int_tbl.t;
       (* [block_key] of the guard -> probes on that guard's branch *)
   mutable n_pruned : int;  (* accesses whose shadow tracking was skipped *)
   mutable seq : int;  (* exec events seen *)
-  mutable peak_shadow : int;
   label_buf : int array;
       (* a labelled statement's value or address, written per execution
          and copied by its collector *)
 }
 
-let make_engine ?(config = default_config) ?static_prune prog ~structure =
+let make_engine ~config ?static_prune ~scev prog ~structure =
   Iiv.reset_intern_table ();
   let e_witness = Int_tbl.create 8 in
   (match static_prune with
@@ -268,10 +272,10 @@ let make_engine ?(config = default_config) ?static_prune prog ~structure =
     n_stmts = 0;
     deps = Int_tbl.create 512;
     e_prune = static_prune;
+    e_scev = scev;
     e_witness;
     n_pruned = 0;
     seq = 0;
-    peak_shadow = 0;
     label_buf = [| 0 |] }
 
 let apply_levent e ev =
@@ -333,6 +337,7 @@ let new_stmt_rec e ~ctx ~sid ~depth first_value =
         (match e.e_prune with
         | None -> None
         | Some p -> Hashtbl.find_opt p.sp_resolved sid);
+      r_scev = Scev_pred.mem e.e_scev sid;
       poisoned = false;
       r_depth = depth;
       slot_src = Array.make n_slots (-1);
@@ -394,10 +399,12 @@ let new_dep_rec config ~(src : stmt_rec) ~(dst : stmt_rec) kind ~src_depth
     dr_src = src.r_idx;
     dr_dst = dst.r_idx;
     d_collector =
-      Fold.Collector.create ~cap:config.dep_cap ~max_pieces:config.max_pieces
-        ~boundary_splits:config.boundary_splits
-        ~per_component:config.per_component_labels ~dim:dst_depth
-        ~label_dim:src_depth ();
+      (if src.r_scev || dst.r_scev then no_collector
+       else
+         Fold.Collector.create ~cap:config.dep_cap ~max_pieces:config.max_pieces
+           ~boundary_splits:config.boundary_splits
+           ~per_component:config.per_component_labels ~dim:dst_depth
+           ~label_dim:src_depth ());
     d_n = 0;
     dr_src_depth = src_depth;
     dr_dst_depth = dst_depth }
@@ -432,7 +439,8 @@ let record_dep e (r : stmt_rec) coords slot kind ~src ~src_coords =
   in
   dr.d_n <- dr.d_n + 1;
   if
-    Fold.Collector.dim dr.d_collector = Array.length coords
+    dr.d_collector != no_collector
+    && Fold.Collector.dim dr.d_collector = Array.length coords
     && Array.length src_coords = dr.dr_src_depth
   then Fold.Collector.add dr.d_collector coords src_coords
 
@@ -517,11 +525,9 @@ let on_exec e (ex : Vm.Event.exec) =
              ~src_coords:(Shadow.mem_coords shadow ~addr));
       Shadow.write_mem shadow ~addr ~tag:r.r_idx ~coords
   | Some _ | None -> ());
-  (match ex.writes with
+  match ex.writes with
   | Some reg -> Shadow.write_reg shadow ~reg ~tag:r.r_idx ~coords
-  | None -> ());
-  let words = Shadow.n_shadowed_words e.shadow in
-  if words > e.peak_shadow then e.peak_shadow <- words
+  | None -> ()
 
 let callbacks e =
   let emit = apply_levent e in
@@ -640,7 +646,8 @@ let simulate_plan e (plan : static_plan) =
       let src_coords = Shadow.mem_coords last ~addr in
       let dr = find_dep e deps e.stmt_arr.(dst) coords kind ~src ~src_coords in
       dr.d_n <- dr.d_n + 1;
-      Fold.Collector.add dr.d_collector coords src_coords
+      if dr.d_collector != no_collector then
+        Fold.Collector.add dr.d_collector coords src_coords
     end
   in
   let rec go coords items =
@@ -700,15 +707,29 @@ let simulate_plan e (plan : static_plan) =
   deps
 
 let obs_events = Obs.Metrics.counter ~help:"exec events seen by the dependence profiler" "ddg.profile.events"
-let obs_peak_shadow = Obs.Metrics.gauge ~help:"peak shadow-table entries (live tracked addresses)" "ddg.profile.peak_shadow"
+let obs_peak_shadow = Obs.Metrics.gauge ~help:"distinct memory addresses shadowed by one profile (the largest)" "ddg.profile.peak_shadow"
+let obs_scev_predicted = Obs.Metrics.counter ~help:"statements predicted SCEV before the run (their dependences are counted, not collected)" "ddg.profile.scev_predicted"
+let obs_scev_reruns = Obs.Metrics.counter ~help:"profiles rerun without SCEV prediction after the fold refuted one" "ddg.profile.scev_reruns"
 let obs_pruned_accesses = Obs.Metrics.counter ~help:"memory accesses skipped by static pruning" "ddg.profile.pruned_accesses"
 let obs_dep_edges = Obs.Metrics.counter ~help:"dynamic dependence edges (before SCEV pruning)" "ddg.result.dep_edges"
 let obs_scev_pruned = Obs.Metrics.counter ~help:"dependence edges dropped by SCEV pruning" "ddg.result.scev_pruned_edges"
 let obs_approx_stmt = Obs.Metrics.counter ~help:"statement collectors folded after spilling into approx mode" "ddg.finalize.approx_stmt"
 let obs_approx_dep = Obs.Metrics.counter ~help:"dependence collectors folded after spilling into approx mode" "ddg.finalize.approx_dep"
 
+(* A predicted-SCEV statement did not fold as SCEV: the dependences
+   it skipped are lost, so the profile must be rerun without
+   prediction. *)
+exception Scev_refuted
+
 let finalize e ~run_stats =
   Obs.Span.with_ ~cat:"ddg" "ddg.finalize" @@ fun () ->
+  (* a spilled or poisoned collector cannot fold as SCEV: refute a
+     prediction before any folding *)
+  for i = 0 to e.n_stmts - 1 do
+    let r = e.stmt_arr.(i) in
+    if r.r_scev && (r.poisoned || Fold.Collector.spilled r.collector) then
+      raise Scev_refuted
+  done;
   (* inject the dependences skipped by static pruning *)
   (match e.e_prune with
   | Some plan when plan.sp_items <> [] ->
@@ -732,6 +753,9 @@ let finalize e ~run_stats =
     (* one stream table for every collector: most streams repeat *)
     let shared = Fold.Collector.shared () in
     let stmt_infos = stmt_infos_of e shared in
+    Array.iteri
+      (fun i s -> if e.stmt_arr.(i).r_scev && not s.is_scev then raise Scev_refuted)
+      stmt_infos;
     ( stmt_infos,
       Int_tbl.fold
         (fun _ dr acc ->
@@ -757,7 +781,7 @@ let finalize e ~run_stats =
   in
   if Obs.Registry.enabled () then begin
     Obs.Metrics.add obs_events e.seq;
-    Obs.Metrics.set_max obs_peak_shadow e.peak_shadow;
+    Obs.Metrics.set_max obs_peak_shadow (Shadow.n_shadowed_words e.shadow);
     Obs.Metrics.add obs_pruned_accesses e.n_pruned;
     Obs.Metrics.add obs_dep_edges !total_dep_edges;
     Obs.Metrics.add obs_scev_pruned !pruned;
@@ -766,7 +790,10 @@ let finalize e ~run_stats =
          (fun n r -> if Fold.Collector.spilled r.collector then n + 1 else n)
          0
          (Array.sub e.stmt_arr 0 e.n_stmts));
-    Obs.Metrics.add obs_approx_dep !approx_dep
+    Obs.Metrics.add obs_approx_dep !approx_dep;
+    Obs.Metrics.add obs_scev_predicted
+      (Array.fold_left (fun n r -> if r.r_scev then n + 1 else n) 0
+         (Array.sub e.stmt_arr 0 e.n_stmts))
   end;
   { stmts = List.sort (fun a b -> compare a.sk b.sk) (Array.to_list stmt_infos);
     deps = List.sort (fun a b -> compare a.dk b.dk) dep_infos;
@@ -781,14 +808,28 @@ let finalize e ~run_stats =
 
 (* The one Instrumentation-II driver: [feed] delivers one execution's
    events and returns its interpreter stats, which a trace file only
-   knows once its trailer has been read. *)
-let drive ?config ?static_prune ~feed prog ~structure =
-  let e = make_engine ?config ?static_prune prog ~structure in
-  start e;
-  let run_stats = feed (callbacks e) in
-  finish e;
-  check_witnesses e;
-  finalize e ~run_stats
+   knows once its trailer has been read.  Under SCEV pruning the
+   statements predicted SCEV collect no dependences; when the fold
+   refutes a prediction, [feed] is called a second time for a run
+   without prediction. *)
+let drive ?(config = default_config) ?static_prune ~feed prog ~structure =
+  let run scev =
+    let e = make_engine ~config ?static_prune ~scev prog ~structure in
+    start e;
+    let run_stats = feed (callbacks e) in
+    finish e;
+    check_witnesses e;
+    finalize e ~run_stats
+  in
+  if not config.scev_prune then run Scev_pred.none
+  else
+    match run (Scev_pred.compute prog structure) with
+    | r ->
+        Obs.Metrics.add obs_scev_reruns 0;
+        r
+    | exception Scev_refuted ->
+        Obs.Metrics.add obs_scev_reruns 1;
+        run Scev_pred.none
 
 let profile ?config ?max_steps ?args ?static_prune prog ~structure =
   Obs.Span.with_ ~cat:"ddg" "ddg.profile" @@ fun () ->

@@ -7,7 +7,16 @@
     domains and value/address labels, into per-context folding
     collectors.  The result is the compact polyhedral DDG: folded
     statement domains with SCEV/stride information and folded dependence
-    relations, SCEV-pruned (§5, "SCEV recognition"). *)
+    relations, SCEV-pruned (§5, "SCEV recognition").
+
+    Under [scev_prune], the statements {!Scev_pred} predicts SCEV before
+    the run collect no dependence points: their dependences are only
+    counted.  After folding, every prediction is checked against the
+    statement's fold; if one is refuted, the whole profile is rerun
+    once without prediction, so the result never depends on the
+    prediction.  With telemetry on, [ddg.profile.scev_predicted] counts
+    the predicted statements and [ddg.profile.scev_reruns] the
+    reruns. *)
 
 type config = {
   stmt_cap : int;  (** buffered points per statement before widening *)
@@ -155,7 +164,8 @@ val profile :
     previous Instrumentation-I run ({!Cfg.Cfg_builder.run}).
     [static_prune] requires a complete (non-truncated) run; the
     injection asserts its simulated execution counts against the run's
-    and raises [Failure] on mismatch.
+    and raises [Failure] on mismatch.  A refuted SCEV prediction runs
+    the program a second time.
     @raise Witness_failure when the run refutes a plan witness (checked
     before any injection or finalisation). *)
 
@@ -170,8 +180,12 @@ val profile_replay :
     live run: [feed] must deliver the events of one execution to the
     callbacks (e.g. with a streaming [Stream.Source.replay]) and then
     return the recorded run's interpreter stats (a trace file's stats
-    trailer is read only after its events).  The result is identical to {!profile} of the same
-    execution, which is this driver fed by the interpreter.  Under
+    trailer is read only after its events).  [feed] may be called a
+    second time, with fresh callbacks, when a SCEV prediction is
+    refuted: each call must deliver the whole execution from its start
+    (reopen the trace file inside [feed], for example).  The result is
+    identical to {!profile} of the same execution, which is this driver
+    fed by the interpreter.  Under
     [static_prune] the trace may have been recorded with the addresses
     of pruned accesses elided ({!Stream.Trace_file} [~elide]): the plan
     reconstructs the statement address labels. *)

@@ -284,3 +284,47 @@ let row_json r =
     match r.r_delta_pct with
     | Some d -> [ ("delta_pct", J.Float d) ]
     | None -> [])
+
+(* ------------------------------------------------------------------ *)
+(* Absolute assertions over a document's flattened metrics             *)
+(* ------------------------------------------------------------------ *)
+
+type op = Le | Ge | Eq
+type assertion = { a_metric : string; a_op : op; a_value : float }
+
+let op_name = function Le -> "<=" | Ge -> ">=" | Eq -> "=="
+
+let assertion_to_string a =
+  Printf.sprintf "%s %s %g" a.a_metric (op_name a.a_op) a.a_value
+
+let assertion_of_string s =
+  let find sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i =
+      if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+    in
+    go 0
+  in
+  let split op =
+    Option.map
+      (fun i ->
+        let rest = String.sub s (i + 2) (String.length s - i - 2) in
+        (op, String.trim (String.sub s 0 i), String.trim rest))
+      (find (op_name op))
+  in
+  match List.filter_map split [ Le; Ge; Eq ] with
+  | [ (op, metric, value) ] when metric <> "" -> (
+      match float_of_string_opt value with
+      | Some v -> Ok { a_metric = metric; a_op = op; a_value = v }
+      | None -> Error (Printf.sprintf "%S: %S is not a number" s value))
+  | _ -> Error (Printf.sprintf "%S is not 'NAME OP VALUE' with OP one of <=, >=, ==" s)
+
+let check a metrics =
+  Option.map
+    (fun v ->
+      ( v,
+        match a.a_op with
+        | Le -> v <= a.a_value
+        | Ge -> v >= a.a_value
+        | Eq -> v = a.a_value ))
+    (List.assoc_opt a.a_metric metrics)

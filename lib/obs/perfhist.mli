@@ -75,3 +75,22 @@ val regressions : row list -> row list
 val direction_name : direction -> string
 val verdict_name : verdict -> string
 val row_json : row -> Json_emit.t
+
+(** {2 Absolute assertions}
+
+    A gate on one number of a committed document, with no history and
+    no re-measurement: [polyprof perfdiff --assert 'NAME OP VALUE']. *)
+
+type op = Le | Ge | Eq
+type assertion = { a_metric : string; a_op : op; a_value : float }
+
+val assertion_of_string : string -> (assertion, string) result
+(** Parses ["NAME OP VALUE"], spaces optional, with [OP] one of [<=],
+    [>=], [==] and [NAME] a {!flatten}ed dotted path, e.g.
+    ["metrics.ddg.profile.scev_reruns.value == 0"]. *)
+
+val assertion_to_string : assertion -> string
+
+val check : assertion -> (string * float) list -> (float * bool) option
+(** The metric's value in {!flatten}ed metrics and whether the
+    assertion holds on it; [None] when the metric is absent. *)

@@ -7,9 +7,11 @@ let profile_file ?config ?(domains = 1) ?static_prune path prog ~structure =
   if domains <> 1 then
     invalid_arg "Par_profile.profile_file: replay is sequential (~domains:1)";
   let result =
-    Source.with_file path @@ fun src ->
+    (* [feed] may run twice (a refuted SCEV prediction): each call
+       replays the file from its start *)
     Ddg.Depprof.profile_replay ?config ?static_prune prog ~structure
       ~feed:(fun callbacks ->
+        Source.with_file path @@ fun src ->
         Source.replay src callbacks;
         match Source.stats src with
         | Some stats -> stats

@@ -14,7 +14,8 @@ val profile_file :
     {!Ddg.Depprof.profile_replay} streams a {!Source} on the file, so
     peak memory is bounded by shadow/fold state, not trace length.  The
     result is identical to {!Ddg.Depprof.profile} of the recorded
-    execution.  The file must carry a stats trailer.  Under
+    execution.  The file is opened and read once per replay: twice when
+    a SCEV prediction is refuted.  The file must carry a stats trailer.  Under
     [static_prune] the trace may have been recorded with the plan's
     addresses elided ({!Trace_file.record_to_file} [~elide]).
     @raise Invalid_argument when [domains] is given and is not 1.

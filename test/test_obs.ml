@@ -300,6 +300,24 @@ let test_perfdiff_floor () =
   Alcotest.(check string) "3 ms in ns" "REGRESSED" (verdict "stage.total_ns" 1e6 4e6);
   Alcotest.(check string) "no floor on byte counts" "REGRESSED" (verdict "heap.bytes" 10. 20.)
 
+let test_perfdiff_assertions () =
+  let metrics = [ ("a.b", 3.0); ("c", 0.0) ] in
+  let check s =
+    match Obs.Perfhist.assertion_of_string s with
+    | Ok a -> Obs.Perfhist.check a metrics
+    | Error e -> Alcotest.fail e
+  in
+  let result = Alcotest.(option (pair (float 0.0) bool)) in
+  Alcotest.check result "<= holds" (Some (3.0, true)) (check "a.b <= 3");
+  Alcotest.check result ">= fails" (Some (3.0, false)) (check "a.b>=4");
+  Alcotest.check result "== holds" (Some (0.0, true)) (check " c == 0 ");
+  Alcotest.check result "absent metric" None (check "d == 0");
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (Obs.Perfhist.assertion_of_string s)))
+    [ "a.b = 3"; "a.b <= x"; "<= 3"; "a <= 3 >= 2" ]
+
 (* --- schema registry vs the committed BENCH files ------------------- *)
 
 (* every registry row that names a BENCH file matches that file's
@@ -345,7 +363,8 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick
             test_span_disabled_noop ] );
       ( "bands",
-        [ Alcotest.test_case "wall-clock floor" `Quick test_perfdiff_floor ] );
+        [ Alcotest.test_case "wall-clock floor" `Quick test_perfdiff_floor;
+          Alcotest.test_case "absolute assertions" `Quick test_perfdiff_assertions ] );
       ( "schemas",
         [ Alcotest.test_case "registry matches the BENCH files" `Quick
             test_schemas_match_bench_files ] );

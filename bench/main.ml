@@ -418,7 +418,7 @@ let fig_5 () =
   let header = [ "benchmark"; "CCT depth"; "CCT nodes"; "stree depth"; "stree nodes" ] in
   let row name hir =
     let prog = Vm.Hir.lower hir in
-    let res = Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog) in
+    let res = Ddg.Depprof.profile prog in
     [ name;
       string_of_int (Ddg.Cct.max_depth res.Ddg.Depprof.cct);
       string_of_int (Ddg.Cct.n_nodes res.Ddg.Depprof.cct);

@@ -1,5 +1,5 @@
 (* Offline analysis: record an execution trace to disk once, then run
-   both instrumentation stages by replaying the file — the way a real
+   both instrumentation stages in one replay of the file — the way a real
    DBI pipeline separates trace collection from analysis.  The program
    runs only while recording; the file never has to fit in memory.
    Exits nonzero unless the profile from the file equals the live one.
@@ -14,16 +14,12 @@ let profile_offline prog path =
     wi.Stream.Trace_file.wi_events wi.wi_stats.Vm.Interp.dyn_instrs
     wi.wi_bytes wi.wi_chunks;
 
-  (* 2. Instrumentation I from the file: control-structure recovery *)
-  let structure = Stream.Trace_file.structure prog path in
+  (* 2. profiling from the file, without re-executing the program: one
+     replay recovers the control structure (Instrumentation I) and
+     profiles dependences and folds them (Instrumentation II) *)
+  let { Stream.Par_profile.result } = Stream.Par_profile.profile_file path prog in
   Format.printf "@.recovered structure:@.%a@." Cfg.Cfg_builder.pp_structure
-    structure;
-
-  (* 3. Instrumentation II from the file: dependence profiling and
-     folding, without re-executing the program *)
-  let { Stream.Par_profile.result } =
-    Stream.Par_profile.profile_file path prog ~structure
-  in
+    result.Ddg.Depprof.structure;
   Format.printf "profiled: %d folded statements, %d dependence relations@."
     (List.length result.Ddg.Depprof.stmts)
     (List.length result.Ddg.Depprof.deps);
@@ -38,7 +34,7 @@ let () =
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () -> profile_offline prog path)
   in
-  let live = Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog) in
+  let live = Ddg.Depprof.profile prog in
   let same = Ddg.Depprof.equal_result live offline in
   Format.printf "profile from the file equals the live profile: %b@." same;
   if not same then exit 1

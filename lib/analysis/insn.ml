@@ -28,12 +28,6 @@ let term_def = function
   | Vm.Isa.Call { dst; _ } -> dst
   | Vm.Isa.Jump _ | Vm.Isa.Br _ | Vm.Isa.Ret _ | Vm.Isa.Halt -> None
 
-let term_succs = function
-  | Vm.Isa.Jump d -> [ d ]
-  | Vm.Isa.Br (_, t, e) -> if t = e then [ t ] else [ t; e ]
-  | Vm.Isa.Call { cont; _ } -> [ cont ]
-  | Vm.Isa.Ret _ | Vm.Isa.Halt -> []
-
 let n_regs (f : Vm.Prog.func) =
   let top = ref (f.n_params - 1) in
   let see r = if r > !top then top := r in
@@ -57,7 +51,7 @@ let static_cfg (f : Vm.Prog.func) =
       Cfg.Digraph.add_node g b.bid;
       List.iter
         (fun dst -> if dst >= 0 && dst < n then Cfg.Digraph.add_edge g b.bid dst)
-        (term_succs b.term))
+        (Vm.Isa.term_succs b.term))
     f.blocks;
   g
 

@@ -20,16 +20,14 @@ val term_def : Vm.Isa.terminator -> Vm.Isa.reg option
 (** A [Call] with a destination defines it (in the caller's frame, on the
     edge to the continuation block). *)
 
-val term_succs : Vm.Isa.terminator -> int list
-(** Static successor block ids ([Ret]/[Halt] have none). *)
-
 val n_regs : Vm.Prog.func -> int
 (** 1 + the largest register index mentioned anywhere in the function
     (at least [n_params]); the frame size a dataflow pass must model. *)
 
 val static_cfg : Vm.Prog.func -> Cfg.Digraph.t
-(** Nodes are block ids; out-of-range successors (a malformed program
-    that bypassed {!Vm.Prog.validate}) are skipped, so passes stay total. *)
+(** Nodes are block ids, edges {!Vm.Isa.term_succs}; out-of-range
+    successors (a malformed program that bypassed {!Vm.Prog.validate})
+    are skipped, so passes stay total. *)
 
 val term_sid : fid:int -> Vm.Prog.block -> Vm.Isa.Sid.t
 (** The static id addressing the terminator of a block: index one past

@@ -59,7 +59,7 @@ let deadcode (prog : Vm.Prog.t) =
                   match const_at_term b cond with
                   | Some c -> [ (if c <> 0 then t else e) ]
                   | None -> [ t; e ])
-              | t -> Insn.term_succs t
+              | t -> Vm.Isa.term_succs t
             in
             List.iter visit succs
           end
@@ -288,8 +288,7 @@ let analyse_profiled ?(name = "<prog>") ?max_steps ?args prog =
   (* only execute programs the verifier accepts *)
   if List.exists Diag.is_error e.e_diags then e
   else
-    let structure = Cfg.Cfg_builder.run ?max_steps ?args prog in
-    let profile = Ddg.Depprof.profile ?max_steps ?args prog ~structure in
+    let profile = Ddg.Depprof.profile ?max_steps ?args prog in
     crosschecked e prog profile
 
 let of_hir ?name ?(profile = true) ?max_steps ?args hir =

@@ -61,8 +61,7 @@ val crosschecked : entry -> Vm.Prog.t -> Ddg.Depprof.result -> entry
 
 val analyse_profiled :
   ?name:string -> ?max_steps:int -> ?args:int list -> Vm.Prog.t -> entry
-(** Static passes plus the dynamic cross-check: runs the program under
-    Instrumentation I ({!Cfg.Cfg_builder.run}) then II
+(** Static passes plus the dynamic cross-check: profiles the program
     ({!Ddg.Depprof.profile}) and checks the DDG against the static
     independence facts. *)
 

@@ -53,11 +53,10 @@ let on_control t = function
          the callee returns: that edge is part of the caller's CFG (a
          call never exits a loop, paper section 3.2) *)
       match t.call_stack with
-      | (cf, site) :: rest ->
+      | (cf, site) :: rest when cf = caller ->
           t.call_stack <- rest;
-          assert (cf = caller);
           add_edge (cfg_of t caller) site dst
-      | [] -> invalid_arg "Cfg_builder: unbalanced return")
+      | _ -> invalid_arg "Cfg_builder: unbalanced return")
 
 let callbacks t =
   { Vm.Interp.on_control = on_control t; on_exec = (fun _ -> ()) }
@@ -85,6 +84,68 @@ let forest_of s fid =
   List.find_map
     (fun (f, forest, _) -> if f = fid then Some forest else None)
     s.cfgs
+
+(* Every block reachable from a function's entry and every function
+   reachable from main, with the edges of their terminators: a superset
+   of what any run of the program can observe. *)
+let static (prog : Vm.Prog.t) =
+  let t = create prog in
+  let rec visit_func fid =
+    let f = prog.Vm.Prog.funcs.(fid) in
+    let g = cfg_of t fid in
+    let seen = Array.make (Array.length f.blocks) false in
+    let rec visit b =
+      if not seen.(b) then begin
+        seen.(b) <- true;
+        let term = f.blocks.(b).Vm.Prog.term in
+        List.iter
+          (fun d ->
+            if d >= 0 && d < Array.length seen then begin
+              add_edge g b d;
+              visit d
+            end)
+          (Vm.Isa.term_succs term);
+        match term with
+        | Vm.Isa.Call { callee; _ } ->
+            let fresh = not (Hashtbl.mem t.func_cfgs callee) in
+            add_edge t.cg fid callee;
+            Hashtbl.replace t.sites (fid, b, callee) ();
+            if fresh then visit_func callee
+        | Vm.Isa.Jump _ | Vm.Isa.Br _ | Vm.Isa.Ret _ | Vm.Isa.Halt -> ()
+      end
+    in
+    visit 0
+  in
+  visit_func prog.Vm.Prog.main;
+  finalize t
+
+let same_graph a b =
+  Digraph.nodes a = Digraph.nodes b && Digraph.edges a = Digraph.edges b
+
+(* What loop events read of a loop, with members and back edges cut
+   down to the blocks and edges of [within]. *)
+let loop_view within (l : Loopnest.loop) =
+  ( l.loop_id,
+    l.header,
+    l.depth,
+    l.parent_id,
+    List.sort compare (List.map (fun (c : Loopnest.loop) -> c.loop_id) l.children),
+    List.filter (Digraph.mem_node within) l.members,
+    List.sort compare
+      (List.filter (fun (s, h) -> Digraph.mem_edge within s h) l.back_edges) )
+
+let agrees ~(speculated : structure) ~(observed : structure) =
+  same_graph speculated.cg observed.cg
+  && List.for_all
+       (fun (fid, forest, g) ->
+         match forest_of speculated fid with
+         | None -> false
+         | Some spec ->
+             let views f =
+               List.sort compare (List.map (loop_view g) (Loopnest.all_loops f))
+             in
+             views spec = views forest)
+       observed.cfgs
 
 let pp_structure fmt s =
   List.iter

@@ -5,7 +5,6 @@ let version = "1.1.0"
 type t = {
   prog : Vm.Prog.t;
   hir : Vm.Hir.program option;
-  structure : Cfg.Cfg_builder.structure;
   profile : Ddg.Depprof.result;
   analysis : Sched.Depanalysis.t;
   feedback : Sched.Feedback.t;
@@ -13,13 +12,9 @@ type t = {
 
 let run_internal ?config ?max_steps ?args ~hir prog =
   Obs.Span.with_ ~cat:"pipeline" "pipeline.run" @@ fun () ->
-  let structure =
-    Obs.Span.with_ ~cat:"pipeline" "pipeline.cfg" @@ fun () ->
-    Cfg.Cfg_builder.run ?max_steps ?args prog
-  in
   let profile =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.profile" @@ fun () ->
-    Ddg.Depprof.profile ?config ?max_steps ?args prog ~structure
+    Ddg.Depprof.profile ?config ?max_steps ?args prog
   in
   let analysis =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.depanalysis" @@ fun () ->
@@ -29,7 +24,7 @@ let run_internal ?config ?max_steps ?args ~hir prog =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.feedback" @@ fun () ->
     Sched.Feedback.make prog profile analysis
   in
-  { prog; hir; structure; profile; analysis; feedback }
+  { prog; hir; profile; analysis; feedback }
 
 let run ?config ?max_steps ?args prog =
   run_internal ?config ?max_steps ?args ~hir:None prog
@@ -38,17 +33,13 @@ let run_hir ?config ?max_steps ?args hir =
   let prog = Vm.Hir.lower hir in
   run_internal ?config ?max_steps ?args ~hir:(Some hir) prog
 
-(* Out-of-core pipeline: both instrumentation stages replayed from a
-   binary trace file. *)
+(* Out-of-core pipeline: the profile replayed from a binary trace
+   file. *)
 let run_trace_file ?config ~path prog =
   Obs.Span.with_ ~cat:"pipeline" "pipeline.run_trace_file" @@ fun () ->
-  let structure =
-    Obs.Span.with_ ~cat:"pipeline" "pipeline.cfg" @@ fun () ->
-    Stream.Trace_file.structure prog path
-  in
   let { Stream.Par_profile.result = profile } =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.profile" @@ fun () ->
-    Stream.Par_profile.profile_file ?config path prog ~structure
+    Stream.Par_profile.profile_file ?config path prog
   in
   let analysis =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.depanalysis" @@ fun () ->
@@ -58,7 +49,7 @@ let run_trace_file ?config ~path prog =
     Obs.Span.with_ ~cat:"pipeline" "pipeline.feedback" @@ fun () ->
     Sched.Feedback.make prog profile analysis
   in
-  { prog; hir = None; structure; profile; analysis; feedback }
+  { prog; hir = None; profile; analysis; feedback }
 
 let metrics ?ld_src ?fusion_strategy ~name t =
   let ld_src =

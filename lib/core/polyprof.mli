@@ -3,11 +3,14 @@
 
     The pipeline mirrors the paper's Fig. 1:
 
-    + {b Instrumentation I} — run the binary, record raw control events,
-      reconstruct per-function CFGs, the call graph, loop-nesting forests
+    + {b Instrumentation I} — record raw control events, reconstruct
+      per-function CFGs, the call graph, loop-nesting forests
       (Havlak/Ramalingam) and the recursive-component-set
-      ({!Cfg.Cfg_builder}).
-    + {b Instrumentation II} — run again; generate loop events (Alg. 1/2),
+      ({!Cfg.Cfg_builder}).  The paper runs the binary once for this;
+      here the structure is speculated from the program text and
+      checked inside the profiling run, which reruns only if the run
+      refutes it.
+    + {b Instrumentation II} — generate loop events (Alg. 1/2),
       maintain dynamic interprocedural iteration vectors (Alg. 3), track
       dependences through shadow memory/registers, and stream statement
       domains, value/address labels and dependence relations into the
@@ -28,8 +31,8 @@ val version : string
 type t = {
   prog : Vm.Prog.t;
   hir : Vm.Hir.program option;  (** the "source", when lowered from HIR *)
-  structure : Cfg.Cfg_builder.structure;
   profile : Ddg.Depprof.result;
+      (** with Instrumentation I's structure as [profile.structure] *)
   analysis : Sched.Depanalysis.t;
   feedback : Sched.Feedback.t;
 }
@@ -57,10 +60,10 @@ val run_trace_file :
   Vm.Prog.t ->
   t
 (** Out-of-core pipeline over a recorded binary trace (written by
-    {!Stream.Trace_file.record_to_file}): Instrumentation I streams the
-    file once, Instrumentation II streams it again
-    ({!Stream.Par_profile.profile_file}), and the profile is the same
-    as {!run} of the same execution.  The trace must carry a stats
+    {!Stream.Trace_file.record_to_file}): the profile streams the file
+    ({!Stream.Par_profile.profile_file}), recovering Instrumentation I's
+    structure in the same replay, and is the same as {!run} of the same
+    execution.  The trace must carry a stats
     trailer.
     @raise Stream.Error on a corrupt or truncated trace. *)
 

@@ -222,7 +222,6 @@ let label_kind_of prog sid =
 type engine = {
   e_config : config;
   e_prog : Vm.Prog.t;
-  e_structure : Cfg.Cfg_builder.structure;
   iiv : Iiv.t;
   levents : Loop_events.state;
   e_stree : Sched_tree.t;
@@ -261,7 +260,6 @@ let make_engine ~config ?static_prune ~scev prog ~structure =
   | None -> ());
   { e_config = config;
     e_prog = prog;
-    e_structure = structure;
     iiv = Iiv.create ();
     levents = Loop_events.create structure ~main:prog.Vm.Prog.main;
     e_stree = Sched_tree.create ();
@@ -710,6 +708,7 @@ let obs_events = Obs.Metrics.counter ~help:"exec events seen by the dependence p
 let obs_peak_shadow = Obs.Metrics.gauge ~help:"distinct memory addresses shadowed by one profile (the largest)" "ddg.profile.peak_shadow"
 let obs_scev_predicted = Obs.Metrics.counter ~help:"statements predicted SCEV before the run (their dependences are counted, not collected)" "ddg.profile.scev_predicted"
 let obs_scev_reruns = Obs.Metrics.counter ~help:"profiles rerun without SCEV prediction after the fold refuted one" "ddg.profile.scev_reruns"
+let obs_structure_reruns = Obs.Metrics.counter ~help:"profiles rerun under the observed structure after the run refuted the static one" "ddg.profile.structure_reruns"
 let obs_pruned_accesses = Obs.Metrics.counter ~help:"memory accesses skipped by static pruning" "ddg.profile.pruned_accesses"
 let obs_dep_edges = Obs.Metrics.counter ~help:"dynamic dependence edges (before SCEV pruning)" "ddg.result.dep_edges"
 let obs_scev_pruned = Obs.Metrics.counter ~help:"dependence edges dropped by SCEV pruning" "ddg.result.scev_pruned_edges"
@@ -721,7 +720,7 @@ let obs_approx_dep = Obs.Metrics.counter ~help:"dependence collectors folded aft
    prediction. *)
 exception Scev_refuted
 
-let finalize e ~run_stats =
+let finalize e ~run_stats ~structure =
   Obs.Span.with_ ~cat:"ddg" "ddg.finalize" @@ fun () ->
   (* a spilled or poisoned collector cannot fold as SCEV: refute a
      prediction before any folding *)
@@ -804,41 +803,88 @@ let finalize e ~run_stats =
     stree = e.e_stree;
     cct = e.e_cct;
     run_stats;
-    structure = e.e_structure }
+    structure }
+
+(* How one pass over the events ended: with a result, or with a
+   speculation the run refuted, and the structure to rerun under. *)
+type pass =
+  | Profiled of result
+  | Structure_refuted of Cfg.Cfg_builder.structure  (* the observed one *)
+  | Scev_refuted_under of Cfg.Cfg_builder.structure
 
 (* The one Instrumentation-II driver: [feed] delivers one execution's
    events and returns its interpreter stats, which a trace file only
-   knows once its trailer has been read.  Under SCEV pruning the
+   knows once its trailer has been read.
+
+   Without a [structure] from Instrumentation I, the pass runs under
+   [Cfg_builder.static] and a builder fed the same control events
+   recovers the run's own structure; when the two disagree, [feed] is
+   called again under the observed one.  Under SCEV pruning the
    statements predicted SCEV collect no dependences; when the fold
-   refutes a prediction, [feed] is called a second time for a run
-   without prediction. *)
-let drive ?(config = default_config) ?static_prune ~feed prog ~structure =
-  let run scev =
+   refutes a prediction, [feed] is called again without prediction.
+   So [feed] runs at most three times, and the result is always the
+   one the observed structure gives. *)
+let drive ?(config = default_config) ?static_prune ?structure ~feed prog =
+  let pass ~scev ~speculated structure =
     let e = make_engine ~config ?static_prune ~scev prog ~structure in
     start e;
-    let run_stats = feed (callbacks e) in
+    let callbacks = callbacks e in
+    let run_stats, observed =
+      if not speculated then (feed callbacks, structure)
+      else begin
+        let builder = Cfg.Cfg_builder.create prog in
+        let run_stats =
+          feed
+            { callbacks with
+              Vm.Interp.on_control =
+                (fun ev ->
+                  Cfg.Cfg_builder.on_control builder ev;
+                  callbacks.Vm.Interp.on_control ev) }
+        in
+        (run_stats, Cfg.Cfg_builder.finalize builder)
+      end
+    in
     finish e;
-    check_witnesses e;
-    finalize e ~run_stats
+    if speculated && not (Cfg.Cfg_builder.agrees ~speculated:structure ~observed)
+    then Structure_refuted observed
+    else begin
+      check_witnesses e;
+      match finalize e ~run_stats ~structure:observed with
+      | r -> Profiled r
+      | exception Scev_refuted -> Scev_refuted_under observed
+    end
   in
-  if not config.scev_prune then run Scev_pred.none
-  else
-    match run (Scev_pred.compute prog structure) with
-    | r ->
-        Obs.Metrics.add obs_scev_reruns 0;
-        r
-    | exception Scev_refuted ->
+  let predict structure =
+    if config.scev_prune then Scev_pred.compute prog structure else Scev_pred.none
+  in
+  let rec go ~scev ~speculated structure =
+    match pass ~scev ~speculated structure with
+    | Profiled r -> r
+    | Structure_refuted observed ->
+        Obs.Metrics.add obs_structure_reruns 1;
+        go ~scev:(predict observed) ~speculated:false observed
+    | Scev_refuted_under observed ->
         Obs.Metrics.add obs_scev_reruns 1;
-        run Scev_pred.none
+        go ~scev:Scev_pred.none ~speculated:false observed
+  in
+  (* both counters are recorded even when no rerun happens *)
+  Obs.Metrics.add obs_structure_reruns 0;
+  if config.scev_prune then Obs.Metrics.add obs_scev_reruns 0;
+  let speculated, structure =
+    match structure with
+    | Some s -> (false, s)
+    | None -> (true, Cfg.Cfg_builder.static prog)
+  in
+  go ~scev:(predict structure) ~speculated structure
 
-let profile ?config ?max_steps ?args ?static_prune prog ~structure =
+let profile ?config ?max_steps ?args ?static_prune ?structure prog =
   Obs.Span.with_ ~cat:"ddg" "ddg.profile" @@ fun () ->
-  drive ?config ?static_prune prog ~structure ~feed:(fun callbacks ->
+  drive ?config ?static_prune ?structure prog ~feed:(fun callbacks ->
       Vm.Interp.run ?max_steps ?args ~callbacks prog)
 
-let profile_replay ?config ?static_prune ~feed prog ~structure =
+let profile_replay ?config ?static_prune ?structure ~feed prog =
   Obs.Span.with_ ~cat:"ddg" "ddg.profile_replay" @@ fun () ->
-  drive ?config ?static_prune ~feed prog ~structure
+  drive ?config ?static_prune ?structure ~feed prog
 
 (* The invariant behind [~static_prune]: modulo the schedule tree and
    CCT (shared mutable structures, compared by their own consumers), a

@@ -16,7 +16,12 @@
     once without prediction, so the result never depends on the
     prediction.  With telemetry on, [ddg.profile.scev_predicted] counts
     the predicted statements and [ddg.profile.scev_reruns] the
-    reruns. *)
+    reruns.
+
+    A profile needs the control structure of Instrumentation I.  Given
+    none, it speculates the static one and checks it inside the same
+    run; [ddg.profile.structure_reruns] counts the profiles rerun
+    because the run refuted it. *)
 
 type config = {
   stmt_cap : int;  (** buffered points per statement before widening *)
@@ -157,38 +162,46 @@ val profile :
   ?max_steps:int ->
   ?args:int list ->
   ?static_prune:static_plan ->
+  ?structure:Cfg.Cfg_builder.structure ->
   Vm.Prog.t ->
-  structure:Cfg.Cfg_builder.structure ->
   result
-(** Run the program under Instrumentation II.  [structure] comes from a
-    previous Instrumentation-I run ({!Cfg.Cfg_builder.run}).
-    [static_prune] requires a complete (non-truncated) run; the
-    injection asserts its simulated execution counts against the run's
-    and raises [Failure] on mismatch.  A refuted SCEV prediction runs
-    the program a second time.
+(** Run the program under Instrumentation II.  With [structure] (from a
+    previous Instrumentation-I run, {!Cfg.Cfg_builder.run}), loop
+    events follow it.  Without it, the run speculates
+    {!Cfg.Cfg_builder.static} and recovers its own structure from the
+    same control events; if {!Cfg.Cfg_builder.agrees} refutes the
+    speculation, the program runs again under the observed structure.
+    Either way the result's [structure] is the one the run observed,
+    and the result is that of the two-run pipeline.  [static_prune] requires a complete
+    (non-truncated) run; the injection asserts its simulated execution
+    counts against the run's and raises [Failure] on mismatch.  A
+    refuted SCEV prediction runs the program once more.
     @raise Witness_failure when the run refutes a plan witness (checked
-    before any injection or finalisation). *)
+    after the structure, before any injection or finalisation). *)
 
 val profile_replay :
   ?config:config ->
   ?static_prune:static_plan ->
+  ?structure:Cfg.Cfg_builder.structure ->
   feed:(Vm.Interp.callbacks -> Vm.Interp.stats) ->
   Vm.Prog.t ->
-  structure:Cfg.Cfg_builder.structure ->
   result
 (** Instrumentation II over a pre-recorded event stream instead of a
     live run: [feed] must deliver the events of one execution to the
     callbacks (e.g. with a streaming [Stream.Source.replay]) and then
     return the recorded run's interpreter stats (a trace file's stats
-    trailer is read only after its events).  [feed] may be called a
-    second time, with fresh callbacks, when a SCEV prediction is
-    refuted: each call must deliver the whole execution from its start
-    (reopen the trace file inside [feed], for example).  The result is
-    identical to {!profile} of the same execution, which is this driver
-    fed by the interpreter.  Under
+    trailer is read only after its events).  [feed] may be called up to
+    three times, with fresh callbacks: once more when the run refutes
+    the speculated structure (no [structure] given), and once more when
+    a SCEV prediction is refuted.  Each call must deliver the whole
+    execution from its start (reopen the trace file inside [feed], for
+    example).  The result is identical to {!profile} of the same
+    execution, which is this driver fed by the interpreter.  Under
     [static_prune] the trace may have been recorded with the addresses
     of pruned accesses elided ({!Stream.Trace_file} [~elide]): the plan
-    reconstructs the statement address labels. *)
+    reconstructs the statement address labels.
+    @raise Invalid_argument without [structure], when a return names a
+    caller other than the one that made the call. *)
 
 val equal_result : result -> result -> bool
 (** Structural equality of the folded profile (statements, dependences,

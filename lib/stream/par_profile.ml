@@ -3,13 +3,13 @@
 
 type outcome = { result : Ddg.Depprof.result }
 
-let profile_file ?config ?(domains = 1) ?static_prune path prog ~structure =
+let profile_file ?config ?(domains = 1) ?static_prune ?structure path prog =
   if domains <> 1 then
     invalid_arg "Par_profile.profile_file: replay is sequential (~domains:1)";
   let result =
-    (* [feed] may run twice (a refuted SCEV prediction): each call
-       replays the file from its start *)
-    Ddg.Depprof.profile_replay ?config ?static_prune prog ~structure
+    (* [feed] may run up to three times (a refuted structure, a refuted
+       SCEV prediction): each call replays the file from its start *)
+    Ddg.Depprof.profile_replay ?config ?static_prune ?structure prog
       ~feed:(fun callbacks ->
         Source.with_file path @@ fun src ->
         Source.replay src callbacks;

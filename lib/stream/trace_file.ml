@@ -1,5 +1,4 @@
-(* Whole-trace recording on top of the chunked codec, and
-   Instrumentation I replayed from a trace file. *)
+(* Whole-trace recording on top of the chunked codec. *)
 
 type write_info = {
   wi_events : int;
@@ -48,9 +47,3 @@ let record_to_file ?max_steps ?args ?chunk_bytes ?elide prog path =
     wi_bytes = Sink.bytes_written sink;
     wi_stats = stats;
     wi_seconds = Obs.Clock.monotonic () -. t0 }
-
-let structure prog path =
-  let builder = Cfg.Cfg_builder.create prog in
-  Source.with_file path (fun src ->
-      Source.replay src (Cfg.Cfg_builder.callbacks builder));
-  Cfg.Cfg_builder.finalize builder

@@ -25,9 +25,3 @@ val record_to_file :
     {!Ddg.Depprof} [~static_prune] plan, which reconstructs the
     addresses.  The elision shrinks the trace file — the measured
     benefit of instrumentation pruning on the out-of-core path. *)
-
-val structure : Vm.Prog.t -> string -> Cfg.Cfg_builder.structure
-(** Instrumentation I from a trace file: replay [path]'s control events
-    into a {!Cfg.Cfg_builder} for [prog] and return the recovered
-    CFG/loop/call structure.
-    @raise Error.Error on a corrupt trace. *)

@@ -35,6 +35,12 @@ let class_of_instr = function
 let is_fp i = class_of_instr i = Fp_alu
 let is_mem i = match class_of_instr i with Mem_load | Mem_store -> true | _ -> false
 
+let term_succs = function
+  | Jump d -> [ d ]
+  | Br (_, t, e) -> if t = e then [ t ] else [ t; e ]
+  | Call { cont; _ } -> [ cont ]
+  | Ret _ | Halt -> []
+
 module Sid = struct
   type t = int
 

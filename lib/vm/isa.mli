@@ -42,6 +42,11 @@ val class_of_instr : instr -> op_class
 val is_fp : instr -> bool
 val is_mem : instr -> bool
 
+val term_succs : terminator -> int list
+(** Static successor block ids within the function, in operand order: a
+    [Call] continues at its [cont] block once the callee returns;
+    [Ret]/[Halt] have none. *)
+
 (** Packed static instruction identity: function, block, index in block. *)
 module Sid : sig
   type t = int

@@ -36,13 +36,9 @@ let time ~repeat f =
 let measure ?(repeat = 3) (w : Workload.t) =
   let prog = Vm.Hir.lower w.Workload.hir in
   let stats, t_native = time ~repeat (fun () -> Vm.Interp.run prog) in
-  let profile, t_inst =
-    time ~repeat (fun () ->
-        let structure = Cfg.Cfg_builder.run prog in
-        Ddg.Depprof.profile prog ~structure)
-  in
-  (* out-of-core: record the binary trace, then replay both
-     instrumentation stages from the file *)
+  let profile, t_inst = time ~repeat (fun () -> Ddg.Depprof.profile prog) in
+  (* out-of-core: record the binary trace, then profile by replaying
+     the file *)
   let path = Filename.temp_file "polyprof_overhead" ".trace" in
   let (wi, _), t_ooc =
     Fun.protect
@@ -50,17 +46,14 @@ let measure ?(repeat = 3) (w : Workload.t) =
     @@ fun () ->
     time ~repeat (fun () ->
         let wi = Stream.Trace_file.record_to_file prog path in
-        let structure = Stream.Trace_file.structure prog path in
-        let o = Stream.Par_profile.profile_file path prog ~structure in
+        let o = Stream.Par_profile.profile_file path prog in
         (wi, o.Stream.Par_profile.result))
   in
   (* static pruning: the plan is compile-time work, computed outside the
      timed region like the paper's ahead-of-time analysis *)
   let plan = (Analysis.Statdep.analyse prog).Analysis.Statdep.plan in
   let _, t_pruned =
-    time ~repeat (fun () ->
-        let structure = Cfg.Cfg_builder.run prog in
-        Ddg.Depprof.profile ~static_prune:plan prog ~structure)
+    time ~repeat (fun () -> Ddg.Depprof.profile ~static_prune:plan prog)
   in
   let accesses = max 1 stats.Vm.Interp.dyn_mem_ops in
   let slow s = s /. (t_native +. 1e-9) in

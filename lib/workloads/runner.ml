@@ -42,13 +42,10 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
       result
     else profile None
   in
-  let structure, profile =
+  let profile =
     match out_of_core with
     | None ->
-        let structure = Cfg.Cfg_builder.run prog in
-        ( structure,
-          profile_with (fun static_prune ->
-              Ddg.Depprof.profile ?static_prune prog ~structure) )
+        profile_with (fun static_prune -> Ddg.Depprof.profile ?static_prune prog)
     | Some domains ->
         if domains <> 1 then
           invalid_arg "Runner.run: replay is sequential (~out_of_core:1)";
@@ -74,14 +71,9 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
         let (_ : Stream.Trace_file.write_info) =
           Stream.Trace_file.record_to_file ?elide prog path
         in
-        let structure = Stream.Trace_file.structure prog path in
-        ( structure,
-          profile_with (fun static_prune ->
-              let o =
-                Stream.Par_profile.profile_file ?static_prune path prog
-                  ~structure
-              in
-              o.Stream.Par_profile.result) )
+        profile_with (fun static_prune ->
+            (Stream.Par_profile.profile_file ?static_prune path prog)
+              .Stream.Par_profile.result)
   in
   let lint =
     if crosscheck then
@@ -135,7 +127,6 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
         Some
           { Polyprof.prog;
             hir = Some w.Workload.hir;
-            structure;
             profile;
             analysis;
             feedback };

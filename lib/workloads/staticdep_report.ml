@@ -27,16 +27,13 @@ type row = {
 }
 
 let measure_dynamic prog (sd : Analysis.Statdep.t) =
-  let structure = Cfg.Cfg_builder.run prog in
-  let full, t_full =
-    Obs.Clock.timed (fun () -> Ddg.Depprof.profile prog ~structure)
-  in
+  let full, t_full = Obs.Clock.timed (fun () -> Ddg.Depprof.profile prog) in
   (* speculative plan, witness-failure reruns handled by the hybrid
      driver (timed together: that is the user-visible cost) *)
   let (_, pruned, reruns), t_pruned =
     Obs.Clock.timed (fun () ->
         Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
-            Ddg.Depprof.profile ~static_prune:plan prog ~structure))
+            Ddg.Depprof.profile ~static_prune:plan prog))
   in
   let path = Filename.temp_file "polyprof" ".trace" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())

@@ -26,12 +26,10 @@ let measure (w : Workload.t) =
         Stream.Source.with_file path (fun src ->
             Stream.Source.replay src Vm.Interp.no_instrumentation))
   in
-  let structure = Stream.Trace_file.structure prog path in
   let { Stream.Par_profile.result = ooc }, t_replay =
-    Obs.Clock.timed (fun () ->
-        Stream.Par_profile.profile_file path prog ~structure)
+    Obs.Clock.timed (fun () -> Stream.Par_profile.profile_file path prog)
   in
-  let live = Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog) in
+  let live = Ddg.Depprof.profile prog in
   { r_name = w.Workload.w_name;
     r_events = wi.Stream.Trace_file.wi_events;
     r_disk_bytes = wi.wi_bytes;

@@ -50,8 +50,7 @@ type summary = {
 
 let analyse_hir hir =
   let prog = Vm.Hir.lower hir in
-  let structure = Cfg.Cfg_builder.run prog in
-  let profile = Ddg.Depprof.profile prog ~structure in
+  let profile = Ddg.Depprof.profile prog in
   let analysis = Sched.Depanalysis.analyse prog profile in
   (prog, profile, analysis)
 

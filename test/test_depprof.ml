@@ -487,6 +487,172 @@ let test_scev_prediction_refuted () =
   Alcotest.(check bool) "replayed profile equals the unpredicted one" true
     (Ddg.Depprof.equal_result replayed expected)
 
+(* Speculated structure: without a [~structure], a profile runs under
+   [Cfg_builder.static], recovers the run's own structure from the same
+   events and reruns only if the two disagree; every output must equal
+   the two-run pipeline's. *)
+
+(* A profile with its count of structure reruns. *)
+let rerun_counted profile =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  let r = profile () in
+  (r, metric_count "ddg.profile.structure_reruns")
+
+let show pp x = Format.asprintf "%a" pp x
+
+(* [one_run] equals the two-run profile in everything a caller prints. *)
+let check_same_profile name (two_run : Ddg.Depprof.result)
+    (one_run : Ddg.Depprof.result) =
+  Alcotest.(check bool) (name ^ ": same profile") true
+    (Ddg.Depprof.equal_result two_run one_run);
+  Alcotest.(check bool) (name ^ ": same run stats") true
+    (two_run.run_stats = one_run.run_stats);
+  Alcotest.(check string) (name ^ ": same schedule tree")
+    (show (fun fmt t -> Ddg.Sched_tree.pp fmt t) two_run.stree)
+    (show (fun fmt t -> Ddg.Sched_tree.pp fmt t) one_run.stree);
+  Alcotest.(check string) (name ^ ": same CCT")
+    (show (fun fmt t -> Ddg.Cct.pp fmt t) two_run.cct)
+    (show (fun fmt t -> Ddg.Cct.pp fmt t) one_run.cct);
+  Alcotest.(check string) (name ^ ": same structure")
+    (show Cfg.Cfg_builder.pp_structure two_run.structure)
+    (show Cfg.Cfg_builder.pp_structure one_run.structure)
+
+let test_spec_cfg_suite () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let prog = H.lower w.hir in
+      let two_run = Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog) in
+      let one_run, structure_reruns =
+        rerun_counted (fun () -> Ddg.Depprof.profile prog)
+      in
+      Alcotest.(check int) (w.w_name ^ ": no structure rerun") 0 structure_reruns;
+      check_same_profile w.w_name two_run one_run)
+    Workloads.Runner.suite
+
+(* The loop's trip count is loaded from memory, which holds 0: the
+   static forest has a loop the run never iterates. *)
+let zero_trip : H.program =
+  { H.funs =
+      [ H.fundef "main" []
+          [ H.for_ "i" (i 0) ("n".%[i 0]) [ store "a" (v "i") (v "i" *! i 3) ];
+            H.for_ "k" (i 0) (i 8) [ store "a" (v "k") ("a".%[v "k"] +! i 1) ] ] ];
+    arrays = [ ("n", 1); ("a", 8) ];
+    main = "main" }
+
+(* [helper] is called only when [flag] holds 1, and it holds 0: the
+   static call graph has an edge the run never takes. *)
+let untaken_call : H.program =
+  { H.funs =
+      [ H.fundef "helper" [] [ store "a" (i 0) (i 42) ];
+        H.fundef "main" []
+          [ H.If ("flag".%[i 0] ==! i 1, [ H.CallS (None, "helper", []) ], []);
+            H.for_ "k" (i 1) (i 8)
+              [ store "a" (v "k") ("a".%[v "k" -! i 1] +! v "k") ] ] ];
+    arrays = [ ("flag", 1); ("a", 8) ];
+    main = "main" }
+
+let test_spec_cfg_refuted () =
+  List.iter
+    (fun (name, hir) ->
+      let prog = H.lower hir in
+      let structure = Cfg.Cfg_builder.run prog in
+      Alcotest.(check bool) (name ^ ": the static structure is refuted") false
+        (Cfg.Cfg_builder.agrees ~speculated:(Cfg.Cfg_builder.static prog)
+           ~observed:structure);
+      let two_run = Ddg.Depprof.profile prog ~structure in
+      let live, reruns = rerun_counted (fun () -> Ddg.Depprof.profile prog) in
+      Alcotest.(check int) (name ^ ": one rerun, live") 1 reruns;
+      check_same_profile (name ^ ", live") two_run live;
+      let path = Filename.temp_file "polyprof_spec" ".trace" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      ignore (Stream.Trace_file.record_to_file prog path);
+      let replayed, reruns =
+        rerun_counted (fun () ->
+            (Stream.Par_profile.profile_file path prog).Stream.Par_profile.result)
+      in
+      Alcotest.(check int) (name ^ ": one rerun, replayed from a file") 1 reruns;
+      check_same_profile (name ^ ", replayed") two_run replayed)
+    [ ("zero trip", zero_trip); ("untaken call", untaken_call) ]
+
+(* The generated programs of test_random, with the same two configs as
+   its pinned parity digests. *)
+let test_spec_cfg_random () =
+  let spilling =
+    { Ddg.Depprof.default_config with
+      track_waw = true; scev_prune = false; stmt_cap = 16; dep_cap = 16 }
+  in
+  List.iter
+    (fun seed ->
+      let prog = H.lower (Random_gen.gen_program_rec seed) in
+      let structure = Cfg.Cfg_builder.run prog in
+      List.iter
+        (fun (cname, config) ->
+          let name = Printf.sprintf "seed %d, %s" seed cname in
+          let two_run = Ddg.Depprof.profile ~config prog ~structure in
+          check_same_profile name two_run (Ddg.Depprof.profile ~config prog))
+        [ ("default", Ddg.Depprof.default_config); ("spilling", spilling) ])
+    (List.init 40 (fun k -> 101 + (7919 * k)))
+
+(* [agrees] on structures built from hand-written control events over
+   a two-function program. *)
+let test_spec_cfg_agrees () =
+  let prog =
+    H.lower
+      { H.funs = [ H.fundef "g" [] []; H.fundef "main" [] [] ];
+        arrays = [];
+        main = "main" }
+  in
+  let main = prog.Vm.Prog.main
+  and g = (Vm.Prog.func_by_name prog "g").Vm.Prog.fid in
+  let built events =
+    let b = Cfg.Cfg_builder.create prog in
+    List.iter (Cfg.Cfg_builder.on_control b) events;
+    Cfg.Cfg_builder.finalize b
+  in
+  let jumps edges =
+    List.map (fun (src, dst) -> Vm.Event.Jump { fid = main; src; dst }) edges
+  in
+  let call =
+    [ Vm.Event.Call { caller = main; site = 3; callee = g; dst = 0 };
+      Vm.Event.Return { callee = g; caller = main; dst = 4 } ]
+  in
+  (* 1 -> 2 -> 1 is a loop headed by 1, left at 3 *)
+  let loop = [ (0, 1); (1, 2); (2, 1); (1, 3) ] in
+  let observed = built (jumps loop) in
+  let check name expected speculated =
+    Alcotest.(check bool) name expected (Cfg.Cfg_builder.agrees ~speculated ~observed)
+  in
+  check "itself" true observed;
+  check "an untaken branch to a new block" true
+    (built (jumps (loop @ [ (0, 5); (5, 3) ])));
+  check "an untaken path inside the loop" true
+    (built (jumps (loop @ [ (2, 6); (6, 1) ])));
+  check "an extra loop" false (built (jumps (loop @ [ (3, 7); (7, 3) ])));
+  check "no loop" false (built (jumps [ (0, 1); (1, 2); (2, 3) ]));
+  check "an extra call" false (built (jumps loop @ call));
+  Alcotest.(check bool) "a missing call" false
+    (Cfg.Cfg_builder.agrees ~speculated:observed ~observed:(built (jumps loop @ call)))
+
+(* A return naming a caller other than the one that made the call is
+   a malformed trace: replaying it fails with [Invalid_argument]. *)
+let test_spec_cfg_wrong_caller () =
+  let prog = H.lower untaken_call in
+  let main = prog.Vm.Prog.main
+  and helper = (Vm.Prog.func_by_name prog "helper").Vm.Prog.fid in
+  let path = Filename.temp_file "polyprof_caller" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let sink = Stream.Sink.create path in
+  let cb = Stream.Sink.callbacks sink in
+  cb.Vm.Interp.on_control (Vm.Event.Jump { fid = main; src = 0; dst = 1 });
+  cb.Vm.Interp.on_control
+    (Vm.Event.Call { caller = main; site = 1; callee = helper; dst = 0 });
+  cb.Vm.Interp.on_control (Vm.Event.Return { callee = helper; caller = helper; dst = 2 });
+  Stream.Sink.close ~stats:(Vm.Interp.run prog) sink;
+  match Stream.Par_profile.profile_file path prog with
+  | _ -> Alcotest.fail "a return to the wrong caller was accepted"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "depprof"
     [ ( "shadow",
@@ -515,4 +681,15 @@ let () =
           Alcotest.test_case "refuted prediction reruns" `Quick
             test_scev_prediction_refuted;
           Alcotest.test_case "allocates less than it saves" `Quick
-            test_scev_prediction_allocation ] ) ]
+            test_scev_prediction_allocation ] );
+      ( "spec_cfg",
+        [ Alcotest.test_case "suite: never refuted, same profile" `Quick
+            test_spec_cfg_suite;
+          Alcotest.test_case "refuted structure reruns once" `Quick
+            test_spec_cfg_refuted;
+          Alcotest.test_case "random programs: same profile" `Quick
+            test_spec_cfg_random;
+          Alcotest.test_case "agrees on hand-built pairs" `Quick
+            test_spec_cfg_agrees;
+          Alcotest.test_case "return to the wrong caller" `Quick
+            test_spec_cfg_wrong_caller ] ) ]

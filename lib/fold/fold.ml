@@ -867,6 +867,14 @@ let nest_to_polyhedron (nest : nest) =
   done;
   P.make dim !cons
 
+(* The labels of [fit_segment]'s piece of [r]: every component as a
+   function of the whole point, or the one point's constants when
+   [dim = 0]. *)
+let fit_labels ws (r : Runs.t) =
+  if r.dim = 0 then
+    Array.init r.label_dim (fun k -> Some (A.const ~dim:0 (Rat.of_int (Runs.label r 0 0 k))))
+  else Array.init r.label_dim (fit_label ws r)
+
 (* Exact fit of a whole stream: affine-bounded nest + affine labels.
    With [strict:false] individual label components may come out as
    top. *)
@@ -878,20 +886,14 @@ let fit_segment ?(strict = true) ws (r : Runs.t) : piece option =
        0-dimensional statement cannot be folded exactly *)
     if n <> 1 then None
     else
-      Some
-        { dom = P.universe 0;
-          labels =
-            Array.init r.label_dim (fun k -> Some (A.const ~dim:0 (Rat.of_int (Runs.label r 0 0 k))));
-          exact = true;
-          points = 1;
-          under = None }
+      Some { dom = P.universe 0; labels = fit_labels ws r; exact = true; points = 1; under = None }
   end
   (* every point lies in the nest: each bound was verified against the
      min / max of every prefix group; so the nest is exact iff it holds no
      other integer point *)
   else if not (fit_nest ws r) || implied_count_ws ws ~dim ~limit:n <> Some n then None
   else begin
-    let lfs = Array.init r.label_dim (fit_label ws r) in
+    let lfs = fit_labels ws r in
     if strict && not (Array.for_all Option.is_some lfs) then None
     else
       let nest =
@@ -906,25 +908,48 @@ let fit_segment ?(strict = true) ws (r : Runs.t) : piece option =
 
 (* The key of every table that remembers a fold: a few header ints and
    the slice [body.(0 .. len - 1)] of an int array, referenced in place
-   (never copied).  Hashing and equality read every int: [Hashtbl.hash]
+   (never copied).  The slice is a sequence of records of
+   [Array.length rel] ints, and int [i] of every record is read less int
+   [rel.(i)] of the slice when [rel.(i) >= 0]: the stream table reads
+   each label relative to the stream's first one this way, so streams
+   that differ by a constant per label component share a key.  The
+   differences wrap around like the ints themselves, so equality stays
+   an equivalence.  Hashing and equality read every int: [Hashtbl.hash]
    reads only the first ten of an array, and streams that differ late
    would all collide. *)
 module Key = struct
-  type t = { head : int array; body : int array; len : int }
+  type t = { head : int array; body : int array; len : int; rel : int array }
+
+  (* read every int as is *)
+  let plain = [| -1 |]
+
+  let[@inline] get k o i =
+    let r = k.rel.(i) in
+    if r < 0 then k.body.(o + i) else k.body.(o + i) - k.body.(r)
 
   let equal a b =
     let rec same x y i n = i = n || (x.(i) = y.(i) && same x y (i + 1) n) in
+    let w = Array.length a.rel in
+    let rec same_body o i =
+      o >= a.len
+      || if i = w then same_body (o + w) 0 else get a o i = get b o i && same_body o (i + 1)
+    in
     a.len = b.len
     && Array.length a.head = Array.length b.head
     && same a.head b.head 0 (Array.length a.head)
-    && same a.body b.body 0 a.len
+    && same_body 0 0
 
   let hash k =
     let h = ref k.len in
     let mix v = h := (!h + v) * 0x2545F4914F6CDD1D in
     Array.iter mix k.head;
-    for i = 0 to k.len - 1 do
-      mix k.body.(i)
+    let w = Array.length k.rel in
+    let o = ref 0 in
+    while !o < k.len do
+      for i = 0 to w - 1 do
+        mix (get k !o i)
+      done;
+      o := !o + w
     done;
     (* [Hashtbl] indexes by the low bits: fold the high ones in *)
     !h lxor (!h lsr 31)
@@ -1014,9 +1039,22 @@ let split_boundary_iterations ws scratch points labels part d =
   in
   (split lo, split hi)
 
+(* Where a piece of a stream came from: the part of the stream its
+   domain was fitted on, and so which points its labels were fitted on.
+   [Whole]: [fit_segment] on the whole stream, strict or not (the labels
+   are fitted alike); [Segment (start, len)] and [Subset idx]:
+   [fit_segment] on those points of the decoded stream, in that order;
+   [Box]: [box_piece], whose labels [fit_points] fitted on every point. *)
+type origin =
+  | Whole
+  | Segment of int * int
+  | Subset of int array
+  | Box
+
 (* The piece list of a stream [r] that [fit_segment] could not fit
-   whole: boundary splits, then greedy segmentation, then per-component
-   label over-approximation or a box. *)
+   whole, each piece with its origin: boundary splits, then greedy
+   segmentation, then per-component label over-approximation or a
+   box. *)
 let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
   let dim = r.dim and label_dim = r.label_dim in
   let points, labels = Runs.decode r in
@@ -1027,7 +1065,7 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
      contents: different split paths reach the same part *)
   let parts = Key_tbl.create 16 in
   let fit_part part =
-    let key = { Key.head = [||]; body = part; len = Array.length part } in
+    let key = { Key.head = [||]; body = part; len = Array.length part; rel = Key.plain } in
     match Key_tbl.find_opt parts key with
     | Some p -> p
     | None ->
@@ -1070,7 +1108,7 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
     go (dim - 1) false
   and fit_with_splits part budget =
     match fit_part part with
-    | Some p -> Some [ p ]
+    | Some p -> Some [ (p, Subset part) ]
     | None when budget > 0 -> split part budget
     | None -> None
   in
@@ -1120,7 +1158,7 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
         done;
         let best = !best in
         (match segment best with
-        | Some p -> pieces := p :: !pieces
+        | Some p -> pieces := (p, Segment (!i, best)) :: !pieces
         | None -> assert false);
         i := !i + best;
         if List.length !pieces > max_pieces then too_many := true
@@ -1130,9 +1168,31 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
            per-component label over-approximation: an exact domain
            whose irregular label components are top *)
         match fit_segment ~strict:false ws r with
-        | Some p -> [ p ]
-        | None -> [ box_piece ws scratch points labels ident ]
+        | Some p -> [ (p, Whole) ]
+        | None -> [ (box_piece ws scratch points labels ident, Box) ]
       else List.rev !pieces
+
+(* [ps], the pieces of a stream with these [origins], with their labels
+   fitted again on the labels of [r], the same points with other labels:
+   each label fit runs as the fold ran it, on the same part of [r].
+   Returns the pieces and the number of points decoded for them. *)
+let refit ws (r : Runs.t) ps origins =
+  let n = r.npoints in
+  let decoded = List.exists (function Whole -> false | _ -> true) origins in
+  let points, labels = if decoded then Runs.decode r else ([||], [||]) in
+  let scratch = Runs.create ~dim:r.dim ~label_dim:r.label_dim ~max_runs:n ~size:(if decoded then n else 0) in
+  let ident = if decoded then Array.init n Fun.id else [||] in
+  let on idx ofs len =
+    Runs.encode scratch points labels idx ofs len;
+    fit_labels ws scratch
+  in
+  let refit_one (p : piece) = function
+    | Whole -> { p with labels = fit_labels ws r }
+    | Segment (start, len) -> { p with labels = on ident start len }
+    | Subset idx -> { p with labels = on idx 0 (Array.length idx) }
+    | Box -> { p with labels = Array.init r.label_dim (fit_points ws ~dim:r.dim points labels) }
+  in
+  (List.map2 refit_one ps origins, if decoded then n else 0)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming collector                                                  *)
@@ -1144,7 +1204,8 @@ module Collector = struct
   let obs_approx = Obs.Metrics.counter ~help:"collectors that overflowed their cap into approx mode" "fold.approx_spills"
   let obs_runs = Obs.Metrics.counter ~help:"runs the collectors held when they stopped buffering" "fold.runs"
   let obs_decoded = Obs.Metrics.counter ~help:"points decoded from runs for the split search or a cap spill" "fold.decoded_points"
-  let obs_shared = Obs.Metrics.counter ~help:"collectors answered from the stream table without folding" "fold.shared"
+  let obs_shared = Obs.Metrics.counter ~help:"collectors answered from the stream table, equal or shifted" "fold.shared"
+  let obs_shifted = Obs.Metrics.counter ~help:"stream-table answers whose labels were refitted under a nonzero shift" "fold.shifted"
   let obs_collector_points = Obs.Metrics.histogram ~help:"points per folded collector" "fold.collector_points"
 
   type approx_state = {
@@ -1236,49 +1297,94 @@ module Collector = struct
     P.make dim !cons
 
   (* The raw pieces (before the [per_component] ablation) of every
-     buffered stream folded so far, keyed on the folding options that
-     shape them and on the stream's runs, in the collector's own buffer.
-     [dim] and [label_dim] belong to the key: different layouts can have
-     the same stride and the same buffer.  [ws] is the workspace every
-     fold of the table runs in. *)
-  type shared = { streams : piece list Key_tbl.t; ws : Ws.t }
+     buffered stream folded so far, with their origins, keyed on the
+     folding options that shape them and on the stream's runs, in the
+     collector's own buffer, each label read relative to the stream's
+     first label.  [dim] and [label_dim] belong to the key: different
+     layouts can have the same stride and the same buffer.  [src] is the
+     buffer of the stream the pieces were fitted for (the key's slice).
+     [ws] is the workspace every fold of the table runs in. *)
+  type entry = { src : int array; pieces : piece list; origins : origin list }
+  type shared = { streams : entry Key_tbl.t; ws : Ws.t }
 
   let shared () = { streams = Key_tbl.create 64; ws = Ws.create () }
 
-  (* [r]'s pieces, whether they came from [shared], and the points
-     decoded for them *)
+  type source = Folded | Shared | Shifted
+
+  let check = ref None
+  let set_check f = check := f
+
+  (* Whether every start and last label of the runs of layout [r] in
+     [buf] lies within [±2^40]: the magnitude guard of a shifted answer
+     (DESIGN.md, stream table). *)
+  let labels_small (r : Runs.t) buf =
+    let bound = 1 lsl 40 and ld = r.label_dim in
+    let small = ref true and j = ref 0 in
+    while !small && !j < r.nruns do
+      let l = (!j * r.stride) + r.dim + 1 in
+      for k = 0 to ld - 1 do
+        let a = buf.(l + k) and b = buf.(l + (2 * ld) + k) in
+        if a > bound || a < -bound || b > bound || b < -bound then small := false
+      done;
+      incr j
+    done;
+    !small
+
+  (* [r]'s pieces, where they came from, and the points decoded for
+     them *)
   let fold_buffered ~shared t (r : Runs.t) =
+    let ld = t.label_dim and lofs = t.dim + 1 in
+    (* start labels (offset [lofs]) and last labels ([lofs + 2 ld]) read
+       relative to run 0's start label *)
+    let rel = Array.make r.stride (-1) in
+    for k = 0 to ld - 1 do
+      rel.(lofs + k) <- lofs + k;
+      rel.(lofs + (2 * ld) + k) <- lofs + k
+    done;
     let key =
-      { Key.head = [| t.dim; t.label_dim; t.max_pieces; Bool.to_int t.boundary_splits |];
+      { Key.head = [| t.dim; ld; t.max_pieces; Bool.to_int t.boundary_splits |];
         body = r.buf;
-        len = r.nruns * r.stride }
+        len = r.nruns * r.stride;
+        rel }
+    in
+    let unshifted e =
+      let same = ref true in
+      if r.nruns > 0 then
+        for k = lofs to lofs + ld - 1 do
+          if e.src.(k) <> r.buf.(k) then same := false
+        done;
+      !same
     in
     match Key_tbl.find_opt shared.streams key with
-    | Some ps -> (ps, true, 0)
-    | None ->
-        let ps, decoded =
+    | Some e when unshifted e -> (e.pieces, Shared, 0)
+    | Some e when labels_small r r.buf && labels_small r e.src ->
+        let ps, decoded = refit shared.ws r e.pieces e.origins in
+        (* the refitted stream is what its own fold would have left:
+           its repeats become equal hits *)
+        Key_tbl.replace shared.streams key { e with src = r.buf; pieces = ps };
+        (ps, Shifted, decoded)
+    | found ->
+        let pieces, origins, decoded =
           match fit_segment shared.ws r with
-          | Some p -> ([ p ], 0)
+          | Some p -> ([ p ], [ Whole ], 0)
           | None ->
-              ( fold_split ~boundary_splits:t.boundary_splits ~max_pieces:t.max_pieces shared.ws r,
-                r.npoints )
+              let ps =
+                fold_split ~boundary_splits:t.boundary_splits ~max_pieces:t.max_pieces shared.ws r
+              in
+              (List.map fst ps, List.map snd ps, r.npoints)
         in
-        Key_tbl.add shared.streams key ps;
-        (ps, false, decoded)
+        if Option.is_none found then Key_tbl.add shared.streams key { src = r.buf; pieces; origins };
+        (pieces, Folded, decoded)
 
   let result ~shared t =
     match t.finalized with
     | Some ps -> ps
     | None ->
-        let ps, runs, hit, decoded =
+        let ps, runs, source, decoded =
           match t.mode with
           | Buffering r ->
-              let runs = r.nruns in
-              let ps, hit, decoded = fold_buffered ~shared t r in
-              (* the table keeps the buffer of a stream it holds *)
-              Runs.clear r;
-              r.buf <- [||];
-              (ps, runs, hit, decoded)
+              let ps, source, decoded = fold_buffered ~shared t r in
+              (ps, r.nruns, Some source, decoded)
           | Approx st ->
               ( [ { dom = box_of_bounds t.dim st.lo st.hi;
                     labels = st.labels;
@@ -1286,7 +1392,7 @@ module Collector = struct
                     points = t.n;
                     under = None } ],
                 st.spill_runs,
-                false,
+                None,
                 st.spill_points )
         in
         let ps =
@@ -1301,6 +1407,17 @@ module Collector = struct
                 else p)
               ps
         in
+        (match (t.mode, source) with
+        | Buffering r, Some source ->
+            Option.iter
+              (fun f ->
+                let points, labels = Runs.decode r in
+                f source points labels ps)
+              !check;
+            (* the table keeps the buffer of a stream it holds *)
+            Runs.clear r;
+            r.buf <- [||]
+        | _ -> ());
         t.finalized <- Some ps;
         if Obs.Registry.enabled () then begin
           Obs.Metrics.add obs_points t.n;
@@ -1308,7 +1425,8 @@ module Collector = struct
           Obs.Metrics.add obs_pieces (List.length ps);
           Obs.Metrics.add obs_runs runs;
           Obs.Metrics.add obs_decoded decoded;
-          Obs.Metrics.add obs_shared (Bool.to_int hit);
+          Obs.Metrics.add obs_shared (Bool.to_int (source = Some Shared || source = Some Shifted));
+          Obs.Metrics.add obs_shifted (Bool.to_int (source = Some Shifted));
           match t.mode with
           | Approx _ -> Obs.Metrics.add obs_approx 1
           | Buffering _ -> ()

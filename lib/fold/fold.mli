@@ -60,13 +60,29 @@ module Collector : sig
 
   type shared
   (** A stream table: the pieces of every buffered stream folded with
-      it, keyed on the stream's runs and on the [dim], [label_dim],
-      [max_pieces] and [boundary_splits] of its collector.  Folding is a
-      pure function of that key, so a collector whose stream is in the
-      table takes its pieces without folding.  Spilled collectors never
-      enter it.  The table references the collectors' run buffers; drop
-      it with the collectors.  It also holds the {!Ws.t} its folds run
-      in, grown to the largest of them and dropped with the table. *)
+      it, with how each piece was found, keyed on the stream's runs and
+      on the [dim], [label_dim], [max_pieces] and [boundary_splits] of
+      its collector.  The key reads each label component relative to the
+      stream's first label, so two streams that differ only by a
+      constant added to each label component share it.  Folding is a
+      pure function of the stream, so a collector whose stream is in the
+      table is not folded again:
+      - a stream equal to the one in the table takes its pieces as they
+        are;
+      - a stream shifted from it keeps every piece's domain, exactness,
+        point count and under-approximation, and fits only the labels
+        of each piece again, on its own labels and the same points,
+        with the code the fold fitted them with.  That is what a fresh
+        fold returns: a piece's labels are written down from the fitted
+        points, so shifting the cached labels' constants would not be
+        (DESIGN.md, stream table).  It is done only when every start and
+        last label of both streams' runs lies within [±2^40]; a shifted
+        stream outside that bound is folded afresh.  The refitted
+        stream then takes the table's entry, so its repeats are equal.
+      Spilled collectors never enter it.  The table references the
+      collectors' run buffers; drop it with the collectors.  It also
+      holds the {!Ws.t} its folds run in, grown to the largest of them
+      and dropped with the table. *)
 
   val shared : unit -> shared
   (** A fresh, empty stream table. *)
@@ -74,11 +90,13 @@ module Collector : sig
   val result : shared:shared -> t -> piece list
   (** Finalize (idempotent).  The union of the returned pieces covers all
       added points; pieces marked [exact] contain exactly their points.
-      A stream already in [shared] is not folded again: the collector
-      takes the table's pieces (then applies its own [per_component]),
-      counts 1 in [fold.shared] and adds 0 to [fold.decoded_points].
-      With telemetry on, the first call observes the point count into
-      the [fold.collector_points] histogram. *)
+      A stream in [shared] (equal or shifted, as above) is answered from
+      it and counts 1 in [fold.shared]; a shifted one also counts 1 in
+      [fold.shifted] and adds the points its refit decodes to
+      [fold.decoded_points] (none when the stream's piece is the whole
+      stream), an equal one adds 0.  The collector then applies its own
+      [per_component].  With telemetry on, the first call observes the
+      point count into the [fold.collector_points] histogram. *)
 
   val spilled : t -> bool
   (** Whether the collector reached its [cap] and switched to streaming
@@ -87,6 +105,20 @@ module Collector : sig
   val is_affine : t -> bool
   (** All pieces of the finalized result exact with every label
       component affine.  Raises [Invalid_argument] before {!result}. *)
+
+  (** {2 Test hook} *)
+
+  type source =
+    | Folded  (** folded by this call *)
+    | Shared  (** the pieces of an equal stream in the table *)
+    | Shifted  (** refitted from a shifted stream in the table *)
+
+  val set_check :
+    (source -> int array array -> int array array -> piece list -> unit) option -> unit
+  (** [set_check (Some f)]: every later {!result} on a buffered
+      collector calls [f source points labels pieces] with its decoded
+      stream and its result, before it returns; [None] stops it.  For
+      oracles over whole profiles; the call decodes every stream. *)
 end
 
 val fold_points : dim:int -> label_dim:int -> (int array * int array) list -> piece list

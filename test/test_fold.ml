@@ -1016,6 +1016,253 @@ let test_shared_counter () =
   Alcotest.(check bool) "both count their points" true
     (metric "fold.points" = Some (Obs.Metrics.Vint 14))
 
+(* --- shifted streams ---------------------------------------------------- *)
+
+(* [s] with [c.(k)] added to label component [k] of every point *)
+let shift_stream s c =
+  { s with s_pts = List.map (fun (p, l) -> (p, Array.mapi (fun k v -> v + c.(k)) l)) s.s_pts }
+
+(* [a] then [a + c] through one table, with telemetry on: the second
+   renders what a fresh table renders, and counts [shifted] in
+   [fold.shifted] *)
+let check_shifted ~shifted a c =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  let b = shift_stream a c and shared = Fold.Collector.shared () in
+  ignore (render_collector ~shared a);
+  Alcotest.(check string) "as fresh" (fresh b) (render_collector ~shared b);
+  Alcotest.(check bool)
+    (Printf.sprintf "fold.shifted = %d" shifted)
+    true
+    (Option.value (metric "fold.shifted") ~default:(Obs.Metrics.Vint 0) = Obs.Metrics.Vint shifted)
+
+(* One row of the plane, i0 = 1: its points do not affinely span the
+   plane, so the fit writes a label as i0 times the constant.  Shifted by
+   16, the fresh fold writes [116i0 + i1]; adding 16 to the constant of
+   [100i0 + i1] would give a different (equal-valued) function. *)
+let test_shifted_pinned_row () =
+  let row = plain_stream 2 1 (List.init 4 (fun j -> ([| 1; j |], [| 100 + j |]))) in
+  let shifted = shift_stream row [| 16 |] in
+  check_shifted ~shifted:1 row [| 16 |];
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "the label is refitted" true (contains (fresh shifted) "[116i0 + i1]")
+
+(* The boundary-split counterexample: the first row (i0 = 1) of a
+   rectangle has labels that are not affine with the others', so the
+   stream splits there and that piece pins i0. *)
+let pinned_split =
+  plain_stream 2 1
+    (List.concat_map
+       (fun i -> List.init 4 (fun j -> ([| i; j |], [| (if i = 1 then 100 + j else (10 * i) + j) |])))
+       [ 1; 2; 3; 4 ])
+
+let test_shifted_boundary_split () =
+  check_shifted ~shifted:1 pinned_split [| 16 |];
+  check_shifted ~shifted:1 pinned_split [| -78 |]
+
+(* Each origin a piece can have: greedy segments (rows whose labels are
+   mutually not affine, four of them so that boundary splits give up),
+   the whole stream with a top component (more than [max_pieces]
+   segments, exact domain), and a box (more segments, holes). *)
+let test_shifted_origins () =
+  let segments =
+    plain_stream 2 1
+      (List.concat_map
+         (fun i -> List.init 5 (fun j -> ([| i; j |], [| (i * i * j) + (7 * i) |])))
+         [ 1; 2; 3; 4 ])
+  in
+  let lenient =
+    plain_stream 1 2 (List.init 40 (fun x -> ([| x |], [| (3 * x) + 1; x * x |])))
+  in
+  let box =
+    plain_stream 1 2 (List.init 40 (fun x -> ([| 2 * x |], [| (5 * x) + 2; x * x |])))
+  in
+  List.iter
+    (fun (s, c) -> check_shifted ~shifted:1 s c)
+    [ (segments, [| 1000 |]); (segments, [| -3 |]); (lenient, [| 5; -9 |]);
+      (box, [| -1; 12 |]) ];
+  (* the kinds are the ones meant *)
+  let pieces s = Fold.fold_points ~dim:s.s_dim ~label_dim:s.s_label_dim s.s_pts in
+  Alcotest.(check int) "four segments" 4 (List.length (pieces segments));
+  (match pieces lenient with
+  | [ p ] -> Alcotest.(check bool) "exact, one top component" true (p.Fold.exact && p.Fold.labels.(1) = None)
+  | _ -> Alcotest.fail "expected one lenient piece");
+  match pieces box with
+  | [ p ] -> Alcotest.(check bool) "a box" false p.Fold.exact
+  | _ -> Alcotest.fail "expected one box"
+
+(* Past the magnitude guard a shifted stream is folded afresh: labels
+   beyond 2^40 (before or after the shift), and shifts that wrap around
+   [max_int] *)
+let test_shifted_guard () =
+  let g = 1 lsl 40 in
+  let near l = shift_stream pinned_split [| l |] in
+  (* the stream's own labels run up to 103 *)
+  check_shifted ~shifted:1 (near (g - 200)) [| 50 |];
+  check_shifted ~shifted:0 (near (g - 200)) [| 300 |];
+  check_shifted ~shifted:0 (near (g + 10)) [| -100 |];
+  check_shifted ~shifted:1 (near (-g)) [| 1 |];
+  check_shifted ~shifted:0 (near (max_int - 50)) [| 100 |];
+  check_shifted ~shifted:0 (near (min_int + 10)) [| max_int |]
+
+(* Random streams [a] and shifts [c]: [a + c] after [a] through one
+   table, and [a] again after both, render what a fresh table renders
+   for them, raising included.  The shifts are small, around the guard,
+   or anywhere. *)
+let prop_shifted_parity =
+  let gen st =
+    let s = gen_stream st in
+    let shift _ =
+      match Random.State.int st 4 with
+      | 0 -> Random.State.int st 2001 - 1000
+      | 1 -> (1 lsl 40) - Random.State.int st 2001 + 1000
+      | 2 -> -(1 lsl 40) + Random.State.int st 2001 - 1000
+      | _ -> Random.State.bits st lor (Random.State.bits st lsl 30) lor (Random.State.bits st lsl 60)
+    in
+    (s, Array.init s.s_label_dim shift)
+  in
+  QCheck.Test.make ~name:"a shifted stream folds as fresh" ~count:500 (QCheck.make gen)
+    (fun (s, c) ->
+      (* a cap spill can raise while the points are added *)
+      let render shared s =
+        try render_collector ~shared s with Pp_util.Rat.Overflow -> "raises while adding"
+      in
+      let fresh s = render (Fold.Collector.shared ()) s in
+      let b = shift_stream s c and shared = Fold.Collector.shared () in
+      ignore (render shared s);
+      render shared b = fresh b && render shared s = fresh s)
+
+(* --- suite-wide oracle ----------------------------------------------- *)
+
+(* floor and ceiling of [a / b], [b > 0] *)
+let fdiv a b = if a >= 0 then a / b else -((-a + b - 1) / b)
+let cdiv a b = -fdiv (-a) b
+
+(* [f] on every integer point of a bounded [dom] (the same array, reused):
+   the outer coordinates over the rational bounds of their projections,
+   the innermost one solved from the constraints *)
+let iter_points dom f =
+  let dim = P.dim dom in
+  if dim = 0 then (if P.mem dom [||] then f [||])
+  else begin
+    let cons = P.constraints dom and x = Array.make dim 0 in
+    let rec go d =
+      if d = dim - 1 then begin
+        let lo = ref min_int and hi = ref max_int in
+        List.iter
+          (fun (c : Minisl.Constr.t) ->
+            let r = ref c.c in
+            for k = 0 to d - 1 do
+              r := !r + (c.v.(k) * x.(k))
+            done;
+            let a = c.v.(d) and r = !r in
+            match c.kind with
+            | _ when a = 0 -> if r < 0 || (c.kind = Eq && r <> 0) then hi := min_int
+            | Ge -> if a > 0 then lo := max !lo (cdiv (-r) a) else hi := min !hi (fdiv r (-a))
+            | Eq ->
+                if r mod a <> 0 then hi := min_int
+                else begin
+                  lo := max !lo (-r / a);
+                  hi := min !hi (-r / a)
+                end)
+          cons;
+        for v = !lo to !hi do
+          x.(d) <- v;
+          f x
+        done
+      end
+      else
+        match P.dim_bounds dom d with
+        | Some lo, Some hi ->
+            for v = Rat.ceil lo to Rat.floor hi do
+              x.(d) <- v;
+              go (d + 1)
+            done
+        | _ -> Alcotest.fail "an exact domain is unbounded"
+    in
+    go 0
+  end
+
+type oracle = { by_source : int array; mutable failure : string option }
+
+module Point_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let rec same i = i = Array.length a || (a.(i) = b.(i) && same (i + 1)) in
+    Array.length a = Array.length b && same 0
+
+  let hash (a : t) = Array.fold_left (fun h v -> (h * 31) + v) 0 a land max_int
+end)
+
+(* The result of a collector against its decoded stream: the pieces
+   partition its points; every integer point of an exact piece's domain
+   is a point of the stream, as many as the piece has; every point lies
+   in some piece; and every label function a piece has reproduces the
+   label of every point of the stream in its domain. *)
+let oracle_check o name source points labels pieces =
+  let src = match source with Fold.Collector.Folded -> 0 | Shared -> 1 | Shifted -> 2 in
+  o.by_source.(src) <- o.by_source.(src) + 1;
+  let n = Array.length points in
+  let at = Point_tbl.create n and covered = Array.make n false in
+  Array.iteri (fun i p -> Point_tbl.add at p i) points;
+  let fail what =
+    if o.failure = None then o.failure <- Some (Printf.sprintf "%s: %s" (Lazy.force name) what)
+  in
+  (* the stream's point [i] lies in [pc]'s domain *)
+  let visit (pc : Fold.piece) i =
+    covered.(i) <- true;
+    Array.iteri
+      (fun k f ->
+        match f with
+        | Some f -> if A.compare_int f points.(i) labels.(i).(k) <> 0 then fail "a label function misses a label"
+        | None -> ())
+      pc.labels
+  in
+  List.iter
+    (fun (pc : Fold.piece) ->
+      if pc.exact then begin
+        let count = ref 0 in
+        iter_points pc.dom (fun x ->
+            incr count;
+            match Point_tbl.find_all at x with
+            | [] -> fail "an exact domain holds a point outside the stream"
+            | is -> List.iter (visit pc) is);
+        if !count <> pc.points then fail "an exact domain's point count differs from its piece's"
+      end
+      else Array.iteri (fun i x -> if P.mem pc.dom x then visit pc i) points)
+    pieces;
+  if List.fold_left (fun n (pc : Fold.piece) -> n + pc.points) 0 pieces <> n then
+    fail "the pieces' point counts do not sum to the stream's";
+  if not (Array.for_all Fun.id covered) then fail "a point lies in no piece"
+
+(* Every collector of every suite program's profile, through the
+   profile's own stream table: folded, equal and shifted answers all
+   meet the oracle. *)
+let test_suite_oracle () =
+  let o = { by_source = [| 0; 0; 0 |]; failure = None } in
+  Fun.protect ~finally:(fun () -> Fold.Collector.set_check None) @@ fun () ->
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let n = ref 0 in
+      Fold.Collector.set_check
+        (Some
+           (fun source points labels pieces ->
+             incr n;
+             oracle_check o
+               (lazy (Printf.sprintf "%s, collector %d" w.w_name !n))
+               source points labels pieces));
+      ignore (Ddg.Depprof.profile (Vm.Hir.lower w.hir)))
+    Workloads.Runner.suite;
+  Option.iter Alcotest.fail o.failure;
+  Printf.printf "collectors folded %d, equal %d, shifted %d\n" o.by_source.(0) o.by_source.(1)
+    o.by_source.(2);
+  Alcotest.(check bool) "all three sources met" true (Array.for_all (fun n -> n > 0) o.by_source)
+
 let () =
   Alcotest.run "fold"
     [ ( "exact",
@@ -1054,6 +1301,13 @@ let () =
           Alcotest.test_case "a shared table folds as fresh ones" `Quick test_shared_parity;
           Alcotest.test_case "equal buffers, different layouts" `Quick test_shared_layouts;
           Alcotest.test_case "spills and prefixes miss" `Quick test_shared_misses ] );
+      ( "shifted",
+        [ Alcotest.test_case "a pinned row is refitted" `Quick test_shifted_pinned_row;
+          Alcotest.test_case "a pinned boundary split" `Quick test_shifted_boundary_split;
+          Alcotest.test_case "every piece origin" `Quick test_shifted_origins;
+          Alcotest.test_case "the magnitude guard" `Quick test_shifted_guard;
+          QCheck_alcotest.to_alcotest prop_shifted_parity ] );
+      ("oracle", [ Alcotest.test_case "every suite collector" `Quick test_suite_oracle ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fold_rect_roundtrip; prop_fold_covers;

@@ -153,15 +153,6 @@ module Runs = struct
       done
     end
 
-  (* [r] becomes the points [idx.(ofs) .. idx.(ofs + len - 1)] of
-     [points] / [labels], in that order. *)
-  let encode r points labels idx ofs len =
-    clear r;
-    for q = ofs to ofs + len - 1 do
-      let i = idx.(q) in
-      push r points.(i) labels.(i)
-    done
-
   let run_len r j = r.buf.((j * r.stride) + r.dim)
 
   (* label component [k] of the [t]-th point of run [j] *)
@@ -170,6 +161,18 @@ module Runs = struct
     (* exact: the run's labels never wrap, so the product's wrap-around
        cancels *)
     r.buf.(l) + (t * r.buf.(l + r.label_dim))
+
+  (* Extend the last run of [r] by [n] points, the last of which is point
+     [t] of run [j] of [src], where [push] would have extended it point by
+     point: the run's step is already [src]'s run's step. *)
+  let extend r n src j t =
+    let b = (r.nruns - 1) * r.stride in
+    r.buf.(b + r.dim) <- r.buf.(b + r.dim) + n;
+    r.npoints <- r.npoints + n;
+    let l = b + r.dim + 1 + (2 * r.label_dim) in
+    for k = 0 to r.label_dim - 1 do
+      r.buf.(l + k) <- label src j t k
+    done
 
   (* the [t]-th point of run [j], as a fresh array *)
   let point r j t =
@@ -204,7 +207,9 @@ module Runs = struct
     Array.to_list (Array.map2 (fun p l -> (p, l)) points labels)
 
   let length r = r.nruns
+  let npoints r = r.npoints
   let run_lengths r = Array.init r.nruns (run_len r)
+  let contents r = Array.sub r.buf 0 (r.nruns * r.stride)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -229,7 +234,8 @@ end
      over all [dim] coordinates, and the same integer form ([bsc],
      [bcden]) for [implied_count];
    - prefix grouping: [slots] is an open-addressing table over group
-     ids ([2^bits] slots, all empty between calls); per group its slot,
+     ids ([2^bits] slots, all empty between calls), or a map from a
+     stream's prefix group ids to a part's groups; per group its slot,
      its first run and the range [lo, hi] of one coordinate; per run its
      group;
    - [coord]: one point, for the overflow fallback. *)
@@ -291,6 +297,15 @@ module Ws = struct
       ws.bden <- grow ws.bden n;
       ws.bsc <- grow ws.bsc n;
       ws.bcden <- grow ws.bcden (2 * dim)
+    end
+
+  (* at least [n] slots (all empty, as between calls) *)
+  let reserve_slots ws n =
+    if Array.length ws.slots < n then begin
+      while 1 lsl ws.bits < n do
+        ws.bits <- ws.bits + 1
+      done;
+      ws.slots <- Array.make (1 lsl ws.bits) (-1)
     end
 
   (* double the per-group arrays, keeping their [n] groups *)
@@ -580,19 +595,38 @@ let fit_affine (ws : Ws.t) ~s ~dim n sample first_bad =
        !fit
      end
 
-(* Label component [k] of the decoded [points] / [labels], as a function
-   of the whole point, verified point by point. *)
-let fit_points ws ~dim (points : int array array) (labels : int array array) k =
-  let n = Array.length points in
-  let sample row i = put_sample ws ~s:dim row points.(i) 0 0 labels.(i).(k) in
+(* [put_sample] of the [i]-th point of [r] and its label component [k]:
+   the point at offset [t] in run [j] *)
+let sample_point ws (r : Runs.t) k row i =
+  let j = ref 0 and t = ref i in
+  while !t >= Runs.run_len r !j do
+    t := !t - Runs.run_len r !j;
+    incr j
+  done;
+  put_sample ws ~s:r.dim row r.buf (!j * r.stride) !t (Runs.label r !j !t k)
+
+(* Label component [k] of every point of [r], as a function of the
+   whole point, verified point by point: every point is checked, in
+   stream order, at its run's offset. *)
+let fit_points ws (r : Runs.t) k =
+  let dim = r.dim and buf = r.buf and stride = r.stride in
   let first_bad () =
-    let bad = ref 0 in
-    while !bad < n && check ws ~s:dim points.(!bad) 0 0 labels.(!bad).(k) = 0 do
-      incr bad
+    let bad = ref (-1) and i = ref 0 and j = ref 0 in
+    while !bad < 0 && !j < r.nruns do
+      let b = !j * stride and len = Runs.run_len r !j in
+      let t = ref 0 in
+      while !bad < 0 && !t < len do
+        if check ws ~s:dim buf b !t (Runs.label r !j !t k) <> 0 then bad := !i + !t;
+        incr t
+      done;
+      i := !i + len;
+      incr j
     done;
-    !bad
+    if !bad < 0 then r.npoints else !bad
   in
-  if fit_affine ws ~s:dim ~dim n sample first_bad then Some (candidate ws ~s:dim ~dim) else None
+  if fit_affine ws ~s:dim ~dim r.npoints (sample_point ws r k) first_bad then
+    Some (candidate ws ~s:dim ~dim)
+  else None
 
 (* Label component [k] of every point of [r], as a function of the
    whole point.  The sample is [fit_affine]'s (the first points, found
@@ -602,15 +636,7 @@ let fit_points ws ~dim (points : int array array) (labels : int array array) k =
    same as a point-by-point walk finds. *)
 let fit_label ws (r : Runs.t) k =
   let dim = r.dim and buf = r.buf and stride = r.stride in
-  let sample row i =
-    (* the [i]-th point: offset [t] in run [j] *)
-    let j = ref 0 and t = ref i in
-    while !t >= Runs.run_len r !j do
-      t := !t - Runs.run_len r !j;
-      incr j
-    done;
-    put_sample ws ~s:dim row buf (!j * stride) !t (Runs.label r !j !t k)
-  in
+  let sample = sample_point ws r k in
   let first_bad () =
     let bad = ref (-1) and i = ref 0 and j = ref 0 in
     while !bad < 0 && !j < r.nruns do
@@ -669,36 +695,51 @@ let find_slot (ws : Ws.t) buf stride b d =
   done;
   !s
 
+(* Unit [u] (a run, or a slice of one) whose group sits in slot [s] and
+   whose coordinate [d] spans [v .. top] joins the [ng] groups so far:
+   the group of the slot, or a new one.  Returns the number of groups. *)
+let join_group (ws : Ws.t) ng u s v top =
+  let g = ws.slots.(s) in
+  if g >= 0 then begin
+    ws.group.(u) <- g;
+    if v < ws.lo.(g) then ws.lo.(g) <- v;
+    if top > ws.hi.(g) then ws.hi.(g) <- top;
+    ng
+  end
+  else begin
+    if ng = Array.length ws.first then Ws.grow_groups ws ng;
+    ws.slots.(s) <- ng;
+    ws.gslot.(ng) <- s;
+    ws.first.(ng) <- u;
+    ws.lo.(ng) <- v;
+    ws.hi.(ng) <- top;
+    ws.group.(u) <- ng;
+    ng + 1
+  end
+
+(* empty the slots of the [ng] groups again *)
+let close_groups (ws : Ws.t) ng =
+  for g = 0 to ng - 1 do
+    ws.slots.(ws.gslot.(g)) <- -1
+  done;
+  ws.ngroups <- ng
+
 let group_prefix (ws : Ws.t) (r : Runs.t) d =
   if Array.length ws.group < r.nruns then ws.group <- Array.make r.nruns 0;
-  let buf = r.buf and stride = r.stride and group = ws.group in
+  let buf = r.buf and stride = r.stride in
   let inner = if d = r.dim - 1 then 1 else 0 in
   let ngroups = ref 0 in
   for j = 0 to r.nruns - 1 do
     let b = j * stride in
-    let s = find_slot ws buf stride b d in
     let v = buf.(b + d) in
     let top = v + (inner * (Runs.run_len r j - 1)) in
-    let g = ws.slots.(s) in
-    if g >= 0 then begin
-      group.(j) <- g;
-      if v < ws.lo.(g) then ws.lo.(g) <- v;
-      if top > ws.hi.(g) then ws.hi.(g) <- top
-    end
-    else begin
-      let g = !ngroups in
-      if g = Array.length ws.first then Ws.grow_groups ws g;
-      ws.slots.(s) <- g;
-      ws.gslot.(g) <- s;
-      ws.first.(g) <- j;
-      ws.lo.(g) <- v;
-      ws.hi.(g) <- top;
-      group.(j) <- g;
-      incr ngroups;
-      if 2 * !ngroups >= Array.length ws.slots then begin
+    let ng = join_group ws !ngroups j (find_slot ws buf stride b d) v top in
+    if ng > !ngroups then begin
+      ngroups := ng;
+      if 2 * ng >= Array.length ws.slots then begin
         ws.bits <- ws.bits + 1;
         ws.slots <- Array.make (1 lsl ws.bits) (-1);
-        for g = 0 to !ngroups - 1 do
+        for g = 0 to ng - 1 do
           let s = find_slot ws buf stride (ws.first.(g) * stride) d in
           ws.slots.(s) <- g;
           ws.gslot.(g) <- s
@@ -706,10 +747,7 @@ let group_prefix (ws : Ws.t) (r : Runs.t) d =
       end
     end
   done;
-  for g = 0 to !ngroups - 1 do
-    ws.slots.(ws.gslot.(g)) <- -1
-  done;
-  ws.ngroups <- !ngroups
+  close_groups ws !ngroups
 
 (* Bound [i] of the nest ([2d] the lower and [2d + 1] the upper bound of
    dim [d]) over all [dim] coordinates, as an affine function: the
@@ -745,13 +783,13 @@ let fit_bound (ws : Ws.t) (r : Runs.t) d values i =
 
 (* The nest of [r], into the nest slots of [ws]: per dim, affine bounds
    over the outer coordinates that hold the min and max of every prefix
-   group. *)
-let fit_nest ws (r : Runs.t) =
+   group.  [group d] fills [ws] as [group_prefix ws r d] does. *)
+let fit_nest ~group ws (r : Runs.t) =
   Ws.reserve_bounds ws r.dim;
   let rec fit_from d =
     d = r.dim
     || begin
-         group_prefix ws r d;
+         group d;
          fit_bound ws r d ws.lo (2 * d) && fit_bound ws r d ws.hi ((2 * d) + 1) && fit_from (d + 1)
        end
   in
@@ -769,10 +807,15 @@ let solve_samples ws points values =
     Some (f.coeffs, f.const)
   else None
 
+(* the groups of the last grouping of [nruns] runs, as [prefix_groups]
+   returns them *)
+let groups (ws : Ws.t) nruns =
+  let ng = ws.ngroups in
+  (Array.sub ws.first 0 ng, Array.sub ws.group 0 nruns, Array.sub ws.lo 0 ng, Array.sub ws.hi 0 ng)
+
 let prefix_groups ws (r : Runs.t) d =
   group_prefix ws r d;
-  let ng = ws.ngroups in
-  (Array.sub ws.first 0 ng, Array.sub ws.group 0 r.nruns, Array.sub ws.lo 0 ng, Array.sub ws.hi 0 ng)
+  groups ws r.nruns
 
 (* Count the integer points of the nest in the nest slots of [ws],
    aborting early past [limit].  Each bound's integer form is computed
@@ -877,8 +920,8 @@ let fit_labels ws (r : Runs.t) =
 
 (* Exact fit of a whole stream: affine-bounded nest + affine labels.
    With [strict:false] individual label components may come out as
-   top. *)
-let fit_segment ?(strict = true) ws (r : Runs.t) : piece option =
+   top.  [group d] fills [ws] as [group_prefix ws r d] does. *)
+let fit_segment ?(strict = true) ~group ws (r : Runs.t) : piece option =
   let dim = r.dim and n = r.npoints in
   if n = 0 then None
   else if dim = 0 then begin
@@ -891,7 +934,9 @@ let fit_segment ?(strict = true) ws (r : Runs.t) : piece option =
   (* every point lies in the nest: each bound was verified against the
      min / max of every prefix group; so the nest is exact iff it holds no
      other integer point *)
-  else if not (fit_nest ws r) || implied_count_ws ws ~dim ~limit:n <> Some n then None
+  else if
+    (not (fit_nest ~group ws r)) || implied_count_ws ws ~dim ~limit:n <> Some n
+  then None
   else begin
     let lfs = fit_labels ws r in
     if strict && not (Array.for_all Option.is_some lfs) then None
@@ -958,31 +1003,205 @@ end
 module Key_tbl = Hashtbl.Make (Key)
 
 (* ------------------------------------------------------------------ *)
-(* Split search, over decoded points                                    *)
+(* Split search, over run slices                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [points] / [labels] are a stream that did not fit as one piece.  Each
-   candidate part or segment is encoded into [scratch] (sized for the
-   whole stream once) and fitted by [fit_segment] in the workspace [ws].
-   The fits are pure, so a candidate the search meets again is looked
-   up, not refitted. *)
+(* A stream that did not fit as one piece is searched for pieces among
+   parts of it.  A part is a list of run slices in stream order, flat in
+   an int array: the triple [(j, f, l)] stands for the points [f .. f + l
+   - 1] of run [j].  The list is canonical (two slices of one run that
+   touch are one slice), so two parts hold the same points exactly when
+   their lists are equal.  Each candidate part is encoded from the
+   stream's runs into a scratch stream and fitted by [fit_segment] there;
+   the stream is never decoded.  The fits are pure, so a candidate the
+   search meets again is looked up, not refitted. *)
 
-(* [fit_segment] on the points [idx.(ofs) .. idx.(ofs + len - 1)] *)
-let fit_indices ?strict ws scratch points labels idx ofs len =
-  Runs.encode scratch points labels idx ofs len;
-  fit_segment ?strict ws scratch
+let obs_slices =
+  Obs.Metrics.counter ~help:"run slices appended to encode the split search's parts and refitted parts"
+    "fold.search_slices"
 
-let box_piece ws (scratch : Runs.t) (points : int array array) (labels : int array array) ident =
-  let dim = scratch.dim and n = Array.length points in
-  let dom = if n = 0 then P.empty dim else Minisl.Hull.box_of_points (Array.to_list points) in
-  let lfs = Array.init scratch.label_dim (fit_points ws ~dim points labels) in
+(* Encodes parts of the stream [r] into [out].  [src.(q)] is the run of
+   [r] that run [q] of [out] starts in; [pt] / [lab] hold one point for
+   [Runs.push]. *)
+type encoder = { r : Runs.t; out : Runs.t; mutable src : int array; pt : int array; lab : int array }
+
+let encoder (r : Runs.t) =
+  { r;
+    out = Runs.create ~dim:r.dim ~label_dim:r.label_dim ~max_runs:r.npoints ~size:r.nruns;
+    src = Array.make (max r.nruns 1) 0;
+    pt = Array.make r.dim 0;
+    lab = Array.make r.label_dim 0 }
+
+(* Append points [f .. f + l - 1] of run [j] to [e.out], as pushing them
+   one at a time would.  Each point goes through [Runs.push] (it may
+   extend or break the last run) until two points of the slice share a
+   run of [out]: that run's step is then the source run's, and the rest
+   of the slice extends it, since the source run is an exact progression
+   and nothing in it wraps. *)
+let append e j f l =
+  let r = e.r and out = e.out in
+  let b = j * r.stride in
+  let t = ref f and settled = ref false in
+  while (not !settled) && !t < f + l do
+    for k = 0 to r.dim - 1 do
+      e.pt.(k) <- r.buf.(b + k)
+    done;
+    if r.dim > 0 then e.pt.(r.dim - 1) <- e.pt.(r.dim - 1) + !t;
+    for k = 0 to r.label_dim - 1 do
+      e.lab.(k) <- Runs.label r j !t k
+    done;
+    let nruns = out.nruns in
+    Runs.push out e.pt e.lab;
+    if out.nruns > nruns then begin
+      if nruns = Array.length e.src then begin
+        let src = Array.make (2 * nruns) 0 in
+        Array.blit e.src 0 src 0 nruns;
+        e.src <- src
+      end;
+      e.src.(nruns) <- j
+    end
+    else settled := !t > f;
+    incr t
+  done;
+  if !t < f + l then Runs.extend out (f + l - !t) r j (f + l - 1)
+
+(* [e.out] becomes the part [part] *)
+let encode e part =
+  Runs.clear e.out;
+  for i = 0 to (Array.length part / 3) - 1 do
+    append e part.(3 * i) part.((3 * i) + 1) part.((3 * i) + 2)
+  done;
+  Obs.Metrics.add obs_slices (Array.length part / 3)
+
+(* The search over the stream [e.r]: [starts.(j)] is the index of run
+   [j]'s first point ([starts.(nruns) = npoints]); [ids.(d)] is each
+   run's group in [group_prefix] of the stream at [d], [nids.(d)] the
+   number of groups, both filled when first needed; [group] groups the
+   encoded part for [fit_segment] ([group_part]). *)
+type search = {
+  e : encoder;
+  starts : int array;
+  ids : int array array;
+  nids : int array;
+  mutable group : int -> unit;
+}
+
+let stream_ids ws s d =
+  let r = s.e.r in
+  if Array.length s.ids.(d) < r.nruns then begin
+    group_prefix ws r d;
+    s.ids.(d) <- Array.sub ws.group 0 r.nruns;
+    s.nids.(d) <- ws.ngroups
+  end;
+  Ws.reserve_slots ws s.nids.(d);
+  s.ids.(d)
+
+(* [group_prefix] of the encoded part [s.e.out] at [d]: a run of the part
+   has the prefix of the stream run it starts in, so the stream's groups
+   stand for the prefixes ([slots] maps them to the part's groups) and
+   no prefix is hashed or compared. *)
+let group_part (ws : Ws.t) s d =
+  let ids = stream_ids ws s d and out = s.e.out in
+  if Array.length ws.group < out.nruns then ws.group <- Array.make out.nruns 0;
+  let inner = if d = out.dim - 1 then 1 else 0 in
+  let ng = ref 0 in
+  for q = 0 to out.nruns - 1 do
+    let v = out.buf.((q * out.stride) + d) in
+    ng := join_group ws !ng q ids.(s.e.src.(q)) v (v + (inner * (Runs.run_len out q - 1)))
+  done;
+  close_groups ws !ng
+
+let search ws (r : Runs.t) =
+  let starts = Array.make (r.nruns + 1) 0 in
+  for j = 0 to r.nruns - 1 do
+    starts.(j + 1) <- starts.(j) + Runs.run_len r j
+  done;
+  let s =
+    { e = encoder r; starts; ids = Array.make r.dim [||]; nids = Array.make r.dim 0;
+      group = ignore }
+  in
+  s.group <- group_part ws s;
+  s
+
+(* [fit_segment] on the encoded part *)
+let fit_part ?strict ws s = fit_segment ?strict ~group:s.group ws s.e.out
+
+(* the run holding point [i]: the last [j] with [starts.(j) <= i] *)
+let run_of starts i =
+  let lo = ref 0 and hi = ref (Array.length starts - 2) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if starts.(mid) <= i then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* The points [i .. i + len - 1] ([len > 0]) are runs [j0 .. j1]
+   ([run_of] of the ends): of run [j], the slice from [range_first] to
+   before [range_stop]. *)
+let range_first s i j0 j = if j = j0 then i - s.starts.(j) else 0
+
+let range_stop s i len j1 j =
+  if j = j1 then i + len - s.starts.(j) else Runs.run_len s.e.r j
+
+(* [fit_part] on the points [i .. i + len - 1] *)
+let fit_range ?strict ws s i len =
+  let j0 = run_of s.starts i and j1 = run_of s.starts (i + len - 1) in
+  Runs.clear s.e.out;
+  for j = j0 to j1 do
+    let f = range_first s i j0 j in
+    append s.e j f (range_stop s i len j1 j - f)
+  done;
+  Obs.Metrics.add obs_slices (j1 - j0 + 1);
+  fit_part ?strict ws s
+
+(* the points [i .. i + len - 1] as a part *)
+let range_part s i len =
+  if len = 0 then [||]
+  else begin
+    let j0 = run_of s.starts i and j1 = run_of s.starts (i + len - 1) in
+    let part = Array.make (3 * (j1 - j0 + 1)) 0 in
+    for j = j0 to j1 do
+      let o = 3 * (j - j0) and f = range_first s i j0 j in
+      part.(o) <- j;
+      part.(o + 1) <- f;
+      part.(o + 2) <- range_stop s i len j1 j - f
+    done;
+    part
+  end
+
+(* the min and max of each coordinate over the points of [r] ([npoints >
+   0]), from the run endpoints *)
+let run_bounds (r : Runs.t) =
+  let lo = Array.sub r.buf 0 r.dim in
+  let hi = Array.copy lo in
+  for j = 0 to r.nruns - 1 do
+    let b = j * r.stride in
+    for k = 0 to r.dim - 1 do
+      let v = r.buf.(b + k) in
+      let top = if k = r.dim - 1 then v + Runs.run_len r j - 1 else v in
+      if v < lo.(k) then lo.(k) <- v;
+      if top > hi.(k) then hi.(k) <- top
+    done
+  done;
+  (lo, hi)
+
+let box_piece ws s =
+  let r = s.e.r in
+  let dim = r.dim and n = r.npoints in
+  let dom =
+    if n = 0 then P.empty dim
+    else
+      let lo, hi = run_bounds r in
+      Minisl.Hull.box_of_bounds lo hi
+  in
+  let lfs = Array.init r.label_dim (fit_points ws r) in
   (* under-approximation: the longest exactly-foldable prefix of the
      stream, doubling from one point, certifies an inner region that is
      definitely iterated *)
   let under =
     if dim = 0 || n < 2 then None
     else begin
-      let fits len = fit_indices ~strict:false ws scratch points labels ident 0 len in
+      let fits len = fit_range ~strict:false ws s 0 len in
       let rec grow len best =
         if 2 * len > n then best
         else
@@ -1003,52 +1222,64 @@ let box_piece ws (scratch : Runs.t) (points : int array array) (labels : int arr
 
 (* Split a part of the stream by per-dimension boundary predicates:
    points at the first iteration of dim [d] (within their prefix) versus
-   the rest, and points at the last iteration versus the rest, from one
-   encoding of the part.  This captures the classic boundary pieces of
-   dependence relations — e.g. a reduction whose first inner iteration
-   reads the previous outer iteration's result (paper Table 2: the
-   I4->I4 dependence holds on ck >= 1 only).  [part] holds indices into
-   [points]; every half keeps its order.  Along a run only the innermost
-   coordinate moves, so a run is on the boundary as a whole for an outer
-   [d], and in at most one point for the innermost. *)
-let split_boundary_iterations ws scratch points labels part d =
-  let np = Array.length part in
-  Runs.encode scratch points labels part 0 np;
-  let r = scratch in
-  group_prefix ws r d;
-  let group = ws.group and lo = ws.lo and hi = ws.hi in
-  let split extreme =
-    let boundary = Array.make np 0 and rest = Array.make np 0 in
-    let nb = ref 0 and nr = ref 0 and q = ref 0 in
-    for j = 0 to r.nruns - 1 do
-      let v0 = r.buf.((j * r.stride) + d) and ext = extreme.(group.(j)) in
-      for t = 0 to Runs.run_len r j - 1 do
-        let v = if d = r.dim - 1 then v0 + t else v0 in
-        if v = ext then begin
-          boundary.(!nb) <- part.(!q);
-          incr nb
-        end
+   the rest, and points at the last iteration versus the rest.  This
+   captures the classic boundary pieces of dependence relations — e.g. a
+   reduction whose first inner iteration reads the previous outer
+   iteration's result (paper Table 2: the I4->I4 dependence holds on
+   ck >= 1 only).  Every half keeps its order.  The part's slices are
+   grouped by the stream's prefix groups, with the range of coordinate
+   [d] read off their endpoints, and classified without encoding: along
+   a slice only the innermost coordinate moves, so a slice is on the
+   boundary as a whole for an outer [d], and in at most its first (or
+   last) point for the innermost. *)
+let split_boundary_iterations (ws : Ws.t) s part d =
+  let ids = stream_ids ws s d and r = s.e.r in
+  let ns = Array.length part / 3 in
+  if Array.length ws.group < ns then ws.group <- Array.make ns 0;
+  let inner = d = r.dim - 1 in
+  let ng = ref 0 in
+  for i = 0 to ns - 1 do
+    let j = part.(3 * i) and f = part.((3 * i) + 1) and l = part.((3 * i) + 2) in
+    let v = r.buf.((j * r.stride) + d) + (if inner then f else 0) in
+    ng := join_group ws !ng i ids.(j) v (if inner then v + l - 1 else v)
+  done;
+  close_groups ws !ng;
+  let split ~last extreme =
+    let boundary = Array.make (3 * ns) 0 and rest = Array.make (3 * ns) 0 in
+    let nb = ref 0 and nr = ref 0 in
+    let put a n j f l =
+      a.(!n) <- j;
+      a.(!n + 1) <- f;
+      a.(!n + 2) <- l;
+      n := !n + 3
+    in
+    for i = 0 to ns - 1 do
+      let j = part.(3 * i) and f = part.((3 * i) + 1) and l = part.((3 * i) + 2) in
+      let ext = extreme.(ws.group.(i)) and v = r.buf.((j * r.stride) + d) in
+      if not inner then (if v = ext then put boundary nb j f l else put rest nr j f l)
+      else begin
+        (* the one point of the slice that can reach the extreme *)
+        let t = if last then l - 1 else 0 in
+        if v + f + t <> ext then put rest nr j f l
         else begin
-          rest.(!nr) <- part.(!q);
-          incr nr
-        end;
-        incr q
-      done
+          put boundary nb j (f + t) 1;
+          if l > 1 then put rest nr j (if last then f else f + 1) (l - 1)
+        end
+      end
     done;
     (Array.sub boundary 0 !nb, Array.sub rest 0 !nr)
   in
-  (split lo, split hi)
+  (split ~last:false ws.lo, split ~last:true ws.hi)
 
 (* Where a piece of a stream came from: the part of the stream its
    domain was fitted on, and so which points its labels were fitted on.
    [Whole]: [fit_segment] on the whole stream, strict or not (the labels
-   are fitted alike); [Segment (start, len)] and [Subset idx]:
-   [fit_segment] on those points of the decoded stream, in that order;
-   [Box]: [box_piece], whose labels [fit_points] fitted on every point. *)
+   are fitted alike); [Part slices]: [fit_segment] on those points, a
+   greedy segment or a boundary-split part; [Box]: [box_piece], whose
+   labels [fit_points] fitted on every point. *)
 type origin =
   | Whole
-  | Segment of int * int
-  | Subset of int array
+  | Part of int array
   | Box
 
 (* The piece list of a stream [r] that [fit_segment] could not fit
@@ -1056,20 +1287,18 @@ type origin =
    segmentation, then per-component label over-approximation or a
    box. *)
 let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
-  let dim = r.dim and label_dim = r.label_dim in
-  let points, labels = Runs.decode r in
-  let n = Array.length points in
-  let scratch = Runs.create ~dim ~label_dim ~max_runs:n ~size:n in
-  let ident = Array.init n Fun.id in
+  let dim = r.dim and n = r.npoints in
+  let s = search ws r in
   (* the fit of every part the boundary splits tried, by the part's
-     contents: different split paths reach the same part *)
+     slices: different split paths reach the same part *)
   let parts = Key_tbl.create 16 in
-  let fit_part part =
+  let fit_slices part =
     let key = { Key.head = [||]; body = part; len = Array.length part; rel = Key.plain } in
     match Key_tbl.find_opt parts key with
     | Some p -> p
     | None ->
-        let p = fit_indices ws scratch points labels part 0 (Array.length part) in
+        encode s.e part;
+        let p = fit_part ws s in
         Key_tbl.add parts key p;
         p
   in
@@ -1081,15 +1310,15 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
        classified when [go] first reaches the dim *)
     let classified = Array.make dim None in
     let halves d last =
-      let s =
+      let c =
         match classified.(d) with
-        | Some s -> s
+        | Some c -> c
         | None ->
-            let s = split_boundary_iterations ws scratch points labels part d in
-            classified.(d) <- Some s;
-            s
+            let c = split_boundary_iterations ws s part d in
+            classified.(d) <- Some c;
+            c
       in
-      if last then snd s else fst s
+      if last then snd c else fst c
     in
     let rec go d last =
       if d < 0 then if last then None else go (dim - 1) true
@@ -1107,12 +1336,12 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
     in
     go (dim - 1) false
   and fit_with_splits part budget =
-    match fit_part part with
-    | Some p -> Some [ (p, Subset part) ]
+    match fit_slices part with
+    | Some p -> Some [ (p, Part part) ]
     | None when budget > 0 -> split part budget
     | None -> None
   in
-  match if dim > 0 && boundary_splits then split ident 2 else None with
+  match if dim > 0 && boundary_splits then split (range_part s 0 n) 2 else None with
   | Some ps -> ps
   | None ->
       (* the boundary phase is over: drop its parts *)
@@ -1127,7 +1356,7 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
         match Hashtbl.find_opt tried len with
         | Some p -> p
         | None ->
-            let p = fit_indices ws scratch points labels ident !i len in
+            let p = fit_range ws s !i len in
             Hashtbl.add tried len p;
             p
       in
@@ -1158,7 +1387,7 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
         done;
         let best = !best in
         (match segment best with
-        | Some p -> pieces := (p, Segment (!i, best)) :: !pieces
+        | Some p -> pieces := (p, Part (range_part s !i best)) :: !pieces
         | None -> assert false);
         i := !i + best;
         if List.length !pieces > max_pieces then too_many := true
@@ -1167,32 +1396,25 @@ let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
         (* before giving up the domain, try the whole stream with
            per-component label over-approximation: an exact domain
            whose irregular label components are top *)
-        match fit_segment ~strict:false ws r with
+        match fit_segment ~strict:false ~group:(group_prefix ws r) ws r with
         | Some p -> [ (p, Whole) ]
-        | None -> [ (box_piece ws scratch points labels ident, Box) ]
+        | None -> [ (box_piece ws s, Box) ]
       else List.rev !pieces
 
 (* [ps], the pieces of a stream with these [origins], with their labels
    fitted again on the labels of [r], the same points with other labels:
-   each label fit runs as the fold ran it, on the same part of [r].
-   Returns the pieces and the number of points decoded for them. *)
+   each label fit runs as the fold ran it, on the same part of [r]. *)
 let refit ws (r : Runs.t) ps origins =
-  let n = r.npoints in
-  let decoded = List.exists (function Whole -> false | _ -> true) origins in
-  let points, labels = if decoded then Runs.decode r else ([||], [||]) in
-  let scratch = Runs.create ~dim:r.dim ~label_dim:r.label_dim ~max_runs:n ~size:(if decoded then n else 0) in
-  let ident = if decoded then Array.init n Fun.id else [||] in
-  let on idx ofs len =
-    Runs.encode scratch points labels idx ofs len;
-    fit_labels ws scratch
-  in
+  let e = lazy (encoder r) in
   let refit_one (p : piece) = function
     | Whole -> { p with labels = fit_labels ws r }
-    | Segment (start, len) -> { p with labels = on ident start len }
-    | Subset idx -> { p with labels = on idx 0 (Array.length idx) }
-    | Box -> { p with labels = Array.init r.label_dim (fit_points ws ~dim:r.dim points labels) }
+    | Part part ->
+        let e = Lazy.force e in
+        encode e part;
+        { p with labels = fit_labels ws e.out }
+    | Box -> { p with labels = Array.init r.label_dim (fit_points ws r) }
   in
-  (List.map2 refit_one ps origins, if decoded then n else 0)
+  List.map2 refit_one ps origins
 
 (* ------------------------------------------------------------------ *)
 (* Streaming collector                                                  *)
@@ -1203,7 +1425,7 @@ module Collector = struct
   let obs_pieces = Obs.Metrics.counter ~help:"polyhedral pieces produced by folding" "fold.pieces"
   let obs_approx = Obs.Metrics.counter ~help:"collectors that overflowed their cap into approx mode" "fold.approx_spills"
   let obs_runs = Obs.Metrics.counter ~help:"runs the collectors held when they stopped buffering" "fold.runs"
-  let obs_decoded = Obs.Metrics.counter ~help:"points decoded from runs for the split search or a cap spill" "fold.decoded_points"
+  let obs_decoded = Obs.Metrics.counter ~help:"points a cap spill read back one by one from its runs" "fold.decoded_points"
   let obs_shared = Obs.Metrics.counter ~help:"collectors answered from the stream table, equal or shifted" "fold.shared"
   let obs_shifted = Obs.Metrics.counter ~help:"stream-table answers whose labels were refitted under a nonzero shift" "fold.shifted"
   let obs_collector_points = Obs.Metrics.histogram ~help:"points per folded collector" "fold.collector_points"
@@ -1213,7 +1435,7 @@ module Collector = struct
     mutable hi : int array;
     mutable labels : A.t option array;  (* still-valid incremental fits *)
     spill_runs : int;  (* runs held when the cap was reached *)
-    spill_points : int;  (* points decoded then *)
+    spill_points : int;  (* points held then *)
   }
 
   type mode =
@@ -1250,21 +1472,11 @@ module Collector = struct
 
   let spilled t = match t.mode with Approx _ -> true | Buffering _ -> false
 
-  let switch_to_approx t r =
-    let points, labels = Runs.decode r in
-    let lo = Array.copy points.(0) and hi = Array.copy points.(0) in
-    Array.iter
-      (fun p ->
-        Array.iteri
-          (fun k v ->
-            if v < lo.(k) then lo.(k) <- v;
-            if v > hi.(k) then hi.(k) <- v)
-          p)
-      points;
-    let n = Array.length points in
+  let switch_to_approx t (r : Runs.t) =
+    let lo, hi = run_bounds r in
     (* outside [finalize]: no stream table, so a workspace of its own *)
-    let lfs = Array.init t.label_dim (fit_points (Ws.create ()) ~dim:t.dim points labels) in
-    t.mode <- Approx { lo; hi; labels = lfs; spill_runs = r.nruns; spill_points = n }
+    let lfs = Array.init t.label_dim (fit_points (Ws.create ()) r) in
+    t.mode <- Approx { lo; hi; labels = lfs; spill_runs = r.nruns; spill_points = r.npoints }
 
   let add t coords label =
     assert (Array.length coords = t.dim && Array.length label = t.label_dim);
@@ -1285,16 +1497,6 @@ module Collector = struct
           | Some f -> if A.compare_int f coords label.(k) <> 0 then st.labels.(k) <- None
           | None -> ()
         done
-
-  let box_of_bounds dim lo hi =
-    let cons = ref [] in
-    for k = 0 to dim - 1 do
-      let up = Array.make dim 0 and dn = Array.make dim 0 in
-      up.(k) <- 1;
-      dn.(k) <- -1;
-      cons := Cstr.make Ge up (-lo.(k)) :: Cstr.make Ge dn hi.(k) :: !cons
-    done;
-    P.make dim !cons
 
   (* The raw pieces (before the [per_component] ablation) of every
      buffered stream folded so far, with their origins, keyed on the
@@ -1330,8 +1532,7 @@ module Collector = struct
     done;
     !small
 
-  (* [r]'s pieces, where they came from, and the points decoded for
-     them *)
+  (* [r]'s pieces and where they came from *)
   let fold_buffered ~shared t (r : Runs.t) =
     let ld = t.label_dim and lofs = t.dim + 1 in
     (* start labels (offset [lofs]) and last labels ([lofs + 2 ld]) read
@@ -1356,25 +1557,23 @@ module Collector = struct
       !same
     in
     match Key_tbl.find_opt shared.streams key with
-    | Some e when unshifted e -> (e.pieces, Shared, 0)
+    | Some e when unshifted e -> (e.pieces, Shared)
     | Some e when labels_small r r.buf && labels_small r e.src ->
-        let ps, decoded = refit shared.ws r e.pieces e.origins in
+        let ps = refit shared.ws r e.pieces e.origins in
         (* the refitted stream is what its own fold would have left:
            its repeats become equal hits *)
         Key_tbl.replace shared.streams key { e with src = r.buf; pieces = ps };
-        (ps, Shifted, decoded)
+        (ps, Shifted)
     | found ->
-        let pieces, origins, decoded =
-          match fit_segment shared.ws r with
-          | Some p -> ([ p ], [ Whole ], 0)
+        let pieces, origins =
+          match fit_segment ~group:(group_prefix shared.ws r) shared.ws r with
+          | Some p -> ([ p ], [ Whole ])
           | None ->
-              let ps =
-                fold_split ~boundary_splits:t.boundary_splits ~max_pieces:t.max_pieces shared.ws r
-              in
-              (List.map fst ps, List.map snd ps, r.npoints)
+              List.split
+                (fold_split ~boundary_splits:t.boundary_splits ~max_pieces:t.max_pieces shared.ws r)
         in
         if Option.is_none found then Key_tbl.add shared.streams key { src = r.buf; pieces; origins };
-        (pieces, Folded, decoded)
+        (pieces, Folded)
 
   let result ~shared t =
     match t.finalized with
@@ -1383,10 +1582,10 @@ module Collector = struct
         let ps, runs, source, decoded =
           match t.mode with
           | Buffering r ->
-              let ps, source, decoded = fold_buffered ~shared t r in
-              (ps, r.nruns, Some source, decoded)
+              let ps, source = fold_buffered ~shared t r in
+              (ps, r.nruns, Some source, 0)
           | Approx st ->
-              ( [ { dom = box_of_bounds t.dim st.lo st.hi;
+              ( [ { dom = Minisl.Hull.box_of_bounds st.lo st.hi;
                     labels = st.labels;
                     exact = false;
                     points = t.n;
@@ -1443,3 +1642,14 @@ let fold_points ~dim ~label_dim pts =
   let c = Collector.create ~dim ~label_dim () in
   List.iter (fun (p, l) -> Collector.add c p l) pts;
   Collector.result ~shared:(Collector.shared ()) c
+
+let encode_slices r part =
+  let e = encoder r in
+  encode e part;
+  e.out
+
+let part_groups ws (r : Runs.t) part d =
+  let s = search ws r in
+  encode s.e part;
+  group_part ws s d;
+  groups ws s.e.out.nruns

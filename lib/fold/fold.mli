@@ -92,9 +92,11 @@ module Collector : sig
       added points; pieces marked [exact] contain exactly their points.
       A stream in [shared] (equal or shifted, as above) is answered from
       it and counts 1 in [fold.shared]; a shifted one also counts 1 in
-      [fold.shifted] and adds the points its refit decodes to
-      [fold.decoded_points] (none when the stream's piece is the whole
-      stream), an equal one adds 0.  The collector then applies its own
+      [fold.shifted].  Neither a fold nor a refit decodes the stream:
+      the split search and the refits encode their parts from its runs
+      (the slices appended count in [fold.search_slices]), so only a
+      spilled collector adds to [fold.decoded_points], the points it held
+      when it spilled.  The collector then applies its own
       [per_component].  With telemetry on, the first call observes the
       point count into the [fold.collector_points] histogram. *)
 
@@ -118,7 +120,9 @@ module Collector : sig
   (** [set_check (Some f)]: every later {!result} on a buffered
       collector calls [f source points labels pieces] with its decoded
       stream and its result, before it returns; [None] stops it.  For
-      oracles over whole profiles; the call decodes every stream. *)
+      oracles over whole profiles: the hook is the one place a buffered
+      stream is decoded into points (not counted in
+      [fold.decoded_points]). *)
 end
 
 val fold_points : dim:int -> label_dim:int -> (int array * int array) list -> piece list
@@ -140,8 +144,14 @@ module Runs : sig
   val length : t -> int
   (** The number of runs. *)
 
+  val npoints : t -> int
+  (** The number of points. *)
+
   val run_lengths : t -> int array
   (** The number of points of each run, in order. *)
+
+  val contents : t -> int array
+  (** A copy of the runs as they are laid out in the buffer. *)
 end
 
 (** The flat-int workspace the fits of one stream table run in (each
@@ -168,6 +178,26 @@ val prefix_groups : Ws.t -> Runs.t -> int -> int array * int array * int array *
     first run, each run's group, and each group's min and max of
     coordinate [d].  Groups are numbered in the order their prefixes
     first appear. *)
+
+val encode_slices : Runs.t -> int array -> Runs.t
+(** [encode_slices r part]: the part [part] of [r] encoded as the split
+    search encodes a candidate part.  [part] is a canonical list of run
+    slices, flat: the triple [(j, f, l)] stands for the points
+    [f .. f + l - 1] of run [j]; the triples are in stream order, and two
+    slices of one run that touch are one slice.  The result holds the
+    same runs as pushing the part's points one at a time. *)
+
+val part_groups : Ws.t -> Runs.t -> int array -> int -> int array * int array * int array * int array
+(** [part_groups ws r part d]: what {!prefix_groups} gives on
+    [encode_slices r part] at [d], grouped as the split search groups a
+    part: by the prefix groups of the runs of [r] the part's runs start
+    in, so no prefix is hashed. *)
+
+val fit_points : Ws.t -> Runs.t -> int -> Minisl.Affine.t option
+(** [fit_points ws r k]: label component [k] of the points of [r] as an
+    affine function of the whole point, found by the sampled fit and
+    verified at every point in stream order, or [None].
+    @raise Pp_util.Rat.Overflow where the fit's arithmetic overflows *)
 
 val implied_count :
   (Minisl.Affine.t * Minisl.Affine.t) array -> limit:int -> int option

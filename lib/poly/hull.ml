@@ -1,9 +1,19 @@
 module Rat = Pp_util.Rat
 
+let box_of_bounds lo hi =
+  let dim = Array.length lo in
+  let cons = ref [] in
+  for k = 0 to dim - 1 do
+    let up = Array.make dim 0 and dn = Array.make dim 0 in
+    up.(k) <- 1;
+    dn.(k) <- -1;
+    cons := Constr.make Ge up (-lo.(k)) :: Constr.make Ge dn hi.(k) :: !cons
+  done;
+  Polyhedron.make dim !cons
+
 let box_of_points = function
   | [] -> invalid_arg "Hull.box_of_points: empty"
   | p0 :: rest ->
-      let dim = Array.length p0 in
       let lo = Array.copy p0 and hi = Array.copy p0 in
       List.iter
         (fun p ->
@@ -13,14 +23,7 @@ let box_of_points = function
               if v > hi.(k) then hi.(k) <- v)
             p)
         rest;
-      let cons = ref [] in
-      for k = 0 to dim - 1 do
-        let up = Array.make dim 0 and dn = Array.make dim 0 in
-        up.(k) <- 1;
-        dn.(k) <- -1;
-        cons := Constr.make Ge up (-lo.(k)) :: Constr.make Ge dn hi.(k) :: !cons
-      done;
-      Polyhedron.make dim !cons
+      box_of_bounds lo hi
 
 let box_of_polyhedra dim ps =
   let cons = ref [] in

@@ -1,6 +1,9 @@
 (** Over-approximation operators used when folding gives up on an exact
     representation (paper §5, "Over-approximations"). *)
 
+val box_of_bounds : int array -> int array -> Polyhedron.t
+(** [box_of_bounds lo hi]: the box [lo.(k) <= x_k <= hi.(k)]. *)
+
 val box_of_points : int array list -> Polyhedron.t
 (** Smallest axis-aligned bounding box containing the points.  The list
     must be non-empty. *)

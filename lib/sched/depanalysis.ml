@@ -124,16 +124,33 @@ let loop_dims_of_context (ctx : Ddg.Iiv.context) : path =
 let stmt_path (si : Ddg.Depprof.stmt_info) =
   loop_dims_of_context (Ddg.Iiv.context_of_id si.sk.s_ctx)
 
+(* context stacks compared element by element, without polymorphic
+   equality *)
+let rec same_stack (a : Ddg.Iiv.ctx_id list) (b : Ddg.Iiv.ctx_id list) =
+  match (a, b) with
+  | [], [] -> true
+  | x :: xs, y :: ys ->
+      (match (x, y) with
+      | Cblock (f, i), Cblock (g, j) | Cloop (f, i), Cloop (g, j) -> f = g && i = j
+      | Ccomp c, Ccomp d -> c = d
+      | _ -> false)
+      && same_stack xs ys
+  | _ -> false
+
 let rec common_prefix_len a b =
   match (a, b) with
-  | x :: xs, y :: ys when x = y -> 1 + common_prefix_len xs ys
+  | x :: xs, y :: ys when same_stack x y -> 1 + common_prefix_len xs ys
   | _ -> 0
 
 let rec take n = function
   | [] -> []
   | x :: xs -> if n <= 0 then [] else x :: take (n - 1) xs
 
-let is_prefix p l = take (List.length p) l = p
+let rec is_prefix (p : path) (l : path) =
+  match (p, l) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> same_stack x y && is_prefix xs ys
+  | _ :: _, [] -> false
 
 (* Classify the sign of an affine expression over a polyhedron. *)
 let classify_sign dom expr =

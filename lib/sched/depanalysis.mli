@@ -22,6 +22,10 @@ type path = Ddg.Iiv.ctx_id list list
 (** A loop-dimension stack prefix: element [i] is the full context stack
     of dimension [i].  Identifies a loop instance in the schedule tree. *)
 
+val is_prefix : path -> path -> bool
+(** [is_prefix p l]: the dimensions of [p] are the first ones of [l]
+    (each context stack equal, compared without polymorphic equality). *)
+
 type stmt_ext = {
   si : Ddg.Depprof.stmt_info;
   spath : path;  (** the statement's loop dimensions (without the

@@ -22,13 +22,11 @@ let rec take n = function
   | [] -> []
   | x :: xs -> if n <= 0 then [] else x :: take (n - 1) xs
 
-let is_prefix p l = take (List.length p) l = p
-
 let region_of_loop prog (t : Depanalysis.t) (l : Depanalysis.loop_info) =
   ignore prog;
   let nests =
     List.filter
-      (fun (n : Depanalysis.nest_info) -> is_prefix l.lpath n.npath)
+      (fun (n : Depanalysis.nest_info) -> Depanalysis.is_prefix l.lpath n.npath)
       t.nests
   in
   let suggestions = List.map (Transform.suggest t) nests in

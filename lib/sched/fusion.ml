@@ -18,24 +18,18 @@ type result = {
   merged_groups : component list list;
 }
 
-let rec take n = function
-  | [] -> []
-  | x :: xs -> if n <= 0 then [] else x :: take (n - 1) xs
-
-let is_prefix p l = take (List.length p) l = p
-
 let components (t : Depanalysis.t) ~prefix ~threshold =
   let plen = List.length prefix in
   let region_weight =
     List.fold_left
       (fun acc (s : Depanalysis.stmt_ext) ->
-        if is_prefix prefix s.spath then acc + s.si.Ddg.Depprof.s_count else acc)
+        if Depanalysis.is_prefix prefix s.spath then acc + s.si.Ddg.Depprof.s_count else acc)
       0 t.stmts
   in
   let cands =
     List.filter
       (fun (l : Depanalysis.loop_info) ->
-        l.ldepth = plen + 1 && is_prefix prefix l.lpath)
+        l.ldepth = plen + 1 && Depanalysis.is_prefix prefix l.lpath)
       t.loops
   in
   let min_w = int_of_float (threshold *. float_of_int region_weight) in
@@ -46,7 +40,7 @@ let components (t : Depanalysis.t) ~prefix ~threshold =
   let exec_key (l : Depanalysis.loop_info) =
     List.fold_left
       (fun acc (s : Depanalysis.stmt_ext) ->
-        if is_prefix l.lpath s.spath then
+        if Depanalysis.is_prefix l.lpath s.spath then
           min acc s.si.Ddg.Depprof.sk.Ddg.Depprof.s_sid
         else acc)
       max_int t.stmts
@@ -73,8 +67,8 @@ let fusion_legal (t : Depanalysis.t) plen a b =
     (fun (d : Depanalysis.dep_ext) ->
       let sp, dp = dep_paths d in
       let crosses =
-        (is_prefix a.c_path sp && is_prefix b.c_path dp)
-        || (is_prefix b.c_path sp && is_prefix a.c_path dp)
+        (Depanalysis.is_prefix a.c_path sp && Depanalysis.is_prefix b.c_path dp)
+        || (Depanalysis.is_prefix b.c_path sp && Depanalysis.is_prefix a.c_path dp)
       in
       if not crosses then true
       else
@@ -93,7 +87,7 @@ let fusion_legal (t : Depanalysis.t) plen a b =
                     let expr = A.sub (A.var ~dim:n plen) out_p in
                     (* consumer executes at or after producer on the
                        fused dimension *)
-                    let forward = is_prefix a.c_path sp in
+                    let forward = Depanalysis.is_prefix a.c_path sp in
                     let lo, hi = P.bounds p.Fold.dom expr in
                     if forward then
                       match lo with
@@ -114,8 +108,8 @@ let have_dep (t : Depanalysis.t) a b =
   List.exists
     (fun (d : Depanalysis.dep_ext) ->
       let sp, dp = dep_paths d in
-      (is_prefix a.c_path sp && is_prefix b.c_path dp)
-      || (is_prefix b.c_path sp && is_prefix a.c_path dp))
+      (Depanalysis.is_prefix a.c_path sp && Depanalysis.is_prefix b.c_path dp)
+      || (Depanalysis.is_prefix b.c_path sp && Depanalysis.is_prefix a.c_path dp))
     t.deps
 
 let cluster (t : Depanalysis.t) strategy plen comps =

@@ -26,12 +26,6 @@ type row = {
   failed : bool;
 }
 
-let rec take n = function
-  | [] -> []
-  | x :: xs -> if n <= 0 then [] else x :: take (n - 1) xs
-
-let is_prefix p l = take (List.length p) l = p
-
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 
 let select_region (t : Depanalysis.t) =
@@ -142,7 +136,7 @@ let compute ~name ?(ld_src = 0) ?(fusion_strategy = Fusion.Smartfuse)
         | Some l -> (l.lpath, l.header_loc)
         | None -> ([], None))
   in
-  let in_region (s : Depanalysis.stmt_ext) = is_prefix region_path s.spath in
+  let in_region (s : Depanalysis.stmt_ext) = Depanalysis.is_prefix region_path s.spath in
   let region_stmts = List.filter in_region t.stmts in
   let sum f l = List.fold_left (fun acc s -> acc + f s) 0 l in
   let region_ops = sum stmt_count region_stmts in
@@ -181,7 +175,7 @@ let compute ~name ?(ld_src = 0) ?(fusion_strategy = Fusion.Smartfuse)
         let any_parallel =
           List.exists
             (fun (l : Depanalysis.loop_info) ->
-              l.parallel && is_prefix l.lpath s.spath)
+              l.parallel && Depanalysis.is_prefix l.lpath s.spath)
             t.loops
         in
         let wavefront =
@@ -240,7 +234,7 @@ let compute ~name ?(ld_src = 0) ?(fusion_strategy = Fusion.Smartfuse)
   let tile_depth =
     List.fold_left
       (fun acc ((n : Depanalysis.nest_info), _) ->
-        if is_prefix region_path n.npath || region_path = [] then
+        if Depanalysis.is_prefix region_path n.npath || region_path = [] then
           max acc (max 1 (Depanalysis.max_band_width n))
         else acc)
       0 suggestions
@@ -267,7 +261,7 @@ let compute ~name ?(ld_src = 0) ?(fusion_strategy = Fusion.Smartfuse)
   let skew =
     List.exists
       (fun ((n : Depanalysis.nest_info), sg) ->
-        is_prefix region_path n.npath
+        Depanalysis.is_prefix region_path n.npath
         && sg.Transform.uses_skew
         && float_of_int n.nweight >= 0.2 *. float_of_int (max 1 region_ops))
       suggestions

@@ -980,19 +980,22 @@ let test_runs_counter () =
 let test_decoded_counter () =
   Obs.Registry.with_enabled @@ fun () ->
   Obs.Metrics.reset ();
-  (* a split search decodes its whole stream ... *)
+  (* a split search encodes its parts from the stream's runs and
+     decodes nothing ... *)
   let pts = List.init 7 (fun x -> ([| x |], [| (if x < 3 then x else 10 * x) |])) in
   ignore (Fold.fold_points ~dim:1 ~label_dim:1 pts);
   Alcotest.(check bool) "split search" true
-    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 7));
-  (* ... and a cap spill the points buffered so far *)
+    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 0));
+  Alcotest.(check bool) "slices appended" true
+    (match metric "fold.search_slices" with Some (Obs.Metrics.Vint n) -> n > 0 | _ -> false);
+  (* ... and a cap spill counts the points buffered so far *)
   let c = Fold.Collector.create ~cap:10 ~dim:1 ~label_dim:1 () in
   for x = 0 to 29 do
     Fold.Collector.add c [| x |] [| x |]
   done;
   ignore (Fold.Collector.result ~shared:(Fold.Collector.shared ()) c);
   Alcotest.(check bool) "spill" true
-    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 17));
+    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 10));
   Alcotest.(check bool) "runs held at the spill" true
     (metric "fold.runs" = Some (Obs.Metrics.Vint 3))
 
@@ -1011,8 +1014,8 @@ let test_shared_counter () =
   let a = fold pts and b = fold pts in
   Alcotest.(check bool) "the table's pieces" true (a == b);
   Alcotest.(check bool) "one hit" true (metric "fold.shared" = Some (Obs.Metrics.Vint 1));
-  Alcotest.(check bool) "one decode" true
-    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 7));
+  Alcotest.(check bool) "nothing decoded" true
+    (metric "fold.decoded_points" = Some (Obs.Metrics.Vint 0));
   Alcotest.(check bool) "both count their points" true
     (metric "fold.points" = Some (Obs.Metrics.Vint 14))
 
@@ -1263,6 +1266,167 @@ let test_suite_oracle () =
     o.by_source.(2);
   Alcotest.(check bool) "all three sources met" true (Array.for_all (fun n -> n > 0) o.by_source)
 
+(* --- run slices ---------------------------------------------------------- *)
+
+(* Streams built run by run, for the split search's slice encoding: runs
+   of one point or a few, outer coordinates from a small grid, dims 0-4,
+   and innermost coordinates, labels and label steps often within a few
+   steps of [max_int] / [min_int] (or of [max_int / c], where a product
+   overflows).  A run often starts right after an
+   earlier run's last point, continuing its labels or not, so that two
+   slices which are apart in the stream can meet in a part. *)
+let gen_slice_stream st =
+  let rand n = Random.State.int st (max 1 n) in
+  let near () =
+    match rand 3 with
+    | 0 -> max_int - rand 4
+    | 1 -> min_int + rand 4
+    | _ -> (max_int / (2 + rand 3)) - rand 4
+  in
+  let dim = rand 5 and label_dim = rand 4 and extreme = rand 3 = 0 in
+  let small () = rand 11 - 5 in
+  let pts = ref [] and ends = ref [] in
+  for _ = 1 to 1 + rand 12 do
+    let len = if rand 2 = 0 then 1 else 1 + rand 5 in
+    let step () = if extreme && rand 3 = 0 then max_int / (1 + rand 3) else rand 5 - 2 in
+    let p0, l0, step =
+      match (rand 3, !ends) with
+      | (1 | 2), (_ :: _ as ends) when dim > 0 ->
+          let p, l, st = List.nth ends (rand (List.length ends)) in
+          let p0 = Array.copy p in
+          p0.(dim - 1) <- p0.(dim - 1) + 1;
+          if rand 3 = 1 then (p0, Array.map2 ( + ) l st, st)
+          else (p0, Array.map (fun _ -> small ()) l, Array.map (fun _ -> step ()) l)
+      | _ ->
+          ( Array.init dim (fun k -> if k = dim - 1 && extreme && rand 2 = 0 then near () else rand 3 - 1),
+            Array.init label_dim (fun _ -> if extreme && rand 2 = 0 then near () else small ()),
+            Array.init label_dim (fun _ -> step ()) )
+    in
+    let point t =
+      let p = Array.copy p0 in
+      if dim > 0 then p.(dim - 1) <- p.(dim - 1) + t;
+      (p, Array.mapi (fun k l -> l + (t * step.(k))) l0)
+    in
+    for t = 0 to len - 1 do
+      pts := point t :: !pts
+    done;
+    let p, l = point (len - 1) in
+    ends := (p, l, step) :: !ends
+  done;
+  (dim, label_dim, List.rev !pts)
+
+(* A random canonical part of [r]: per run nothing, all of it, or one or
+   two slices with a gap between them. *)
+let gen_part st r =
+  let rand n = Random.State.int st (max 1 n) in
+  let part = ref [] in
+  let add j f l = part := l :: f :: j :: !part in
+  Array.iteri
+    (fun j len ->
+      match rand 3 with
+      | 0 -> ()
+      | 1 -> add j 0 len
+      | _ ->
+          let f = rand len in
+          let l = 1 + rand (len - f) in
+          add j f l;
+          if f + l + 1 < len && rand 2 = 0 then begin
+            let f2 = f + l + 1 + rand (len - f - l - 1) in
+            add j f2 (1 + rand (len - f2))
+          end)
+    (Fold.Runs.run_lengths r);
+  Array.of_list (List.rev !part)
+
+(* the points of [part], in order, from the decoded stream *)
+let part_points r part =
+  let pts = Array.of_list (Fold.Runs.to_points r) in
+  let lens = Fold.Runs.run_lengths r in
+  let starts = Array.make (Array.length lens) 0 in
+  Array.iteri (fun j _ -> if j > 0 then starts.(j) <- starts.(j - 1) + lens.(j - 1)) lens;
+  List.concat
+    (List.init
+       (Array.length part / 3)
+       (fun i ->
+         let j = part.(3 * i) and f = part.((3 * i) + 1) and l = part.((3 * i) + 2) in
+         List.init l (fun t -> pts.(starts.(j) + f + t))))
+
+let gen_sliced =
+  QCheck.make
+    ~print:(fun ((dim, ld, pts), part) ->
+      Printf.sprintf "dim %d label_dim %d, %d points, part [%s]" dim ld (List.length pts)
+        (String.concat "; " (Array.to_list (Array.map string_of_int part))))
+    (fun st ->
+      let ((dim, label_dim, pts) as s) = gen_slice_stream st in
+      (s, gen_part st (Fold.Runs.of_points ~dim ~label_dim pts)))
+
+let prop_slice_encoding =
+  QCheck.Test.make ~name:"slice encoding = pushing the points one at a time" ~count:2000 gen_sliced
+    (fun ((dim, label_dim, pts), part) ->
+      let r = Fold.Runs.of_points ~dim ~label_dim pts in
+      let e = Fold.encode_slices r part in
+      let q = Fold.Runs.of_points ~dim ~label_dim (part_points r part) in
+      Fold.Runs.length e = Fold.Runs.length q
+      && Fold.Runs.npoints e = Fold.Runs.npoints q
+      && Fold.Runs.contents e = Fold.Runs.contents q)
+
+let slice_ws = Fold.Ws.create ()
+
+let prop_slice_groups =
+  QCheck.Test.make ~name:"slice grouping = prefix grouping of the encoded part" ~count:1000
+    gen_sliced (fun ((dim, label_dim, pts), part) ->
+      let r = Fold.Runs.of_points ~dim ~label_dim pts in
+      List.for_all
+        (fun d ->
+          Fold.part_groups slice_ws r part d
+          = Fold.prefix_groups slice_ws (Fold.encode_slices r part) d)
+        (List.init dim Fun.id))
+
+(* [Fold.fit_points] on decoded points, spelled out: the first [dim + 2]
+   points are sampled, then each point the candidate misses, for at most
+   [dim + 5] rounds; a round solves the missed points newest first, then
+   the first ones, in checked ints or else over [Rat]. *)
+let fit_points_decoded ws ~dim (points : int array array) (values : int array) =
+  let n = Array.length points in
+  let m0 = min n (dim + 2) in
+  let rec round r missed =
+    if r > dim + 4 then None
+    else begin
+      let rows = Array.of_list (missed @ List.init m0 Fun.id) in
+      let pts = Array.map (fun i -> points.(i)) rows and vals = Array.map (fun i -> values.(i)) rows in
+      match
+        try Fold.solve_samples ws pts vals
+        with Pp_util.Rat.Overflow -> Pp_util.Matrix.affine_fit pts vals
+      with
+      | None -> None
+      | Some (coeffs, const) ->
+          let f = { A.coeffs; const } in
+          let bad = ref 0 in
+          while !bad < n && A.compare_int f points.(!bad) values.(!bad) = 0 do
+            incr bad
+          done;
+          if !bad = n then Some f else round (r + 1) (!bad :: missed)
+    end
+  in
+  if n = 0 then None else round 0 []
+
+let prop_fit_points =
+  let outcome f = match f () with v -> Ok v | exception Pp_util.Rat.Overflow -> Error () in
+  QCheck.Test.make ~name:"fit_points over runs = over decoded points" ~count:1000
+    (QCheck.make (fun st ->
+         if Random.State.bool st then gen_slice_stream st
+         else
+           let s = gen_stream st in
+           (s.s_dim, s.s_label_dim, s.s_pts)))
+    (fun (dim, label_dim, pts) ->
+      let r = Fold.Runs.of_points ~dim ~label_dim pts in
+      let points = Array.of_list (List.map fst pts) in
+      List.for_all
+        (fun k ->
+          let values = Array.of_list (List.map (fun (_, l) -> l.(k)) pts) in
+          outcome (fun () -> Fold.fit_points slice_ws r k)
+          = outcome (fun () -> fit_points_decoded slice_ws ~dim points values))
+        (List.init label_dim Fun.id))
+
 let () =
   Alcotest.run "fold"
     [ ( "exact",
@@ -1312,4 +1476,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_fold_rect_roundtrip; prop_fold_covers;
             prop_fold_enumeration_oracle; prop_runs_roundtrip;
-            prop_implied_count_closed_form; prop_prefix_groups ] ) ]
+            prop_implied_count_closed_form; prop_prefix_groups ] );
+      ( "slices",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_slice_encoding; prop_slice_groups; prop_fit_points ] ) ]

@@ -218,6 +218,26 @@ let test_domain_params () =
   Alcotest.(check string) "far away gets n1" "n1" (Sched.Domain_params.abstract dp 4096);
   Alcotest.(check int) "two parameters" 2 (List.length (Sched.Domain_params.params dp))
 
+(* [Depanalysis.is_prefix] against the definition it replaced: the
+   first [length p] dimensions of [l], compared with [=].  Paths come
+   from a few context ids, so prefixes and near misses are common. *)
+let prop_is_prefix =
+  let gen =
+    QCheck.Gen.(
+      let ctx =
+        oneof
+          [ map2 (fun f b -> Ddg.Iiv.Cblock (f, b)) (int_bound 1) (int_bound 1);
+            map2 (fun f l -> Ddg.Iiv.Cloop (f, l)) (int_bound 1) (int_bound 1);
+            map (fun c -> Ddg.Iiv.Ccomp c) (int_bound 1) ]
+      in
+      let path = list_size (int_bound 3) (list_size (int_bound 2) ctx) in
+      pair path path >>= fun (p, l) ->
+      oneofl [ (p, l); (p, p @ l); (p @ l, p); (p, p) ])
+  in
+  let rec take n = function [] -> [] | x :: xs -> if n <= 0 then [] else x :: take (n - 1) xs in
+  QCheck.Test.make ~name:"is_prefix = take (length p) l = p" ~count:2000 (QCheck.make gen)
+    (fun (p, l) -> Sched.Depanalysis.is_prefix p l = (take (List.length p) l = p))
+
 let () =
   Alcotest.run "sched"
     [ ( "dependence analysis",
@@ -227,7 +247,8 @@ let () =
             test_uniform_dep_direction;
           Alcotest.test_case "direction lattice" `Quick test_direction_lattice;
           Alcotest.test_case "loop info" `Quick test_parallel_loop_info;
-          Alcotest.test_case "header locations" `Quick test_header_locs ] );
+          Alcotest.test_case "header locations" `Quick test_header_locs;
+          QCheck_alcotest.to_alcotest prop_is_prefix ] );
       ( "bands & skewing",
         [ Alcotest.test_case "non-negative band permutable" `Quick
             test_band_nonneg_is_permutable;

@@ -87,70 +87,73 @@ let fig6_hir : Vm.Hir.program =
 let tables_1_and_2 () =
   section "Tables 1 & 2: dependency stream of bpnn_layerforward (Fig. 6)";
   let prog = Vm.Hir.lower fig6_hir in
-  let structure = Cfg.Cfg_builder.run prog in
   let kernel_fid = (Vm.Prog.func_by_name prog "bpnn_layerforward").Vm.Prog.fid in
   (* Table 1: tap the raw dependence stream with a bespoke pass built
      from the public Instrumentation-II pieces *)
-  let iiv = Ddg.Iiv.create () in
-  let levents = Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main in
-  let shadow = Ddg.Shadow.create () in
-  let samples : (string, (int array * int array) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let emit = Ddg.Iiv.update iiv in
-  Ddg.Loop_events.start levents ~emit;
-  let on_control ev =
-    (match ev with
-    | Vm.Event.Call _ -> Ddg.Shadow.push_frame shadow
-    | Vm.Event.Return _ -> Ddg.Shadow.pop_frame shadow
-    | Vm.Event.Jump _ -> ());
-    Ddg.Loop_events.feed levents ~emit ev
-  in
-  (* shadow tags are the producer's sid *)
-  let on_exec (e : Vm.Event.exec) =
-    let coords = Ddg.Iiv.coords iiv in
-    let record tag src_coords =
-      if
-        tag >= 0
-        && Vm.Isa.Sid.fid e.sid = kernel_fid
-        && Vm.Isa.Sid.fid tag = kernel_fid
-        && Array.length src_coords = 2
-        && Array.length coords = 2
-      then begin
-        let key =
-          Printf.sprintf "I%d -> I%d"
-            (Vm.Isa.Sid.idx tag + 1)
-            (Vm.Isa.Sid.idx e.sid + 1)
-        in
-        let cell =
-          match Hashtbl.find_opt samples key with
-          | Some r -> r
-          | None ->
-              let r = ref [] in
-              Hashtbl.add samples key r;
-              r
-        in
-        cell := (coords, src_coords) :: !cell
-      end
+  let tap structure tee =
+    let iiv = Ddg.Iiv.create () in
+    let levents = Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main in
+    let shadow = Ddg.Shadow.create () in
+    let samples : (string, (int array * int array) list ref) Hashtbl.t =
+      Hashtbl.create 16
     in
-    List.iter
-      (fun reg ->
-        record (Ddg.Shadow.reg_tag shadow ~reg) (Ddg.Shadow.reg_coords shadow ~reg))
-      e.reads;
-    (match e.addr_read with
-    | Some addr ->
-        record (Ddg.Shadow.mem_tag shadow ~addr) (Ddg.Shadow.mem_coords shadow ~addr)
-    | None -> ());
-    (match e.addr_written with
-    | Some addr -> Ddg.Shadow.write_mem shadow ~addr ~tag:e.sid ~coords
-    | None -> ());
-    match e.writes with
-    | Some reg -> Ddg.Shadow.write_reg shadow ~reg ~tag:e.sid ~coords
-    | None -> ()
+    let emit = Ddg.Iiv.update iiv in
+    Ddg.Loop_events.start levents ~emit;
+    let on_control ev =
+      (match ev with
+      | Vm.Event.Call _ -> Ddg.Shadow.push_frame shadow
+      | Vm.Event.Return _ -> Ddg.Shadow.pop_frame shadow
+      | Vm.Event.Jump _ -> ());
+      Ddg.Loop_events.feed levents ~emit ev
+    in
+    (* shadow tags are the producer's sid *)
+    let on_exec (e : Vm.Event.exec) =
+      let coords = Ddg.Iiv.coords iiv in
+      let record tag src_coords =
+        if
+          tag >= 0
+          && Vm.Isa.Sid.fid e.sid = kernel_fid
+          && Vm.Isa.Sid.fid tag = kernel_fid
+          && Array.length src_coords = 2
+          && Array.length coords = 2
+        then begin
+          let key =
+            Printf.sprintf "I%d -> I%d"
+              (Vm.Isa.Sid.idx tag + 1)
+              (Vm.Isa.Sid.idx e.sid + 1)
+          in
+          let cell =
+            match Hashtbl.find_opt samples key with
+            | Some r -> r
+            | None ->
+                let r = ref [] in
+                Hashtbl.add samples key r;
+                r
+          in
+          cell := (coords, src_coords) :: !cell
+        end
+      in
+      List.iter
+        (fun reg ->
+          record (Ddg.Shadow.reg_tag shadow ~reg) (Ddg.Shadow.reg_coords shadow ~reg))
+        e.reads;
+      (match e.addr_read with
+      | Some addr ->
+          record (Ddg.Shadow.mem_tag shadow ~addr) (Ddg.Shadow.mem_coords shadow ~addr)
+      | None -> ());
+      (match e.addr_written with
+      | Some addr -> Ddg.Shadow.write_mem shadow ~addr ~tag:e.sid ~coords
+      | None -> ());
+      match e.writes with
+      | Some reg -> Ddg.Shadow.write_reg shadow ~reg ~tag:e.sid ~coords
+      | None -> ()
+    in
+    let (_ : Vm.Interp.stats) =
+      Vm.Interp.run ~callbacks:(tee { Vm.Interp.on_control; on_exec }) prog
+    in
+    samples
   in
-  let (_ : Vm.Interp.stats) =
-    Vm.Interp.run ~callbacks:{ Vm.Interp.on_control; on_exec } prog
-  in
+  let samples, _, _ = Cfg.Cfg_builder.speculate prog tap in
   Format.printf
     "Table 1 (input dependency stream; first samples per dependence):@.";
   let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) samples []) in
@@ -167,7 +170,7 @@ let tables_1_and_2 () =
     keys;
   (* Table 2: the folded output, straight from the pipeline *)
   Format.printf "@.Table 2 (folded dependences of the kernel):@.";
-  let res = Ddg.Depprof.profile prog ~structure in
+  let res = Ddg.Depprof.profile prog in
   List.iter
     (fun (d : Ddg.Depprof.dep_info) ->
       if
@@ -419,9 +422,14 @@ let fig_5 () =
   let row name hir =
     let prog = Vm.Hir.lower hir in
     let res = Ddg.Depprof.profile prog in
+    let cct = Ddg.Cct.create ~main:prog.Vm.Prog.main in
+    let (_ : Vm.Interp.stats) =
+      Vm.Interp.run prog
+        ~callbacks:{ Vm.Interp.on_control = Ddg.Cct.on_control cct; on_exec = ignore }
+    in
     [ name;
-      string_of_int (Ddg.Cct.max_depth res.Ddg.Depprof.cct);
-      string_of_int (Ddg.Cct.n_nodes res.Ddg.Depprof.cct);
+      string_of_int (Ddg.Cct.max_depth cct);
+      string_of_int (Ddg.Cct.n_nodes cct);
       string_of_int (Ddg.Sched_tree.depth res.Ddg.Depprof.stree);
       string_of_int (Ddg.Sched_tree.n_nodes res.Ddg.Depprof.stree) ]
   in
@@ -460,14 +468,13 @@ let ablation () =
     (fun (w : Workloads.Workload.t) ->
       Format.printf "@.%s:@." w.w_name;
       let prog = Vm.Hir.lower w.hir in
-      let structure = Cfg.Cfg_builder.run prog in
       let header =
         [ "variant"; "%Aff"; "dep rels"; "exact deps"; "TileD"; "%||ops" ]
       in
       let rows =
         List.map
           (fun (name, config) ->
-            let res = Ddg.Depprof.profile ~config prog ~structure in
+            let res = Ddg.Depprof.profile ~config prog in
             let analysis = Sched.Depanalysis.analyse prog res in
             let row =
               Sched.Metrics.compute ~name:w.w_name
@@ -557,49 +564,11 @@ let obs_bench () =
   let metrics = Obs.Metrics.snapshot () in
   Obs.Registry.disable ();
   print_string (Report.Obs_report.summary ~metrics roots);
-  if !json_out then begin
-    let open Obs.Json_emit in
-    let rec span_json (s : Obs.Span.t) =
-      Obj
-        [ ("name", Str s.Obs.Span.sp_name);
-          ("cat", Str s.Obs.Span.sp_cat);
-          ("dom", Int s.Obs.Span.sp_tid);
-          ("dur_ns", Int s.Obs.Span.sp_dur_ns);
-          ("minor_words", Float s.Obs.Span.sp_minor_words);
-          ("major_words", Float s.Obs.Span.sp_major_words);
-          ("top_heap_words", Int s.Obs.Span.sp_top_heap_words);
-          ("children", List (List.map span_json s.Obs.Span.sp_children)) ]
-    in
-    let metric_json ((d : Obs.Metrics.desc), v) =
-      let value =
-        match v with
-        | Obs.Metrics.Vint i -> [ ("value", Int i) ]
-        | Obs.Metrics.Vhist h ->
-            [ ("count", Int h.Obs.Metrics.h_count);
-              ("sum", Int h.Obs.Metrics.h_sum);
-              ("min", Int h.Obs.Metrics.h_min);
-              ("max", Int h.Obs.Metrics.h_max) ]
-      in
-      Obj
-        (( "name", Str d.Obs.Metrics.d_name )
-        :: ( "kind",
-             Str
-               (match d.Obs.Metrics.d_kind with
-               | Obs.Metrics.Counter -> "counter"
-               | Obs.Metrics.Gauge -> "gauge"
-               | Obs.Metrics.Histogram -> "histogram") )
-        :: value)
-    in
-    let doc =
-      Obj
-        (schema_header ~schema_version:Obs.Schemas.obs
-        @ [ ("workloads", List (List.map (fun (w : Workloads.Workload.t) ->
-                 Str w.Workloads.Workload.w_name) ws));
-            ("spans", List (List.map span_json roots));
-            ("metrics", List (List.map metric_json metrics)) ])
-    in
-    emit_bench "obs" doc
-  end
+  if !json_out then
+    emit_bench "obs"
+      (Report.Obs_report.json
+         ~workloads:(List.map (fun (w : Workloads.Workload.t) -> w.w_name) ws)
+         ~metrics roots)
 
 (* ------------------------------------------------------------------ *)
 (* lib/tune: autotuning beam search over the suite                      *)

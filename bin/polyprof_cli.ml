@@ -163,36 +163,41 @@ let trace_cmd =
   let limit =
     Arg.(
       value & opt int 60
-      & info [ "limit" ] ~docv:"N" ~doc:"Stop after N loop events.")
+      & info [ "limit" ] ~docv:"N" ~doc:"Print the first N loop events.")
   in
   let run name limit =
     with_workload name @@ fun w ->
     let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-    let structure = Cfg.Cfg_builder.run prog in
-    let iiv = Ddg.Iiv.create () in
-    let levents =
-      Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main
+    (* a speculated structure is checked on the whole run: run to the
+       end, keep the first [limit] lines, print those of the accepted
+       pass *)
+    let show structure tee =
+      let iiv = Ddg.Iiv.create () in
+      let levents =
+        Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main
+      in
+      let count = ref 0 and lines = ref [] in
+      let emit ev =
+        if !count < limit then begin
+          Ddg.Iiv.update iiv ev;
+          incr count;
+          lines :=
+            Format.asprintf "%4d: %-28s %s" !count
+              (Format.asprintf "%a" Ddg.Loop_events.pp ev)
+              (Ddg.Iiv.to_string iiv)
+            :: !lines
+        end
+      in
+      Ddg.Loop_events.start levents ~emit;
+      let callbacks =
+        { Vm.Interp.on_control = Ddg.Loop_events.feed levents ~emit;
+          on_exec = ignore }
+      in
+      ignore (Vm.Interp.run ~callbacks:(tee callbacks) prog);
+      List.rev !lines
     in
-    let count = ref 0 in
-    let exception Done in
-    let show ev =
-      Ddg.Iiv.update iiv ev;
-      incr count;
-      if !count <= limit then
-        Format.printf "%4d: %-28s %s@." !count
-          (Format.asprintf "%a" Ddg.Loop_events.pp ev)
-          (Ddg.Iiv.to_string iiv)
-      else raise Done
-    in
-    (try
-       Ddg.Loop_events.start levents ~emit:show;
-       let callbacks =
-         { Vm.Interp.on_control =
-             (fun ev -> Ddg.Loop_events.feed levents ~emit:show ev);
-           on_exec = ignore }
-       in
-       ignore (Vm.Interp.run ~callbacks prog)
-     with Done -> ());
+    let lines, _, _ = Cfg.Cfg_builder.speculate prog show in
+    List.iter (Format.printf "%s@.") lines;
     0
   in
   Cmd.v

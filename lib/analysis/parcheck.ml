@@ -781,9 +781,7 @@ let claims t =
 
 let sanitize ?max_steps ?args t =
   Obs.Span.with_ ~cat:"profiling" "ddg.race_san" @@ fun () ->
-  let prog = t.pc_sd.Sd.prog in
-  let structure = Cfg.Cfg_builder.run prog in
-  RS.run ?max_steps ?args prog ~structure ~claims:(claims t)
+  RS.run ?max_steps ?args t.pc_sd.Sd.prog ~claims:(claims t)
 
 let crosscheck t (r : RS.report) =
   let verdict_of fid header =

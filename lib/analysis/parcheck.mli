@@ -119,7 +119,12 @@ val claims : t -> Ddg.Race_san.claim list
     their private-range/reduction-sid coverage from {!coverage}. *)
 
 val sanitize : ?max_steps:int -> ?args:int list -> t -> Ddg.Race_san.report
-(** Run the program once under the sanitizer with {!claims}. *)
+(** Run the program once under the sanitizer with {!claims}.  The loop
+    structure is speculated and checked in the same run
+    ({!Ddg.Race_san.run} without [~structure]), so no Instrumentation-I
+    run precedes it; a refuted speculation costs one more run.  The
+    report equals that of a sanitizer run under
+    [Cfg.Cfg_builder.run]'s structure. *)
 
 val crosscheck : t -> Ddg.Race_san.report -> Diag.t list
 (** Static/dynamic agreement, {!Crosscheck}-style: a sanitizer race on

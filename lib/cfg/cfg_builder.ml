@@ -191,6 +191,24 @@ let agrees ~(speculated : structure) ~(observed : structure) =
              views spec = views forest)
        observed.cfgs
 
+let speculate ?structure prog pass =
+  match structure with
+  | Some s -> (pass s Fun.id, s, false)
+  | None ->
+      let speculated = static prog in
+      let b = create prog in
+      let tee (c : Vm.Interp.callbacks) =
+        { c with
+          Vm.Interp.on_control =
+            (fun ev ->
+              on_control b ev;
+              c.Vm.Interp.on_control ev) }
+      in
+      let v = pass speculated tee in
+      let observed = finalize b in
+      if agrees ~speculated ~observed then (v, observed, false)
+      else (pass observed Fun.id, observed, true)
+
 let pp_structure fmt s =
   List.iter
     (fun (fid, forest, g) ->

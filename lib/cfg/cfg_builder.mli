@@ -7,9 +7,13 @@
 
     MiniVM's blocks and terminators are explicit, so the structure can
     also be read off the program ({!static}) and checked against a run
-    ({!agrees}): [Ddg.Depprof] profiles under that speculation and
-    feeds a builder in the same run, so Instrumentation I costs no run
-    of its own. *)
+    ({!agrees}).  {!speculate} makes that check the one way a client
+    gets its structure: the profiler ([Ddg.Depprof]), the race
+    sanitizer ([Ddg.Race_san]) and the bench and CLI passes run once
+    under the static structure with a builder teed into the same run,
+    so Instrumentation I costs no run of its own.  {!run} stays as the
+    reference path (tests, the frozen pipeline benchmark, and the
+    [perf] section that times Instrumentation I). *)
 
 type structure = {
   cfgs : (int * Loopnest.t * Digraph.t) list;
@@ -48,6 +52,23 @@ val agrees : speculated:structure -> observed:structure -> bool
     depth, parent, children) with members and back edges equal once
     restricted to the blocks and edges [observed] saw.  Blocks and
     edges the run never took may differ. *)
+
+val speculate :
+  ?structure:structure ->
+  Vm.Prog.t ->
+  (structure -> (Vm.Interp.callbacks -> Vm.Interp.callbacks) -> 'a) ->
+  'a * structure * bool
+(** [speculate prog pass] runs one pass of the program under a
+    structure it does not have to run the program for.  [pass s tee]
+    must create all of its own state, run the whole program once under
+    [s], and hand the interpreter [tee c] in place of its own callbacks
+    [c].  Without [structure], the first pass gets [static prog] and a
+    [tee] that feeds every control event to a builder before [c] sees
+    it; if {!agrees} then refutes the speculation, [pass observed
+    Fun.id] runs once more.  With [structure], [pass structure Fun.id]
+    runs alone.  Returns the accepted pass's value, the structure the
+    run observed (or the one given), and whether the pass reran.
+    Exceptions of a pass propagate. *)
 
 val forest_of : structure -> int -> Loopnest.t option
 val pp_structure : Format.formatter -> structure -> unit

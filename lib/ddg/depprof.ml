@@ -80,7 +80,6 @@ type result = {
   statically_pruned : int;
   witnesses : witness_outcome list;
   stree : Sched_tree.t;
-  cct : Cct.t;
   run_stats : Vm.Interp.stats;
   structure : Cfg.Cfg_builder.structure;
 }
@@ -225,7 +224,6 @@ type engine = {
   iiv : Iiv.t;
   levents : Loop_events.state;
   e_stree : Sched_tree.t;
-  e_cct : Cct.t;
   shadow : Shadow.t;
   mutable by_ctx : stmt_rec array array;
       (* by context id, then [Vm.Isa.Sid.idx]: a context ends in the
@@ -263,7 +261,6 @@ let make_engine ~config ?static_prune ~scev prog ~structure =
     iiv = Iiv.create ();
     levents = Loop_events.create structure ~main:prog.Vm.Prog.main;
     e_stree = Sched_tree.create ();
-    e_cct = Cct.create ~main:prog.Vm.Prog.main;
     shadow = Shadow.create ();
     by_ctx = [||];
     stmt_arr = [||];
@@ -285,7 +282,6 @@ let apply_levent e ev =
       ()
 
 let on_control e ~emit ev =
-  Cct.on_control e.e_cct ev;
   (match ev with
   | Vm.Event.Call _ -> Shadow.push_frame e.shadow
   | Vm.Event.Return _ -> Shadow.pop_frame e.shadow
@@ -483,7 +479,6 @@ let on_exec e (ex : Vm.Event.exec) =
   let ctx = Iiv.context_id e.iiv in
   let coords = Iiv.coords e.iiv in
   let depth = Array.length coords in
-  Cct.add_weight e.e_cct 1;
   Sched_tree.record e.e_stree e.iiv ~weight:1;
   (* statement domain + label *)
   let r = stmt_rec_of e ctx ex.sid depth ex.value in
@@ -801,81 +796,46 @@ let finalize e ~run_stats ~structure =
     statically_pruned = e.n_pruned;
     witnesses = witness_outcomes e;
     stree = e.e_stree;
-    cct = e.e_cct;
     run_stats;
     structure }
-
-(* How one pass over the events ended: with a result, or with a
-   speculation the run refuted, and the structure to rerun under. *)
-type pass =
-  | Profiled of result
-  | Structure_refuted of Cfg.Cfg_builder.structure  (* the observed one *)
-  | Scev_refuted_under of Cfg.Cfg_builder.structure
 
 (* The one Instrumentation-II driver: [feed] delivers one execution's
    events and returns its interpreter stats, which a trace file only
    knows once its trailer has been read.
 
-   Without a [structure] from Instrumentation I, the pass runs under
-   [Cfg_builder.static] and a builder fed the same control events
-   recovers the run's own structure; when the two disagree, [feed] is
-   called again under the observed one.  Under SCEV pruning the
-   statements predicted SCEV collect no dependences; when the fold
-   refutes a prediction, [feed] is called again without prediction.
-   So [feed] runs at most three times, and the result is always the
-   one the observed structure gives. *)
+   Without a [structure] from Instrumentation I, the pass speculates
+   the static one ([Cfg_builder.speculate]), which calls [feed] once
+   more when the run refutes it.  Under SCEV pruning the statements
+   predicted SCEV collect no dependences; when the fold refutes a
+   prediction, [feed] is called again without prediction.  So [feed]
+   runs at most three times, and the result is always the one the
+   observed structure gives. *)
 let drive ?(config = default_config) ?static_prune ?structure ~feed prog =
-  let pass ~scev ~speculated structure =
-    let e = make_engine ~config ?static_prune ~scev prog ~structure in
-    start e;
-    let callbacks = callbacks e in
-    let run_stats, observed =
-      if not speculated then (feed callbacks, structure)
-      else begin
-        let builder = Cfg.Cfg_builder.create prog in
-        let run_stats =
-          feed
-            { callbacks with
-              Vm.Interp.on_control =
-                (fun ev ->
-                  Cfg.Cfg_builder.on_control builder ev;
-                  callbacks.Vm.Interp.on_control ev) }
-        in
-        (run_stats, Cfg.Cfg_builder.finalize builder)
-      end
+  let rec go ?structure ~predict () =
+    let (e, run_stats), observed, reran =
+      Cfg.Cfg_builder.speculate ?structure prog (fun structure tee ->
+          let scev =
+            if predict && config.scev_prune then Scev_pred.compute prog structure
+            else Scev_pred.none
+          in
+          let e = make_engine ~config ?static_prune ~scev prog ~structure in
+          start e;
+          let run_stats = feed (tee (callbacks e)) in
+          finish e;
+          (e, run_stats))
     in
-    finish e;
-    if speculated && not (Cfg.Cfg_builder.agrees ~speculated:structure ~observed)
-    then Structure_refuted observed
-    else begin
-      check_witnesses e;
-      match finalize e ~run_stats ~structure:observed with
-      | r -> Profiled r
-      | exception Scev_refuted -> Scev_refuted_under observed
-    end
-  in
-  let predict structure =
-    if config.scev_prune then Scev_pred.compute prog structure else Scev_pred.none
-  in
-  let rec go ~scev ~speculated structure =
-    match pass ~scev ~speculated structure with
-    | Profiled r -> r
-    | Structure_refuted observed ->
-        Obs.Metrics.add obs_structure_reruns 1;
-        go ~scev:(predict observed) ~speculated:false observed
-    | Scev_refuted_under observed ->
+    if reran then Obs.Metrics.add obs_structure_reruns 1;
+    check_witnesses e;
+    match finalize e ~run_stats ~structure:observed with
+    | r -> r
+    | exception Scev_refuted ->
         Obs.Metrics.add obs_scev_reruns 1;
-        go ~scev:Scev_pred.none ~speculated:false observed
+        go ~structure:observed ~predict:false ()
   in
   (* both counters are recorded even when no rerun happens *)
   Obs.Metrics.add obs_structure_reruns 0;
   if config.scev_prune then Obs.Metrics.add obs_scev_reruns 0;
-  let speculated, structure =
-    match structure with
-    | Some s -> (false, s)
-    | None -> (true, Cfg.Cfg_builder.static prog)
-  in
-  go ~scev:(predict structure) ~speculated structure
+  go ?structure ~predict:true ()
 
 let profile ?config ?max_steps ?args ?static_prune ?structure prog =
   Obs.Span.with_ ~cat:"ddg" "ddg.profile" @@ fun () ->
@@ -886,8 +846,8 @@ let profile_replay ?config ?static_prune ?structure ~feed prog =
   Obs.Span.with_ ~cat:"ddg" "ddg.profile_replay" @@ fun () ->
   drive ?config ?static_prune ?structure ~feed prog
 
-(* The invariant behind [~static_prune]: modulo the schedule tree and
-   CCT (shared mutable structures, compared by their own consumers), a
+(* The invariant behind [~static_prune]: modulo the schedule tree (a
+   shared mutable structure, compared by its own consumers), a
    pruned-and-injected profile is bit-identical to the unpruned one. *)
 let equal_result (a : result) (b : result) =
   a.stmts = b.stmts && a.deps = b.deps

@@ -20,8 +20,8 @@
 
     A profile needs the control structure of Instrumentation I.  Given
     none, it speculates the static one and checks it inside the same
-    run; [ddg.profile.structure_reruns] counts the profiles rerun
-    because the run refuted it. *)
+    run ({!Cfg.Cfg_builder.speculate}); [ddg.profile.structure_reruns]
+    counts the profiles rerun because the run refuted it. *)
 
 type config = {
   stmt_cap : int;  (** buffered points per statement before widening *)
@@ -109,7 +109,6 @@ type result = {
       (** outcome of every witness probe of the plan (all confirming,
           or the run would have raised {!Witness_failure}) *)
   stree : Sched_tree.t;
-  cct : Cct.t;
   run_stats : Vm.Interp.stats;
   structure : Cfg.Cfg_builder.structure;
 }
@@ -168,9 +167,9 @@ val profile :
 (** Run the program under Instrumentation II.  With [structure] (from a
     previous Instrumentation-I run, {!Cfg.Cfg_builder.run}), loop
     events follow it.  Without it, the run speculates
-    {!Cfg.Cfg_builder.static} and recovers its own structure from the
-    same control events; if {!Cfg.Cfg_builder.agrees} refutes the
-    speculation, the program runs again under the observed structure.
+    {!Cfg.Cfg_builder.static} through {!Cfg.Cfg_builder.speculate}: if
+    the run refutes the speculation, the program runs again under the
+    observed structure.
     Either way the result's [structure] is the one the run observed,
     and the result is that of the two-run pipeline.  [static_prune] requires a complete
     (non-truncated) run; the injection asserts its simulated execution
@@ -206,7 +205,7 @@ val profile_replay :
 val equal_result : result -> result -> bool
 (** Structural equality of the folded profile (statements, dependences,
     edge counters) — the pruning-equivalence invariant.  The schedule
-    tree and CCT are not compared. *)
+    tree is not compared. *)
 
 val stmt_domain : stmt_info -> Minisl.Pset.t
 val dep_map : dep_info -> Minisl.Pmap.t option

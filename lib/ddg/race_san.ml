@@ -90,7 +90,9 @@ let in_private st addr =
     (fun (lo, hi) -> addr >= lo && addr <= hi)
     st.cst_claim.cl_private
 
-let run ?max_steps ?(max_races = 5) ?args prog ~structure ~claims =
+(* One pass under [structure]: all of its state is made here, so a
+   rerun after a refuted speculation starts fresh. *)
+let pass ?max_steps ~max_races ?args prog ~claims structure tee =
   let iiv = Iiv.create () in
   let serial = ref 0 in
   let states =
@@ -251,7 +253,7 @@ let run ?max_steps ?(max_races = 5) ?args prog ~structure ~claims =
               end);
     }
   in
-  ignore (Vm.Interp.run ?max_steps ~callbacks ?args prog);
+  ignore (Vm.Interp.run ?max_steps ~callbacks:(tee callbacks) ?args prog);
   let stats =
     List.map
       (fun st ->
@@ -266,6 +268,13 @@ let run ?max_steps ?(max_races = 5) ?args prog ~structure ~claims =
       states
   in
   { sr_claims = stats; sr_accesses = !accesses }
+
+let run ?max_steps ?(max_races = 5) ?args ?structure prog ~claims =
+  let report, _, _ =
+    Cfg.Cfg_builder.speculate ?structure prog
+      (pass ?max_steps ~max_races ?args prog ~claims)
+  in
+  report
 
 let races_on_certified r =
   List.fold_left

@@ -61,12 +61,17 @@ val run :
   ?max_steps:int ->
   ?max_races:int ->
   ?args:int list ->
+  ?structure:Cfg.Cfg_builder.structure ->
   Vm.Prog.t ->
-  structure:Cfg.Cfg_builder.structure ->
   claims:claim list ->
   report
 (** One interpreted run under the sanitizer ([max_races] caps the
-    per-claim reported race list, default 5; totals are exact). *)
+    per-claim reported race list, default 5; totals are exact).  The
+    loop structure is [structure] when given.  Otherwise the run
+    speculates the static one and checks it in the same run
+    ({!Cfg.Cfg_builder.speculate}), running once more under the
+    observed structure if the run refutes it; the report is the one
+    the observed structure gives either way. *)
 
 val ok : report -> bool
 (** No uncovered race on any {e certified} claim. *)

@@ -1,6 +1,6 @@
-(* Human-readable views of the telemetry captured by [Obs]: a text
-   summary (spans + metrics) and a self-flamegraph of the span tree on
-   the generic [Flamegraph.frame] renderer. *)
+(* Views of the telemetry captured by [Obs]: a text summary (spans +
+   metrics), the BENCH_obs.json document, and a self-flamegraph of the
+   span tree on the generic [Flamegraph.frame] renderer. *)
 
 let span_ms ns = float_of_int ns /. 1e6
 
@@ -29,6 +29,40 @@ let metrics_table (snap : Obs.Metrics.snapshot) =
          [ d.Obs.Metrics.d_name; kind_name d.Obs.Metrics.d_kind;
            pretty_value v ])
        snap)
+
+let json ~workloads ~metrics roots =
+  let open Obs.Json_emit in
+  let rec span_json (s : Obs.Span.t) =
+    Obj
+      [ ("name", Str s.Obs.Span.sp_name);
+        ("cat", Str s.Obs.Span.sp_cat);
+        ("dom", Int s.Obs.Span.sp_tid);
+        ("dur_ns", Int s.Obs.Span.sp_dur_ns);
+        ("minor_words", Float s.Obs.Span.sp_minor_words);
+        ("major_words", Float s.Obs.Span.sp_major_words);
+        ("top_heap_words", Int s.Obs.Span.sp_top_heap_words);
+        ("children", List (List.map span_json s.Obs.Span.sp_children)) ]
+  in
+  let metric_json ((d : Obs.Metrics.desc), v) =
+    let value =
+      match v with
+      | Obs.Metrics.Vint i -> [ ("value", Int i) ]
+      | Obs.Metrics.Vhist h ->
+          [ ("count", Int h.Obs.Metrics.h_count);
+            ("sum", Int h.Obs.Metrics.h_sum);
+            ("min", Int h.Obs.Metrics.h_min);
+            ("max", Int h.Obs.Metrics.h_max) ]
+    in
+    Obj
+      (("name", Str d.Obs.Metrics.d_name)
+      :: ("kind", Str (kind_name d.Obs.Metrics.d_kind))
+      :: value)
+  in
+  Obj
+    (schema_header ~schema_version:Obs.Schemas.obs
+    @ [ ("workloads", List (List.map (fun w -> Str w) workloads));
+        ("spans", List (List.map span_json roots));
+        ("metrics", List (List.map metric_json metrics)) ])
 
 let spans_table (roots : Obs.Span.t list) =
   let rows = ref [] in

@@ -511,9 +511,6 @@ let check_same_profile name (two_run : Ddg.Depprof.result)
   Alcotest.(check string) (name ^ ": same schedule tree")
     (show (fun fmt t -> Ddg.Sched_tree.pp fmt t) two_run.stree)
     (show (fun fmt t -> Ddg.Sched_tree.pp fmt t) one_run.stree);
-  Alcotest.(check string) (name ^ ": same CCT")
-    (show (fun fmt t -> Ddg.Cct.pp fmt t) two_run.cct)
-    (show (fun fmt t -> Ddg.Cct.pp fmt t) one_run.cct);
   Alcotest.(check string) (name ^ ": same structure")
     (show Cfg.Cfg_builder.pp_structure two_run.structure)
     (show Cfg.Cfg_builder.pp_structure one_run.structure)
@@ -653,6 +650,93 @@ let test_spec_cfg_wrong_caller () =
   | _ -> Alcotest.fail "a return to the wrong caller was accepted"
   | exception Invalid_argument _ -> ()
 
+(* A return with no live call is a malformed trace too: under a given
+   structure no builder sees it, and the engine's shadow frames refuse
+   it. *)
+let test_spec_cfg_unbalanced_return () =
+  let prog = H.lower untaken_call in
+  let main = prog.Vm.Prog.main
+  and helper = (Vm.Prog.func_by_name prog "helper").Vm.Prog.fid in
+  let structure = Cfg.Cfg_builder.run prog in
+  let path = Filename.temp_file "polyprof_unbalanced" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let sink = Stream.Sink.create path in
+  let cb = Stream.Sink.callbacks sink in
+  cb.Vm.Interp.on_control (Vm.Event.Jump { fid = main; src = 0; dst = 1 });
+  cb.Vm.Interp.on_control (Vm.Event.Return { callee = helper; caller = main; dst = 2 });
+  Stream.Sink.close ~stats:(Vm.Interp.run prog) sink;
+  match Stream.Par_profile.profile_file path prog ~structure with
+  | _ -> Alcotest.fail "a return with no live call was accepted"
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "refused by the shadow frames"
+        "Shadow.pop_frame: unbalanced" m
+
+(* [speculate] reruns a pass the run refutes once, under the observed
+   structure, and runs a pass under a given structure alone with no
+   tee. *)
+let test_speculate_calls () =
+  let prog = H.lower zero_trip in
+  let calls = ref [] in
+  let pass structure tee =
+    calls := structure :: !calls;
+    ignore (Vm.Interp.run ~callbacks:(tee Vm.Interp.no_instrumentation) prog);
+    List.length !calls
+  in
+  let v, observed, reran = Cfg.Cfg_builder.speculate prog pass in
+  let shown = show Cfg.Cfg_builder.pp_structure in
+  Alcotest.(check int) "called twice" 2 (List.length !calls);
+  Alcotest.(check int) "the second pass's value" 2 v;
+  Alcotest.(check bool) "reran" true reran;
+  Alcotest.(check (list string)) "static first, then observed"
+    [ shown (Cfg.Cfg_builder.static prog); shown (Cfg.Cfg_builder.run prog) ]
+    (List.rev_map shown !calls);
+  Alcotest.(check string) "returns the observed structure"
+    (shown (Cfg.Cfg_builder.run prog)) (shown observed);
+  calls := [];
+  let given = Cfg.Cfg_builder.run prog in
+  let tee_is_id = ref false in
+  let _, s, reran =
+    Cfg.Cfg_builder.speculate ~structure:given prog (fun structure tee ->
+        calls := structure :: !calls;
+        tee_is_id := tee Vm.Interp.no_instrumentation == Vm.Interp.no_instrumentation)
+  in
+  Alcotest.(check int) "given: called once" 1 (List.length !calls);
+  Alcotest.(check bool) "given: no tee" true !tee_is_id;
+  Alcotest.(check bool) "given: no rerun" false reran;
+  Alcotest.(check bool) "given: returned as is" true (s == given)
+
+(* The race sanitizer speculates its structure too: one interpreter
+   run per report, equal to the report under [Cfg_builder.run]'s
+   structure. *)
+module PC = Analysis.Parcheck
+
+let sanitized pc =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  let r = PC.sanitize pc in
+  (r, metric_count "vm.run.count")
+
+let two_run_report pc =
+  let prog = pc.PC.pc_sd.Analysis.Statdep.prog in
+  Ddg.Race_san.run prog ~structure:(Cfg.Cfg_builder.run prog) ~claims:(PC.claims pc)
+
+let test_sanitizer_suite () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let pc = PC.analyse (H.lower w.hir) in
+      let one_run, runs = sanitized pc in
+      Alcotest.(check int) (w.w_name ^ ": one interpreter run") 1 runs;
+      Alcotest.(check bool) (w.w_name ^ ": same report") true
+        (one_run = two_run_report pc))
+    (Workloads.Runner.suite @ Workloads.Polybench.seeded)
+
+let test_sanitizer_refuted () =
+  let pc = PC.analyse (H.lower zero_trip) in
+  let report, runs = sanitized pc in
+  Alcotest.(check int) "one rerun: two interpreter runs" 2 runs;
+  Alcotest.(check bool) "claims" true (report.Ddg.Race_san.sr_claims <> []);
+  Alcotest.(check bool) "same report" true (report = two_run_report pc)
+
 let () =
   Alcotest.run "depprof"
     [ ( "shadow",
@@ -692,4 +776,12 @@ let () =
           Alcotest.test_case "agrees on hand-built pairs" `Quick
             test_spec_cfg_agrees;
           Alcotest.test_case "return to the wrong caller" `Quick
-            test_spec_cfg_wrong_caller ] ) ]
+            test_spec_cfg_wrong_caller;
+          Alcotest.test_case "unbalanced return, given structure" `Quick
+            test_spec_cfg_unbalanced_return;
+          Alcotest.test_case "speculate: refuted pass runs twice" `Quick
+            test_speculate_calls;
+          Alcotest.test_case "sanitizer: one run, same report" `Quick
+            test_sanitizer_suite;
+          Alcotest.test_case "sanitizer: refuted structure reruns" `Quick
+            test_sanitizer_refuted ] ) ]

@@ -209,15 +209,6 @@ let test_feedback_render () =
   Alcotest.(check bool) "mentions parallel dims" true
     (String.length out > 50)
 
-let test_domain_params () =
-  let dp = Sched.Domain_params.create ~threshold:100 ~slack:20 () in
-  Alcotest.(check string) "small constants stay" "7" (Sched.Domain_params.abstract dp 7);
-  Alcotest.(check string) "large becomes n0" "n0" (Sched.Domain_params.abstract dp 1024);
-  Alcotest.(check string) "nearby reuses n0" "(n0 + 6)"
-    (Sched.Domain_params.abstract dp 1030);
-  Alcotest.(check string) "far away gets n1" "n1" (Sched.Domain_params.abstract dp 4096);
-  Alcotest.(check int) "two parameters" 2 (List.length (Sched.Domain_params.params dp))
-
 (* [Depanalysis.is_prefix] against the definition it replaced: the
    first [length p] dimensions of [l], compared with [=].  Paths come
    from a few context ids, so prefixes and near misses are common. *)
@@ -262,6 +253,4 @@ let () =
             test_interchange_suggested;
           Alcotest.test_case "no gratuitous interchange" `Quick
             test_no_interchange_when_already_good;
-          Alcotest.test_case "feedback rendering" `Quick test_feedback_render;
-          Alcotest.test_case "domain parameterisation" `Quick test_domain_params
-        ] ) ]
+          Alcotest.test_case "feedback rendering" `Quick test_feedback_render ] ) ]

@@ -549,8 +549,7 @@ let test_record_to_file_matches_live () =
 let result_fingerprint (r : Ddg.Depprof.result) =
   ( r.Ddg.Depprof.stmts, r.deps, r.pruned_dep_edges, r.total_dep_edges,
     r.run_stats,
-    (Ddg.Sched_tree.n_nodes r.stree, Ddg.Sched_tree.depth r.stree),
-    (Ddg.Cct.n_nodes r.cct, Ddg.Cct.max_depth r.cct) )
+    (Ddg.Sched_tree.n_nodes r.stree, Ddg.Sched_tree.depth r.stree) )
 
 let check_file_equals_live (w : Workloads.Workload.t) =
   with_temp @@ fun path ->

@@ -147,22 +147,6 @@ let test_cct_contexts_distinguished () =
       Alcotest.(check int) "entered once" 1 c.calls)
     children
 
-(* --- Domain_params pp ------------------------------------------------ *)
-
-let test_domain_params_pp () =
-  let module P = Minisl.Polyhedron in
-  let module C = Minisl.Constr in
-  let dp = Sched.Domain_params.create ~threshold:100 ~slack:20 () in
-  let p = P.make 1 [ C.make Ge [| 1 |] 0; C.make Ge [| -1 |] 1024 ] in
-  let out = Format.asprintf "%a" (Sched.Domain_params.pp_domain dp ?names:None) p in
-  Alcotest.(check bool) "binder present" true
-    (String.length out > 0 && out.[0] = '[');
-  Alcotest.(check bool) "definition recorded" true
-    (let needle = "n0 = 1024" in
-     let nl = String.length needle and hl = String.length out in
-     let rec go i = i + nl <= hl && (String.sub out i nl = needle || go (i + 1)) in
-     go 0)
-
 (* --- Prog_hash.sha256_hex ---------------------------------------------- *)
 
 (* FIPS 180-4 vectors: every digest in bench/pipeline/expected.json
@@ -204,8 +188,5 @@ let () =
         [ Alcotest.test_case "widen_union" `Quick test_widen_union;
           Alcotest.test_case "CCT call-site contexts" `Quick
             test_cct_contexts_distinguished ] );
-      ( "rendering",
-        [ Alcotest.test_case "domain parameterisation pp" `Quick
-            test_domain_params_pp ] );
       ( "prog_hash",
         [ Alcotest.test_case "sha256 vectors" `Quick test_sha256 ] ) ]

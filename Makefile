@@ -34,7 +34,8 @@ stream-smoke:
 # workload verbosely (each exits nonzero if its pruned profile diverges),
 # then the whole-suite bench section, which fails on any pruned profile
 # differing from its unpruned twin or on a suite-wide pruned fraction
-# below 50%
+# below 50%.  The section rewrites the committed BENCH_staticdep.json:
+# bless (`bench/main.exe -- staticdep --json --record`) after running it
 staticdep-smoke:
 	dune exec bin/polyprof_cli.exe -- staticdep trisolv --prune
 	dune exec bin/polyprof_cli.exe -- staticdep seidel_wd --prune
@@ -43,7 +44,9 @@ staticdep-smoke:
 # autotuning beam search end to end: a tiny search on three workloads
 # (the gemm interchange anchor plus the two fusion-chain winners), then
 # the full-suite bench section, which fails if any shipped best schedule
-# is not a candidate that passed the differential oracle
+# is not a candidate that passed the differential oracle.  The section
+# rewrites the committed BENCH_autotune.json: bless
+# (`bench/main.exe -- autotune --json --record`) after running it
 autotune-smoke:
 	dune exec bin/polyprof_cli.exe -- autotune gemm --beam 2 --depth 1 --repeat 1
 	dune exec bin/polyprof_cli.exe -- autotune mvt --beam 2 --depth 2 --repeat 1
@@ -54,7 +57,9 @@ autotune-smoke:
 # verdicts with the dynamic cross-check (exits nonzero on any
 # E-parcheck-unsound), the seeded racy workload must yield a race
 # witness (never a certificate), and the bench section fails unless at
-# least 5 dims are certified and no sanitizer race hits a certified dim
+# least 5 dims are certified and no sanitizer race hits a certified dim.
+# The section rewrites the committed BENCH_parcheck.json: bless
+# (`bench/main.exe -- parcheck --json --record`) after running it
 parcheck-smoke:
 	dune exec bin/polyprof_cli.exe -- parcheck
 	@dune exec bin/polyprof_cli.exe -- parcheck par_racy \

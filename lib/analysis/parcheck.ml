@@ -44,43 +44,6 @@ let unit_vec n i = Array.init n (fun k -> if k = i then 1 else 0)
 (* Register def/use accounting (scalar privatisation via liveness)     *)
 (* ------------------------------------------------------------------ *)
 
-let operand_regs acc = function Vm.Isa.Reg r -> r :: acc | Vm.Isa.Imm _ -> acc
-
-let instr_uses = function
-  | Vm.Isa.Const _ | Vm.Isa.Fconst _ -> []
-  | Vm.Isa.Mov (_, o)
-  | Vm.Isa.Itof (_, o)
-  | Vm.Isa.Ftoi (_, o)
-  | Vm.Isa.Load (_, o) ->
-      operand_regs [] o
-  | Vm.Isa.Bin (_, _, a, b)
-  | Vm.Isa.Fbin (_, _, a, b)
-  | Vm.Isa.Cmp (_, _, a, b)
-  | Vm.Isa.Fcmp (_, _, a, b) ->
-      operand_regs (operand_regs [] a) b
-  | Vm.Isa.Store (a, v) -> operand_regs (operand_regs [] a) v
-
-let instr_def = function
-  | Vm.Isa.Const (r, _)
-  | Vm.Isa.Fconst (r, _)
-  | Vm.Isa.Mov (r, _)
-  | Vm.Isa.Bin (_, r, _, _)
-  | Vm.Isa.Fbin (_, r, _, _)
-  | Vm.Isa.Cmp (_, r, _, _)
-  | Vm.Isa.Fcmp (_, r, _, _)
-  | Vm.Isa.Load (r, _)
-  | Vm.Isa.Itof (r, _)
-  | Vm.Isa.Ftoi (r, _) ->
-      Some r
-  | Vm.Isa.Store _ -> None
-
-let term_uses = function
-  | Vm.Isa.Jump _ | Vm.Isa.Halt -> []
-  | Vm.Isa.Br (c, _, _) -> operand_regs [] c
-  | Vm.Isa.Call { args; _ } -> List.fold_left operand_regs [] args
-  | Vm.Isa.Ret o -> (
-      match o with Some o -> operand_regs [] o | None -> [])
-
 (* whole-function use count of a register (reachability-insensitive:
    over-counting only makes the reduction recognizer more conservative) *)
 let func_use_count (f : Vm.Prog.func) r =
@@ -89,10 +52,10 @@ let func_use_count (f : Vm.Prog.func) r =
       let acc =
         Array.fold_left
           (fun acc i ->
-            acc + List.length (List.filter (( = ) r) (instr_uses i)))
+            acc + List.length (List.filter (( = ) r) (Insn.instr_uses i)))
           acc b.instrs
       in
-      acc + List.length (List.filter (( = ) r) (term_uses b.term)))
+      acc + List.length (List.filter (( = ) r) (Insn.term_uses b.term)))
     0 f.blocks
 
 let func_def_count (f : Vm.Prog.func) r =
@@ -100,12 +63,10 @@ let func_def_count (f : Vm.Prog.func) r =
     (fun acc (b : Vm.Prog.block) ->
       let acc =
         Array.fold_left
-          (fun acc i -> if instr_def i = Some r then acc + 1 else acc)
+          (fun acc i -> if Insn.instr_def i = Some r then acc + 1 else acc)
           acc b.instrs
       in
-      match b.term with
-      | Vm.Isa.Call { dst = Some d; _ } when d = r -> acc + 1
-      | _ -> acc)
+      if Insn.term_def b.term = Some r then acc + 1 else acc)
     0 f.blocks
 
 (* ------------------------------------------------------------------ *)
@@ -167,7 +128,8 @@ let chain_of (prog : Vm.Prog.t) under (s : Sd.resolved) =
           let def_of rv =
             let found = ref None in
             Array.iteri
-              (fun i ins -> if instr_def ins = Some rv then found := Some (i, ins))
+              (fun i ins ->
+                if Insn.instr_def ins = Some rv then found := Some (i, ins))
               blk.instrs;
             !found
           in
@@ -472,7 +434,7 @@ let certify (sd : Sd.t) ~fid ~header =
                   if m >= 0 && m < Array.length func.blocks then begin
                     Array.iter
                       (fun ins ->
-                        match instr_def ins with
+                        match Insn.instr_def ins with
                         | Some r -> Hashtbl.replace defined r ()
                         | None -> ())
                       func.blocks.(m).instrs;

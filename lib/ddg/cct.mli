@@ -6,8 +6,6 @@
 type node = {
   func : int;
   site : int;  (** call-site block id in the parent, -1 for the root *)
-  mutable weight : int;  (** dynamic instructions executed in this context *)
-  mutable calls : int;  (** times this context was (re-)entered *)
   children : (int * int, node) Hashtbl.t;  (** (site, callee) -> child *)
   mutable child_order : (int * int) list;  (** reverse first-seen order *)
 }
@@ -16,12 +14,7 @@ type t
 
 val create : main:int -> t
 val on_control : t -> Vm.Event.control -> unit
-val add_weight : t -> int -> unit
-(** Attribute dynamic instructions to the current context. *)
-
 val root : t -> node
 val max_depth : t -> int
 val n_nodes : t -> int
-val total_weight : node -> int
 val children_in_order : node -> node list
-val pp : ?fname:(int -> string) -> Format.formatter -> t -> unit

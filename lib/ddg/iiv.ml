@@ -37,9 +37,8 @@ let ctx_of_code c =
   | 1 -> Cloop ((c lsr 2) land (id_limit - 1), c lsr 14)
   | _ -> Ccomp (c lsr 2)
 
-(* The context trie, domain-local so that domains profiling concurrently
-   never share it; a profile and the scheduling stages that read its ids
-   run in the same domain.  Node 0 is the root; a node is
+(* The context trie, one per process: a profile and the scheduling
+   stages that read its ids share it.  Node 0 is the root; a node is
    [(parent, element code)], found by one [Int_tbl] step keyed by
    [parent lsl code_bits lor code].  A context is the path from the
    root: its stacks in order, a [sep] node between consecutive ones.
@@ -54,61 +53,58 @@ type trie = {
   mutable n_pub : int;
 }
 
-let trie_key =
-  Domain.DLS.new_key (fun () ->
-      { children = Int_tbl.create 256;
-        parent = Array.make 256 (-1);
-        code = Array.make 256 sep;
-        pub = Array.make 256 (-1);
-        n_nodes = 1;
-        node_of_pub = Array.make 256 0;
-        n_pub = 0 })
+let trie =
+  { children = Int_tbl.create 256;
+    parent = Array.make 256 (-1);
+    code = Array.make 256 sep;
+    pub = Array.make 256 (-1);
+    n_nodes = 1;
+    node_of_pub = Array.make 256 0;
+    n_pub = 0 }
 
 let reset_intern_table () =
-  let tr = Domain.DLS.get trie_key in
-  Int_tbl.reset tr.children;
-  Array.fill tr.pub 0 tr.n_nodes (-1);
-  tr.n_nodes <- 1;
-  tr.n_pub <- 0
+  Int_tbl.reset trie.children;
+  Array.fill trie.pub 0 trie.n_nodes (-1);
+  trie.n_nodes <- 1;
+  trie.n_pub <- 0
 
 let grow a fill =
   let g = Array.make (2 * Array.length a) fill in
   Array.blit a 0 g 0 (Array.length a);
   g
 
-let new_node tr p code key =
-  let n = tr.n_nodes in
-  if n = Array.length tr.parent then begin
-    tr.parent <- grow tr.parent (-1);
-    tr.code <- grow tr.code sep;
-    tr.pub <- grow tr.pub (-1)
+let new_node p code key =
+  let n = trie.n_nodes in
+  if n = Array.length trie.parent then begin
+    trie.parent <- grow trie.parent (-1);
+    trie.code <- grow trie.code sep;
+    trie.pub <- grow trie.pub (-1)
   end;
-  tr.parent.(n) <- p;
-  tr.code.(n) <- code;
-  tr.n_nodes <- n + 1;
-  Int_tbl.add tr.children key n;
+  trie.parent.(n) <- p;
+  trie.code.(n) <- code;
+  trie.n_nodes <- n + 1;
+  Int_tbl.add trie.children key n;
   n
 
-let child tr p code =
+let child p code =
   let key = (p lsl code_bits) lor code in
-  match Int_tbl.find tr.children key with
+  match Int_tbl.find trie.children key with
   | n -> n
-  | exception Not_found -> new_node tr p code key
+  | exception Not_found -> new_node p code key
 
 (* Walk up from [n], splitting at [sep] nodes: stacks outermost first,
    each outermost element first. *)
-let context_of_node tr n : context =
+let context_of_node n : context =
   let rec go n cur acc =
     if n = 0 then cur :: acc
     else
-      let c = tr.code.(n) in
-      if c = sep then go tr.parent.(n) [] (cur :: acc)
-      else go tr.parent.(n) (ctx_of_code c :: cur) acc
+      let c = trie.code.(n) in
+      if c = sep then go trie.parent.(n) [] (cur :: acc)
+      else go trie.parent.(n) (ctx_of_code c :: cur) acc
   in
   go n [] []
 
 type t = {
-  trie : trie;  (* the creating domain's *)
   mutable node : int;  (* the current context *)
   mutable ndims : int;
   mutable ivs : int array;  (* outermost first; [ndims] used *)
@@ -119,8 +115,7 @@ type t = {
 }
 
 let create () =
-  { trie = Domain.DLS.get trie_key;
-    node = 0;
+  { node = 0;
     ndims = 0;
     ivs = Array.make 8 0;
     dim_base = Array.make 8 0;
@@ -129,16 +124,15 @@ let create () =
 
 (* The innermost stack is empty at the root and right after a [sep]. *)
 let set_last t code =
-  let tr = t.trie and n = t.node in
-  let c = tr.code.(n) in
-  if c = sep then t.node <- child tr n code
-  else if c <> code then t.node <- child tr tr.parent.(n) code
+  let n = t.node in
+  let c = trie.code.(n) in
+  if c = sep then t.node <- child n code
+  else if c <> code then t.node <- child trie.parent.(n) code
 
-let push_last t code = t.node <- child t.trie t.node code
+let push_last t code = t.node <- child t.node code
 
 let pop_last t =
-  let tr = t.trie in
-  if tr.code.(t.node) <> sep then t.node <- tr.parent.(t.node)
+  if trie.code.(t.node) <> sep then t.node <- trie.parent.(t.node)
 
 let add_dimension t code =
   let d = t.ndims in
@@ -149,7 +143,7 @@ let add_dimension t code =
   t.ivs.(d) <- 0;
   t.dim_base.(d) <- t.node;
   t.ndims <- d + 1;
-  t.node <- child t.trie (child t.trie t.node sep) code;
+  t.node <- child (child t.node sep) code;
   t.coords_valid <- false
 
 let remove_dimension t =
@@ -194,25 +188,24 @@ let coords t =
   end;
   t.cached_coords
 
-let context t = context_of_node t.trie t.node
+let context t = context_of_node t.node
 
 let context_id t =
-  let tr = t.trie and n = t.node in
-  let id = tr.pub.(n) in
+  let n = t.node in
+  let id = trie.pub.(n) in
   if id >= 0 then id
   else begin
-    let id = tr.n_pub in
-    if id = Array.length tr.node_of_pub then tr.node_of_pub <- grow tr.node_of_pub 0;
-    tr.node_of_pub.(id) <- n;
-    tr.n_pub <- id + 1;
-    tr.pub.(n) <- id;
+    let id = trie.n_pub in
+    if id = Array.length trie.node_of_pub then trie.node_of_pub <- grow trie.node_of_pub 0;
+    trie.node_of_pub.(id) <- n;
+    trie.n_pub <- id + 1;
+    trie.pub.(n) <- id;
     id
   end
 
 let context_of_id id =
-  let tr = Domain.DLS.get trie_key in
-  if id < 0 || id >= tr.n_pub then raise Not_found;
-  context_of_node tr tr.node_of_pub.(id)
+  if id < 0 || id >= trie.n_pub then raise Not_found;
+  context_of_node trie.node_of_pub.(id)
 
 let default_name c = Format.asprintf "%a" pp_ctx_id c
 

@@ -45,17 +45,15 @@ val context_id : t -> int
 (** Id of the current context: dense from [0], issued in first-query
     order.  Contexts are interned as a trie of [(parent, element)]
     nodes that every {!update} steps through, so a query is an array
-    read.  The trie is domain-local, so domains profiling concurrently
-    do not share ids. *)
+    read.  There is one trie per process. *)
 
 val context_of_id : int -> context
-(** @raise Not_found for ids not produced by {!context_id} in the
-    calling domain. *)
+(** @raise Not_found for ids not produced by {!context_id} since the
+    last {!reset_intern_table}. *)
 
 val reset_intern_table : unit -> unit
-(** Clear the calling domain's trie and ids (between independent
-    analyses).  An IIV created before the reset must not be used
-    after it. *)
+(** Clear the trie and ids (between independent analyses).  An IIV
+    created before the reset must not be used after it. *)
 
 val pp : ?name:(ctx_id -> string) -> Format.formatter -> t -> unit
 (** Renders like the paper: [(M0/L1, 0, A1/L2, 1, B1)]. *)

@@ -18,8 +18,7 @@
 
     The sanitizer is the dynamic half of the parallelism certifier: a
     race on a statically certified dimension is a soundness failure
-    (the cross-check lives in [Analysis.Parcheck_crosscheck]-style
-    consumers); a race on an uncertified dimension is dynamic evidence
+    (the cross-check is [Analysis.Parcheck.crosscheck]); a race on an uncertified dimension is dynamic evidence
     confirming the static race witness. *)
 
 type claim = {

@@ -16,7 +16,7 @@ let rec span_events acc (sp : Span.t) =
         ("ts", J.Float (us_of_ns sp.Span.sp_start_ns));
         ("dur", J.Float (us_of_ns sp.Span.sp_dur_ns));
         ("pid", J.Int 1);
-        ("tid", J.Int sp.Span.sp_tid);
+        ("tid", J.Int 0);
         ("args", J.Obj args) ]
   in
   List.fold_left span_events (ev :: acc) sp.Span.sp_children

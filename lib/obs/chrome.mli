@@ -1,8 +1,8 @@
 (** Chrome trace-event export (the JSON Array / "traceEvents" format
     understood by Perfetto, chrome://tracing and speedscope).
 
-    Spans become ["ph": "X"] complete events carrying their GC stats in
-    [args]; metric snapshots become ["ph": "C"] counter samples.  All
+    Spans become ["ph": "X"] complete events on ["tid": 0] carrying
+    their GC stats in [args]; metric snapshots become ["ph": "C"] counter samples.  All
     timestamps are microseconds on the monotonic span clock. *)
 
 val to_json :

@@ -4,20 +4,13 @@ external stub_monotonic_ns : unit -> int = "polyprof_obs_monotonic_ns"
 let stub_ok = stub_monotonic_ns () >= 0
 
 (* Fallback when CLOCK_MONOTONIC is unavailable: gettimeofday clamped to
-   never decrease.  The clamp is per-process best effort (a data race
-   between domains can at worst briefly re-observe an older clamp, never
-   produce a decreasing pair within one domain's reads). *)
-let fallback_last = Atomic.make 0
+   never decrease. *)
+let fallback_last = ref 0
 
 let fallback_ns () =
   let ns = int_of_float (Unix.gettimeofday () *. 1e9) in
-  let rec clamp () =
-    let last = Atomic.get fallback_last in
-    if ns <= last then last
-    else if Atomic.compare_and_set fallback_last last ns then ns
-    else clamp ()
-  in
-  clamp ()
+  if ns > !fallback_last then fallback_last := ns;
+  !fallback_last
 
 let now_ns () = if stub_ok then stub_monotonic_ns () else fallback_ns ()
 let monotonic () = float_of_int (now_ns ()) *. 1e-9

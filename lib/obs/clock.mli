@@ -6,8 +6,9 @@
     [clock_gettime(CLOCK_MONOTONIC)] through a tiny C stub and is the
     one time source every span, benchmark and exporter in the tree
     uses.  Where the POSIX clock is unavailable the stub reports it and
-    the implementation falls back to a never-decreasing (clamped)
-    [gettimeofday]. *)
+    the implementation falls back to [gettimeofday] clamped by a plain
+    reference to the largest value returned so far, so it never
+    decreases. *)
 
 val now_ns : unit -> int
 (** Nanoseconds since an arbitrary (per-boot) epoch; never decreases. *)

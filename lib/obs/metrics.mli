@@ -1,27 +1,24 @@
-(** Counters, gauges and histograms with per-domain sinks.
+(** Counters, gauges and histograms.
 
-    Metric {e descriptors} are process-global and registered once by
-    name; metric {e values} accumulate in the calling domain's live
-    {!Sink.t} (plain mutable state reached through [Domain.DLS] — no
-    atomics on the update path).  Each domain has exactly one live
-    sink and none is ever retired: {!snapshot} reads the calling
-    domain's, so values recorded on another domain do not appear in
-    it.
-
-    {!Sink.merge_into} is deterministic and order-insensitive by
-    construction: counters and histogram buckets add (integer sums
-    commute), gauges are high-watermarks (merge by [max]), histogram
-    [min]/[max] merge by [min]/[max].  Merging the same updates split
-    across 1, 2 or 5 sinks in any order yields bit-identical totals —
-    property-tested in [test_obs.ml]. *)
+    A metric {e descriptor} is registered once by name and holds the
+    metric's value: a counter's total, a gauge's high-watermark or a
+    histogram's samples, plus whether it was updated since the last
+    {!reset}.  Updates write the descriptor in place, unsynchronised:
+    telemetry is recorded from one domain, the profiler's one
+    sequential run. *)
 
 type kind = Counter | Gauge | Histogram
 
+type hist
+(** A histogram's accumulated samples; read them through {!snapshot}. *)
+
 type desc = private {
-  d_id : int;
   d_name : string;  (** dotted, e.g. ["stream.encode.bytes"] *)
   d_kind : kind;
   d_help : string;
+  mutable d_updated : bool;  (** since the last {!reset} *)
+  mutable d_value : int;  (** a counter's total or a gauge's high-watermark *)
+  d_hist : hist;  (** a histogram's samples; empty for other kinds *)
 }
 
 type counter
@@ -36,8 +33,8 @@ val histogram : ?help:string -> string -> histogram
     different kind raises [Invalid_argument]. *)
 
 val add : counter -> int -> unit
-(** Add to the calling domain's sink.  No-op while telemetry is
-    disabled. *)
+(** Add to the counter (adding [0] still marks it updated).  No-op
+    while telemetry is disabled. *)
 
 val set_max : gauge -> int -> unit
 (** Raise the gauge high-watermark.  No-op while disabled. *)
@@ -62,7 +59,8 @@ type hist_summary = {
 type value = Vint of int | Vhist of hist_summary
 
 type snapshot = (desc * value) list
-(** Sorted by metric name; metrics never updated are omitted. *)
+(** Sorted by metric name; metrics not updated since the last {!reset}
+    are omitted. *)
 
 val n_buckets : int
 val bucket_le : int -> int
@@ -84,24 +82,8 @@ val default_quantiles : float list
     Prometheus summary lines, [polyprof telemetry]) reports. *)
 
 val snapshot : unit -> snapshot
-(** The calling domain's sink. *)
+(** The metrics updated since the last {!reset}. *)
 
 val reset : unit -> unit
-(** Drop all accumulated values (descriptors survive) — test isolation
-    and the start of an explicitly-scoped telemetry run. *)
-
-(** {2 Explicit sinks}
-
-    The deterministic-merge core, usable directly (and property-tested)
-    without the domain-local plumbing. *)
-
-module Sink : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> counter -> int -> unit
-  val set_max : t -> gauge -> int -> unit
-  val observe : t -> histogram -> int -> unit
-  val merge_into : dst:t -> t -> unit
-  val snapshot_of : t list -> snapshot
-end
+(** Clear every value (descriptors survive) — test isolation and the
+    start of an explicitly-scoped telemetry run. *)

@@ -8,12 +8,12 @@ let env_enabled =
       | "" | "0" | "false" | "no" | "off" -> false
       | _ -> true)
 
-let state = Atomic.make env_enabled
-let enabled () = Atomic.get state
-let enable () = Atomic.set state true
-let disable () = Atomic.set state false
+let state = ref env_enabled
+let enabled () = !state
+let enable () = state := true
+let disable () = state := false
 
 let with_enabled f =
-  let before = Atomic.get state in
-  Atomic.set state true;
-  Fun.protect ~finally:(fun () -> Atomic.set state before) f
+  let before = !state in
+  state := true;
+  Fun.protect ~finally:(fun () -> state := before) f

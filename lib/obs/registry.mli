@@ -2,7 +2,7 @@
 
     The whole [Obs] subsystem is a no-op until enabled: spans and metric
     updates check this flag first, so instrumented code paths cost one
-    atomic load and a branch when telemetry is off.  The flag starts
+    load and a branch when telemetry is off.  The flag starts
     from the [POLYPROF_TELEMETRY] environment variable (any value other
     than ["" | "0" | "false" | "no" | "off"] enables it) and can be
     flipped by the [--telemetry] CLI flag. *)

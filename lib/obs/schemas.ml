@@ -2,7 +2,7 @@ type t = { s_name : string; s_file : string; s_version : int }
 
 let stream = 3
 let staticdep = 1
-let obs = 1
+let obs = 2
 let autotune = 1
 let overhead = 2
 let parcheck = 1

@@ -3,7 +3,6 @@ exception Unbalanced of string
 type t = {
   sp_name : string;
   sp_cat : string;
-  sp_tid : int;
   sp_start_ns : int;
   mutable sp_dur_ns : int;
   mutable sp_minor_words : float;
@@ -14,10 +13,8 @@ type t = {
 
 type frame = { f_span : t; f_minor0 : float; f_major0 : float }
 
-(* per-domain open-span stack *)
-let stack_key = Domain.DLS.new_key (fun () -> ref ([] : frame list))
-
-let completed_mutex = Mutex.create ()
+(* the open spans, innermost first, and the finished top-level ones *)
+let stack : frame list ref = ref []
 let completed : t list ref = ref []
 
 let enter ?(cat = "polyprof") name =
@@ -26,7 +23,6 @@ let enter ?(cat = "polyprof") name =
     let sp =
       { sp_name = name;
         sp_cat = cat;
-        sp_tid = (Domain.self () :> int);
         sp_start_ns = Clock.now_ns ();
         sp_dur_ns = 0;
         sp_minor_words = 0.0;
@@ -34,16 +30,14 @@ let enter ?(cat = "polyprof") name =
         sp_top_heap_words = 0;
         sp_children = [] }
     in
-    let st = Domain.DLS.get stack_key in
-    st :=
+    stack :=
       { f_span = sp; f_minor0 = q.Gc.minor_words; f_major0 = q.Gc.major_words }
-      :: !st
+      :: !stack
   end
 
 let exit_ name =
   if Registry.enabled () then begin
-    let st = Domain.DLS.get stack_key in
-    match !st with
+    match !stack with
     | [] -> raise (Unbalanced (Printf.sprintf "exit %S: no open span" name))
     | f :: rest ->
         if f.f_span.sp_name <> name then
@@ -51,7 +45,7 @@ let exit_ name =
             (Unbalanced
                (Printf.sprintf "exit %S: innermost open span is %S" name
                   f.f_span.sp_name));
-        st := rest;
+        stack := rest;
         let sp = f.f_span in
         let q = Gc.quick_stat () in
         sp.sp_dur_ns <- Clock.now_ns () - sp.sp_start_ns;
@@ -62,8 +56,7 @@ let exit_ name =
         (match rest with
         | parent :: _ ->
             parent.f_span.sp_children <- sp :: parent.f_span.sp_children
-        | [] ->
-            Mutex.protect completed_mutex (fun () -> completed := sp :: !completed))
+        | [] -> completed := sp :: !completed)
   end
 
 let with_ ?cat name f =
@@ -74,16 +67,15 @@ let with_ ?cat name f =
   end
 
 let roots () =
-  let l = Mutex.protect completed_mutex (fun () -> !completed) in
   List.sort
     (fun a b ->
       match compare a.sp_start_ns b.sp_start_ns with
       | 0 -> compare a.sp_name b.sp_name
       | c -> c)
-    l
+    !completed
 
-let depth () = List.length !(Domain.DLS.get stack_key)
+let depth () = List.length !stack
 
 let reset () =
-  Mutex.protect completed_mutex (fun () -> completed := []);
-  Domain.DLS.set stack_key (ref [])
+  completed := [];
+  stack := []

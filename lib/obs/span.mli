@@ -2,10 +2,9 @@
 
     A span measures one phase of the pipeline: monotonic wall time
     ({!Clock}), GC minor/major words allocated during the phase and the
-    peak-heap watermark at its end.  Spans nest per domain (each domain
-    has its own stack, so a domain that profiles concurrently records
-    its own subtrees tagged with its domain id); finished top-level
-    spans land in a process-global list read by the exporters.
+    peak-heap watermark at its end.  Spans nest on one process-global
+    stack; finished top-level spans land in one list read by the
+    exporters.
 
     Every operation is a no-op while {!Registry.enabled} is false. *)
 
@@ -16,7 +15,6 @@ exception Unbalanced of string
 type t = {
   sp_name : string;
   sp_cat : string;
-  sp_tid : int;  (** domain id that recorded the span *)
   sp_start_ns : int;
   mutable sp_dur_ns : int;
   mutable sp_minor_words : float;  (** minor words allocated inside *)
@@ -33,11 +31,11 @@ val with_ : ?cat:string -> string -> (unit -> 'a) -> 'a
     raises.  The preferred instrumentation form. *)
 
 val roots : unit -> t list
-(** Completed top-level spans, across all domains, ordered by start
-    time (ties broken by name — deterministic). *)
+(** Completed top-level spans, ordered by start time (ties broken by
+    name — deterministic). *)
 
 val depth : unit -> int
-(** Open spans on the calling domain's stack (0 outside any span). *)
+(** Open spans on the stack (0 outside any span). *)
 
 val reset : unit -> unit
-(** Drop completed spans and the calling domain's stack. *)
+(** Drop completed and open spans. *)

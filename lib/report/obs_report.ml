@@ -36,7 +36,6 @@ let json ~workloads ~metrics roots =
     Obj
       [ ("name", Str s.Obs.Span.sp_name);
         ("cat", Str s.Obs.Span.sp_cat);
-        ("dom", Int s.Obs.Span.sp_tid);
         ("dur_ns", Int s.Obs.Span.sp_dur_ns);
         ("minor_words", Float s.Obs.Span.sp_minor_words);
         ("major_words", Float s.Obs.Span.sp_major_words);
@@ -70,7 +69,6 @@ let spans_table (roots : Obs.Span.t list) =
     rows :=
       [ indent ^ s.Obs.Span.sp_name;
         Printf.sprintf "%.3f" (span_ms s.Obs.Span.sp_dur_ns);
-        string_of_int s.Obs.Span.sp_tid;
         Printf.sprintf "%.0f" s.Obs.Span.sp_minor_words;
         Printf.sprintf "%.0f" s.Obs.Span.sp_major_words;
         string_of_int s.Obs.Span.sp_top_heap_words ]
@@ -79,7 +77,7 @@ let spans_table (roots : Obs.Span.t list) =
   in
   List.iter (go "") roots;
   Texttable.render
-    ~header:[ "span"; "ms"; "dom"; "minor_w"; "major_w"; "top_heap_w" ]
+    ~header:[ "span"; "ms"; "minor_w"; "major_w"; "top_heap_w" ]
     (List.rev !rows)
 
 let summary ?metrics roots =
@@ -108,9 +106,7 @@ let rec frame_of_span (s : Obs.Span.t) =
   let label = s.Obs.Span.sp_name in
   { Flamegraph.fr_label = label;
     fr_title =
-      Printf.sprintf "%s: %.3f ms (dom %d)" label
-        (span_ms s.Obs.Span.sp_dur_ns)
-        s.Obs.Span.sp_tid;
+      Printf.sprintf "%s: %.3f ms" label (span_ms s.Obs.Span.sp_dur_ns);
     (* weight in ns: the generic renderer only divides, no overflow risk
        for runs far beyond any realistic session length *)
     fr_weight = max 0 s.Obs.Span.sp_dur_ns;

@@ -4,13 +4,13 @@
     renderer (the profiler profiling itself). *)
 
 val summary : ?metrics:Obs.Metrics.snapshot -> Obs.Span.t list -> string
-(** Text report: one indented row per span (duration, domain, GC words,
-    heap watermark), then one row per metric. *)
+(** Text report: one indented row per span (duration, GC words, heap
+    watermark), then one row per metric. *)
 
 val json :
   workloads:string list -> metrics:Obs.Metrics.snapshot -> Obs.Span.t list -> Obs.Json_emit.t
 (** The BENCH_obs.json document: schema header, the workload names,
-    the span tree (duration, domain, GC words, heap watermark per span)
+    the span tree (duration, GC words, heap watermark per span)
     and every metric (a counter's or gauge's value; a histogram's
     count, sum, min and max). *)
 

@@ -237,16 +237,13 @@ let test_cct_grows_with_recursion () =
   let prog = Vm.Hir.lower Workloads.Figure3.ex2 in
   let cct = Ddg.Cct.create ~main:prog.Vm.Prog.main in
   let callbacks =
-    { Vm.Interp.on_control = (fun ev -> Ddg.Cct.on_control cct ev);
-      on_exec = (fun _ -> Ddg.Cct.add_weight cct 1) }
+    { Vm.Interp.on_control = Ddg.Cct.on_control cct; on_exec = ignore }
   in
   let (_ : Vm.Interp.stats) = Vm.Interp.run ~callbacks prog in
   Alcotest.(check bool) "CCT depth >= recursion depth" true
     (Ddg.Cct.max_depth cct >= 4);
   Alcotest.(check bool) "CCT has a node per context" true
-    (Ddg.Cct.n_nodes cct >= 7);
-  Alcotest.(check bool) "weights recorded" true
-    (Ddg.Cct.total_weight (Ddg.Cct.root cct) > 0)
+    (Ddg.Cct.n_nodes cct >= 7)
 
 (* Fig. 4: Kelly's mapping for a fused vs a fissioned nest *)
 let test_fig4_kelly_fused_vs_fissioned () =

@@ -1,9 +1,9 @@
 (* Tests for the lib/obs telemetry subsystem:
 
-   - the per-domain sink merge is deterministic, associative and
-     order-insensitive: replaying the same update stream split across
-     1, 2 or 5 sinks (with the partial sinks merged in any order)
-     yields a bit-identical snapshot (qcheck property);
+   - the metric snapshot contract: counters sum, gauges keep their
+     high-watermark, histograms summarise; a counter added 0 is present,
+     an untouched metric absent; [reset] keeps descriptors; disabled
+     updates are no-ops;
    - span nesting is enforced ([Unbalanced] on mismatched exits);
    - the Chrome trace exporter escapes hostile span names and survives
      a round-trip through the self-hosted JSON parser;
@@ -13,89 +13,7 @@
 module M = Obs.Metrics
 module J = Obs.Json_emit
 
-(* --- deterministic merge (property) -------------------------------- *)
-
-(* three metrics of each kind, registered once for the whole binary *)
-let counters = Array.init 3 (fun i -> M.counter (Printf.sprintf "t.c%d" i))
-let gauges = Array.init 3 (fun i -> M.gauge (Printf.sprintf "t.g%d" i))
-let hists = Array.init 3 (fun i -> M.histogram (Printf.sprintf "t.h%d" i))
-
-type update = Add of int * int | SetMax of int * int | Observe of int * int
-
-let apply sink = function
-  | Add (i, n) -> M.Sink.add sink counters.(i) n
-  | SetMax (i, n) -> M.Sink.set_max sink gauges.(i) n
-  | Observe (i, n) -> M.Sink.observe sink hists.(i) n
-
-let update_gen =
-  QCheck.Gen.(
-    let idx = int_range 0 2 in
-    let v = int_range 0 100_000 in
-    oneof
-      [ map2 (fun i n -> Add (i, n)) idx v;
-        map2 (fun i n -> SetMax (i, n)) idx v;
-        map2 (fun i n -> Observe (i, n)) idx v ])
-
-let update_print = function
-  | Add (i, n) -> Printf.sprintf "Add(c%d, %d)" i n
-  | SetMax (i, n) -> Printf.sprintf "SetMax(g%d, %d)" i n
-  | Observe (i, n) -> Printf.sprintf "Observe(h%d, %d)" i n
-
-let updates_arb =
-  QCheck.make
-    ~print:(fun l -> String.concat "; " (List.map update_print l))
-    QCheck.Gen.(list_size (int_range 0 200) update_gen)
-
-(* split the update stream round-robin across [k] sinks and snapshot;
-   [rev] merges the partial sinks in reverse order *)
-let snapshot_split ~k ~rev updates =
-  let sinks = Array.init k (fun _ -> M.Sink.create ()) in
-  List.iteri (fun i u -> apply sinks.(i mod k) u) updates;
-  let l = Array.to_list sinks in
-  M.Sink.snapshot_of (if rev then List.rev l else l)
-
-let prop_merge_deterministic updates =
-  let reference = snapshot_split ~k:1 ~rev:false updates in
-  List.for_all
-    (fun (k, rev) -> snapshot_split ~k ~rev updates = reference)
-    [ (2, false); (2, true); (5, false); (5, true) ]
-
-let merge_qcheck =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:200
-       ~name:"sink merge is order-insensitive and split-invariant"
-       updates_arb prop_merge_deterministic)
-
-let test_merge_semantics () =
-  (* counters add, gauges take max, histogram min/max/buckets merge *)
-  let a = M.Sink.create () and b = M.Sink.create () in
-  M.Sink.add a counters.(0) 3;
-  M.Sink.add b counters.(0) 4;
-  M.Sink.set_max a gauges.(0) 10;
-  M.Sink.set_max b gauges.(0) 7;
-  M.Sink.observe a hists.(0) 0;
-  M.Sink.observe b hists.(0) 1000;
-  let snap = M.Sink.snapshot_of [ a; b ] in
-  let find name =
-    List.find_map
-      (fun ((d : M.desc), v) -> if d.M.d_name = name then Some v else None)
-      snap
-  in
-  (match find "t.c0" with
-  | Some (M.Vint 7) -> ()
-  | _ -> Alcotest.fail "counter merge should sum to 7");
-  (match find "t.g0" with
-  | Some (M.Vint 10) -> ()
-  | _ -> Alcotest.fail "gauge merge should take max 10");
-  match find "t.h0" with
-  | Some (M.Vhist h) ->
-      Alcotest.(check int) "count" 2 h.M.h_count;
-      Alcotest.(check int) "sum" 1000 h.M.h_sum;
-      Alcotest.(check int) "min" 0 h.M.h_min;
-      Alcotest.(check int) "max" 1000 h.M.h_max
-  | _ -> Alcotest.fail "histogram summary missing"
-
-(* --- spans --------------------------------------------------------- *)
+(* --- metrics: the snapshot contract ------------------------------- *)
 
 let with_telemetry f =
   Obs.Registry.enable ();
@@ -105,6 +23,91 @@ let with_telemetry f =
       Obs.Span.reset ();
       Obs.Registry.disable ())
     f
+
+let find name snap =
+  List.find_map
+    (fun ((d : M.desc), v) -> if d.M.d_name = name then Some v else None)
+    snap
+
+let names snap = List.map (fun ((d : M.desc), _) -> d.M.d_name) snap
+
+let test_counter_sums () =
+  with_telemetry @@ fun () ->
+  let c = M.counter "t.sum" in
+  List.iter (M.add c) [ 3; 4; 0; 35 ];
+  match find "t.sum" (M.snapshot ()) with
+  | Some (M.Vint 42) -> ()
+  | _ -> Alcotest.fail "counter should sum to 42"
+
+let test_gauge_watermark () =
+  with_telemetry @@ fun () ->
+  let g = M.gauge "t.peak" in
+  List.iter (M.set_max g) [ 7; 10; 3 ];
+  match find "t.peak" (M.snapshot ()) with
+  | Some (M.Vint 10) -> ()
+  | _ -> Alcotest.fail "gauge should keep its high-watermark 10"
+
+let test_histogram_summary () =
+  with_telemetry @@ fun () ->
+  let h = M.histogram "t.samples" in
+  List.iter (M.observe h) [ 5; 0; 1000; 12 ];
+  match find "t.samples" (M.snapshot ()) with
+  | Some (M.Vhist s) ->
+      Alcotest.(check int) "count" 4 s.M.h_count;
+      Alcotest.(check int) "sum" 1017 s.M.h_sum;
+      Alcotest.(check int) "min" 0 s.M.h_min;
+      Alcotest.(check int) "max" 1000 s.M.h_max;
+      Alcotest.(check int) "buckets hold every sample" 4
+        (Array.fold_left ( + ) 0 s.M.h_buckets)
+  | _ -> Alcotest.fail "histogram summary missing"
+
+(* the CI gates [scev_reruns == 0] and [structure_reruns == 0] read a
+   counter that was added 0, so it must be present *)
+let test_zero_present_untouched_absent () =
+  with_telemetry @@ fun () ->
+  let zero = M.counter "t.zero" and _never = M.counter "t.never" in
+  let _never_h = M.histogram "t.never_h" in
+  M.add zero 0;
+  let snap = M.snapshot () in
+  Alcotest.(check (list string)) "only the counter added 0" [ "t.zero" ]
+    (names snap);
+  match find "t.zero" snap with
+  | Some (M.Vint 0) -> ()
+  | _ -> Alcotest.fail "counter added 0 should read 0"
+
+let test_reset_keeps_descriptors () =
+  with_telemetry @@ fun () ->
+  let c = M.counter "t.reset" and h = M.histogram "t.reset_h" in
+  M.add c 5;
+  M.observe h 9;
+  Alcotest.(check (list string)) "sorted by name" [ "t.reset"; "t.reset_h" ]
+    (names (M.snapshot ()));
+  M.reset ();
+  Alcotest.(check (list string)) "reset empties the snapshot" []
+    (names (M.snapshot ()));
+  Alcotest.(check bool) "re-registering returns the same descriptor" true
+    (M.counter "t.reset" == c && M.histogram "t.reset_h" == h);
+  M.add c 2;
+  M.observe h 4;
+  let snap = M.snapshot () in
+  (match find "t.reset" snap with
+  | Some (M.Vint 2) -> ()
+  | _ -> Alcotest.fail "counter should restart from 0");
+  match find "t.reset_h" snap with
+  | Some (M.Vhist s) ->
+      Alcotest.(check (list int)) "histogram restarts" [ 1; 4; 4; 4 ]
+        [ s.M.h_count; s.M.h_sum; s.M.h_min; s.M.h_max ]
+  | _ -> Alcotest.fail "histogram summary missing"
+
+let test_disabled_noop () =
+  Obs.Registry.disable ();
+  M.reset ();
+  M.add (M.counter "t.off") 1;
+  M.set_max (M.gauge "t.off_g") 1;
+  M.observe (M.histogram "t.off_h") 1;
+  Alcotest.(check (list string)) "nothing recorded" [] (names (M.snapshot ()))
+
+(* --- spans --------------------------------------------------------- *)
 
 let test_span_unbalanced () =
   with_telemetry @@ fun () ->
@@ -182,15 +185,10 @@ let test_json_escape_roundtrip () =
    bucket (one power of two); check against distributions with known
    quantiles *)
 let hist_of values =
+  with_telemetry @@ fun () ->
   let h = M.histogram "t.quant" in
-  let sink = M.Sink.create () in
-  List.iter (M.Sink.observe sink h) values;
-  match
-    List.find_map
-      (fun ((d : M.desc), v) ->
-        if d.M.d_name = "t.quant" then Some v else None)
-      (M.Sink.snapshot_of [ sink ])
-  with
+  List.iter (M.observe h) values;
+  match find "t.quant" (M.snapshot ()) with
   | Some (M.Vhist h) -> h
   | _ -> Alcotest.fail "histogram summary missing"
 
@@ -351,8 +349,17 @@ let test_schemas_match_bench_files () =
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
-        [ merge_qcheck;
-          Alcotest.test_case "merge semantics" `Quick test_merge_semantics;
+        [ Alcotest.test_case "counters sum" `Quick test_counter_sums;
+          Alcotest.test_case "gauge keeps its high-watermark" `Quick
+            test_gauge_watermark;
+          Alcotest.test_case "histogram count, sum, min, max" `Quick
+            test_histogram_summary;
+          Alcotest.test_case "added 0 present, untouched absent" `Quick
+            test_zero_present_untouched_absent;
+          Alcotest.test_case "reset keeps descriptors" `Quick
+            test_reset_keeps_descriptors;
+          Alcotest.test_case "disabled updates are no-ops" `Quick
+            test_disabled_noop;
           Alcotest.test_case "quantile estimation" `Quick test_quantiles ] );
       ( "json",
         [ Alcotest.test_case "equal_ignoring + stable writes" `Quick

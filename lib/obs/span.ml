@@ -31,7 +31,7 @@ let enter ?(cat = "polyprof") name =
         sp_children = [] }
     in
     stack :=
-      { f_span = sp; f_minor0 = q.Gc.minor_words; f_major0 = q.Gc.major_words }
+      { f_span = sp; f_minor0 = Gc.minor_words (); f_major0 = q.Gc.major_words }
       :: !stack
   end
 
@@ -49,7 +49,9 @@ let exit_ name =
         let sp = f.f_span in
         let q = Gc.quick_stat () in
         sp.sp_dur_ns <- Clock.now_ns () - sp.sp_start_ns;
-        sp.sp_minor_words <- q.Gc.minor_words -. f.f_minor0;
+        (* [Gc.minor_words] counts the current minor heap too;
+           [quick_stat]'s count stops at the last minor collection *)
+        sp.sp_minor_words <- Gc.minor_words () -. f.f_minor0;
         sp.sp_major_words <- q.Gc.major_words -. f.f_major0;
         sp.sp_top_heap_words <- q.Gc.top_heap_words;
         sp.sp_children <- List.rev sp.sp_children;

@@ -862,6 +862,66 @@ let test_add_copies () =
   Alcotest.(check string) "same pieces" (render_pieces fresh)
     (render_pieces (Fold.Collector.result ~shared:(Fold.Collector.shared ()) c))
 
+(* --- shared domains ---------------------------------------------------- *)
+
+(* A collector's state, as far as a test can see it: its point count,
+   whether it spilled, its runs while it buffers, and its folded pieces. *)
+let render_state c =
+  Printf.sprintf "n %d spilled %b runs %s\n%s" (Fold.Collector.npoints c)
+    (Fold.Collector.spilled c)
+    (match Fold.Collector.buffered_runs c with
+    | Some a -> String.concat "," (Array.to_list (Array.map string_of_int a))
+    | None -> "-")
+    (match Fold.Collector.result ~shared:(Fold.Collector.shared ()) c with
+    | ps -> render_pieces ps
+    | exception Pp_util.Rat.Overflow -> "raises Rat.Overflow\n")
+
+(* The points of a random stream (its labels' first component, or a
+   function of the point, labelling them) go into a domain once; the
+   first [n] of them are filled into a label-less and a self-labelled
+   collector, and a one-label collector takes each point through
+   [label], then through [add] once it spilled: each must be the
+   collector [add] builds point by point. *)
+let prop_domain_fill =
+  QCheck.Test.make ~name:"domain fills and labels are point-by-point adds" ~count:500
+    (QCheck.make QCheck.Gen.(pair (int_bound 1_000_000) bool))
+    (fun (seed, final) ->
+      let st = Random.State.make [| seed |] in
+      let s = gen_stream st in
+      let dim = s.s_dim and cap = s.s_cap in
+      let total = List.length s.s_pts in
+      let n = if final then min total cap else Random.State.int st (1 + min total cap) in
+      let pts = List.filteri (fun i _ -> i < n) s.s_pts in
+      let create label_dim = Fold.Collector.create ~cap ~dim ~label_dim () in
+      let d = Fold.Collector.domain ~dim ~cap in
+      let labelled = create 1 and reference_l = create 1 in
+      List.iteri
+        (fun i (p, l) ->
+          let v = if s.s_label_dim > 0 then l.(0) else (7 * i) - Array.fold_left ( + ) 0 p in
+          Fold.Collector.extend d p;
+          if Fold.Collector.spilled labelled then Fold.Collector.add labelled p [| v |]
+          else Fold.Collector.label labelled d p v;
+          Fold.Collector.add reference_l p [| v |])
+        pts;
+      let fill src label_dim =
+        let c = create label_dim in
+        Fold.Collector.fill ~final c d src n;
+        c
+      in
+      let reference label_dim label =
+        let c = create label_dim in
+        List.iter (fun (p, _) -> Fold.Collector.add c p (label p)) pts;
+        c
+      in
+      let unlabelled = fill Fold.Collector.Unlabelled 0 in
+      let by_coords = fill Fold.Collector.By_coords dim in
+      let by_coords' = fill Fold.Collector.By_coords dim in
+      let same a b = render_state a = render_state b in
+      same unlabelled (reference 0 (fun _ -> [||]))
+      && same by_coords (reference dim Array.copy)
+      && same by_coords' by_coords
+      && same labelled reference_l)
+
 (* --- closed-form innermost row ---------------------------------------- *)
 
 (* [Fold.implied_count] as it was, walking every point of the innermost
@@ -1476,7 +1536,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_fold_rect_roundtrip; prop_fold_covers;
             prop_fold_enumeration_oracle; prop_runs_roundtrip;
-            prop_implied_count_closed_form; prop_prefix_groups ] );
+            prop_implied_count_closed_form; prop_prefix_groups; prop_domain_fill ] );
       ( "slices",
         List.map QCheck_alcotest.to_alcotest
           [ prop_slice_encoding; prop_slice_groups; prop_fit_points ] ) ]

@@ -135,6 +135,24 @@ let test_span_nesting () =
         (p.Obs.Span.sp_dur_ns >= 0)
   | l -> Alcotest.failf "expected one root span, got %d" (List.length l)
 
+(* 10,000 cons cells of 3 words each, all in the minor heap: a span
+   must count them even when no minor collection happens inside it *)
+let test_span_minor_words () =
+  with_telemetry @@ fun () ->
+  Obs.Span.with_ "alloc" (fun () ->
+      let l = ref [] in
+      for i = 1 to 10_000 do
+        l := i :: !l
+      done;
+      ignore (Sys.opaque_identity !l));
+  match Obs.Span.roots () with
+  | [ sp ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "at least 30,000 minor words (read %.0f)" sp.Obs.Span.sp_minor_words)
+        true
+        (sp.Obs.Span.sp_minor_words >= 30_000.)
+  | l -> Alcotest.failf "expected one root span, got %d" (List.length l)
+
 let test_span_disabled_noop () =
   Obs.Registry.disable ();
   Obs.Span.reset ();
@@ -367,6 +385,7 @@ let () =
       ( "spans",
         [ Alcotest.test_case "unbalanced raises" `Quick test_span_unbalanced;
           Alcotest.test_case "nesting order" `Quick test_span_nesting;
+          Alcotest.test_case "minor words of a short span" `Quick test_span_minor_words;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_span_disabled_noop ] );
       ( "bands",

@@ -1,4 +1,4 @@
-.PHONY: all check test bench bench-json bench-record stream-smoke \
+.PHONY: all check test bench bench-json bench-record \
   staticdep-smoke obs-smoke autotune-smoke parcheck-smoke \
   perfdiff-smoke lint-gate lint-baseline clean
 
@@ -13,22 +13,14 @@ test: check
 bench:
 	dune exec bench/main.exe
 
-# codec numbers + out-of-core replay parity -> BENCH_stream.json,
 # autotuning search results -> BENCH_autotune.json
 bench-json:
-	dune exec bench/main.exe -- stream autotune --json
+	dune exec bench/main.exe -- autotune --json
 
 # every bench suite -> BENCH_*.json, each appended to bench/history/
 # for `polyprof perfdiff` to gate against
 bench-record:
 	dune exec bench/main.exe -- --json --record
-
-# quick end-to-end check of the out-of-core path: record, decode,
-# profile by replaying the file; the offline example exits nonzero
-# unless its profile from the file equals the live one
-stream-smoke:
-	dune exec bin/polyprof_cli.exe -- trace stats backprop
-	dune exec examples/offline_trace.exe
 
 # static dependence engine: one triangular and one witness-checked
 # workload verbosely (each exits nonzero if its pruned profile diverges),

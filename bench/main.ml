@@ -499,7 +499,7 @@ let ablation () =
     benches
 
 (* ------------------------------------------------------------------ *)
-(* lib/stream: trace codec + out-of-core replay parity                  *)
+(* BENCH_<section>.json documents and their perf history               *)
 (* ------------------------------------------------------------------ *)
 
 let json_out = ref false
@@ -521,14 +521,6 @@ let emit_bench name doc =
 let gate name failures =
   List.iter (fun f -> Format.printf "FAIL %s: %s@." name f) failures;
   if failures <> [] then exit 1
-
-let stream_bench () =
-  section "lib/stream: binary trace codec + out-of-core replay parity";
-  let module R = Workloads.Stream_report in
-  let rows = List.map R.measure Workloads.Runner.suite in
-  print_string (R.table rows);
-  if !json_out then emit_bench "stream" (R.json rows);
-  gate "stream" (R.check rows)
 
 (* ------------------------------------------------------------------ *)
 (* lib/analysis: static dependence engine + instrumentation pruning     *)
@@ -609,7 +601,7 @@ let () =
       ("table5", table_5); ("casestudy-verify", casestudy_verify);
       ("fig5", fig_5); ("fig7", fig_7);
       ("ablation", ablation); ("perf", perf); ("overhead", overhead);
-      ("stream", stream_bench); ("staticdep", staticdep_bench);
+      ("staticdep", staticdep_bench);
       ("obs", obs_bench); ("autotune", autotune_bench);
       ("parcheck", parcheck_bench) ]
   in

@@ -6,8 +6,7 @@
      polyprof flamegraph backprop -o backprop.svg
      polyprof table5 --paper
      polyprof polly lud
-     polyprof trace show backprop --limit 40
-     polyprof trace stats backprop *)
+     polyprof trace show backprop --limit 40 *)
 
 open Cmdliner
 
@@ -206,58 +205,10 @@ let trace_cmd =
              (paper Fig. 3 style)")
     Term.(const run $ bench_arg $ limit)
 
-let trace_record_cmd =
-  let out =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Trace file to write.")
-  in
-  let chunk =
-    Arg.(
-      value
-      & opt int Stream.Sink.default_chunk_bytes
-      & info [ "chunk-bytes" ] ~docv:"BYTES"
-          ~doc:"Chunk payload budget of the binary codec.")
-  in
-  let run name out chunk telemetry =
-    with_telemetry telemetry @@ fun () ->
-    with_workload name @@ fun w ->
-    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-    let wi = Stream.Trace_file.record_to_file ~chunk_bytes:chunk prog out in
-    Format.printf
-      "wrote %s: %d events in %d chunks, %d bytes (%.2f s, %.1f Mev/s)@."
-      out wi.Stream.Trace_file.wi_events wi.wi_chunks wi.wi_bytes
-      wi.wi_seconds
-      (float_of_int wi.wi_events /. (wi.wi_seconds +. 1e-9) /. 1e6);
-    0
-  in
-  Cmd.v
-    (Cmd.info "record"
-       ~doc:"Execute a benchmark once, streaming its event trace to a \
-             binary file (out-of-core: memory stays one chunk)")
-    Term.(const run $ bench_arg $ out $ chunk $ telemetry_flag)
-
-let trace_stats_cmd =
-  let run name telemetry =
-    with_telemetry telemetry @@ fun () ->
-    with_workload name @@ fun w ->
-    print_string
-      (Workloads.Stream_report.table [ Workloads.Stream_report.measure w ]);
-    0
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Record a benchmark's trace to disk, decode it back and \
-             profile it by replaying the file, printing codec counters \
-             and the replay's time and profile size")
-    Term.(const run $ bench_arg $ telemetry_flag)
-
 let trace_cmd =
   Cmd.group
-    (Cmd.info "trace"
-       ~doc:"Record, inspect and profile execution traces")
-    [ trace_cmd; trace_record_cmd; trace_stats_cmd ]
+    (Cmd.info "trace" ~doc:"Inspect execution traces")
+    [ trace_cmd ]
 
 let deps_cmd =
   let run name telemetry =
@@ -606,8 +557,7 @@ let overhead_cmd =
     (Cmd.info "overhead"
        ~doc:
          "Measure the profiling overhead of a benchmark (paper \u{00a7}8): \
-          native vs in-process instrumented vs out-of-core vs \
-          statically-pruned wall time, plus trace bytes per memory access")
+          native vs in-process instrumented vs statically-pruned wall time")
     Term.(const run $ bench_arg $ json_flag $ repeat)
 
 let autotune_cmd =

@@ -144,9 +144,12 @@ let induction_candidates (f : Vm.Prog.func) (lc_members : (int, unit) Hashtbl.t)
     (fun (b : Vm.Prog.block) ->
       if Hashtbl.mem lc_members b.bid then begin
         Array.iter
-          (fun i -> Option.iter (fun r -> count r (Some i)) (Insn.instr_def i))
+          (fun i ->
+            let r = Vm.Isa.def_reg i in
+            if r >= 0 then count r (Some i))
           b.instrs;
-        Option.iter (fun r -> count r None) (Insn.term_def b.term)
+        let r = Vm.Isa.term_def b.term in
+        if r >= 0 then count r None
       end)
     f.blocks;
   Hashtbl.fold
@@ -205,7 +208,8 @@ let walk_block fs bid state ~on_access ~on_call =
   | Vm.Isa.Call { callee; args; _ } -> on_call callee args (Array.copy state)
   | _ -> ());
   (* the call destination is defined on the continuation edge *)
-  Option.iter (fun r -> set r Opaque) (Insn.term_def b.term);
+  (let r = Vm.Isa.term_def b.term in
+   if r >= 0 then set r Opaque);
   state
 
 let no_access _ _ _ = ()

@@ -19,17 +19,16 @@ end
 
 module Engine = Dataflow.Make (L)
 
-let add_def s = function
-  | Some r -> (
-      match s with L.Top -> L.Top | L.Known x -> L.Known (ISet.add r x))
-  | None -> s
+let add_def s r =
+  if r < 0 then s
+  else match s with L.Top -> L.Top | L.Known x -> L.Known (ISet.add r x)
 
 let transfer_block (f : Vm.Prog.func) bid state =
   let b = f.blocks.(bid) in
   let state =
-    Array.fold_left (fun s i -> add_def s (Insn.instr_def i)) state b.instrs
+    Array.fold_left (fun s i -> add_def s (Vm.Isa.def_reg i)) state b.instrs
   in
-  add_def state (Insn.term_def b.term)
+  add_def state (Vm.Isa.term_def b.term)
 
 let check_func (prog : Vm.Prog.t) fid =
   let f = prog.funcs.(fid) in
@@ -64,10 +63,10 @@ let check_func (prog : Vm.Prog.t) fid =
         in
         Array.iteri
           (fun idx i ->
-            check_uses (Vm.Isa.Sid.make ~fid ~bid ~idx) (Insn.instr_uses i);
-            state := add_def !state (Insn.instr_def i))
+            check_uses (Vm.Isa.Sid.make ~fid ~bid ~idx) (Vm.Isa.reads i);
+            state := add_def !state (Vm.Isa.def_reg i))
           b.instrs;
-        check_uses (Insn.term_sid ~fid b) (Insn.term_uses b.term)
+        check_uses (Insn.term_sid ~fid b) (Vm.Isa.term_reads b.term)
       end)
     f.blocks;
   List.sort Diag.compare !diags

@@ -9,17 +9,19 @@ end
 
 module Engine = Dataflow.Make (L)
 
-let kill s = function Some r -> ISet.remove r s | None -> s
+let kill s r = if r < 0 then s else ISet.remove r s
 let gen s uses = List.fold_left (fun s r -> ISet.add r s) s uses
 
 (* live-in of a block from the live-out state *)
 let transfer_block (f : Vm.Prog.func) bid live_out =
   let b = f.blocks.(bid) in
-  let live = gen (kill live_out (Insn.term_def b.term)) (Insn.term_uses b.term) in
+  let live =
+    gen (kill live_out (Vm.Isa.term_def b.term)) (Vm.Isa.term_reads b.term)
+  in
   let live = ref live in
   for idx = Array.length b.instrs - 1 downto 0 do
     let i = b.instrs.(idx) in
-    live := gen (kill !live (Insn.instr_def i)) (Insn.instr_uses i)
+    live := gen (kill !live (Vm.Isa.def_reg i)) (Vm.Isa.reads i)
   done;
   !live
 
@@ -52,24 +54,23 @@ let check_func (prog : Vm.Prog.t) fid =
       if reach.(bid) then begin
         let live =
           gen
-            (kill block_in.(bid) (Insn.term_def b.term))
-            (Insn.term_uses b.term)
+            (kill block_in.(bid) (Vm.Isa.term_def b.term))
+            (Vm.Isa.term_reads b.term)
         in
         let live = ref live in
         for idx = Array.length b.instrs - 1 downto 0 do
           let i = b.instrs.(idx) in
-          (match Insn.instr_def i with
-          | Some r when not (ISet.mem r !live) ->
-              diags :=
-                Diag.warning
-                  ~sid:(Vm.Isa.Sid.make ~fid ~bid ~idx)
-                  ~code:"W-dead-store" ~fid
-                  (Format.asprintf
-                     "dead store: result r%d of `%a' is never read" r
-                     Vm.Isa.pp_instr i)
-                :: !diags
-          | _ -> ());
-          live := gen (kill !live (Insn.instr_def i)) (Insn.instr_uses i)
+          let r = Vm.Isa.def_reg i in
+          if r >= 0 && not (ISet.mem r !live) then
+            diags :=
+              Diag.warning
+                ~sid:(Vm.Isa.Sid.make ~fid ~bid ~idx)
+                ~code:"W-dead-store" ~fid
+                (Format.asprintf
+                   "dead store: result r%d of `%a' is never read" r
+                   Vm.Isa.pp_instr i)
+              :: !diags;
+          live := gen (kill !live r) (Vm.Isa.reads i)
         done
       end)
     f.blocks;
@@ -79,9 +80,9 @@ let check_func (prog : Vm.Prog.t) fid =
     (fun bid (b : Vm.Prog.block) ->
       if reach.(bid) then begin
         Array.iter
-          (fun i -> List.iter (fun r -> Hashtbl.replace used r ()) (Insn.instr_uses i))
+          (fun i -> List.iter (fun r -> Hashtbl.replace used r ()) (Vm.Isa.reads i))
           b.instrs;
-        List.iter (fun r -> Hashtbl.replace used r ()) (Insn.term_uses b.term)
+        List.iter (fun r -> Hashtbl.replace used r ()) (Vm.Isa.term_reads b.term)
       end)
     f.blocks;
   for p = 0 to f.n_params - 1 do

@@ -52,10 +52,10 @@ let func_use_count (f : Vm.Prog.func) r =
       let acc =
         Array.fold_left
           (fun acc i ->
-            acc + List.length (List.filter (( = ) r) (Insn.instr_uses i)))
+            acc + List.length (List.filter (( = ) r) (Vm.Isa.reads i)))
           acc b.instrs
       in
-      acc + List.length (List.filter (( = ) r) (Insn.term_uses b.term)))
+      acc + List.length (List.filter (( = ) r) (Vm.Isa.term_reads b.term)))
     0 f.blocks
 
 let func_def_count (f : Vm.Prog.func) r =
@@ -63,10 +63,10 @@ let func_def_count (f : Vm.Prog.func) r =
     (fun acc (b : Vm.Prog.block) ->
       let acc =
         Array.fold_left
-          (fun acc i -> if Insn.instr_def i = Some r then acc + 1 else acc)
+          (fun acc i -> if Vm.Isa.def_reg i = r then acc + 1 else acc)
           acc b.instrs
       in
-      if Insn.term_def b.term = Some r then acc + 1 else acc)
+      if Vm.Isa.term_def b.term = r then acc + 1 else acc)
     0 f.blocks
 
 (* ------------------------------------------------------------------ *)
@@ -129,7 +129,7 @@ let chain_of (prog : Vm.Prog.t) under (s : Sd.resolved) =
             let found = ref None in
             Array.iteri
               (fun i ins ->
-                if Insn.instr_def ins = Some rv then found := Some (i, ins))
+                if Vm.Isa.def_reg ins = rv then found := Some (i, ins))
               blk.instrs;
             !found
           in
@@ -432,16 +432,11 @@ let certify (sd : Sd.t) ~fid ~header =
               List.iter
                 (fun m ->
                   if m >= 0 && m < Array.length func.blocks then begin
+                    let define r = if r >= 0 then Hashtbl.replace defined r () in
                     Array.iter
-                      (fun ins ->
-                        match Insn.instr_def ins with
-                        | Some r -> Hashtbl.replace defined r ()
-                        | None -> ())
+                      (fun ins -> define (Vm.Isa.def_reg ins))
                       func.blocks.(m).instrs;
-                    match func.blocks.(m).term with
-                    | Vm.Isa.Call { dst = Some r; _ } ->
-                        Hashtbl.replace defined r ()
-                    | _ -> ()
+                    define (Vm.Isa.term_def func.blocks.(m).term)
                   end)
                 lp.L.members;
               let carried_scalar =

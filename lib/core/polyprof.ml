@@ -33,24 +33,6 @@ let run_hir ?config ?max_steps ?args hir =
   let prog = Vm.Hir.lower hir in
   run_internal ?config ?max_steps ?args ~hir:(Some hir) prog
 
-(* Out-of-core pipeline: the profile replayed from a binary trace
-   file. *)
-let run_trace_file ?config ~path prog =
-  Obs.Span.with_ ~cat:"pipeline" "pipeline.run_trace_file" @@ fun () ->
-  let { Stream.Par_profile.result = profile } =
-    Obs.Span.with_ ~cat:"pipeline" "pipeline.profile" @@ fun () ->
-    Stream.Par_profile.profile_file ?config path prog
-  in
-  let analysis =
-    Obs.Span.with_ ~cat:"pipeline" "pipeline.depanalysis" @@ fun () ->
-    Sched.Depanalysis.analyse prog profile
-  in
-  let feedback =
-    Obs.Span.with_ ~cat:"pipeline" "pipeline.feedback" @@ fun () ->
-    Sched.Feedback.make prog profile analysis
-  in
-  { prog; hir = None; profile; analysis; feedback }
-
 let metrics ?ld_src ?fusion_strategy ~name t =
   let ld_src =
     match ld_src with

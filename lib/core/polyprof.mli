@@ -54,19 +54,6 @@ val run_hir :
 (** Lower the HIR program and run the pipeline, keeping the HIR around
     as source for the static baseline and ld-src. *)
 
-val run_trace_file :
-  ?config:Ddg.Depprof.config ->
-  path:string ->
-  Vm.Prog.t ->
-  t
-(** Out-of-core pipeline over a recorded binary trace (written by
-    {!Stream.Trace_file.record_to_file}): the profile streams the file
-    ({!Stream.Par_profile.profile_file}), recovering Instrumentation I's
-    structure in the same replay, and is the same as {!run} of the same
-    execution.  The trace must carry a stats
-    trailer.
-    @raise Stream.Error on a corrupt or truncated trace. *)
-
 val metrics :
   ?ld_src:int -> ?fusion_strategy:Sched.Fusion.strategy -> name:string -> t
   -> Sched.Metrics.row

@@ -251,11 +251,11 @@ let translate prog sid =
   let fid = Vm.Isa.Sid.fid sid and bid = Vm.Isa.Sid.bid sid in
   let instrs = (Vm.Prog.block prog ~fid ~bid).Vm.Prog.instrs in
   let n = Array.length instrs in
-  let def = Array.map Scev_pred.def_reg instrs in
+  let def = Array.map Vm.Isa.def_reg instrs in
   let reads =
     Array.map
       (fun ins ->
-        match (Scev_pred.read_a ins, Scev_pred.read_b ins) with
+        match (Vm.Isa.read_a ins, Vm.Isa.read_b ins) with
         | -1, -1 -> [||]
         | a, -1 | -1, a -> [| a |]
         | a, b -> [| a; b |])
@@ -596,7 +596,7 @@ let track_mem e r coords (ex : Vm.Event.exec) =
 
 (* The value or address labelling one execution of [r]; a label of the
    wrong shape poisons [r]. *)
-let label_value r (ex : Vm.Event.exec) coords =
+let label_value r (ex : Vm.Event.exec) =
   match r.r_label with
   | Lnone -> 0
   | Lvalue -> (
@@ -608,17 +608,9 @@ let label_value r (ex : Vm.Event.exec) coords =
   | Laddr -> (
       match (ex.addr_read, ex.addr_written) with
       | Some a, _ | None, Some a -> a
-      | None, None -> (
-          (* an elided trace drops the addresses of pruned
-             accesses; the static plan reconstructs them *)
-          match r.r_pruned with
-          | Some sa when Array.length sa.sa_coefs = Array.length coords ->
-              let a = ref sa.sa_base in
-              Array.iteri (fun i c -> a := !a + (c * coords.(i))) sa.sa_coefs;
-              !a
-          | _ ->
-              r.poisoned <- true;
-              0))
+      | None, None ->
+          r.poisoned <- true;
+          0)
 
 (* One instruction, every dependence through the shadows: the path of a
    block record after [materialize], and of any instruction that does
@@ -647,7 +639,7 @@ let slow_exec e (ex : Vm.Event.exec) =
       match r.r_label with
       | Lnone -> [||]
       | Lvalue | Laddr ->
-          e.label_buf.(0) <- label_value r ex coords;
+          e.label_buf.(0) <- label_value r ex;
           e.label_buf
     in
     Fold.Collector.add r.collector coords label
@@ -706,7 +698,7 @@ let fast_exec e br (ex : Vm.Event.exec) =
   in
   (match r.r_label with
   | Lnone -> ()
-  | Lvalue | Laddr -> Fold.Collector.label r.collector br.b_dom coords (label_value r ex coords));
+  | Lvalue | Laddr -> Fold.Collector.label r.collector br.b_dom coords (label_value r ex));
   (* a read the block satisfies is a dependence of [b_static], created
      here at the first execution, in read order like the others *)
   let reads = code.bc_reads.(i) and src = code.bc_src.(i) in

@@ -186,8 +186,9 @@ val profile_replay :
   Vm.Prog.t ->
   result
 (** Instrumentation II over a pre-recorded event stream instead of a
-    live run: [feed] must deliver the events of one execution to the
-    callbacks (e.g. with a streaming [Stream.Source.replay]) and then
+    live run, kept for the pipeline benchmark's trace-replay workload:
+    [feed] must deliver the events of one execution to the callbacks
+    (by replaying a trace file, for example) and then
     return the recorded run's interpreter stats (a trace file's stats
     trailer is read only after its events).  [feed] may be called up to
     three times, with fresh callbacks: once more when the run refutes
@@ -195,10 +196,7 @@ val profile_replay :
     a SCEV prediction is refuted.  Each call must deliver the whole
     execution from its start (reopen the trace file inside [feed], for
     example).  The result is identical to {!profile} of the same
-    execution, which is this driver fed by the interpreter.  Under
-    [static_prune] the trace may have been recorded with the addresses
-    of pruned accesses elided ({!Stream.Trace_file} [~elide]): the plan
-    reconstructs the statement address labels.
+    execution, which is this driver fed by the interpreter.
     @raise Invalid_argument without [structure], when a return names a
     caller other than the one that made the call. *)
 

@@ -190,48 +190,16 @@ let regular_functions (prog : Vm.Prog.t) (s : Cfg.Cfg_builder.structure) fns =
 let top : int array = [||]
 let is_top v = Array.length v = 0
 
-let def_reg = function
-  | Isa.Const (r, _) | Isa.Mov (r, _) | Isa.Bin (_, r, _, _) | Isa.Fconst (r, _)
-  | Isa.Fbin (_, r, _, _) | Isa.Cmp (_, r, _, _) | Isa.Fcmp (_, r, _, _)
-  | Isa.Load (r, _) | Isa.Itof (r, _) | Isa.Ftoi (r, _) ->
-      r
-  | Isa.Store _ -> -1
-
-let term_def = function Isa.Call { dst = Some r; _ } -> r | _ -> -1
-
-let reg_of = function Isa.Reg r -> r | Isa.Imm _ -> -1
-
-(* The registers an instruction reads ([-1] for none). *)
-let read_a = function
-  | Isa.Const _ | Isa.Fconst _ -> -1
-  | Isa.Mov (_, a) | Isa.Load (_, a) | Isa.Itof (_, a) | Isa.Ftoi (_, a)
-  | Isa.Bin (_, _, a, _) | Isa.Fbin (_, _, a, _) | Isa.Cmp (_, _, a, _)
-  | Isa.Fcmp (_, _, a, _) | Isa.Store (a, _) ->
-      reg_of a
-
-let read_b = function
-  | Isa.Bin (_, _, _, b) | Isa.Fbin (_, _, _, b) | Isa.Cmp (_, _, _, b)
-  | Isa.Fcmp (_, _, _, b) | Isa.Store (_, b) ->
-      reg_of b
-  | Isa.Const _ | Isa.Fconst _ | Isa.Mov _ | Isa.Load _ | Isa.Itof _ | Isa.Ftoi _ -> -1
-
-(* The registers a terminator reads. *)
-let term_reads = function
-  | Isa.Call { args; _ } ->
-      List.filter_map (function Isa.Reg r -> Some r | Isa.Imm _ -> None) args
-  | Isa.Br (Isa.Reg r, _, _) | Isa.Ret (Some (Isa.Reg r)) -> [ r ]
-  | Isa.Br (Isa.Imm _, _, _) | Isa.Ret (Some (Isa.Imm _)) -> []
-  | Isa.Ret None | Isa.Jump _ | Isa.Halt -> []
-
 let n_regs (func : Vm.Prog.func) =
   let m = ref func.n_params in
   Array.iter
     (fun (b : Vm.Prog.block) ->
       Array.iter
-        (fun i -> m := max !m (1 + max (def_reg i) (max (read_a i) (read_b i))))
+        (fun i ->
+          m := max !m (1 + max (Isa.def_reg i) (max (Isa.read_a i) (Isa.read_b i))))
         b.instrs;
-      m := max !m (1 + term_def b.term);
-      List.iter (fun r -> m := max !m (r + 1)) (term_reads b.term))
+      m := max !m (1 + Isa.term_def b.term);
+      List.iter (fun r -> m := max !m (r + 1)) (Isa.term_reads b.term))
     func.blocks;
   max 1 !m
 
@@ -250,7 +218,7 @@ let increment (blk : Vm.Prog.block) i r =
   | Isa.Mov (_, Isa.Reg t) when t <> r ->
       let rec back j =
         if j < 0 then None
-        else if def_reg blk.instrs.(j) = t then step t blk.instrs.(j)
+        else if Isa.def_reg blk.instrs.(j) = t then step t blk.instrs.(j)
         else back (j - 1)
       in
       back (i - 1)
@@ -290,12 +258,12 @@ let analyse_values fn ~main (marks : bool array array) =
     let blk = blocks.(b) in
     for i = 0 to Array.length blk.instrs - 1 do
       let ins = blk.instrs.(i) in
-      use b (read_a ins);
-      use b (read_b ins);
-      def b (def_reg ins)
+      use b (Isa.read_a ins);
+      use b (Isa.read_b ins);
+      def b (Isa.def_reg ins)
     done;
-    List.iter (use b) (term_reads blk.term);
-    def b (term_def blk.term)
+    List.iter (use b) (Isa.term_reads blk.term);
+    def b (Isa.term_def blk.term)
   done;
   let n = !n in
   let crossing = Array.make n 0 in
@@ -404,9 +372,9 @@ let analyse_values fn ~main (marks : bool array array) =
       (fun b ->
         let blk = blocks.(b) in
         for i = 0 to Array.length blk.instrs - 1 do
-          def (def_reg blk.instrs.(i)) b i
+          def (Isa.def_reg blk.instrs.(i)) b i
         done;
-        def (term_def blk.term) b (-1))
+        def (Isa.term_def blk.term) b (-1))
       fn.loops.(l).members;
     let st = Array.copy st in
     for k = 0 to n - 1 do
@@ -454,7 +422,7 @@ let analyse_values fn ~main (marks : bool array array) =
     let mark = block_regular fn ~main b in
     for i = 0 to Array.length blk.instrs - 1 do
       let ins = blk.instrs.(i) in
-      let r = def_reg ins in
+      let r = Isa.def_reg ins in
       if r >= 0 then begin
         let v = value ins in
         if mark && not (is_top v) then begin
@@ -465,7 +433,7 @@ let analyse_values fn ~main (marks : bool array array) =
         cur.(r) <- v
       end
     done;
-    let r = term_def blk.term in
+    let r = Isa.term_def blk.term in
     if r >= 0 then cur.(r) <- top;
     let changed = ref false in
     for k = 0 to n - 1 do

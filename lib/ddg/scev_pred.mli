@@ -49,13 +49,3 @@ val compute : Vm.Prog.t -> Cfg.Cfg_builder.structure -> t
 
 val mem : t -> Vm.Isa.Sid.t -> bool
 (** Whether the instruction is predicted SCEV. *)
-
-(** {2 Registers of an instruction} *)
-
-val def_reg : Vm.Isa.instr -> Vm.Isa.reg
-(** The register the instruction writes, or [-1]. *)
-
-val read_a : Vm.Isa.instr -> Vm.Isa.reg
-val read_b : Vm.Isa.instr -> Vm.Isa.reg
-(** The registers of its first and second operands, or [-1]: its reads
-    in {!Vm.Interp}'s order. *)

@@ -1,7 +1,7 @@
 (** Minimal JSON emission and validation.
 
     One shared emitter for every machine-readable report the tree
-    produces ([bench stream --json], [bench staticdep --json],
+    produces ([bench staticdep --json],
     [bench obs --json], the Chrome trace exporter, the CLI [--json]
     outputs), replacing per-call-site [Printf] JSON with its scattered
     escaping bugs.  The container ships no [yojson], so a small

@@ -1,10 +1,9 @@
 type t = { s_name : string; s_file : string; s_version : int }
 
-let stream = 3
-let staticdep = 1
+let staticdep = 2
 let obs = 2
 let autotune = 1
-let overhead = 2
+let overhead = 3
 let parcheck = 1
 let perfhist = 1
 
@@ -18,5 +17,4 @@ let all =
     { s_name = "perfhist"; s_file = "bench/history/*.jsonl";
       s_version = perfhist };
     { s_name = "staticdep"; s_file = "BENCH_staticdep.json";
-      s_version = staticdep };
-    { s_name = "stream"; s_file = "BENCH_stream.json"; s_version = stream } ]
+      s_version = staticdep } ]

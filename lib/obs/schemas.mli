@@ -7,12 +7,11 @@
     parsing any report. *)
 
 type t = {
-  s_name : string;  (** emitter name, e.g. ["stream"] *)
-  s_file : string;  (** the artifact it writes, e.g. ["BENCH_stream.json"] *)
+  s_name : string;  (** emitter name, e.g. ["staticdep"] *)
+  s_file : string;  (** the artifact it writes, e.g. ["BENCH_staticdep.json"] *)
   s_version : int;
 }
 
-val stream : int
 val staticdep : int
 val obs : int
 val autotune : int

@@ -19,9 +19,7 @@ val profile_file :
     does.  The file is opened and read once per replay, up to three
     times: once more when the replay refutes the static structure, and
     once more when a SCEV prediction is refuted.  The file must carry a
-    stats trailer.  Under [static_prune] the trace may have been
-    recorded with the plan's addresses elided
-    ({!Trace_file.record_to_file} [~elide]).
+    stats trailer.
     @raise Invalid_argument when [domains] is given and is not 1, or,
     without [structure], when a return in the trace names the wrong
     caller.

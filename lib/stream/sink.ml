@@ -11,7 +11,6 @@
 
 type t = {
   oc : out_channel;
-  owned : bool;
   chunk_bytes : int;
   w : Varint.writer;
   d : Codec.delta;
@@ -35,14 +34,14 @@ let obs_op_misses = Obs.Metrics.counter ~help:"operand-dictionary misses while e
 let obs_f_hits = Obs.Metrics.counter ~help:"float-dictionary hits while encoding" "stream.encode.dict_float_hits"
 let obs_f_misses = Obs.Metrics.counter ~help:"float-dictionary misses while encoding" "stream.encode.dict_float_misses"
 
-let to_channel ?(chunk_bytes = default_chunk_bytes) oc =
+let create ?(chunk_bytes = default_chunk_bytes) path =
+  let oc = open_out_bin path in
   output_string oc Codec.magic;
   output_char oc (Char.chr Codec.version);
   let chunk_bytes = max 512 chunk_bytes in
   let w = Varint.writer (frame_room + chunk_bytes + Codec.max_event_bytes) in
   w.Varint.wpos <- frame_room;
   { oc;
-    owned = false;
     chunk_bytes;
     w;
     d = Codec.delta ();
@@ -51,10 +50,6 @@ let to_channel ?(chunk_bytes = default_chunk_bytes) oc =
     n_chunks = 0;
     bytes_written = String.length Codec.magic + 1;
     closed = false }
-
-let create ?chunk_bytes path =
-  let oc = open_out_bin path in
-  { (to_channel ?chunk_bytes oc) with owned = true }
 
 (* Frame and write the payload [buf[payload .. wpos)], then rewind the
    writer to an empty payload. *)
@@ -116,8 +111,7 @@ let close ?stats t =
         Codec.encode_stats t.w s;
         seal t Codec.kind_stats frame_room
     | None -> ());
-    flush t.oc;
-    if t.owned then close_out t.oc;
+    close_out t.oc;
     t.closed <- true;
     if Obs.Registry.enabled () then begin
       Obs.Metrics.add obs_events t.n_events;
@@ -131,6 +125,4 @@ let close ?stats t =
     end
   end
 
-let n_events t = t.n_events
-let n_chunks t = t.n_chunks
 let bytes_written t = t.bytes_written

@@ -9,13 +9,8 @@
 
 type t
 
-val default_chunk_bytes : int
-
 val create : ?chunk_bytes:int -> string -> t
 (** Open [path] for writing and emit the header. *)
-
-val to_channel : ?chunk_bytes:int -> out_channel -> t
-(** Same on an already-open channel (not closed by {!close}). *)
 
 val callbacks : t -> Vm.Interp.callbacks
 (** Interpreter callbacks that stream every event into the sink —
@@ -26,7 +21,5 @@ val close : ?stats:Vm.Interp.stats -> t -> unit
 (** Flush the pending chunk, write the stats trailer if given, and close
     the underlying file.  Idempotent. *)
 
-val n_events : t -> int
-val n_chunks : t -> int
 val bytes_written : t -> int
 (** Total file bytes produced so far (header + flushed chunks). *)

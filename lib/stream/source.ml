@@ -111,8 +111,6 @@ let replay t (cb : Vm.Interp.callbacks) =
   end
 
 let stats t = t.stats
-let n_events t = t.n_events
-let n_chunks t = t.n_chunks
 let close t = close_in_noerr t.ic
 
 let with_file path f =

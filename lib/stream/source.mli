@@ -22,10 +22,6 @@ val stats : t -> Vm.Interp.stats option
 (** The recorded run's interpreter stats, once the trailer chunk has
     been read (i.e. after {!replay} completed). *)
 
-val n_events : t -> int
-(** Events decoded so far. *)
-
-val n_chunks : t -> int
 val close : t -> unit
 
 val with_file : string -> (t -> 'a) -> 'a

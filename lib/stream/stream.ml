@@ -1,5 +1,6 @@
 (** Out-of-core binary trace codec and trace-file dependence
-    profiling.
+    profiling, kept only for the pipeline benchmark's [trace_replay]
+    workload: every other profile instruments a live run.
 
     Wire format (version 1): a [PLYPROF1] magic + version byte header
     followed by self-contained chunks, each [kind | varint payload
@@ -7,9 +8,8 @@
     counters and addresses with zigzag varints; a trailer chunk carries
     the run's interpreter stats.  {!Sink}/{!Source} write and read
     traces chunk-at-a-time in bounded memory; {!Trace_file} records a
-    run straight to a file and recovers its structure from one;
-    {!Par_profile} replays the
-    dependence profiler sequentially from a trace file. *)
+    run straight to a file; {!Par_profile} replays the dependence
+    profiler sequentially from a trace file. *)
 
 exception Error = Error.Error
 (** Raised on malformed input: bad magic/version, truncation, CRC

@@ -35,6 +35,41 @@ let class_of_instr = function
 let is_fp i = class_of_instr i = Fp_alu
 let is_mem i = match class_of_instr i with Mem_load | Mem_store -> true | _ -> false
 
+let reg_of = function Reg r -> r | Imm _ -> -1
+
+let def_reg = function
+  | Const (r, _) | Fconst (r, _) | Mov (r, _) | Bin (_, r, _, _)
+  | Fbin (_, r, _, _) | Cmp (_, r, _, _) | Fcmp (_, r, _, _) | Load (r, _)
+  | Itof (r, _) | Ftoi (r, _) ->
+      r
+  | Store _ -> -1
+
+let read_a = function
+  | Const _ | Fconst _ -> -1
+  | Mov (_, a) | Load (_, a) | Itof (_, a) | Ftoi (_, a) | Bin (_, _, a, _)
+  | Fbin (_, _, a, _) | Cmp (_, _, a, _) | Fcmp (_, _, a, _) | Store (a, _) ->
+      reg_of a
+
+let read_b = function
+  | Bin (_, _, _, b) | Fbin (_, _, _, b) | Cmp (_, _, _, b) | Fcmp (_, _, _, b)
+  | Store (_, b) ->
+      reg_of b
+  | Const _ | Fconst _ | Mov _ | Load _ | Itof _ | Ftoi _ -> -1
+
+let reads i =
+  match (read_a i, read_b i) with
+  | -1, -1 -> []
+  | a, -1 | -1, a -> [ a ]
+  | a, b -> [ a; b ]
+
+let term_def = function Call { dst = Some r; _ } -> r | _ -> -1
+
+let term_reads = function
+  | Call { args; _ } ->
+      List.filter_map (function Reg r -> Some r | Imm _ -> None) args
+  | Br (Reg r, _, _) | Ret (Some (Reg r)) -> [ r ]
+  | Br (Imm _, _, _) | Ret (Some (Imm _)) | Ret None | Jump _ | Halt -> []
+
 let term_succs = function
   | Jump d -> [ d ]
   | Br (_, t, e) -> if t = e then [ t ] else [ t; e ]

@@ -42,6 +42,32 @@ val class_of_instr : instr -> op_class
 val is_fp : instr -> bool
 val is_mem : instr -> bool
 
+(** {2 Registers an instruction reads and writes}
+
+    One definition for the profiler and every static pass.  A missing
+    register is [-1], so the per-instruction readers allocate nothing. *)
+
+val def_reg : instr -> reg
+(** The register the instruction writes, or [-1] ([Store] writes only
+    memory). *)
+
+val read_a : instr -> reg
+val read_b : instr -> reg
+(** The registers of the first and second operands, or [-1].  Reads
+    come in {!Interp}'s order, operand [a] then operand [b]: for a
+    [Store (addr, value)], the address and then the value. *)
+
+val reads : instr -> reg list
+(** [read_a] then [read_b], without the missing ones (a register read
+    by both operands appears twice). *)
+
+val term_def : terminator -> reg
+(** A [Call]'s destination (written in the caller's frame when the
+    callee returns), or [-1]. *)
+
+val term_reads : terminator -> reg list
+(** The registers a terminator reads, in operand order. *)
+
 val term_succs : terminator -> int list
 (** Static successor block ids within the function, in operand order: a
     [Call] continues at its [cont] block once the callee returns;

@@ -55,21 +55,8 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
         Fun.protect
           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
         @@ fun () ->
-        (* elision follows the *non-speculative* pruned set so the
-           recorded trace stays valid across witness-failure reruns:
-           speculative plans only ever prune a superset of it *)
-        let stable_plan =
-          if static_prune then
-            Some (Analysis.Statdep.analyse prog).Analysis.Statdep.plan
-          else None
-        in
-        let elide =
-          Option.map
-            (fun p sid -> Hashtbl.mem p.Ddg.Depprof.sp_resolved sid)
-            stable_plan
-        in
         let (_ : Stream.Trace_file.write_info) =
-          Stream.Trace_file.record_to_file ?elide prog path
+          Stream.Trace_file.record_to_file prog path
         in
         profile_with (fun static_prune ->
             (Stream.Par_profile.profile_file ?static_prune path prog)

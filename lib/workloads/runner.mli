@@ -37,16 +37,15 @@ val run :
   ?budget:int -> ?crosscheck:bool -> ?xverify:bool -> ?out_of_core:int ->
   ?static_prune:bool -> Workload.t -> outcome
 (** [out_of_core = Some 1] records the execution to a temporary
-    binary trace file and replays both instrumentation stages from it
-    ({!Stream.Par_profile.profile_file}); the profile is identical to
-    the default in-process run.  Any other value raises
-    [Invalid_argument].
+    binary trace file and replays both instrumentation stages from it;
+    the profile is identical to the default in-process run.  Any other
+    value raises [Invalid_argument].  The pipeline benchmark's
+    trace-replay workload is its one user.
 
     [static_prune] runs {!Analysis.Statdep} first and profiles under
     its instrumentation-pruning plan: statically-resolved accesses skip
-    shadow tracking (and, on the out-of-core path, their addresses are
-    elided from the trace file).  The profile is asserted identical to
-    the unpruned one by construction. *)
+    shadow tracking, on either path.  The profile is asserted identical
+    to the unpruned one by construction. *)
 
 val run_all :
   ?budget:int -> ?crosscheck:bool -> ?xverify:bool -> unit ->

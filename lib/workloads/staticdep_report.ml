@@ -8,8 +8,6 @@ type dynamic = {
   d_dyn_pruned : int;
   d_full_s : float;
   d_pruned_s : float;
-  d_trace_bytes : int;
-  d_elided_bytes : int;
   d_witnesses : int;
   d_reruns : int;
   d_identical : bool;
@@ -26,7 +24,7 @@ type row = {
   r_dynamic : dynamic option;
 }
 
-let measure_dynamic prog (sd : Analysis.Statdep.t) =
+let measure_dynamic prog =
   let full, t_full = Obs.Clock.timed (fun () -> Ddg.Depprof.profile prog) in
   (* speculative plan, witness-failure reruns handled by the hybrid
      driver (timed together: that is the user-visible cost) *)
@@ -35,19 +33,10 @@ let measure_dynamic prog (sd : Analysis.Statdep.t) =
         Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
             Ddg.Depprof.profile ~static_prune:plan prog))
   in
-  let path = Filename.temp_file "polyprof" ".trace" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  let bytes ?elide () =
-    (Stream.Trace_file.record_to_file ?elide prog path)
-      .Stream.Trace_file.wi_bytes
-  in
   { d_dyn_mem = full.Ddg.Depprof.run_stats.Vm.Interp.dyn_mem_ops;
     d_dyn_pruned = pruned.Ddg.Depprof.statically_pruned;
     d_full_s = t_full;
     d_pruned_s = t_pruned;
-    d_trace_bytes = bytes ();
-    d_elided_bytes = bytes ~elide:(Hashtbl.mem sd.Analysis.Statdep.pruned) ();
     d_witnesses = List.length pruned.Ddg.Depprof.witnesses;
     d_reruns = reruns;
     d_identical = Ddg.Depprof.equal_result full pruned }
@@ -64,7 +53,7 @@ let measure ?(prune = false) (w : Workload.t) =
     r_regions = Analysis.Statdep.prunable_regions sd;
     r_pairs = List.length pairs;
     r_possible = List.length (List.filter possible pairs);
-    r_dynamic = (if prune then Some (measure_dynamic prog sd) else None) }
+    r_dynamic = (if prune then Some (measure_dynamic prog) else None) }
 
 let diverged r =
   match r.r_dynamic with Some d -> not d.d_identical | None -> false
@@ -99,8 +88,8 @@ let table rows =
     @
     if ds = [] then []
     else
-      [ "dyn mem"; "dyn pruned"; "pruned %"; "full s"; "pruned s"; "trace KB";
-        "elided KB"; "wit"; "rerun"; "same" ]
+      [ "dyn mem"; "dyn pruned"; "pruned %"; "full s"; "pruned s"; "wit";
+        "rerun"; "same" ]
   in
   let cells r =
     List.map string_of_int
@@ -115,8 +104,6 @@ let table rows =
           Printf.sprintf "%.0f%%" (dyn_pct d);
           Printf.sprintf "%.4f" d.d_full_s;
           Printf.sprintf "%.4f" d.d_pruned_s;
-          string_of_int (d.d_trace_bytes / 1024);
-          string_of_int (d.d_elided_bytes / 1024);
           string_of_int d.d_witnesses;
           string_of_int d.d_reruns;
           (if d.d_identical then "Y" else "N!") ]
@@ -152,8 +139,6 @@ let json rows =
       @ dyn (fun d ->
             [ ("full_seconds", Float d.d_full_s);
               ("pruned_seconds", Float d.d_pruned_s);
-              ("trace_bytes", Int d.d_trace_bytes);
-              ("elided_trace_bytes", Int d.d_elided_bytes);
               ("speculative_witnesses", Int d.d_witnesses);
               ("witness_reruns", Int d.d_reruns);
               ("identical", Bool d.d_identical) ]))

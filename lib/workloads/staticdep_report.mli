@@ -2,15 +2,13 @@
     [bench staticdep], BENCH_staticdep.json): what {!Analysis.Statdep}
     resolves and plans to prune per workload and, when measured with
     [~prune], the dynamic accesses that skipped shadow tracking, the
-    profiling and trace-size cost, and the pruned==unpruned parity. *)
+    profiling cost, and the pruned==unpruned parity. *)
 
 type dynamic = {
   d_dyn_mem : int;  (** dynamic memory operations *)
   d_dyn_pruned : int;  (** of which skipped shadow tracking *)
   d_full_s : float;  (** unpruned in-process profile *)
   d_pruned_s : float;  (** pruned profile, witness-failure reruns included *)
-  d_trace_bytes : int;  (** trace file, full addresses *)
-  d_elided_bytes : int;  (** trace file, resolved addresses elided *)
   d_witnesses : int;  (** witness probes in the final speculative plan *)
   d_reruns : int;  (** witness-failure reruns of the hybrid driver *)
   d_identical : bool;  (** pruned profile == unpruned *)
@@ -29,8 +27,7 @@ type row = {
 
 val measure : ?prune:bool -> Workload.t -> row
 (** Static analysis only unless [prune] (default [false]): then also
-    profile with and without the speculative pruning plan and record the
-    trace with and without address elision. *)
+    profile with and without the speculative pruning plan. *)
 
 val diverged : row -> bool
 (** The pruned profile differs from the unpruned one. *)

@@ -898,8 +898,6 @@ let test_report_checks () =
             d_dyn_pruned = pruned;
             d_full_s = 0.;
             d_pruned_s = 0.;
-            d_trace_bytes = 0;
-            d_elided_bytes = 0;
             d_witnesses = 0;
             d_reruns = 0;
             d_identical = identical } }

@@ -244,6 +244,32 @@ let test_exec_events_have_addresses () =
   Alcotest.(check bool) "write seen" true (List.mem 19 !writes);
   Alcotest.(check bool) "read seen" true (List.mem 19 !reads)
 
+(* [Isa.reads], [def_reg] and [term_reads] are the profiler's and the
+   static passes' view of an instruction's registers: on every executed
+   instruction of every suite program they must equal what the
+   interpreter reports, reads in the same order *)
+let test_isa_registers_match_events () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let prog = H.lower w.Workloads.Workload.hir in
+      let on_exec (e : Vm.Event.exec) =
+        let sid = e.Vm.Event.sid in
+        let instr =
+          (Vm.Prog.block prog ~fid:(Vm.Isa.Sid.fid sid) ~bid:(Vm.Isa.Sid.bid sid))
+            .Vm.Prog.instrs.(Vm.Isa.Sid.idx sid)
+        in
+        if
+          Vm.Isa.reads instr <> e.Vm.Event.reads
+          || Vm.Isa.def_reg instr <> Option.value ~default:(-1) e.Vm.Event.writes
+        then
+          Alcotest.failf "%s %s: `%a' disagrees with its exec event"
+            w.Workloads.Workload.w_name (Vm.Isa.Sid.to_string sid)
+            Vm.Isa.pp_instr instr
+      in
+      let callbacks = { Vm.Interp.on_control = ignore; on_exec } in
+      ignore (Vm.Interp.run ~callbacks prog : Vm.Interp.stats))
+    Workloads.Runner.suite
+
 let () =
   Alcotest.run "vm"
     [ ( "interp",
@@ -267,4 +293,6 @@ let () =
         [ Alcotest.test_case "balanced calls/returns" `Quick
             test_event_stream_balanced;
           Alcotest.test_case "memory addresses in exec events" `Quick
-            test_exec_events_have_addresses ] ) ]
+            test_exec_events_have_addresses;
+          Alcotest.test_case "Isa registers = exec events" `Quick
+            test_isa_registers_match_events ] ) ]

@@ -424,7 +424,7 @@ let class_code a =
 
 let analyse_func ?(param_value = fun _ -> None) (prog : Vm.Prog.t) fid =
   let func = prog.funcs.(fid) in
-  let n_regs = Insn.n_regs func in
+  let n_regs = Vm.Prog.n_regs func in
   let graph = Insn.static_cfg func in
   let forest = Cfg.Loopnest.compute graph ~entry:0 in
   let reach = Verify.reachable_blocks func in

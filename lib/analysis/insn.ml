@@ -1,19 +1,3 @@
-let n_regs (f : Vm.Prog.func) =
-  let top = ref (f.n_params - 1) in
-  let see r = if r > !top then top := r in
-  Array.iter
-    (fun (b : Vm.Prog.block) ->
-      Array.iter
-        (fun i ->
-          see (Vm.Isa.def_reg i);
-          see (Vm.Isa.read_a i);
-          see (Vm.Isa.read_b i))
-        b.instrs;
-      List.iter see (Vm.Isa.term_reads b.term);
-      see (Vm.Isa.term_def b.term))
-    f.blocks;
-  !top + 1
-
 let static_cfg (f : Vm.Prog.func) =
   let g = Cfg.Digraph.create () in
   let n = Array.length f.blocks in

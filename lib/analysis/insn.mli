@@ -1,16 +1,13 @@
-(** The register frame and static control-flow graph of a function —
-    the inputs every dataflow pass shares, with the registers each
-    instruction reads and writes ({!Vm.Isa.def_reg}, {!Vm.Isa.reads}).
+(** The static control-flow graph of a function — the input every
+    dataflow pass shares with its register frame ({!Vm.Prog.n_regs}) and
+    the registers each instruction reads and writes ({!Vm.Isa.def_reg},
+    {!Vm.Isa.reads}).
 
     Unlike {!Cfg.Cfg_builder}, which reconstructs CFGs from the *dynamic*
     event stream (only executed blocks appear), this is the full static
     CFG: one node per basic block, edges from the terminator syntax.
     Call terminators get a fall-through edge to their continuation block,
     the same shape Instrumentation I produces. *)
-
-val n_regs : Vm.Prog.func -> int
-(** 1 + the largest register index mentioned anywhere in the function
-    (at least [n_params]); the frame size a dataflow pass must model. *)
 
 val static_cfg : Vm.Prog.func -> Cfg.Digraph.t
 (** Nodes are block ids, edges {!Vm.Isa.term_succs}; out-of-range

@@ -42,8 +42,6 @@ let region_of_addr t a =
 
 let const_pts t c = if t.degraded then t.all_mask else 1 lsl region_of_addr t c
 
-let regs_of (f : Vm.Prog.func) = Insn.n_regs f
-
 let analyse (prog : Vm.Prog.t) =
   let regions = Array.of_list prog.globals in
   let n_named = Array.length regions in
@@ -57,7 +55,7 @@ let analyse (prog : Vm.Prog.t) =
       all_mask;
       degraded;
       pts =
-        Array.map (fun f -> Array.make (max 1 (regs_of f)) 0) prog.funcs;
+        Array.map (fun f -> Array.make (Vm.Prog.n_regs f) 0) prog.funcs;
       content = Array.make (n_named + 1) 0;
       ret_pts = Array.make (Array.length prog.funcs) 0;
       touched = Array.make (Array.length prog.funcs) 0;

@@ -190,19 +190,6 @@ let regular_functions (prog : Vm.Prog.t) (s : Cfg.Cfg_builder.structure) fns =
 let top : int array = [||]
 let is_top v = Array.length v = 0
 
-let n_regs (func : Vm.Prog.func) =
-  let m = ref func.n_params in
-  Array.iter
-    (fun (b : Vm.Prog.block) ->
-      Array.iter
-        (fun i ->
-          m := max !m (1 + max (Isa.def_reg i) (max (Isa.read_a i) (Isa.read_b i))))
-        b.instrs;
-      m := max !m (1 + Isa.term_def b.term);
-      List.iter (fun r -> m := max !m (r + 1)) (Isa.term_reads b.term))
-    func.blocks;
-  max 1 !m
-
 (* [r]'s step when [blk.instrs.(i)] is [r := r + c], or [r := t] with
    [t := r + c] the last definition of [t] before it in the block. *)
 let increment (blk : Vm.Prog.block) i r =
@@ -234,7 +221,7 @@ let increment (blk : Vm.Prog.block) i r =
 let analyse_values fn ~main (marks : bool array array) =
   let blocks = fn.func.blocks in
   let width = Array.length fn.loops + 1 in
-  let nregs = n_regs fn.func in
+  let nregs = Vm.Prog.n_regs fn.func in
   (* [slot]: a crossing register's index in the block states, or -1.  A
      register crosses when a block reads it before defining it, or when
      two blocks define it. *)

@@ -59,10 +59,10 @@ let pp_piece ?names ?label_names fmt p =
    0-dimensional stream every point is a run of its own. *)
 module Runs = struct
   type t = {
-    dim : int;
-    label_dim : int;
-    stride : int;
-    max_runs : int;  (* the buffer never grows past this many runs *)
+    mutable dim : int;
+    mutable label_dim : int;
+    mutable stride : int;
+    mutable max_runs : int;  (* the buffer never grows past this many runs *)
     mutable buf : int array;
     mutable nruns : int;
     mutable npoints : int;
@@ -76,6 +76,15 @@ module Runs = struct
   let clear r =
     r.nruns <- 0;
     r.npoints <- 0
+
+  (* [r], emptied, in another layout: its buffer is kept (a scratch
+     stream reused for streams of every layout) *)
+  let reshape r ~dim ~label_dim ~max_runs =
+    r.dim <- dim;
+    r.label_dim <- label_dim;
+    r.stride <- dim + 1 + (3 * label_dim);
+    r.max_runs <- max_runs;
+    clear r
 
   (* Whether [label] continues the labels of the last run (there is
      one) by a constant step, with no step wrapping around.  Overflow is
@@ -222,12 +231,89 @@ module Runs = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Int-array keys                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The key of every table that remembers a fold: a few header ints and
+   the slice [body.(0 .. len - 1)] of an int array, referenced in place
+   (never copied).  The slice is a sequence of records of
+   [Array.length rel] ints, and int [i] of every record is read less int
+   [rel.(i)] of the slice when [rel.(i) >= 0]: the stream table reads
+   each label relative to the stream's first one this way, so streams
+   that differ by a constant per label component share a key.  The
+   differences wrap around like the ints themselves, so equality stays
+   an equivalence.  Hashing and equality read every int: [Hashtbl.hash]
+   reads only the first ten of an array, and streams that differ late
+   would all collide. *)
+module Key = struct
+  type t = { head : int array; body : int array; len : int; rel : int array }
+
+  (* read every int as is *)
+  let plain = [| -1 |]
+
+  let[@inline] get k o i =
+    let r = k.rel.(i) in
+    if r < 0 then k.body.(o + i) else k.body.(o + i) - k.body.(r)
+
+  let same_ints x y =
+    let n = Array.length x in
+    n = Array.length y
+    &&
+    let i = ref 0 in
+    while !i < n && x.(!i) = y.(!i) do
+      incr i
+    done;
+    !i = n
+
+  (* the bodies of [a] and [b], [a.len] ints read record by record *)
+  let same_body a b =
+    let w = Array.length a.rel in
+    let same = ref true and o = ref 0 in
+    while !same && !o < a.len do
+      let i = ref 0 in
+      while !same && !i < w do
+        same := get a !o !i = get b !o !i;
+        incr i
+      done;
+      o := !o + w
+    done;
+    !same
+
+  (* Keys on one buffer (the collectors a block domain fills share it)
+     with the same length and relative reads are equal without reading
+     the buffer. *)
+  let equal a b =
+    a.len = b.len
+    && same_ints a.head b.head
+    && ((a.body == b.body && same_ints a.rel b.rel) || same_body a b)
+
+  let hash k =
+    let h = ref k.len in
+    for i = 0 to Array.length k.head - 1 do
+      h := (!h + k.head.(i)) * 0x2545F4914F6CDD1D
+    done;
+    let w = Array.length k.rel in
+    let o = ref 0 in
+    while !o < k.len do
+      for i = 0 to w - 1 do
+        h := (!h + get k !o i) * 0x2545F4914F6CDD1D
+      done;
+      o := !o + w
+    done;
+    (* [Hashtbl] indexes by the low bits: fold the high ones in *)
+    !h lxor (!h lsr 31)
+end
+
+module Key_tbl = Hashtbl.Make (Key)
+
+(* ------------------------------------------------------------------ *)
 (* Fitting workspace                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Every fit of one stream table works in one [Ws.t] of flat int arrays,
    grown to the largest fit the table makes and dropped with the table,
-   so a fit allocates nothing but the [A.t] it returns:
+   so a fit allocates nothing, and a fit that builds its result only
+   that result:
 
    - the sample solve: [smp] holds a fit's sample rows [x_0 .. x_(s-1)
      1 v] ([s] coordinates fitted) in the order they were added: the
@@ -238,16 +324,29 @@ end
      form over the common denominator [cden], which is [0] when that
      form overflows; [cand] is the candidate as an [A.t], built only for
      the overflow fallback;
+   - what a fit reads its samples from: the stream [fr], a label
+     component [fk], or per-group values [fvals];
    - the nest: bound slot [2d] (lower) and [2d + 1] (upper) of dim [d]
      holds the fractions [bnum] / [bden] of a bound [fit_nest] fitted,
      over all [dim] coordinates, and the same integer form ([bsc],
-     [bcden]) for [implied_count];
+     [bcden]) for [implied_count]; [prefix] and [work] are the count's
+     outer coordinates and work so far; [knum] / [kden] hold one
+     constraint of the nest's polyhedron for [check_nest];
    - prefix grouping: [slots] is an open-addressing table over group
      ids ([2^bits] slots, all empty between calls), or a map from a
      stream's prefix group ids to a part's groups; per group its slot,
      its first run and the range [lo, hi] of one coordinate; per run its
      group;
-   - [coord]: one point, for the overflow fallback. *)
+   - [coord]: one point, for the overflow fallback;
+   - the split search over the stream [sr]: the part encoded from it
+     into [out] ([src], [pt] and [lab] as [append] uses them), the
+     index of each run's first point ([starts]), the stream's prefix
+     group ids per dim ([ids], [nids]), the two halves of a boundary
+     split ([bnd] and [rst], [nb] and [nr] ints long), the boundary
+     phase's verdicts by part ([parts]) and the parts it keeps ([kept]),
+     the greedy phase's kept segments ([segs]) and the verdicts of the
+     lengths it tried from one start (stamped [stamp]), and the pieces
+     fits have built ([built]). *)
 module Ws = struct
   type t = {
     mutable smp : int array;
@@ -258,10 +357,17 @@ module Ws = struct
     mutable sc : int array;
     mutable cden : int;
     mutable cand : A.t option;
+    mutable fr : Runs.t;
+    mutable fk : int;
+    mutable fvals : int array;
     mutable bnum : int array;
     mutable bden : int array;
     mutable bsc : int array;
     mutable bcden : int array;
+    mutable prefix : int array;
+    mutable work : int;
+    mutable knum : int array;
+    mutable kden : int array;
     mutable coord : int array;
     mutable slots : int array;
     mutable bits : int;
@@ -271,17 +377,52 @@ module Ws = struct
     mutable hi : int array;
     mutable group : int array;
     mutable ngroups : int;
+    mutable sr : Runs.t;
+    out : Runs.t;
+    mutable src : int array;
+    mutable pt : int array;
+    mutable lab : int array;
+    mutable starts : int array;
+    mutable ids : int array;
+    mutable nids : int array;
+    mutable bnd : int array;
+    mutable rst : int array;
+    mutable nb : int;
+    mutable nr : int;
+    parts : bool Key_tbl.t;
+    mutable kept : int array array;
+    mutable nkept : int;
+    mutable segs : int array;
+    mutable tried : int array;
+    mutable stamp : int;
+    mutable built : int;
   }
 
   let create () =
+    let none () = Runs.create ~dim:0 ~label_dim:0 ~max_runs:0 ~size:0 in
     { smp = [||]; mat = [||]; piv = [||]; num = [||]; den = [||]; sc = [||]; cden = 0;
-      cand = None; bnum = [||]; bden = [||]; bsc = [||]; bcden = [||]; coord = [||];
-      slots = Array.make 16 (-1); bits = 4; gslot = [||]; first = [||]; lo = [||];
-      hi = [||]; group = [||]; ngroups = 0 }
+      cand = None; fr = none (); fk = 0; fvals = [||]; bnum = [||]; bden = [||]; bsc = [||];
+      bcden = [||]; prefix = [||]; work = 0; knum = [||]; kden = [||]; coord = [||];
+      slots = Array.make 16 (-1); bits = 4; gslot = [||]; first = [||]; lo = [||]; hi = [||];
+      group = [||]; ngroups = 0; sr = none (); out = none (); src = [||]; pt = [||];
+      lab = [||]; starts = [||]; ids = [||]; nids = [||]; bnd = [||]; rst = [||]; nb = 0;
+      nr = 0; parts = Key_tbl.create 16; kept = [||]; nkept = 0; segs = [||]; tried = [||];
+      stamp = 0; built = 0 }
 
   (* [a] if it holds [n] ints, else a larger array (its contents are not
      kept) *)
   let grow a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+  (* [a] if it holds [n] ints, else a larger array holding its first [k] *)
+  let grow_keep a n k =
+    if Array.length a >= n then a
+    else begin
+      let b = Array.make (max n (2 * Array.length a)) 0 in
+      for i = 0 to k - 1 do
+        b.(i) <- a.(i)
+      done;
+      b
+    end
 
   (* room for a fit of [rows] samples over [s] of [dim] coordinates *)
   let reserve_fit ws ~s ~rows ~dim =
@@ -305,7 +446,10 @@ module Ws = struct
       ws.bnum <- grow ws.bnum n;
       ws.bden <- grow ws.bden n;
       ws.bsc <- grow ws.bsc n;
-      ws.bcden <- grow ws.bcden (2 * dim)
+      ws.bcden <- grow ws.bcden (2 * dim);
+      ws.prefix <- grow ws.prefix dim;
+      ws.knum <- grow ws.knum (dim + 1);
+      ws.kden <- grow ws.kden (dim + 1)
     end
 
   (* at least [n] slots (all empty, as between calls) *)
@@ -319,17 +463,11 @@ module Ws = struct
 
   (* double the per-group arrays, keeping their [n] groups *)
   let grow_groups ws n =
-    let double a =
-      let b = Array.make (max 16 (2 * Array.length a)) 0 in
-      for g = 0 to n - 1 do
-        b.(g) <- a.(g)
-      done;
-      b
-    in
-    ws.gslot <- double ws.gslot;
-    ws.first <- double ws.first;
-    ws.lo <- double ws.lo;
-    ws.hi <- double ws.hi
+    let m = max 16 (2 * Array.length ws.first) in
+    ws.gslot <- grow_keep ws.gslot m n;
+    ws.first <- grow_keep ws.first m n;
+    ws.lo <- grow_keep ws.lo m n;
+    ws.hi <- grow_keep ws.hi m n
 end
 
 (* ------------------------------------------------------------------ *)
@@ -568,41 +706,22 @@ let check (ws : Ws.t) ~s buf ofs t v =
     | c -> c
     | exception Rat.Overflow -> check_slow ws ~s buf ofs t v
 
-(* Fit an affine function of the first [s] coordinates through [n]
-   (point, value) samples, by fitting a small sample then verifying the
-   rest: [sample row i] writes the [i]-th sample into sample row [row]
-   (with [put_sample]) and [first_bad ()] returns the first index the
-   candidate misses (with [check]), or [n].  A missed point is added to
-   the sample and the fit retried a bounded number of times.  Returns
-   whether a candidate passed; it is then the workspace's candidate. *)
-let fit_affine (ws : Ws.t) ~s ~dim n sample first_bad =
-  n > 0
-  && begin
-       (* the first [s + 2] samples and one per retry *)
-       Ws.reserve_fit ws ~s ~rows:((2 * s) + 7) ~dim;
-       let m0 = min n (s + 2) in
-       for i = 0 to m0 - 1 do
-         sample i i
-       done;
-       let fit = ref false and round = ref 0 and go = ref true in
-       while !go do
-         if !round > s + 4 || not (solve ws ~s ~m0 ~round:!round) then go := false
-         else begin
-           if Option.is_some ws.cand then ws.cand <- None;
-           ws.cden <- (try int_form ws.num ws.den ws.sc 0 s with Rat.Overflow -> 0);
-           let bad = first_bad () in
-           if bad = n then begin
-             fit := true;
-             go := false
-           end
-           else begin
-             sample (m0 + !round) bad;
-             incr round
-           end
-         end
-       done;
-       !fit
-     end
+(* What [fit_affine] fits, through the workspace's [fr], [fk] and
+   [fvals]:
+   - [Points]: label component [fk] of every point of [fr], as a
+     function of the whole point, verified point by point: every point
+     is checked, in stream order, at its run's offset;
+   - [Label]: the same, with the same sample (the first points, found
+     by index), verified at [t = 0] and [t = 1] of each run only:
+     [f (p0 + t e) - (l0 + t step)] is affine in [t], so it vanishes on
+     the whole run iff it vanishes at both, and the first missed point is
+     the same as a point-by-point walk finds;
+   - [Bound]: [fvals.(g)] at the first run start of each group [g] of the
+     last grouping of [fr], as a function of the first [s] coordinates. *)
+type target =
+  | Points
+  | Label
+  | Bound
 
 (* [put_sample] of the [i]-th point of [r] and its label component [k]:
    the point at offset [t] in run [j] *)
@@ -614,51 +733,95 @@ let sample_point ws (r : Runs.t) k row i =
   done;
   put_sample ws ~s:r.dim row r.buf (!j * r.stride) !t (Runs.label r !j !t k)
 
-(* Label component [k] of every point of [r], as a function of the
-   whole point, verified point by point: every point is checked, in
-   stream order, at its run's offset. *)
-let fit_points ws (r : Runs.t) k =
-  let dim = r.dim and buf = r.buf and stride = r.stride in
-  let first_bad () =
-    let bad = ref (-1) and i = ref 0 and j = ref 0 in
-    while !bad < 0 && !j < r.nruns do
-      let b = !j * stride and len = Runs.run_len r !j in
-      let t = ref 0 in
-      while !bad < 0 && !t < len do
-        if check ws ~s:dim buf b !t (Runs.label r !j !t k) <> 0 then bad := !i + !t;
-        incr t
-      done;
-      i := !i + len;
-      incr j
-    done;
-    if !bad < 0 then r.npoints else !bad
-  in
-  if fit_affine ws ~s:dim ~dim r.npoints (sample_point ws r k) first_bad then
-    Some (candidate ws ~s:dim ~dim)
-  else None
+(* the [i]-th sample of [target] into sample row [row] *)
+let sample (ws : Ws.t) target ~s row i =
+  let r = ws.fr in
+  match target with
+  | Points | Label -> sample_point ws r ws.fk row i
+  | Bound -> put_sample ws ~s row r.buf (ws.first.(i) * r.stride) 0 ws.fvals.(i)
 
-(* Label component [k] of every point of [r], as a function of the
-   whole point.  The sample is [fit_affine]'s (the first points, found
-   by index); verification checks each run at [t = 0] and [t = 1] only:
-   [f (p0 + t e) - (l0 + t step)] is affine in [t], so it vanishes on the
-   whole run iff it vanishes at both, and the first missed point is the
-   same as a point-by-point walk finds. *)
+(* the first of the [n] samples of [target] the candidate misses, or [n] *)
+let first_bad (ws : Ws.t) target ~s n =
+  let r = ws.fr and k = ws.fk in
+  let buf = r.buf and stride = r.stride in
+  match target with
+  | Points ->
+      let bad = ref (-1) and i = ref 0 and j = ref 0 in
+      while !bad < 0 && !j < r.nruns do
+        let b = !j * stride and len = Runs.run_len r !j in
+        let t = ref 0 in
+        while !bad < 0 && !t < len do
+          if check ws ~s buf b !t (Runs.label r !j !t k) <> 0 then bad := !i + !t;
+          incr t
+        done;
+        i := !i + len;
+        incr j
+      done;
+      if !bad < 0 then n else !bad
+  | Label ->
+      let bad = ref (-1) and i = ref 0 and j = ref 0 in
+      while !bad < 0 && !j < r.nruns do
+        let b = !j * stride and len = Runs.run_len r !j in
+        if check ws ~s buf b 0 (Runs.label r !j 0 k) <> 0 then bad := !i
+        else if len > 1 && check ws ~s buf b 1 (Runs.label r !j 1 k) <> 0 then bad := !i + 1;
+        i := !i + len;
+        incr j
+      done;
+      if !bad < 0 then n else !bad
+  | Bound ->
+      let g = ref 0 in
+      while !g < n && check ws ~s buf (ws.first.(!g) * stride) 0 ws.fvals.(!g) = 0 do
+        incr g
+      done;
+      !g
+
+(* Fit an affine function of the first [s] coordinates through the [n]
+   samples of [target], by fitting a small sample then verifying the
+   rest: a missed point is added to the sample and the fit retried a
+   bounded number of times.  Returns whether a candidate passed; it is
+   then the workspace's candidate. *)
+let fit_affine (ws : Ws.t) ~s ~dim n target =
+  n > 0
+  && begin
+       (* the first [s + 2] samples and one per retry *)
+       Ws.reserve_fit ws ~s ~rows:((2 * s) + 7) ~dim;
+       let m0 = min n (s + 2) in
+       for i = 0 to m0 - 1 do
+         sample ws target ~s i i
+       done;
+       let fit = ref false and round = ref 0 and go = ref true in
+       while !go do
+         if !round > s + 4 || not (solve ws ~s ~m0 ~round:!round) then go := false
+         else begin
+           if Option.is_some ws.cand then ws.cand <- None;
+           ws.cden <- (try int_form ws.num ws.den ws.sc 0 s with Rat.Overflow -> 0);
+           let bad = first_bad ws target ~s n in
+           if bad = n then begin
+             fit := true;
+             go := false
+           end
+           else begin
+             sample ws target ~s (m0 + !round) bad;
+             incr round
+           end
+         end
+       done;
+       !fit
+     end
+
+(* Whether label component [k] of every point of [r] is an affine
+   function of the whole point ([target]: [Points] or [Label]); it is then
+   the workspace's candidate. *)
+let label_fits (ws : Ws.t) (r : Runs.t) target k =
+  ws.fr <- r;
+  ws.fk <- k;
+  fit_affine ws ~s:r.dim ~dim:r.dim r.npoints target
+
+let fit_points ws (r : Runs.t) k =
+  if label_fits ws r Points k then Some (candidate ws ~s:r.dim ~dim:r.dim) else None
+
 let fit_label ws (r : Runs.t) k =
-  let dim = r.dim and buf = r.buf and stride = r.stride in
-  let sample = sample_point ws r k in
-  let first_bad () =
-    let bad = ref (-1) and i = ref 0 and j = ref 0 in
-    while !bad < 0 && !j < r.nruns do
-      let b = !j * stride and len = Runs.run_len r !j in
-      if check ws ~s:dim buf b 0 (Runs.label r !j 0 k) <> 0 then bad := !i
-      else if len > 1 && check ws ~s:dim buf b 1 (Runs.label r !j 1 k) <> 0 then bad := !i + 1;
-      i := !i + len;
-      incr j
-    done;
-    if !bad < 0 then r.npoints else !bad
-  in
-  if fit_affine ws ~s:dim ~dim r.npoints sample first_bad then Some (candidate ws ~s:dim ~dim)
-  else None
+  if label_fits ws r Label k then Some (candidate ws ~s:r.dim ~dim:r.dim) else None
 
 (* ------------------------------------------------------------------ *)
 (* Nest fitting: lo_d(outer) <= c_d <= hi_d(outer) with affine bounds   *)
@@ -734,7 +897,7 @@ let close_groups (ws : Ws.t) ng =
   ws.ngroups <- ng
 
 let group_prefix (ws : Ws.t) (r : Runs.t) d =
-  if Array.length ws.group < r.nruns then ws.group <- Array.make r.nruns 0;
+  ws.group <- Ws.grow ws.group r.nruns;
   let buf = r.buf and stride = r.stride in
   let inner = if d = r.dim - 1 then 1 else 0 in
   let ngroups = ref 0 in
@@ -766,19 +929,13 @@ let bound_affine (ws : Ws.t) ~dim i =
   { A.coeffs = Array.init dim (fun k -> rat_at ws.bnum ws.bden (o + k));
     const = rat_at ws.bnum ws.bden (o + dim) }
 
-(* Bound [i] of dim [d] through the groups of the last [group_prefix]:
-   the values are [ws.lo] or [ws.hi]; a group's point is its first run
-   start.  The bound goes to nest slot [i] of [ws]. *)
-let fit_bound (ws : Ws.t) (r : Runs.t) d values i =
-  let first = ws.first and ng = ws.ngroups and buf = r.buf and stride = r.stride in
-  fit_affine ws ~s:d ~dim:r.dim ng
-    (fun row g -> put_sample ws ~s:d row buf (first.(g) * stride) 0 values.(g))
-    (fun () ->
-      let g = ref 0 in
-      while !g < ng && check ws ~s:d buf (first.(!g) * stride) 0 values.(!g) = 0 do
-        incr g
-      done;
-      !g)
+(* Bound [i] of dim [d] through the groups of the last grouping of [r]:
+   the values are [ws.lo] ([i] even) or [ws.hi]; a group's point is its
+   first run start.  The bound goes to nest slot [i] of [ws]. *)
+let fit_bound (ws : Ws.t) (r : Runs.t) d i =
+  ws.fr <- r;
+  ws.fvals <- (if i land 1 = 0 then ws.lo else ws.hi);
+  fit_affine ws ~s:d ~dim:r.dim ws.ngroups Bound
   && begin
        let o = i * (r.dim + 1) in
        for k = 0 to r.dim - 1 do
@@ -789,20 +946,6 @@ let fit_bound (ws : Ws.t) (r : Runs.t) d values i =
        ws.bden.(o + r.dim) <- ws.den.(d);
        true
      end
-
-(* The nest of [r], into the nest slots of [ws]: per dim, affine bounds
-   over the outer coordinates that hold the min and max of every prefix
-   group.  [group d] fills [ws] as [group_prefix ws r d] does. *)
-let fit_nest ~group ws (r : Runs.t) =
-  Ws.reserve_bounds ws r.dim;
-  let rec fit_from d =
-    d = r.dim
-    || begin
-         group d;
-         fit_bound ws r d ws.lo (2 * d) && fit_bound ws r d ws.hi ((2 * d) + 1) && fit_from (d + 1)
-       end
-  in
-  fit_from 0
 
 let solve_samples ws points values =
   let n = Array.length points in
@@ -827,75 +970,79 @@ let prefix_groups ws (r : Runs.t) d =
   groups ws r.nruns
 
 (* Count the integer points of the nest in the nest slots of [ws],
-   aborting early past [limit].  Each bound's integer form is computed
-   once; a bound whose form or evaluation overflows goes through
-   [A.ceil_int] / [A.floor_int]. *)
+   aborting early past [limit] with [-1].  Each bound's integer form is
+   computed once; a bound whose form or evaluation overflows goes
+   through [A.ceil_int] / [A.floor_int].  The outer coordinates are in
+   [ws.prefix] (zero past those fixed) and the work so far in [ws.work]. *)
+exception Too_many
+
+let bound_slow (ws : Ws.t) ~dim i ~ceil =
+  let f = bound_affine ws ~dim i in
+  if ceil then A.ceil_int f ws.prefix else A.floor_int f ws.prefix
+
+let bound_at (ws : Ws.t) ~dim i ~ceil =
+  let den = ws.bcden.(i) in
+  if den = 0 then bound_slow ws ~dim i ~ceil
+  else
+    match scaled_eval ws.bsc (i * (dim + 1)) dim ws.prefix 0 0 with
+    | s ->
+        if ceil then if s mod den > 0 then (s / den) + 1 else s / den
+        else if s mod den < 0 then (s / den) - 1
+        else s / den
+    | exception Rat.Overflow -> bound_slow ws ~dim i ~ceil
+
+let rec count_from (ws : Ws.t) ~dim ~limit ~max_work d =
+  if d = dim then 1
+  else begin
+    let lo = bound_at ws ~dim (2 * d) ~ceil:true in
+    let hi = bound_at ws ~dim ((2 * d) + 1) ~ceil:false in
+    (* bound the sheer iteration count too: extrapolated bounds on
+       prefixes absent from the data can span huge empty ranges *)
+    if hi - lo > limit then raise_notrace Too_many;
+    if d = dim - 1 then begin
+      (* the innermost row in closed form: the work and the count only
+         grow along it, so checking both once after the row raises
+         exactly when a per-point loop would (a row too long for an int
+         comes out non-positive) *)
+      if hi < lo then 0
+      else begin
+        let row = hi - lo + 1 in
+        if row <= 0 || row > max_work - ws.work || row > limit then raise_notrace Too_many;
+        ws.work <- ws.work + row;
+        row
+      end
+    end
+    else begin
+      let total = ref 0 in
+      for v = lo to hi do
+        ws.work <- ws.work + 1;
+        if ws.work > max_work then raise_notrace Too_many;
+        ws.prefix.(d) <- v;
+        total := !total + count_from ws ~dim ~limit ~max_work (d + 1);
+        if !total > limit then raise_notrace Too_many
+      done;
+      ws.prefix.(d) <- 0;
+      !total
+    end
+  end
+
 let implied_count_ws (ws : Ws.t) ~dim ~limit =
   let w = dim + 1 in
   for i = 0 to (2 * dim) - 1 do
     ws.bcden.(i) <- (try int_form ws.bnum ws.bden ws.bsc (i * w) dim with Rat.Overflow -> 0)
   done;
-  let exception Too_many in
-  let prefix = Array.make dim 0 in
-  let slow i ~ceil =
-    let f = bound_affine ws ~dim i in
-    if ceil then A.ceil_int f prefix else A.floor_int f prefix
-  in
-  let bound i ~ceil =
-    let den = ws.bcden.(i) in
-    if den = 0 then slow i ~ceil
-    else
-      match scaled_eval ws.bsc (i * w) dim prefix 0 0 with
-      | s ->
-          if ceil then if s mod den > 0 then (s / den) + 1 else s / den
-          else if s mod den < 0 then (s / den) - 1
-          else s / den
-      | exception Rat.Overflow -> slow i ~ceil
-  in
-  let work = ref 0 and max_work = 4 * (limit + dim + 1) in
-  let rec go d =
-    if d = dim then 1
-    else begin
-      let lo = bound (2 * d) ~ceil:true in
-      let hi = bound ((2 * d) + 1) ~ceil:false in
-      (* bound the sheer iteration count too: extrapolated bounds on
-         prefixes absent from the data can span huge empty ranges *)
-      if hi - lo > limit then raise Too_many;
-      if d = dim - 1 then begin
-        (* the innermost row in closed form: the work and the count only
-           grow along it, so checking both once after the row raises
-           exactly when a per-point loop would (a row too long for an
-           int comes out non-positive) *)
-        if hi < lo then 0
-        else begin
-          let row = hi - lo + 1 in
-          if row <= 0 || row > max_work - !work || row > limit then raise Too_many;
-          work := !work + row;
-          row
-        end
-      end
-      else begin
-        let total = ref 0 in
-        for v = lo to hi do
-          incr work;
-          if !work > max_work then raise Too_many;
-          prefix.(d) <- v;
-          total := !total + go (d + 1);
-          if !total > limit then raise Too_many
-        done;
-        prefix.(d) <- 0;
-        !total
-      end
-    end
-  in
-  try Some (go 0) with Too_many -> None
+  for d = 0 to dim - 1 do
+    ws.prefix.(d) <- 0
+  done;
+  ws.work <- 0;
+  try count_from ws ~dim ~limit ~max_work:(4 * (limit + dim + 1)) 0 with Too_many -> -1
 
-let implied_count (nest : nest) ~limit =
-  let dim = Array.length nest and ws = Ws.create () in
+(* [nest] into the nest slots of [ws] *)
+let load_nest (ws : Ws.t) (nest : nest) =
+  let dim = Array.length nest in
   Ws.reserve_bounds ws dim;
-  (* [f] into bound slot [i] *)
   let load i (f : A.t) =
-    if A.dim f <> dim then invalid_arg "Fold.implied_count: a bound of another dimension";
+    if A.dim f <> dim then invalid_arg "Fold: a bound of another dimension";
     for k = 0 to dim do
       let c = if k = dim then f.const else f.coeffs.(k) in
       ws.bnum.((i * (dim + 1)) + k) <- c.num;
@@ -906,18 +1053,213 @@ let implied_count (nest : nest) ~limit =
     (fun d (lo, hi) ->
       load (2 * d) lo;
       load ((2 * d) + 1) hi)
-    nest;
-  implied_count_ws ws ~dim ~limit
+    nest
 
-let nest_to_polyhedron (nest : nest) =
-  let dim = Array.length nest in
+let implied_count (nest : nest) ~limit =
+  let ws = Ws.create () in
+  load_nest ws nest;
+  let c = implied_count_ws ws ~dim:(Array.length nest) ~limit in
+  if c < 0 then None else Some c
+
+(* Constraint [i] of the nest in the nest slots of [ws]: [c_d - lo_d >=
+   0] ([i = 2d]) or [hi_d - c_d >= 0] ([i = 2d + 1]) cleared of
+   denominators, into [ws.knum.(0 .. dim)] (the constant last).  The
+   arithmetic is that of [Cstr.of_affine Ge (A.sub ..)], checked step for
+   step, without their records: [A.sub] negates every fraction of the subtrahend ([Rat.neg])
+   and adds it to the other side's ([Rat.add]; one side's denominator is
+   1), and [Cstr.of_affine] multiplies every fraction by the lcm [l] of
+   the denominators ([Rat.lcm], [Rat.mul]), which leaves the integer
+   [l * num / den].  So it raises [Rat.Overflow] exactly where they do:
+   writing a nest down can overflow where its fits did not, since those
+   fell back to [Rat]. *)
+let nest_constraint (ws : Ws.t) ~dim i =
+  let d = i / 2 and o = i * (dim + 1) in
+  for k = 0 to dim do
+    let bn = ws.bnum.(o + k) and bd = ws.bden.(o + k) in
+    (* the coefficient of [c_d] in [c_d] ([k = dim]: the constant), over [bd] *)
+    let v = if k = d then bd else 0 in
+    let n = if i land 1 = 0 then int_add v (Rat.int_neg bn) else int_add bn (-v) in
+    let g = gcd n bd in
+    ws.knum.(k) <- n / g;
+    ws.kden.(k) <- bd / g
+  done;
+  let l = ref ws.kden.(dim) in
+  for k = 0 to dim - 1 do
+    l := Rat.lcm !l ws.kden.(k)
+  done;
+  let l = if !l = 0 then 1 else !l in
+  for k = 0 to dim do
+    ws.knum.(k) <- int_mul l ws.knum.(k) / ws.kden.(k)
+  done
+
+(* Raise [Rat.Overflow] where [nest_dom] does, building nothing *)
+let check_nest (ws : Ws.t) ~dim =
+  for i = 0 to (2 * dim) - 1 do
+    nest_constraint ws ~dim i
+  done
+
+let nest_cstr (ws : Ws.t) ~dim i =
+  nest_constraint ws ~dim i;
+  Cstr.make Ge (Array.sub ws.knum 0 dim) ws.knum.(dim)
+
+(* The nest in the nest slots of [ws] as a polyhedron: per dim its lower
+   and upper constraint, the outer dims last. *)
+let nest_dom (ws : Ws.t) ~dim =
   let cons = ref [] in
   for d = 0 to dim - 1 do
-    let lo_f, hi_f = nest.(d) in
-    let v = A.var ~dim d in
-    cons := Cstr.of_affine Ge (A.sub v lo_f) :: Cstr.of_affine Ge (A.sub hi_f v) :: !cons
+    let lo = nest_cstr ws ~dim (2 * d) in
+    cons := lo :: nest_cstr ws ~dim ((2 * d) + 1) :: !cons
   done;
   P.make dim !cons
+
+let nest_polyhedron (nest : nest) =
+  let ws = Ws.create () in
+  load_nest ws nest;
+  nest_dom ws ~dim:(Array.length nest)
+
+(* ------------------------------------------------------------------ *)
+(* Split search state                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A stream that did not fit as one piece is searched for pieces among
+   parts of it.  A part is a list of run slices in stream order, flat in
+   an int array: the triple [(j, f, l)] stands for the points [f .. f + l
+   - 1] of run [j].  The list is canonical (two slices of one run that
+   touch are one slice), so two parts hold the same points exactly when
+   their lists are equal.  Each candidate part is encoded from the
+   stream's runs into the workspace's scratch stream [out] and fitted
+   there; the stream is never decoded.  The search asks only whether a
+   part fits (a verdict), and builds a piece for a part it keeps, by
+   fitting it again: fits are pure. *)
+
+let obs_slices =
+  Obs.Metrics.counter ~help:"run slices appended to encode the split search's parts and refitted parts"
+    "fold.search_slices"
+
+let obs_dropped =
+  Obs.Metrics.counter ~help:"pieces the split search built and did not return" "fold.search_dropped"
+
+(* [ws] encodes parts of [r] into [ws.out] *)
+let start_encoding (ws : Ws.t) (r : Runs.t) =
+  ws.sr <- r;
+  Runs.reshape ws.out ~dim:r.dim ~label_dim:r.label_dim ~max_runs:r.npoints;
+  ws.pt <- Ws.grow ws.pt r.dim;
+  ws.lab <- Ws.grow ws.lab r.label_dim
+
+(* [ws] searches [r]: [starts.(j)] is the index of run [j]'s first point
+   ([starts.(nruns) = npoints]); [ids.(d * nruns + j)] is run [j]'s group
+   in [group_prefix] of [r] at [d], and [nids.(d)] the number of groups,
+   both filled when first needed ([nids.(d) < 0] before). *)
+let start_search (ws : Ws.t) (r : Runs.t) =
+  start_encoding ws r;
+  ws.starts <- Ws.grow ws.starts (r.nruns + 1);
+  ws.starts.(0) <- 0;
+  for j = 0 to r.nruns - 1 do
+    ws.starts.(j + 1) <- ws.starts.(j) + Runs.run_len r j
+  done;
+  ws.ids <- Ws.grow ws.ids (r.dim * r.nruns);
+  ws.nids <- Ws.grow ws.nids r.dim;
+  for d = 0 to r.dim - 1 do
+    ws.nids.(d) <- -1
+  done
+
+(* Append points [f .. f + l - 1] of run [j] of [ws.sr] to [ws.out], as
+   pushing them one at a time would.  Each point goes through
+   [Runs.push] (it may extend or break the last run) until two points of
+   the slice share a run of [out]: that run's step is then the source
+   run's, and the rest of the slice extends it, since the source run is
+   an exact progression and nothing in it wraps.  [ws.src.(q)] is the run
+   of [sr] that run [q] of [out] starts in. *)
+let append (ws : Ws.t) j f l =
+  let r = ws.sr and out = ws.out in
+  let b = j * r.stride in
+  let t = ref f and settled = ref false in
+  while (not !settled) && !t < f + l do
+    for k = 0 to r.dim - 1 do
+      ws.pt.(k) <- r.buf.(b + k)
+    done;
+    if r.dim > 0 then ws.pt.(r.dim - 1) <- ws.pt.(r.dim - 1) + !t;
+    for k = 0 to r.label_dim - 1 do
+      ws.lab.(k) <- Runs.label r j !t k
+    done;
+    let nruns = out.nruns in
+    Runs.push out ws.pt ws.lab;
+    if out.nruns > nruns then begin
+      ws.src <- Ws.grow_keep ws.src (nruns + 1) nruns;
+      ws.src.(nruns) <- j
+    end
+    else settled := !t > f;
+    incr t
+  done;
+  if !t < f + l then Runs.extend out (f + l - !t) r j (f + l - 1)
+
+(* [ws.out] becomes the part [part] *)
+let encode (ws : Ws.t) part =
+  Runs.clear ws.out;
+  for i = 0 to (Array.length part / 3) - 1 do
+    append ws part.(3 * i) part.((3 * i) + 1) part.((3 * i) + 2)
+  done;
+  Obs.Metrics.add obs_slices (Array.length part / 3)
+
+(* the offset of the stream's group ids at [d] in [ws.ids] *)
+let stream_ids (ws : Ws.t) d =
+  let r = ws.sr in
+  if ws.nids.(d) < 0 then begin
+    group_prefix ws r d;
+    for j = 0 to r.nruns - 1 do
+      ws.ids.((d * r.nruns) + j) <- ws.group.(j)
+    done;
+    ws.nids.(d) <- ws.ngroups
+  end;
+  Ws.reserve_slots ws ws.nids.(d);
+  d * r.nruns
+
+(* [group_prefix] of the encoded part [ws.out] at [d]: a run of the part
+   has the prefix of the stream run it starts in, so the stream's groups
+   stand for the prefixes ([slots] maps them to the part's groups) and
+   no prefix is hashed or compared. *)
+let group_part (ws : Ws.t) d =
+  let ids = stream_ids ws d and out = ws.out in
+  ws.group <- Ws.grow ws.group out.nruns;
+  let inner = if d = out.dim - 1 then 1 else 0 in
+  let ng = ref 0 in
+  for q = 0 to out.nruns - 1 do
+    let v = out.buf.((q * out.stride) + d) in
+    ng := join_group ws !ng q ws.ids.(ids + ws.src.(q)) v (v + (inner * (Runs.run_len out q - 1)))
+  done;
+  close_groups ws !ng
+
+(* ------------------------------------------------------------------ *)
+(* Segment fits                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The nest of [r], into the nest slots of [ws]: per dim, affine bounds
+   over the outer coordinates that hold the min and max of every prefix
+   group.  [r] is grouped by [group_part] when it is the encoded part
+   ([part]), else by [group_prefix]. *)
+let rec fit_nest_from ~part (ws : Ws.t) (r : Runs.t) d =
+  d = r.dim
+  || begin
+       if part then group_part ws d else group_prefix ws r d;
+       fit_bound ws r d (2 * d) && fit_bound ws r d ((2 * d) + 1) && fit_nest_from ~part ws r (d + 1)
+     end
+
+let fit_nest ~part (ws : Ws.t) (r : Runs.t) =
+  Ws.reserve_bounds ws r.dim;
+  fit_nest_from ~part ws r 0
+
+(* Whether the points of [r] make one exact domain: a single point when
+   [dim = 0] (a single execution in a scalar context: several executions
+   of a 0-dimensional statement cannot be folded exactly), else exactly
+   the integer points of one nest.  Every point lies in the nest (each
+   bound was verified against the min / max of every prefix group), so
+   the nest is exact iff it holds no other integer point.  The nest is
+   then in [ws]. *)
+let domain_exact ~part (ws : Ws.t) (r : Runs.t) =
+  let n = r.npoints in
+  n > 0
+  && if r.dim = 0 then n = 1
+     else fit_nest ~part ws r && implied_count_ws ws ~dim:r.dim ~limit:n = n
 
 (* The labels of [fit_segment]'s piece of [r]: every component as a
    function of the whole point, or the one point's constants when
@@ -929,251 +1271,84 @@ let fit_labels ws (r : Runs.t) =
 
 (* Exact fit of a whole stream: affine-bounded nest + affine labels.
    With [strict:false] individual label components may come out as
-   top.  [group d] fills [ws] as [group_prefix ws r d] does. *)
-let fit_segment ?(strict = true) ~group ws (r : Runs.t) : piece option =
-  let dim = r.dim and n = r.npoints in
-  if n = 0 then None
-  else if dim = 0 then begin
-    (* scalar context: a single execution; several executions of a
-       0-dimensional statement cannot be folded exactly *)
-    if n <> 1 then None
-    else
-      Some { dom = P.universe 0; labels = fit_labels ws r; exact = true; points = 1; under = None }
-  end
-  (* every point lies in the nest: each bound was verified against the
-     min / max of every prefix group; so the nest is exact iff it holds no
-     other integer point *)
-  else if
-    (not (fit_nest ~group ws r)) || implied_count_ws ws ~dim ~limit:n <> Some n
-  then None
+   top. *)
+let fit_segment ~strict ~part (ws : Ws.t) (r : Runs.t) : piece option =
+  if not (domain_exact ~part ws r) then None
   else begin
     let lfs = fit_labels ws r in
     if strict && not (Array.for_all Option.is_some lfs) then None
-    else
-      let nest =
-        Array.init dim (fun d -> (bound_affine ws ~dim (2 * d), bound_affine ws ~dim ((2 * d) + 1)))
-      in
-      Some { dom = nest_to_polyhedron nest; labels = lfs; exact = true; points = n; under = None }
+    else begin
+      ws.built <- ws.built + 1;
+      let dom = if r.dim = 0 then P.universe 0 else nest_dom ws ~dim:r.dim in
+      Some { dom; labels = lfs; exact = true; points = r.npoints; under = None }
+    end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Int-array keys                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The key of every table that remembers a fold: a few header ints and
-   the slice [body.(0 .. len - 1)] of an int array, referenced in place
-   (never copied).  The slice is a sequence of records of
-   [Array.length rel] ints, and int [i] of every record is read less int
-   [rel.(i)] of the slice when [rel.(i) >= 0]: the stream table reads
-   each label relative to the stream's first one this way, so streams
-   that differ by a constant per label component share a key.  The
-   differences wrap around like the ints themselves, so equality stays
-   an equivalence.  Hashing and equality read every int: [Hashtbl.hash]
-   reads only the first ten of an array, and streams that differ late
-   would all collide. *)
-module Key = struct
-  type t = { head : int array; body : int array; len : int; rel : int array }
-
-  (* read every int as is *)
-  let plain = [| -1 |]
-
-  let[@inline] get k o i =
-    let r = k.rel.(i) in
-    if r < 0 then k.body.(o + i) else k.body.(o + i) - k.body.(r)
-
-  let equal a b =
-    let rec same x y i n = i = n || (x.(i) = y.(i) && same x y (i + 1) n) in
-    let w = Array.length a.rel in
-    let rec same_body o i =
-      o >= a.len
-      || if i = w then same_body (o + w) 0 else get a o i = get b o i && same_body o (i + 1)
-    in
-    a.len = b.len
-    && Array.length a.head = Array.length b.head
-    && same a.head b.head 0 (Array.length a.head)
-    && same_body 0 0
-
-  let hash k =
-    let h = ref k.len in
-    let mix v = h := (!h + v) * 0x2545F4914F6CDD1D in
-    Array.iter mix k.head;
-    let w = Array.length k.rel in
-    let o = ref 0 in
-    while !o < k.len do
-      for i = 0 to w - 1 do
-        mix (get k !o i)
-      done;
-      o := !o + w
-    done;
-    (* [Hashtbl] indexes by the low bits: fold the high ones in *)
-    !h lxor (!h lsr 31)
-end
-
-module Key_tbl = Hashtbl.Make (Key)
+(* Whether [fit_segment] returns a piece, answered with the same fits
+   and nothing built: every label component is fitted even after one
+   missed, and the nest is checked where the piece would write it down,
+   so the verdict raises exactly where [fit_segment] does. *)
+let segment_fits ~strict ~part (ws : Ws.t) (r : Runs.t) =
+  domain_exact ~part ws r
+  && (r.dim = 0
+     || begin
+          let all = ref true in
+          for k = 0 to r.label_dim - 1 do
+            if not (label_fits ws r Label k) then all := false
+          done;
+          (!all || not strict)
+          && begin
+               check_nest ws ~dim:r.dim;
+               true
+             end
+        end)
 
 (* ------------------------------------------------------------------ *)
-(* Split search, over run slices                                        *)
+(* Split search                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* A stream that did not fit as one piece is searched for pieces among
-   parts of it.  A part is a list of run slices in stream order, flat in
-   an int array: the triple [(j, f, l)] stands for the points [f .. f + l
-   - 1] of run [j].  The list is canonical (two slices of one run that
-   touch are one slice), so two parts hold the same points exactly when
-   their lists are equal.  Each candidate part is encoded from the
-   stream's runs into a scratch stream and fitted by [fit_segment] there;
-   the stream is never decoded.  The fits are pure, so a candidate the
-   search meets again is looked up, not refitted. *)
-
-let obs_slices =
-  Obs.Metrics.counter ~help:"run slices appended to encode the split search's parts and refitted parts"
-    "fold.search_slices"
-
-(* Encodes parts of the stream [r] into [out].  [src.(q)] is the run of
-   [r] that run [q] of [out] starts in; [pt] / [lab] hold one point for
-   [Runs.push]. *)
-type encoder = { r : Runs.t; out : Runs.t; mutable src : int array; pt : int array; lab : int array }
-
-let encoder (r : Runs.t) =
-  { r;
-    out = Runs.create ~dim:r.dim ~label_dim:r.label_dim ~max_runs:r.npoints ~size:r.nruns;
-    src = Array.make (max r.nruns 1) 0;
-    pt = Array.make r.dim 0;
-    lab = Array.make r.label_dim 0 }
-
-(* Append points [f .. f + l - 1] of run [j] to [e.out], as pushing them
-   one at a time would.  Each point goes through [Runs.push] (it may
-   extend or break the last run) until two points of the slice share a
-   run of [out]: that run's step is then the source run's, and the rest
-   of the slice extends it, since the source run is an exact progression
-   and nothing in it wraps. *)
-let append e j f l =
-  let r = e.r and out = e.out in
-  let b = j * r.stride in
-  let t = ref f and settled = ref false in
-  while (not !settled) && !t < f + l do
-    for k = 0 to r.dim - 1 do
-      e.pt.(k) <- r.buf.(b + k)
-    done;
-    if r.dim > 0 then e.pt.(r.dim - 1) <- e.pt.(r.dim - 1) + !t;
-    for k = 0 to r.label_dim - 1 do
-      e.lab.(k) <- Runs.label r j !t k
-    done;
-    let nruns = out.nruns in
-    Runs.push out e.pt e.lab;
-    if out.nruns > nruns then begin
-      if nruns = Array.length e.src then begin
-        let src = Array.make (2 * nruns) 0 in
-        Array.blit e.src 0 src 0 nruns;
-        e.src <- src
-      end;
-      e.src.(nruns) <- j
-    end
-    else settled := !t > f;
-    incr t
-  done;
-  if !t < f + l then Runs.extend out (f + l - !t) r j (f + l - 1)
-
-(* [e.out] becomes the part [part] *)
-let encode e part =
-  Runs.clear e.out;
-  for i = 0 to (Array.length part / 3) - 1 do
-    append e part.(3 * i) part.((3 * i) + 1) part.((3 * i) + 2)
-  done;
-  Obs.Metrics.add obs_slices (Array.length part / 3)
-
-(* The search over the stream [e.r]: [starts.(j)] is the index of run
-   [j]'s first point ([starts.(nruns) = npoints]); [ids.(d)] is each
-   run's group in [group_prefix] of the stream at [d], [nids.(d)] the
-   number of groups, both filled when first needed; [group] groups the
-   encoded part for [fit_segment] ([group_part]). *)
-type search = {
-  e : encoder;
-  starts : int array;
-  ids : int array array;
-  nids : int array;
-  mutable group : int -> unit;
-}
-
-let stream_ids ws s d =
-  let r = s.e.r in
-  if Array.length s.ids.(d) < r.nruns then begin
-    group_prefix ws r d;
-    s.ids.(d) <- Array.sub ws.group 0 r.nruns;
-    s.nids.(d) <- ws.ngroups
-  end;
-  Ws.reserve_slots ws s.nids.(d);
-  s.ids.(d)
-
-(* [group_prefix] of the encoded part [s.e.out] at [d]: a run of the part
-   has the prefix of the stream run it starts in, so the stream's groups
-   stand for the prefixes ([slots] maps them to the part's groups) and
-   no prefix is hashed or compared. *)
-let group_part (ws : Ws.t) s d =
-  let ids = stream_ids ws s d and out = s.e.out in
-  if Array.length ws.group < out.nruns then ws.group <- Array.make out.nruns 0;
-  let inner = if d = out.dim - 1 then 1 else 0 in
-  let ng = ref 0 in
-  for q = 0 to out.nruns - 1 do
-    let v = out.buf.((q * out.stride) + d) in
-    ng := join_group ws !ng q ids.(s.e.src.(q)) v (v + (inner * (Runs.run_len out q - 1)))
-  done;
-  close_groups ws !ng
-
-let search ws (r : Runs.t) =
-  let starts = Array.make (r.nruns + 1) 0 in
-  for j = 0 to r.nruns - 1 do
-    starts.(j + 1) <- starts.(j) + Runs.run_len r j
-  done;
-  let s =
-    { e = encoder r; starts; ids = Array.make r.dim [||]; nids = Array.make r.dim 0;
-      group = ignore }
-  in
-  s.group <- group_part ws s;
-  s
-
-(* [fit_segment] on the encoded part *)
-let fit_part ?strict ws s = fit_segment ?strict ~group:s.group ws s.e.out
 
 (* the run holding point [i]: the last [j] with [starts.(j) <= i] *)
-let run_of starts i =
-  let lo = ref 0 and hi = ref (Array.length starts - 2) in
+let run_of (ws : Ws.t) i =
+  let lo = ref 0 and hi = ref (ws.sr.nruns - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    if starts.(mid) <= i then lo := mid else hi := mid - 1
+    if ws.starts.(mid) <= i then lo := mid else hi := mid - 1
   done;
   !lo
 
 (* The points [i .. i + len - 1] ([len > 0]) are runs [j0 .. j1]
    ([run_of] of the ends): of run [j], the slice from [range_first] to
    before [range_stop]. *)
-let range_first s i j0 j = if j = j0 then i - s.starts.(j) else 0
+let range_first (ws : Ws.t) i j0 j = if j = j0 then i - ws.starts.(j) else 0
 
-let range_stop s i len j1 j =
-  if j = j1 then i + len - s.starts.(j) else Runs.run_len s.e.r j
+let range_stop (ws : Ws.t) i len j1 j =
+  if j = j1 then i + len - ws.starts.(j) else Runs.run_len ws.sr j
 
-(* [fit_part] on the points [i .. i + len - 1] *)
-let fit_range ?strict ws s i len =
-  let j0 = run_of s.starts i and j1 = run_of s.starts (i + len - 1) in
-  Runs.clear s.e.out;
+(* [ws.out] becomes the points [i .. i + len - 1] *)
+let encode_range (ws : Ws.t) i len =
+  let j0 = run_of ws i and j1 = run_of ws (i + len - 1) in
+  Runs.clear ws.out;
   for j = j0 to j1 do
-    let f = range_first s i j0 j in
-    append s.e j f (range_stop s i len j1 j - f)
+    let f = range_first ws i j0 j in
+    append ws j f (range_stop ws i len j1 j - f)
   done;
-  Obs.Metrics.add obs_slices (j1 - j0 + 1);
-  fit_part ?strict ws s
+  Obs.Metrics.add obs_slices (j1 - j0 + 1)
+
+let range_fits ~strict (ws : Ws.t) i len =
+  encode_range ws i len;
+  segment_fits ~strict ~part:true ws ws.out
 
 (* the points [i .. i + len - 1] as a part *)
-let range_part s i len =
+let range_part (ws : Ws.t) i len =
   if len = 0 then [||]
   else begin
-    let j0 = run_of s.starts i and j1 = run_of s.starts (i + len - 1) in
+    let j0 = run_of ws i and j1 = run_of ws (i + len - 1) in
     let part = Array.make (3 * (j1 - j0 + 1)) 0 in
     for j = j0 to j1 do
-      let o = 3 * (j - j0) and f = range_first s i j0 j in
+      let o = 3 * (j - j0) and f = range_first ws i j0 j in
       part.(o) <- j;
       part.(o + 1) <- f;
-      part.(o + 2) <- range_stop s i len j1 j - f
+      part.(o + 2) <- range_stop ws i len j1 j - f
     done;
     part
   end
@@ -1194,8 +1369,15 @@ let run_bounds (r : Runs.t) =
   done;
   (lo, hi)
 
-let box_piece ws s =
-  let r = s.e.r in
+(* the longest prefix of [ws.sr] twice [len] long or longer, doubling,
+   that fits with [strict:false], or [best] *)
+let rec longest_prefix (ws : Ws.t) n len best =
+  if 2 * len > n then best
+  else if range_fits ~strict:false ws 0 (2 * len) then longest_prefix ws n (2 * len) (2 * len)
+  else best
+
+let box_piece (ws : Ws.t) =
+  let r = ws.sr in
   let dim = r.dim and n = r.npoints in
   let dom =
     if n = 0 then P.empty dim
@@ -1209,76 +1391,173 @@ let box_piece ws s =
      definitely iterated *)
   let under =
     if dim = 0 || n < 2 then None
-    else begin
-      let fits len = fit_range ~strict:false ws s 0 len in
-      let rec grow len best =
-        if 2 * len > n then best
-        else
-          match fits (2 * len) with
-          | Some p -> grow (2 * len) (Some p)
-          | None -> best
-      in
-      match grow 1 None with
-      | Some p -> Some p.dom
-      | None ->
+    else
+      match longest_prefix ws n 1 0 with
+      | 0 ->
           (* a single point certifies nothing, but it is still fitted:
              what that raises, the stream raises *)
-          ignore (fits 1);
+          ignore (range_fits ~strict:false ws 0 1);
           None
-    end
+      | best ->
+          (* its domain is its nest, fitted again *)
+          encode_range ws 0 best;
+          if not (fit_nest ~part:true ws ws.out) then assert false;
+          Some (nest_dom ws ~dim)
   in
+  ws.built <- ws.built + 1;
   { dom; labels = lfs; exact = false; points = n; under }
 
-(* Split a part of the stream by per-dimension boundary predicates:
-   points at the first iteration of dim [d] (within their prefix) versus
-   the rest, and points at the last iteration versus the rest.  This
-   captures the classic boundary pieces of dependence relations — e.g. a
-   reduction whose first inner iteration reads the previous outer
-   iteration's result (paper Table 2: the I4->I4 dependence holds on
-   ck >= 1 only).  Every half keeps its order.  The part's slices are
-   grouped by the stream's prefix groups, with the range of coordinate
-   [d] read off their endpoints, and classified without encoding: along
-   a slice only the innermost coordinate moves, so a slice is on the
-   boundary as a whole for an outer [d], and in at most its first (or
-   last) point for the innermost. *)
-let split_boundary_iterations (ws : Ws.t) s part d =
-  let ids = stream_ids ws s d and r = s.e.r in
+(* the slice [(j, f, l)] onto the boundary half or the rest *)
+let put_slice (ws : Ws.t) ~boundary j f l =
+  if boundary then begin
+    ws.bnd.(ws.nb) <- j;
+    ws.bnd.(ws.nb + 1) <- f;
+    ws.bnd.(ws.nb + 2) <- l;
+    ws.nb <- ws.nb + 3
+  end
+  else begin
+    ws.rst.(ws.nr) <- j;
+    ws.rst.(ws.nr + 1) <- f;
+    ws.rst.(ws.nr + 2) <- l;
+    ws.nr <- ws.nr + 3
+  end
+
+(* Split a part of the stream by a per-dimension boundary predicate:
+   points at the first ([last:false]) or the last iteration of dim [d]
+   (within their prefix) versus the rest.  This captures the classic
+   boundary pieces of dependence relations — e.g. a reduction whose first
+   inner iteration reads the previous outer iteration's result (paper
+   Table 2: the I4->I4 dependence holds on ck >= 1 only).  Both halves
+   keep their order and go to [ws.bnd] and [ws.rst] ([ws.nb] and [ws.nr]
+   ints).  The part's slices are grouped by the stream's prefix groups,
+   with the range of coordinate [d] read off their endpoints, and
+   classified without encoding: along a slice only the innermost
+   coordinate moves, so a slice is on the boundary as a whole for an
+   outer [d], and in at most its first (or last) point for the
+   innermost. *)
+let split_boundary (ws : Ws.t) part d ~last =
+  let ids = stream_ids ws d and r = ws.sr in
   let ns = Array.length part / 3 in
-  if Array.length ws.group < ns then ws.group <- Array.make ns 0;
+  ws.group <- Ws.grow ws.group ns;
   let inner = d = r.dim - 1 in
   let ng = ref 0 in
   for i = 0 to ns - 1 do
     let j = part.(3 * i) and f = part.((3 * i) + 1) and l = part.((3 * i) + 2) in
-    let v = r.buf.((j * r.stride) + d) + (if inner then f else 0) in
-    ng := join_group ws !ng i ids.(j) v (if inner then v + l - 1 else v)
+    let v = r.buf.((j * r.stride) + d) + if inner then f else 0 in
+    ng := join_group ws !ng i ws.ids.(ids + j) v (if inner then v + l - 1 else v)
   done;
   close_groups ws !ng;
-  let split ~last extreme =
-    let boundary = Array.make (3 * ns) 0 and rest = Array.make (3 * ns) 0 in
-    let nb = ref 0 and nr = ref 0 in
-    let put a n j f l =
-      a.(!n) <- j;
-      a.(!n + 1) <- f;
-      a.(!n + 2) <- l;
-      n := !n + 3
-    in
-    for i = 0 to ns - 1 do
-      let j = part.(3 * i) and f = part.((3 * i) + 1) and l = part.((3 * i) + 2) in
-      let ext = extreme.(ws.group.(i)) and v = r.buf.((j * r.stride) + d) in
-      if not inner then (if v = ext then put boundary nb j f l else put rest nr j f l)
+  let extreme = if last then ws.hi else ws.lo in
+  ws.bnd <- Ws.grow ws.bnd (3 * ns);
+  ws.rst <- Ws.grow ws.rst (3 * ns);
+  ws.nb <- 0;
+  ws.nr <- 0;
+  for i = 0 to ns - 1 do
+    let j = part.(3 * i) and f = part.((3 * i) + 1) and l = part.((3 * i) + 2) in
+    let ext = extreme.(ws.group.(i)) and v = r.buf.((j * r.stride) + d) in
+    if not inner then put_slice ws ~boundary:(v = ext) j f l
+    else begin
+      (* the one point of the slice that can reach the extreme *)
+      let t = if last then l - 1 else 0 in
+      if v + f + t <> ext then put_slice ws ~boundary:false j f l
       else begin
-        (* the one point of the slice that can reach the extreme *)
-        let t = if last then l - 1 else 0 in
-        if v + f + t <> ext then put rest nr j f l
-        else begin
-          put boundary nb j (f + t) 1;
-          if l > 1 then put rest nr j (if last then f else f + 1) (l - 1)
-        end
+        put_slice ws ~boundary:true j (f + t) 1;
+        if l > 1 then put_slice ws ~boundary:false j (if last then f else f + 1) (l - 1)
       end
+    end
+  done
+
+(* Whether [part] fits, remembered by its slices: different split paths
+   reach the same part. *)
+let part_fits (ws : Ws.t) part =
+  let key = { Key.head = [||]; body = part; len = Array.length part; rel = Key.plain } in
+  match Key_tbl.find ws.parts key with
+  | v -> v
+  | exception Not_found ->
+      encode ws part;
+      let v = segment_fits ~strict:true ~part:true ws ws.out in
+      Key_tbl.add ws.parts key v;
+      v
+
+let keep (ws : Ws.t) part =
+  if ws.nkept = Array.length ws.kept then begin
+    let k = Array.make (max 8 (2 * ws.nkept)) [||] in
+    Array.blit ws.kept 0 k 0 ws.nkept;
+    ws.kept <- k
+  end;
+  ws.kept.(ws.nkept) <- part;
+  ws.nkept <- ws.nkept + 1
+
+(* Recursive boundary splitting, innermost dimension first, with a small
+   budget (up to 4 pieces): whether [part] fits, or splits into parts that
+   do, each kept in [ws.kept] in stream order. *)
+let rec fits_with_splits (ws : Ws.t) part budget =
+  if part_fits ws part then begin
+    keep ws part;
+    true
+  end
+  else budget > 0 && split_from ws part budget (ws.sr.dim - 1) ~last:false
+
+(* [part] split at the first iterations of dims [d], [d - 1], ..., then
+   at the last iterations of every dim, until both halves of a split fit
+   with splits of their own *)
+and split_from (ws : Ws.t) part budget d ~last =
+  if d < 0 then (not last) && split_from ws part budget (ws.sr.dim - 1) ~last:true
+  else begin
+    split_boundary ws part d ~last;
+    if ws.nb = 0 || ws.nr = 0 then split_from ws part budget (d - 1) ~last
+    else begin
+      let nkept = ws.nkept in
+      fits_with_splits ws (Array.sub ws.bnd 0 ws.nb) (budget - 1)
+      && begin
+           (* the rest, split again: the boundary's search reused the
+              buffers *)
+           split_boundary ws part d ~last;
+           fits_with_splits ws (Array.sub ws.rst 0 ws.nr) (budget - 1)
+         end
+      || begin
+           ws.nkept <- nkept;
+           split_from ws part budget (d - 1) ~last
+         end
+    end
+  end
+
+(* whether the points [i .. i + len - 1] fit, looked up among the
+   lengths tried from [i] ([ws.tried.(len)] holds the verdict stamped
+   with [ws.stamp]) *)
+let segment_from (ws : Ws.t) i len =
+  let v = ws.tried.(len) in
+  if v lsr 1 = ws.stamp then v land 1 = 1
+  else begin
+    let fits = range_fits ~strict:true ws i len in
+    ws.tried.(len) <- (ws.stamp lsl 1) lor Bool.to_int fits;
+    fits
+  end
+
+(* The length of the greedy segment from [i], grown by doubling + binary
+   search; fits are not monotone (a partial inner row can fail where the
+   next full row succeeds), so the expansion is retried from each new
+   best until it stops improving. *)
+let greedy_segment (ws : Ws.t) i n =
+  ws.stamp <- ws.stamp + 1;
+  let best = ref 1 and improved = ref true in
+  while !improved do
+    improved := false;
+    let len = ref !best in
+    while i + (2 * !len) <= n && segment_from ws i (2 * !len) do
+      len := 2 * !len
     done;
-    (Array.sub boundary 0 !nb, Array.sub rest 0 !nr)
-  in
-  (split ~last:false ws.lo, split ~last:true ws.hi)
+    let lo = ref !len and hi = ref (min (2 * !len) (n - i)) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if segment_from ws i mid then lo := mid else hi := mid - 1
+    done;
+    if !lo > !best then begin
+      best := !lo;
+      improved := true
+    end
+  done;
+  !best
 
 (* Where a piece of a stream came from: the part of the stream its
    domain was fitted on, and so which points its labels were fitted on.
@@ -1291,136 +1570,80 @@ type origin =
   | Part of int array
   | Box
 
+(* The piece of a part the search keeps, encoded and fitted again: it
+   fits *)
+let part_piece (ws : Ws.t) part =
+  encode ws part;
+  match fit_segment ~strict:true ~part:true ws ws.out with
+  | Some p -> (p, Part part)
+  | None -> assert false
+
+(* the pieces of the boundary phase's kept parts [0 .. k], before [acc] *)
+let rec kept_pieces (ws : Ws.t) k acc =
+  if k < 0 then acc else kept_pieces ws (k - 1) (part_piece ws ws.kept.(k) :: acc)
+
+(* the pieces of the greedy segments [0 .. k], before [acc] *)
+let rec segment_pieces (ws : Ws.t) k acc =
+  if k < 0 then acc
+  else
+    let part = range_part ws ws.segs.(2 * k) ws.segs.((2 * k) + 1) in
+    segment_pieces ws (k - 1) (part_piece ws part :: acc)
+
 (* The piece list of a stream [r] that [fit_segment] could not fit
    whole, each piece with its origin: boundary splits, then greedy
-   segmentation, then per-component label over-approximation or a
-   box. *)
-let fold_split ~boundary_splits ~max_pieces ws (r : Runs.t) =
-  let dim = r.dim and n = r.npoints in
-  let s = search ws r in
-  (* the fit of every part the boundary splits tried, by the part's
-     slices: different split paths reach the same part *)
-  let parts = Key_tbl.create 16 in
-  let fit_slices part =
-    let key = { Key.head = [||]; body = part; len = Array.length part; rel = Key.plain } in
-    match Key_tbl.find_opt parts key with
-    | Some p -> p
-    | None ->
-        encode s.e part;
-        let p = fit_part ws s in
-        Key_tbl.add parts key p;
-        p
+   segmentation, then per-component label over-approximation or a box.
+   Every phase decides on verdicts, and a piece is built once, for a
+   part the search returns. *)
+let fold_split ~boundary_splits ~max_pieces (ws : Ws.t) (r : Runs.t) =
+  let dim = r.dim and n = r.npoints and built = ws.built in
+  start_search ws r;
+  ws.nkept <- 0;
+  let split =
+    dim > 0 && boundary_splits && split_from ws (range_part ws 0 n) 2 (dim - 1) ~last:false
   in
-  (* recursive boundary splitting, innermost dimension first, with a
-     small budget (up to 4 pieces); [split] is tried once the whole
-     of [part] failed to fit *)
-  let rec split part budget =
-    (* per dim, the first- and last-iteration splits of [part],
-       classified when [go] first reaches the dim *)
-    let classified = Array.make dim None in
-    let halves d last =
-      let c =
-        match classified.(d) with
-        | Some c -> c
-        | None ->
-            let c = split_boundary_iterations ws s part d in
-            classified.(d) <- Some c;
-            c
-      in
-      if last then snd c else fst c
-    in
-    let rec go d last =
-      if d < 0 then if last then None else go (dim - 1) true
-      else begin
-        let boundary, rest = halves d last in
-        if Array.length boundary = 0 || Array.length rest = 0 then go (d - 1) last
-        else
-          match fit_with_splits boundary (budget - 1) with
-          | None -> go (d - 1) last
-          | Some a -> (
-              match fit_with_splits rest (budget - 1) with
-              | Some b -> Some (a @ b)
-              | None -> go (d - 1) last)
-      end
-    in
-    go (dim - 1) false
-  and fit_with_splits part budget =
-    match fit_slices part with
-    | Some p -> Some [ (p, Part part) ]
-    | None when budget > 0 -> split part budget
-    | None -> None
-  in
-  match if dim > 0 && boundary_splits then split (range_part s 0 n) 2 else None with
-  | Some ps -> ps
-  | None ->
-      (* the boundary phase is over: drop its parts *)
-      Key_tbl.reset parts;
-      (* greedy segmentation with doubling + binary search *)
-      let pieces = ref [] in
-      let i = ref 0 in
-      let too_many = ref false in
-      (* the fit of every length tried from the current start *)
-      let tried = Hashtbl.create 16 in
-      let segment len =
-        match Hashtbl.find_opt tried len with
-        | Some p -> p
-        | None ->
-            let p = fit_range ws s !i len in
-            Hashtbl.add tried len p;
-            p
-      in
-      while !i < n && not !too_many do
-        Hashtbl.clear tried;
-        let fits len = Option.is_some (segment len) in
-        (* grow the segment by doubling + binary search; fits() is not
-           monotone (a partial inner row can fail where the next full
-           row succeeds), so retry the expansion from each new best
-           until it stops improving *)
-        let best = ref 1 in
-        let improved = ref true in
-        while !improved do
-          improved := false;
-          let len = ref !best in
-          while !i + (2 * !len) <= n && fits (2 * !len) do
-            len := 2 * !len
-          done;
-          let lo = ref !len and hi = ref (min (2 * !len) (n - !i)) in
-          while !lo < !hi do
-            let mid = (!lo + !hi + 1) / 2 in
-            if fits mid then lo := mid else hi := mid - 1
-          done;
-          if !lo > !best then begin
-            best := !lo;
-            improved := true
-          end
-        done;
-        let best = !best in
-        (match segment best with
-        | Some p -> pieces := (p, Part (range_part s !i best)) :: !pieces
-        | None -> assert false);
-        i := !i + best;
-        if List.length !pieces > max_pieces then too_many := true
+  (* the boundary phase is over: drop its verdicts *)
+  Key_tbl.clear ws.parts;
+  let pieces =
+    if split then kept_pieces ws (ws.nkept - 1) []
+    else begin
+      (* greedy segmentation, each segment's start and length in [segs] *)
+      ws.tried <- Ws.grow ws.tried (n + 1);
+      let nseg = ref 0 and i = ref 0 in
+      while !i < n && !nseg <= max_pieces do
+        let len = greedy_segment ws !i n in
+        (* fitted already unless [len = 1] was never tried *)
+        if not (segment_from ws !i len) then assert false;
+        ws.segs <- Ws.grow_keep ws.segs ((2 * !nseg) + 2) (2 * !nseg);
+        ws.segs.(2 * !nseg) <- !i;
+        ws.segs.((2 * !nseg) + 1) <- len;
+        incr nseg;
+        i := !i + len
       done;
-      if !too_many then
+      if !nseg > max_pieces then
         (* before giving up the domain, try the whole stream with
            per-component label over-approximation: an exact domain
            whose irregular label components are top *)
-        match fit_segment ~strict:false ~group:(group_prefix ws r) ws r with
+        match fit_segment ~strict:false ~part:false ws r with
         | Some p -> [ (p, Whole) ]
-        | None -> [ (box_piece ws s, Box) ]
-      else List.rev !pieces
+        | None -> [ (box_piece ws, Box) ]
+      else segment_pieces ws (!nseg - 1) []
+    end
+  in
+  (* let go of the parts the boundary phase kept, also in splits that failed *)
+  Array.fill ws.kept 0 (Array.length ws.kept) [||];
+  Obs.Metrics.add obs_dropped (ws.built - built - List.length pieces);
+  pieces
 
 (* [ps], the pieces of a stream with these [origins], with their labels
    fitted again on the labels of [r], the same points with other labels:
    each label fit runs as the fold ran it, on the same part of [r]. *)
-let refit ws (r : Runs.t) ps origins =
-  let e = lazy (encoder r) in
+let refit (ws : Ws.t) (r : Runs.t) ps origins =
+  start_encoding ws r;
   let refit_one (p : piece) = function
     | Whole -> { p with labels = fit_labels ws r }
     | Part part ->
-        let e = Lazy.force e in
-        encode e part;
-        { p with labels = fit_labels ws e.out }
+        encode ws part;
+        { p with labels = fit_labels ws ws.out }
     | Box -> { p with labels = Array.init r.label_dim (fit_points ws r) }
   in
   List.map2 refit_one ps origins
@@ -1699,7 +1922,7 @@ module Collector = struct
         (ps, Shifted)
     | found ->
         let pieces, origins =
-          match fit_segment ~group:(group_prefix shared.ws r) shared.ws r with
+          match fit_segment ~strict:true ~part:false shared.ws r with
           | Some p -> ([ p ], [ Whole ])
           | None ->
               List.split
@@ -1777,12 +2000,13 @@ let fold_points ~dim ~label_dim pts =
   Collector.result ~shared:(Collector.shared ()) c
 
 let encode_slices r part =
-  let e = encoder r in
-  encode e part;
-  e.out
+  let ws = Ws.create () in
+  start_encoding ws r;
+  encode ws part;
+  ws.out
 
 let part_groups ws (r : Runs.t) part d =
-  let s = search ws r in
-  encode s.e part;
-  group_part ws s d;
-  groups ws s.e.out.nruns
+  start_search ws r;
+  encode ws part;
+  group_part ws d;
+  groups ws ws.out.nruns

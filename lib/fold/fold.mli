@@ -241,6 +241,15 @@ val fit_points : Ws.t -> Runs.t -> int -> Minisl.Affine.t option
     verified at every point in stream order, or [None].
     @raise Pp_util.Rat.Overflow where the fit's arithmetic overflows *)
 
+val nest_polyhedron : (Minisl.Affine.t * Minisl.Affine.t) array -> Minisl.Polyhedron.t
+(** [nest_polyhedron bounds]: the nest [bounds] (as for {!implied_count})
+    as a folded piece's domain, the constraints [c_d - lo_d >= 0] and
+    [hi_d - c_d >= 0] of each dim [d] cleared of denominators.  The
+    integer arithmetic is the one a split-search verdict runs to check,
+    without building it, that a domain can be written down.
+    @raise Pp_util.Rat.Overflow where [Minisl.Constr.of_affine] of
+    [Minisl.Affine.sub] would *)
+
 val implied_count :
   (Minisl.Affine.t * Minisl.Affine.t) array -> limit:int -> int option
 (** [implied_count bounds ~limit]: the number of integer points of the

@@ -36,6 +36,22 @@ let instr_at t sid =
 
 let loc_of_block t ~fid ~bid = (block t ~fid ~bid).block_loc
 
+let n_regs f =
+  let top = ref (max 1 f.n_params) in
+  let see r = if r >= !top then top := r + 1 in
+  Array.iter
+    (fun b ->
+      Array.iter
+        (fun i ->
+          see (Isa.def_reg i);
+          see (Isa.read_a i);
+          see (Isa.read_b i))
+        b.instrs;
+      List.iter see (Isa.term_reads b.term);
+      see (Isa.term_def b.term))
+    f.blocks;
+  !top
+
 (* ------------------------------------------------------------------ *)
 (* Structural well-formedness                                          *)
 (* ------------------------------------------------------------------ *)

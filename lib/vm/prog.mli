@@ -51,6 +51,13 @@ val func_name : t -> int -> string
 val block : t -> fid:int -> bid:int -> block
 val instr_at : t -> Isa.Sid.t -> Isa.instr
 val loc_of_block : t -> fid:int -> bid:int -> loc option
+
+val n_regs : func -> int
+(** The register frame a dataflow pass models: 1 + the largest register
+    index the function reads or writes ({!Isa.def_reg}, {!Isa.read_a},
+    {!Isa.read_b}, {!Isa.term_reads}, {!Isa.term_def}), at least
+    [n_params] and at least 1. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** Imperative program builder. *)

@@ -657,6 +657,97 @@ let test_pinned_digests () =
       Alcotest.(check string) (Printf.sprintf "block %d" b) digest (digest_block b))
     pinned_fold_digests
 
+(* [render_stream] of seeds [100 b .. 100 b + 99] *)
+let digest_hundred b =
+  Polyprof.Prog_hash.sha256_hex
+    (String.concat "" (List.init 100 (fun k -> render_stream ((100 * b) + k))))
+
+(* Digests of [digest_hundred] for blocks 2-19 (seeds 200-1,999),
+   generated while the split search still built a piece for every part
+   that fitted, before it decided on verdicts: building only the pieces
+   it returns changes no output and no exception. *)
+let pinned_hundred_digests =
+  [ (2, "882172601d955921cdc394cbff7184a83284bd5e21b99ab84ecd8126881cdffa");
+    (3, "e445975c76bd3ed1c3cd7fed58c31a0903f293e9c6a36afc2fb0449cbe82b7c4");
+    (4, "2fc9cd09187b2f0dea17333b2a44f9ed5b39f15b9ca67f70e87a1a15e536f5c4");
+    (5, "a00787876f27336af691c16af9df9722818c981acc4d4b9736e8b1de6b1b0537");
+    (6, "1c3908908efebd4fdd0292c00881681154925d3765d12f39e1f82b6a5064a8f7");
+    (7, "a2e19adeacf158e9e94eb702b7f3aa613bd4c6fc756adf3a66f038fd959fd2ba");
+    (8, "bf5c2600ed929fb1159cdca4befa7072e0b2efb25ad4427ec5cdd409d962960f");
+    (9, "318b351ccf19ec8d11f304ec2bf28f6c79cbab04a2a47c12ca587a85adb08e9b");
+    (10, "0a9ee157f9bd179dcf76fef1c142becbe0017c3f222afbb6e864c65922382254");
+    (11, "27e085c1f0f68a23f8f49f251f157e864fc2f3c47cd8b3abe5965e9e6b39f6ff");
+    (12, "5b81ac7a3b8bcbb3e62a536e7dc21ca3b1752472799a8f614faac5c55e7078fc");
+    (13, "316bdb1b06f9893be934e4b9638d770f4db35b24341e37791102bca6c6f19c98");
+    (14, "9837d56d3e9971a9e111fa80e5a6bcc68b7c1ddb6a8608c102442cc257dc51aa");
+    (15, "f39818f1ab6541f99eed0b9f0a231b56600846d3c37645cb52b86be95578a4b8");
+    (16, "e655b8caea99547ac92111103ea4778bbf46e2c30cff53a2586305201669b4ea");
+    (17, "0239b0f096ed02fce64beb81aa62a20718df553d95737e165d97e21e35327a72");
+    (18, "9623489a1c71e0fa1d55dc634d5ed97478b31650064d69103bad42d8b8bbad73");
+    (19, "dab126bff1deada4c933354b1476d293c6f8c8d511a3fa7cf332de12df329155") ]
+
+let test_pinned_hundred_digests () =
+  Alcotest.(check int) "eighteen blocks" 18 (List.length pinned_hundred_digests);
+  List.iter
+    (fun (b, digest) ->
+      Alcotest.(check string) (Printf.sprintf "seeds %d-%d" (100 * b) ((100 * b) + 99)) digest
+        (digest_hundred b))
+    pinned_hundred_digests
+
+(* --- allocation ------------------------------------------------------ *)
+
+(* Forty rows of ten points whose label is [sign * j] on even rows and
+   [-sign * j] on odd ones: no label is affine over two rows, so the
+   greedy search (with no boundary splits) finds a segment per row or so,
+   ends [too_many] after [max_pieces + 1] of them, and returns the whole
+   rectangle with a top label. *)
+let zigzag sign =
+  let c = Fold.Collector.create ~boundary_splits:false ~dim:2 ~label_dim:1 () in
+  for i = 0 to 39 do
+    for j = 0 to 9 do
+      Fold.Collector.add c [| i; j |] [| (if i mod 2 = 0 then sign * j else -sign * j) |]
+    done
+  done;
+  c
+
+(* A search that ends [too_many] allocates about what it returns: the
+   [max_pieces + 1] segments it gave up are answered by verdicts, so none
+   of them is built.  The ceiling allows the result twice over (the
+   result, then the table's entry and the tuples around it) plus 64
+   words: one more piece of this stream (four constraints and a label,
+   over 60 words) built and dropped exceeds it.  A search that built and
+   dropped its segments took over 50,000 words here.  The table's workspace is first grown by the
+   mirror stream, which searches alike under another key. *)
+let test_too_many_allocation () =
+  let shared = Fold.Collector.shared () in
+  ignore (Fold.Collector.result ~shared (zigzag (-1)));
+  let c = zigzag 1 in
+  let before = Gc.minor_words () in
+  let ps = Fold.Collector.result ~shared c in
+  let words = int_of_float (Gc.minor_words () -. before) in
+  (match ps with
+  | [ p ] ->
+      Alcotest.(check bool) "the whole rectangle, top label" true
+        (p.Fold.exact && p.Fold.points = 400 && p.Fold.labels = [| None |])
+  | _ -> Alcotest.fail "one piece expected");
+  let result = Obj.reachable_words (Obj.repr ps) in
+  if words > (2 * result) + 64 then
+    Alcotest.failf "folding allocated %d minor words for a result of %d words" words result
+
+(* With telemetry on, [fold.search_dropped] stays 0 over the pinned
+   streams while the search encodes parts. *)
+let test_search_dropped () =
+  Obs.Registry.with_enabled @@ fun () ->
+  Obs.Metrics.reset ();
+  for seed = 0 to 199 do
+    ignore (render_stream seed)
+  done;
+  Alcotest.(check bool) "no piece dropped" true
+    (metric "fold.search_dropped" = Some (Obs.Metrics.Vint 0));
+  match metric "fold.search_slices" with
+  | Some (Obs.Metrics.Vint n) -> Alcotest.(check bool) "parts were searched" true (n > 0)
+  | _ -> Alcotest.fail "fold.search_slices missing"
+
 (* --- stream table ---------------------------------------------------- *)
 
 let fresh s = render_collector ~shared:(Fold.Collector.shared ()) s
@@ -1025,6 +1116,45 @@ let prop_implied_count_closed_form =
         (fun limit ->
           limit < 0 || Fold.implied_count bnds ~limit = implied_count_loop bnds ~limit)
         limits)
+
+(* [nest] as a polyhedron written down with [Minisl]'s own [Rat]
+   arithmetic *)
+let reference_polyhedron nest =
+  let dim = Array.length nest in
+  let cons = ref [] in
+  for d = 0 to dim - 1 do
+    let lo, hi = nest.(d) in
+    let v = A.var ~dim d in
+    cons :=
+      Minisl.Constr.of_affine Ge (A.sub v lo) :: Minisl.Constr.of_affine Ge (A.sub hi v) :: !cons
+  done;
+  P.make dim !cons
+
+(* Bounds over one to three coordinates whose fractions are small, or
+   have a numerator or denominator near the ends of the int range, where
+   clearing denominators overflows. *)
+let gen_rat_nest =
+  let open QCheck.Gen in
+  let extreme =
+    oneofl [ max_int; max_int - 1; min_int; min_int + 1; 1 lsl 61; -(1 lsl 61); 1 lsl 40; 3037000499 ]
+  in
+  let num = frequency [ (24, int_range (-5) 5); (1, extreme) ] in
+  let den =
+    frequency
+      [ (12, return 1); (12, int_range 1 7); (1, oneofl [ max_int; 1 lsl 40; 3037000499; 2147483647 ]) ]
+  in
+  let rat = map2 Rat.make num den in
+  int_range 1 3 >>= fun dim ->
+  let affine = map2 (fun coeffs const -> { A.coeffs; const }) (array_size (return dim) rat) rat in
+  array_size (return dim) (pair affine affine)
+
+let prop_nest_polyhedron =
+  QCheck.Test.make ~name:"nest_polyhedron = Minisl's, overflow included" ~count:2000
+    (QCheck.make gen_rat_nest) (fun nest ->
+      let outcome f = match f () with p -> Some (P.constraints p) | exception Rat.Overflow -> None in
+      Option.equal (List.equal Minisl.Constr.equal)
+        (outcome (fun () -> Fold.nest_polyhedron nest))
+        (outcome (fun () -> reference_polyhedron nest)))
 
 (* --- decision counters ----------------------------------------------- *)
 
@@ -1522,6 +1652,7 @@ let () =
             test_implied_count_work_bound ] );
       ( "parity",
         [ Alcotest.test_case "pinned fold digests" `Quick test_pinned_digests;
+          Alcotest.test_case "pinned digests, seeds 200-1999" `Quick test_pinned_hundred_digests;
           Alcotest.test_case "a shared table folds as fresh ones" `Quick test_shared_parity;
           Alcotest.test_case "equal buffers, different layouts" `Quick test_shared_layouts;
           Alcotest.test_case "spills and prefixes miss" `Quick test_shared_misses ] );
@@ -1532,11 +1663,16 @@ let () =
           Alcotest.test_case "the magnitude guard" `Quick test_shifted_guard;
           QCheck_alcotest.to_alcotest prop_shifted_parity ] );
       ("oracle", [ Alcotest.test_case "every suite collector" `Quick test_suite_oracle ]);
+      ( "allocation",
+        [ Alcotest.test_case "too_many builds only what it returns" `Quick
+            test_too_many_allocation;
+          Alcotest.test_case "search drops no piece" `Quick test_search_dropped ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fold_rect_roundtrip; prop_fold_covers;
             prop_fold_enumeration_oracle; prop_runs_roundtrip;
-            prop_implied_count_closed_form; prop_prefix_groups; prop_domain_fill ] );
+            prop_implied_count_closed_form; prop_prefix_groups; prop_domain_fill;
+            prop_nest_polyhedron ] );
       ( "slices",
         List.map QCheck_alcotest.to_alcotest
           [ prop_slice_encoding; prop_slice_groups; prop_fit_points ] ) ]
